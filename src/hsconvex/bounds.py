@@ -26,12 +26,9 @@ from typing import Optional, Union
 
 from .errors import DomainError
 from .numeric import DEFAULT_TOL, FunctionSpec, Interval, derivative, integrate, weighted_mean
-from .specfn import beta, hyp2f1
+from .specfn import Z_CAP, beta, hyp2f1
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
-
-# z this close to 1 makes every lambda diverge; reject rather than return junk
-_Z_CAP = 1.0 - 1e-12
 
 # switch point between the elementary lambda5 closed form and its Taylor
 # expansion about theta = x; below this the closed form cancels catastrophically
@@ -86,6 +83,33 @@ class ConjugatePair:
         return cls(q / (q - 1.0), q)
 
 
+def resolve_exponents(theorem: str,
+                      exponents: Union[float, ConjugatePair, tuple, None]
+                      ) -> tuple[Optional[float], Optional[ConjugatePair]]:
+    """Normalize what a theorem takes to (q, pair): nothing for T2_2, a
+    ConjugatePair for T2_6/T2_7 (pair set), a scalar q >= 1 or the q of a
+    ConjugatePair for the others (pair None). exponents may also be the
+    CLI's (--q, --p) flags; for T2_6/T2_7 either determines the other.
+    """
+    if theorem == "T2_2":
+        return None, None
+    holder = theorem in ("T2_6", "T2_7")
+    if isinstance(exponents, tuple):
+        q, p = exponents
+        exponents = q
+        if holder and p is not None:
+            exponents = ConjugatePair.from_p(p) if q is None else ConjugatePair(p, q)
+        elif holder and q is not None:
+            exponents = ConjugatePair.from_q(q)
+    if holder and not isinstance(exponents, ConjugatePair):
+        raise DomainError(f"{theorem} needs conjugate exponents: give --p, --q or both")
+    if exponents is None:
+        raise DomainError(f"{theorem} needs --q (a power-mean exponent >= 1)")
+    if isinstance(exponents, ConjugatePair):
+        return exponents.q, exponents if holder else None
+    return validate_q(exponents), None
+
+
 @dataclass(frozen=True)
 class LambdaArgs:
     """Argument tuple (kind, theta, x, s, vartheta, rho) of the lambda family."""
@@ -117,7 +141,7 @@ class LambdaArgs:
             raise DomainError(
                 f"kinds 3, 4 are b-side weights and require x <= theta, "
                 f"got theta={self.theta}, x={self.x}")
-        if self.z >= _Z_CAP:
+        if self.z >= Z_CAP:
             raise DomainError(
                 f"z={self.z} too close to 1 (theta/x ratio too extreme)")
 
@@ -146,18 +170,13 @@ def lambda_integrand(args: LambdaArgs):
     return integrand
 
 
-def lambda_value(args: LambdaArgs, lambda2_variant: bool = False) -> float:
+def lambda_value(args: LambdaArgs) -> float:
     """Evaluate the closed form of the lambda weight `args`.
 
     kind 1: beta(rho+s+1, 1)   / x^(2vt)     * 2F1(2vt, rho+s+1; rho+s+2; 1-theta/x)
     kind 2: beta(rho+1, s+1)   / x^(2vt)     * 2F1(2vt, rho+1;   rho+s+2; 1-theta/x)
     kind 3: beta(1, rho+s+1)   / theta^(2vt) * 2F1(2vt, 1;       rho+s+2; 1-x/theta)
     kind 4: beta(s+1, rho+1)   / theta^(2vt) * 2F1(2vt, s+1;     rho+s+2; 1-x/theta)
-
-    lambda2_variant swaps the kind-2 front factor for beta(rho+1, 1), a
-    plausible-looking variant that does NOT match the defining integral for
-    s > 0. It exists so the self-test can demonstrate that the oracle
-    comparison has teeth; never enable it for real computation.
     """
     z = args.z
     two_vt = 2.0 * args.vartheta
@@ -167,10 +186,7 @@ def lambda_value(args: LambdaArgs, lambda2_variant: bool = False) -> float:
         front = beta(rho + s + 1.0, 1.0) / args.x ** two_vt
         return front * hyp2f1(two_vt, rho + s + 1.0, c, z)
     if args.kind == 2:
-        if lambda2_variant:
-            front = beta(rho + 1.0, 1.0) / args.x ** two_vt
-        else:
-            front = beta(rho + 1.0, s + 1.0) / args.x ** two_vt
+        front = beta(rho + 1.0, s + 1.0) / args.x ** two_vt
         return front * hyp2f1(two_vt, rho + 1.0, c, z)
     if args.kind == 3:
         front = beta(1.0, rho + s + 1.0) / args.theta ** two_vt
@@ -285,17 +301,7 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
     if not a <= x <= b:
         raise DomainError(f"x={x} outside [{a}, {b}]")
 
-    if theorem in ("T2_6", "T2_7"):
-        if not isinstance(q, ConjugatePair):
-            raise DomainError(f"{theorem} requires a ConjugatePair, got {q!r}")
-        pair = q
-        q_exp = pair.q
-    else:
-        if isinstance(q, ConjugatePair):
-            q_exp = q.q
-        else:
-            q_exp = validate_q(q)
-        pair = None
+    q_exp, pair = resolve_exponents(theorem, q)
 
     if M is not None:
         validate_m(M)

@@ -13,26 +13,20 @@ byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
-from .bounds import (CSV_FIELDS, BoundResult, ConjugatePair, LambdaArgs,
+from .bounds import (CSV_FIELDS, BoundResult, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda_integrand,
-                     lambda_value, ostrowski_lhs, ostrowski_rhs, validate_q)
-from .convexity import (VIOLATION_TOL, ConvexityMode, check_am_hm,
-                        check_convexity, proposition_implications)
+                     lambda_value, ostrowski_lhs, ostrowski_rhs,
+                     resolve_exponents)
+from .convexity import VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
-from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
-                      get_function, integrate, weighted_mean)
-from .specfn import beta, hyp2f1
-from .verify import (LEMMA_FUNCTIONS, LEMMA_INTERVALS, MATRIX_FUNCTIONS,
-                     SLACK_TOL, _hypothesis_function, lambda_consistency_rows,
-                     lemma_residual, matrix_summary, min_corollary_gap,
-                     run_ostrowski_matrix, verify_theorem)
-from .convexity import _uniform_grid
+from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
+from .verify import hypothesis_gate, run_battery, verify_theorem
 
 
 def _fmt(v: float) -> str:
@@ -91,23 +85,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _resolve_exponents(theorem: str, q: Optional[float], p: Optional[float]):
-    """Map the --q/--p flags onto what the theorem expects."""
-    if theorem in ("T2_6", "T2_7"):
-        if q is not None and p is not None:
-            return ConjugatePair(p, q)
-        if p is not None:
-            return ConjugatePair.from_p(p)
-        if q is not None:
-            return ConjugatePair.from_q(q)
-        raise DomainError(f"{theorem} needs conjugate exponents: give --p, --q or both")
-    if theorem == "T2_2":
-        return None
-    if q is None:
-        raise DomainError(f"{theorem} needs --q (a power-mean exponent >= 1)")
-    return validate_q(q)
 
 
 # ---------------------------------------------------------------- commands
@@ -176,21 +153,20 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         lhs = abs(f(ns.x) - mean)
         rhs = classic_ostrowski_rhs(ns.x, iv, ns.M)
         # the hypothesis here is |f'| <= M on [a, b]; check it on a grid
-        worst = max(abs(derivative(f, u)) for u in _uniform_grid(iv.a, iv.b, 33))
+        worst = max(abs(derivative(f, u)) for u in uniform_grid(iv.a, iv.b, 33))
         hyp_ok = worst <= ns.M + VIOLATION_TOL
         result = BoundResult("classic", ns.x, iv.a, iv.b, ns.s, None, None,
                              ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
                              hypothesis_ok=hyp_ok,
                              fd_fallback=f.deriv_fn is None)
     else:
-        q_or_pair = _resolve_exponents(ns.theorem, ns.q, ns.p)
-        q_val = q_or_pair.q if isinstance(q_or_pair, ConjugatePair) else q_or_pair
-        p_val = q_or_pair.p if isinstance(q_or_pair, ConjugatePair) else None
-        gate = check_convexity(_hypothesis_function(f, q_val), iv,
-                               ConvexityMode.HARMONICALLY_S_CONVEX, ns.s,
-                               grid_n=ns.grid_gate, seed=ns.seed)
+        q_val, pair = resolve_exponents(ns.theorem, (ns.q, ns.p))
+        p_val = pair.p if pair else None
+        gate = hypothesis_gate(ns.theorem, f, iv, ns.s, q_val, ns.grid_gate,
+                               ns.seed)
         lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
-        rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q_or_pair, M=ns.M)
+        rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, pair or q_val,
+                            M=ns.M)
         result = BoundResult(ns.theorem, ns.x, iv.a, iv.b, ns.s, q_val, p_val,
                              ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
                              hypothesis_ok=gate.holds,
@@ -205,8 +181,8 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
     iv = Interval(ns.a, ns.b)
-    q_or_pair = _resolve_exponents(ns.theorem, ns.q, ns.p)
-    report = verify_theorem(ns.theorem, f, iv, ns.s, q_or_pair,
+    q_val, pair = resolve_exponents(ns.theorem, (ns.q, ns.p))
+    report = verify_theorem(ns.theorem, f, iv, ns.s, pair or q_val,
                             x_grid=ns.grid, gate_grid_n=ns.grid_gate,
                             seed=ns.seed, tol=ns.tol)
     if ns.format == "csv":
@@ -218,106 +194,15 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- selftest
 
-def _selftest_checks(tol: Optional[float], lambda2_variant: bool) -> list[dict]:
-    """Run the whole battery. Each row compares a measured metric against a
-    limit: kind 'max_err' passes when value <= limit, 'min_slack' when
-    value >= -limit, 'count_min' when value >= limit. A --tol override
-    replaces the limit of every err/slack row (count rows keep theirs)."""
-    checks: list[dict] = []
-
-    def add(name: str, kind: str, value: float, default_limit: float) -> None:
-        limit = default_limit
-        if tol is not None and kind != "count_min":
-            limit = tol
-        if kind == "max_err":
-            ok = value <= limit
-        elif kind == "min_slack":
-            ok = value >= -limit
-        else:
-            ok = value >= limit
-        checks.append({"check": name, "kind": kind, "value": value,
-                       "limit": limit, "pass": ok})
-
-    # closed forms vs the quadrature oracle
-    rows = lambda_consistency_rows(lambda2_variant=lambda2_variant)
-    add("lambda_fidelity_kinds_1_4", "max_err",
-        max(r["rel_err"] for r in rows if r["kind"] <= 4), 1e-8)
-    add("lambda5_fidelity", "max_err",
-        max(r["rel_err"] for r in rows if r["kind"] == 5), 1e-10)
-
-    # the integral identity behind all the bounds
-    worst = 0.0
-    for fn_id in LEMMA_FUNCTIONS:
-        f = get_function(fn_id)
-        for a, b in LEMMA_INTERVALS:
-            iv = Interval(a, b)
-            for x in _uniform_grid(a, b, 9):
-                r = lemma_residual(f, x, iv) / (1.0 + abs(f(x)))
-                worst = max(worst, r)
-    add("lemma_identity", "max_err", worst, 1e-7)
-
-    # two-sided chain for x^s on subintervals of (0, 1]
-    min_chain = math.inf
-    for s in (0.25, 0.5, 0.75, 1.0):
-        f = get_function(f"pow:{s:g}")
-        for a, b in ((0.25, 1.0), (0.1, 0.9)):
-            rep = verify_theorem("T2_2", f, Interval(a, b), s)
-            if not rep.hypothesis_ok:
-                min_chain = -math.inf
-                break
-            min_chain = min(min_chain, rep.min_slack)
-    add("hh_chain_slack", "min_slack", min_chain, 1e-12)
-    mid = weighted_mean(get_function("id"), Interval(1.0, 2.0))
-    add("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)), 1e-10)
-
-    # gated slack sweep over the theorem matrix
-    summary = matrix_summary(run_ostrowski_matrix())
-    add("ostrowski_matrix_slack", "min_slack",
-        summary["min_slack"] if summary["min_slack"] is not None else -math.inf,
-        SLACK_TOL)
-    add("ostrowski_gate_coverage", "count_min",
-        float(len(summary["gated_pairs"])), 5.0)
-
-    # replacing derivative magnitudes with a dominating M can only enlarge
-    add("corollary_monotonicity", "min_slack", min_corollary_gap(), 1e-12)
-
-    # classic bound for f(x)=x, M=1 on [1, 2]
-    f_id = get_function("id")
-    iv = Interval(1.0, 2.0)
-    mean = integrate(lambda u: f_id(u), 1.0, 2.0, DEFAULT_TOL).value
-    min_classic = math.inf
-    for x in _uniform_grid(1.0, 2.0, 33):
-        slack = classic_ostrowski_rhs(x, iv, 1.0) - abs(f_id(x) - mean)
-        min_classic = min(min_classic, slack)
-    add("classic_slack", "min_slack", min_classic, 1e-14)
-
-    # comparison inequality and the monotonicity implications
-    am_hm = check_am_hm(Interval(0.5, 4.0), grid_n=32)
-    add("am_hm_grid", "max_err", am_hm.max_violation, VIOLATION_TOL)
-    prop = proposition_implications(MATRIX_FUNCTIONS, (0.25, 0.5, 0.75, 1.0),
-                                    Interval(0.5, 4.0), grid_n=32)
-    add("proposition_nonvacuous", "count_min", float(len(prop)), 1.0)
-    add("proposition_implications", "max_err",
-        max(r["consequent_violation"] for r in prop), VIOLATION_TOL)
-
-    # special-function spot checks
-    worst = 0.0
-    for i in range(1, 10):
-        z = i / 10.0
-        ref = -math.log1p(-z) / z
-        worst = max(worst, abs(hyp2f1(1.0, 1.0, 2.0, z) - ref) / abs(ref))
-    add("hyp2f1_log_identity", "max_err", worst, 1e-10)
-    worst = 0.0
-    pts = (0.5, 1.0, 1.5, 2.5, 5.0, 12.0, 50.0)
-    for x in pts:
-        for y in pts:
-            worst = max(worst, abs(beta(x, y) - beta(y, x)) / beta(x, y))
-    add("beta_symmetry", "max_err", worst, 1e-13)
-    return checks
-
-
 def cmd_selftest(ns: argparse.Namespace) -> int:
-    checks = _selftest_checks(ns.tol, ns.debug_lambda2_variant)
+    """Render the rows of verify.run_battery. A --tol override replaces
+    the limit of every err/slack row (count rows keep theirs)."""
+    checks = []
+    for c in run_battery():
+        if ns.tol is not None and c.kind != "count_min":
+            c = dataclasses.replace(c, limit=ns.tol)
+        checks.append({"check": c.name, "kind": c.kind, "value": c.value,
+                       "limit": c.limit, "pass": c.passed})
     n_pass = sum(1 for c in checks if c["pass"])
     all_pass = n_pass == len(checks)
     if ns.format == "json":
@@ -419,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the full verification battery")
     p.add_argument("--tol", type=float, default=None,
                    help="replace every error/slack limit with this value")
-    p.add_argument("--debug-lambda2-variant", action="store_true",
-                   help="evaluate the kind-2 weight with a deliberately "
-                        "inconsistent front factor; the fidelity check must "
-                        "then fail (a canary for the oracle comparison)")
     _add_output_flags(p, formats=("table", "json", "csv"))
     p.set_defaults(func=cmd_selftest)
 

@@ -82,7 +82,8 @@ def harmonic_combination(x: float, y: float, t: float) -> float:
     return x * y / (t * x + (1.0 - t) * y)
 
 
-def _uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi, endpoints exact; [lo] if n < 2."""
     if n < 2:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -150,8 +151,8 @@ def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
         raise DomainError(f"s must lie in (0, 1], got {s}")
     s_eff = 1.0 if mode is ConvexityMode.HARMONICALLY_CONVEX else s
     viol = _violation_fn(mode, f, s_eff)
-    xs = _uniform_grid(iv.a, iv.b, grid_n)
-    ts = _uniform_grid(0.0, 1.0, t_grid_n)
+    xs = uniform_grid(iv.a, iv.b, grid_n)
+    ts = uniform_grid(0.0, 1.0, t_grid_n)
     rng = random.Random(seed) if seed is not None else None
     best, witness, samples = _scan(viol, xs, xs, ts, rng, n_random, iv.a, iv.b)
     return ConvexityReport(mode=mode, s=s_eff, max_violation=best,
@@ -171,8 +172,8 @@ def check_am_hm(iv: Interval, grid_n: int = 32, t_grid_n: int = 17,
     def viol(x: float, y: float, t: float) -> float:
         return harmonic_combination(x, y, t) - (t * y + (1.0 - t) * x)
 
-    xs = _uniform_grid(iv.a, iv.b, grid_n)
-    ts = _uniform_grid(0.0, 1.0, t_grid_n)
+    xs = uniform_grid(iv.a, iv.b, grid_n)
+    ts = uniform_grid(0.0, 1.0, t_grid_n)
     rng = random.Random(seed) if seed is not None else None
     best, witness, samples = _scan(viol, xs, xs, ts, rng, n_random, iv.a, iv.b)
     return ConvexityReport(mode=None, s=None, max_violation=best,
@@ -187,7 +188,7 @@ def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32,
     The comparison-inequality implications need a testable stand-in for the
     monotonicity hypotheses, and this is it.
     """
-    xs = _uniform_grid(iv.a, iv.b, grid_n)
+    xs = uniform_grid(iv.a, iv.b, grid_n)
     vals = [f(x) for x in xs]
     nondec = all(b >= a - tol for a, b in zip(vals, vals[1:]))
     noninc = all(b <= a + tol for a, b in zip(vals, vals[1:]))

@@ -97,8 +97,9 @@ class FunctionSpec:
     domain_hi: float = math.inf
 
     def __call__(self, x: float) -> float:
-        if not (self.domain_lo < x <= self.domain_hi or x == self.domain_lo == 0.0
-                and self._finite_at_zero()):
+        # the arithmetic-mean chain may evaluate at a = 0; that is allowed
+        # when f is finite there, which the checks below establish
+        if not (self.domain_lo < x <= self.domain_hi or x == self.domain_lo == 0.0):
             raise DomainError(f"{self.fn_id}: {x} outside domain "
                               f"({self.domain_lo}, {self.domain_hi}]")
         try:
@@ -108,13 +109,6 @@ class FunctionSpec:
         if not math.isfinite(v):
             raise DomainError(f"{self.fn_id}: non-finite value at {x}")
         return v
-
-    def _finite_at_zero(self) -> bool:
-        # the arithmetic-mean chain may evaluate at a = 0; allow it when safe
-        try:
-            return math.isfinite(self.eval_fn(0.0))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return False
 
     def deriv(self, x: float) -> float:
         if self.deriv_fn is None:
@@ -128,7 +122,7 @@ class FunctionSpec:
         return v
 
 
-def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Apply the 15-point Kronrod rule on [lo, hi].
 
     Returns (K15 value, |K15 - G7| error estimate). Raises DomainError on a
@@ -174,7 +168,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         return QuadResult(value=0.0, err_est=0.0, evals=0)
     if not lo < hi:
         raise DomainError(f"integrate requires lo <= hi, got [{lo}, {hi}]")
-    val, err = _gk15(f, lo, hi)
+    val, err = gk15(f, lo, hi)
     # heap entries: (-err, insertion counter, depth, lo, hi, value, err);
     # the counter breaks err ties deterministically
     heap = [(-err, 0, 0, lo, hi, val, err)]
@@ -189,8 +183,8 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
             raise NumericError(
                 f"bisection depth {depth} exhausted at panel [{a}, {b}]",
                 value=best, err_est=total_err)
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
+        v1, e1 = gk15(f, a, mid)
+        v2, e2 = gk15(f, mid, b)
         evals += 30
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, counter, depth + 1, a, mid, v1, e1))

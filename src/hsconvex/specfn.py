@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
-from .numeric import integrate
+from .numeric import gk15, integrate
 
 # Lanczos coefficients, g = 7, 9 terms. Absolute error of ln_gamma stays
 # below 1e-12 on [0.5, 200], checked against quadrature of the Euler
@@ -34,7 +34,7 @@ _HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # z at or above this is treated as outside the domain: the Euler integral
 # representation requires |z| < 1 and every lambda diverges as z -> 1
-_Z_DOMAIN_CAP = 1.0 - 1e-12
+Z_CAP = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def _hyp2f1_euler(a: float, b: float, c: float, z: float) -> float:
 
     # scale the absolute quadrature tolerance to a one-panel estimate so a
     # large integral does not demand an unattainable absolute error
-    from .numeric import _gk15
-    rough, _ = _gk15(integrand, 0.0, 1.0)
+    rough, _ = gk15(integrand, 0.0, 1.0)
     tol = max(1e-13, 1e-12 * abs(rough))
     q = integrate(integrand, 0.0, 1.0, tol)
     return q.value / beta(b, c - b)
@@ -147,8 +146,8 @@ def hyp2f1(a: float, b: float, c: float, z: float,
         raise DomainError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
     if a < 0.0:
         raise DomainError(f"hyp2f1 requires a >= 0, got {a}")
-    if not 0.0 <= z < _Z_DOMAIN_CAP:
-        raise DomainError(f"hyp2f1 requires 0 <= z < {_Z_DOMAIN_CAP}, got {z}")
+    if not 0.0 <= z < Z_CAP:
+        raise DomainError(f"hyp2f1 requires 0 <= z < {Z_CAP}, got {z}")
     if z <= cfg.z_series_cutoff:
         return _hyp2f1_series(a, b, c, z, cfg)
     return _hyp2f1_euler(a, b, c, z)

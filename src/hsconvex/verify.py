@@ -7,22 +7,28 @@ Ostrowski-type theorem on harmonic s-convexity of u -> |f'(u)|^q; only
 when the gate passes does the slack scan run and count.
 
 lambda_consistency is the package's oracle comparison: every lambda closed
-form against its defining integral by adaptive quadrature.
+form against its defining integral by adaptive quadrature. run_battery runs
+every check once, for the CLI's selftest and the acceptance tests alike.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .bounds import (BoundResult, ConjugatePair, LambdaArgs, hh_harmonic_bounds,
-                     lambda5, lambda_integrand, lambda_value, ostrowski_rhs,
-                     validate_q, validate_s, OSTROWSKI_THEOREMS)
-from .convexity import ConvexityMode, check_convexity, _uniform_grid
+from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
+                     classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
+                     lambda_integrand, lambda_value, ostrowski_rhs,
+                     resolve_exponents, validate_s, OSTROWSKI_THEOREMS)
+from .convexity import (VIOLATION_TOL, ConvexityMode, ConvexityReport,
+                        check_am_hm, check_convexity, proposition_implications,
+                        uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
                       get_function, integrate, weighted_mean)
+from .specfn import beta, hyp2f1
 
 # combined quadrature + special-function error across an lhs/rhs pair stays
 # well under this; slacks below -SLACK_TOL are genuine violations
@@ -85,14 +91,18 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval,
     return abs(lhs - rhs)
 
 
-def _hypothesis_function(f: FunctionSpec, q_exp: float) -> FunctionSpec:
-    """Package u -> |f'(u)|^q as a FunctionSpec for the convexity gate."""
-    return FunctionSpec(
-        fn_id=f"|{f.fn_id}'|^{q_exp:g}",
-        eval_fn=lambda u: abs(derivative(f, u)) ** q_exp,
-        domain_lo=f.domain_lo,
-        domain_hi=f.domain_hi,
-    )
+def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
+                    q: Optional[float], grid_n: int,
+                    seed: Optional[int]) -> ConvexityReport:
+    """Scan the hypothesis of `theorem` on a grid: harmonic s-convexity of
+    f for T2_2, and of u -> |f'(u)|^q for the Ostrowski-type theorems."""
+    g = f
+    if theorem != "T2_2":
+        g = FunctionSpec(fn_id=f"|{f.fn_id}'|^{q:g}",
+                         eval_fn=lambda u: abs(derivative(f, u)) ** q,
+                         domain_lo=f.domain_lo, domain_hi=f.domain_hi)
+    return check_convexity(g, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
+                           grid_n=grid_n, seed=seed)
 
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
@@ -115,24 +125,9 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     if x_grid < 1:
         raise DomainError("x_grid must have at least one point")
     a, b = iv.a, iv.b
-
-    if theorem == "T2_2":
-        q_val, p_val = None, None
-        gate = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                               grid_n=gate_grid_n, seed=seed)
-    else:
-        if q is None:
-            raise DomainError(f"{theorem} requires an exponent q")
-        if theorem in ("T2_6", "T2_7"):
-            if not isinstance(q, ConjugatePair):
-                raise DomainError(f"{theorem} requires a ConjugatePair")
-            q_val, p_val = q.q, q.p
-        else:
-            q_val = q.q if isinstance(q, ConjugatePair) else validate_q(q)
-            p_val = None
-        gate = check_convexity(_hypothesis_function(f, q_val), iv,
-                               ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                               grid_n=gate_grid_n, seed=seed)
+    q_val, pair = resolve_exponents(theorem, q)
+    p_val = pair.p if pair else None
+    gate = hypothesis_gate(theorem, f, iv, s, q_val, gate_grid_n, seed)
 
     grid_desc = {
         "x_count": 2 if theorem == "T2_2" else x_grid,
@@ -159,7 +154,7 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                                    hypothesis_ok=True))
     else:
         wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
-        for x in _uniform_grid(a, b, x_grid):
+        for x in uniform_grid(a, b, x_grid):
             lhs = abs(f(x) - wm)
             rhs = ostrowski_rhs(theorem, f, x, iv, s, q)
             results.append(BoundResult(theorem, x, a, b, s, q_val, p_val, None,
@@ -202,14 +197,16 @@ DEFAULT_LAMBDA_GRID = LambdaGrid()
 
 
 def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
-                            lambda2_variant: bool = False) -> list[dict]:
+                            closed_form: Optional[Callable] = None) -> list[dict]:
     """Closed form vs defining integral for every grid point.
 
     Returns one row per comparison with the closed value, the quadrature
     value, and their relative discrepancy (measured against the closed
-    value, which is strictly positive on the grid).
+    value, which is strictly positive on the grid). closed_form (default
+    lambda_value) lets a test show that a wrong closed form is caught.
     """
     g = grid or DEFAULT_LAMBDA_GRID
+    closed_form = closed_form or lambda_value
     rows: list[dict] = []
     for kind in (1, 2, 3, 4):
         for theta_a, x_a in g.pairs_a:
@@ -218,7 +215,7 @@ def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
             for s in g.s_values:
                 for vt, rho in g.vartheta_rho:
                     args = LambdaArgs(kind, theta, x, s, vt, rho)
-                    closed = lambda_value(args, lambda2_variant)
+                    closed = closed_form(args)
                     oracle = integrate(lambda_integrand(args), 0.0, 1.0, 1e-13).value
                     rel = abs(closed - oracle) / abs(closed)
                     rows.append({
@@ -244,10 +241,9 @@ def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
     return rows
 
 
-def lambda_consistency(grid: Optional[LambdaGrid] = None,
-                       lambda2_variant: bool = False) -> float:
+def lambda_consistency(grid: Optional[LambdaGrid] = None) -> float:
     """Maximum relative discrepancy between closed forms and the oracle."""
-    rows = lambda_consistency_rows(grid, lambda2_variant)
+    rows = lambda_consistency_rows(grid)
     return max(r["rel_err"] for r in rows)
 
 
@@ -329,7 +325,7 @@ def min_corollary_gap(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
     for theorem, fn_id, iv, s, q in _matrix_configs(fn_ids, s_values,
                                                     q_values, intervals):
         f = get_function(fn_id)
-        xs = _uniform_grid(iv.a, iv.b, x_grid)
+        xs = uniform_grid(iv.a, iv.b, x_grid)
         m_cap = max(abs(derivative(f, u)) for u in xs) + margin
         for x in xs:
             gap = (ostrowski_rhs(theorem, f, x, iv, s, q, M=m_cap)
@@ -337,3 +333,124 @@ def min_corollary_gap(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
             if gap < worst:
                 worst = gap
     return worst
+
+
+@dataclass(frozen=True)
+class Check:
+    """One battery row: a measured value against a limit.
+
+    kind 'max_err' passes when value <= limit, 'min_slack' when value >=
+    -limit, 'count_min' when value >= limit. cases counts the points or
+    configurations behind the value; elapsed_s times its computation.
+    """
+
+    name: str
+    kind: str
+    value: float
+    limit: float
+    cases: int
+    elapsed_s: float
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "max_err":
+            return self.value <= self.limit
+        if self.kind == "min_slack":
+            return self.value >= -self.limit
+        return self.value >= self.limit
+
+
+def lambda_checks(rows: list[dict]) -> list[tuple]:
+    """The battery's fidelity rows of a sweep, as Check fields but elapsed_s."""
+    kinds14 = [r["rel_err"] for r in rows if r["kind"] <= 4]
+    kind5 = [r["rel_err"] for r in rows if r["kind"] == 5]
+    return [("lambda_fidelity_kinds_1_4", "max_err", max(kinds14), 1e-8,
+             len(kinds14)),
+            ("lambda5_fidelity", "max_err", max(kind5), 1e-10, len(kind5))]
+
+
+def run_battery() -> list[Check]:
+    """Run every check of the package once: one Check per row, in a fixed
+    order from closed-form fidelity to the special-function spot checks."""
+    checks: list[Check] = []
+    t0 = time.perf_counter()
+
+    def add(*rows: tuple) -> None:
+        # rows computed since the previous call share that stretch of time
+        nonlocal t0
+        elapsed = time.perf_counter() - t0
+        checks.extend(Check(*row, elapsed) for row in rows)
+        t0 = time.perf_counter()
+
+    # closed forms vs the quadrature oracle
+    add(*lambda_checks(lambda_consistency_rows()))
+
+    # the integral identity behind all the bounds
+    residuals = [lemma_residual(f, x, Interval(a, b)) / (1.0 + abs(f(x)))
+                 for f in map(get_function, LEMMA_FUNCTIONS)
+                 for a, b in LEMMA_INTERVALS for x in uniform_grid(a, b, 9)]
+    add(("lemma_identity", "max_err", max(residuals), 1e-7, len(residuals)))
+
+    # two-sided chain for x^s on subintervals of (0, 1]
+    min_chain, cases = math.inf, 0
+    for s in (0.25, 0.5, 0.75, 1.0):
+        f = get_function(f"pow:{s:g}")
+        for a, b in ((0.25, 1.0), (0.1, 0.9)):
+            rep = verify_theorem("T2_2", f, Interval(a, b), s)
+            cases += 1
+            if not rep.hypothesis_ok:
+                min_chain = -math.inf
+                break
+            min_chain = min(min_chain, rep.min_slack)
+    add(("hh_chain_slack", "min_slack", min_chain, 1e-12, cases))
+    mid = weighted_mean(get_function("id"), Interval(1.0, 2.0))
+    add(("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)),
+         1e-10, 1))
+
+    # gated slack sweep over the theorem matrix
+    summary = matrix_summary(run_ostrowski_matrix())
+    min_slack = summary["min_slack"]
+    add(("ostrowski_matrix_slack", "min_slack",
+         -math.inf if min_slack is None else min_slack, SLACK_TOL,
+         summary["gated"]),
+        ("ostrowski_gate_coverage", "count_min",
+         float(len(summary["gated_pairs"])), 5.0, summary["reports"]))
+
+    # replacing derivative magnitudes with a dominating M can only enlarge;
+    # min_corollary_gap sweeps the same configurations as the matrix
+    add(("corollary_monotonicity", "min_slack", min_corollary_gap(), 1e-12,
+         summary["reports"]))
+
+    # classic bound for f(x)=x, M=1 on [1, 2]
+    f_id = get_function("id")
+    iv = Interval(1.0, 2.0)
+    mean = integrate(lambda u: f_id(u), 1.0, 2.0, DEFAULT_TOL).value
+    xs = uniform_grid(1.0, 2.0, 33)
+    add(("classic_slack", "min_slack",
+         min(classic_ostrowski_rhs(x, iv, 1.0) - abs(f_id(x) - mean)
+             for x in xs), 1e-14, len(xs)))
+
+    # comparison inequality and the monotonicity implications
+    am_hm = check_am_hm(Interval(0.5, 4.0), grid_n=32)
+    add(("am_hm_grid", "max_err", am_hm.max_violation, VIOLATION_TOL,
+         am_hm.samples))
+    s_values = (0.25, 0.5, 0.75, 1.0)
+    prop = proposition_implications(MATRIX_FUNCTIONS, s_values,
+                                    Interval(0.5, 4.0), grid_n=32)
+    add(("proposition_nonvacuous", "count_min", float(len(prop)), 1.0,
+         len(MATRIX_FUNCTIONS) * len(s_values)),
+        ("proposition_implications", "max_err",
+         max(r["consequent_violation"] for r in prop), VIOLATION_TOL,
+         len(prop)))
+
+    # special-function spot checks
+    errs = []
+    for i in range(1, 10):
+        z = i / 10.0
+        ref = -math.log1p(-z) / z
+        errs.append(abs(hyp2f1(1.0, 1.0, 2.0, z) - ref) / abs(ref))
+    add(("hyp2f1_log_identity", "max_err", max(errs), 1e-10, len(errs)))
+    pts = (0.5, 1.0, 1.5, 2.5, 5.0, 7.0, 12.0, 20.0, 50.0)
+    errs = [abs(beta(x, y) - beta(y, x)) / beta(x, y) for x in pts for y in pts]
+    add(("beta_symmetry", "max_err", max(errs), 1e-13, len(errs)))
+    return checks

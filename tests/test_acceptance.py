@@ -1,27 +1,25 @@
 """Acceptance suite: eight go/no-go criteria for the whole package.
 
 Each test prints exactly one PASS/FAIL line (written to the real stdout so
-it stays visible under pytest's capture) and then asserts. Tolerances and
-runtime ceilings are stated inline next to each check.
+it stays visible under pytest's capture) and then asserts. Criteria 1-8
+read the rows of one run of the verification battery (the session-scoped
+`battery` fixture); criterion 8 also runs the CLI selftest end to end.
+Tolerances, counts and runtime ceilings are stated inline next to each
+check.
 """
 
-import math
 import sys
 import time
 
+import pytest
 from conftest import record_acceptance_line
 
-from hsconvex.bounds import classic_ostrowski_rhs
 from hsconvex.cli import main
-from hsconvex.convexity import VIOLATION_TOL, check_am_hm, proposition_implications
-from hsconvex.numeric import Interval, get_function, integrate
-from hsconvex.specfn import beta, hyp2f1
-from hsconvex.verify import (LEMMA_FUNCTIONS, LEMMA_INTERVALS,
-                             MATRIX_FUNCTIONS, lambda_consistency_rows,
-                             lemma_residual, matrix_summary,
-                             min_corollary_gap, run_ostrowski_matrix,
-                             verify_theorem)
-from hsconvex.convexity import _uniform_grid
+
+
+@pytest.fixture
+def row(battery):
+    return {c.name: c for c in battery}.__getitem__
 
 
 def _announce(criterion: int, ok: bool, detail: str) -> None:
@@ -32,155 +30,104 @@ def _announce(criterion: int, ok: bool, detail: str) -> None:
     sys.__stdout__.flush()
 
 
-def test_c1_lambda_closed_form_fidelity():
+def test_c1_lambda_closed_form_fidelity(row):
     # kinds 1-4 on the standard >= 240-point grid vs quadrature: rel <= 1e-8;
     # lambda5 grid (with the Taylor-branch handoff points) rel <= 1e-10;
     # runtime < 10 s
-    t0 = time.perf_counter()
-    rows = lambda_consistency_rows()
-    elapsed = time.perf_counter() - t0
-    kinds14 = [r["rel_err"] for r in rows if r["kind"] <= 4]
-    kind5 = [r["rel_err"] for r in rows if r["kind"] == 5]
-    worst14, worst5 = max(kinds14), max(kind5)
-    ok = (len(kinds14) >= 240 and worst14 <= 1e-8 and worst5 <= 1e-10
-          and elapsed < 10.0)
-    _announce(1, ok, f"lambda fidelity: {len(kinds14)} kind-1..4 points "
-                     f"max rel {worst14:.3g} (<=1e-8), lambda5 max rel "
-                     f"{worst5:.3g} (<=1e-10), {elapsed:.2f}s (<10s)")
-    assert len(kinds14) >= 240
-    assert worst14 <= 1e-8
-    assert worst5 <= 1e-10
-    assert elapsed < 10.0
+    k14, k5 = row("lambda_fidelity_kinds_1_4"), row("lambda5_fidelity")
+    ok = (k14.cases >= 240 and k14.value <= 1e-8 and k5.value <= 1e-10
+          and k14.elapsed_s < 10.0)
+    _announce(1, ok, f"lambda fidelity: {k14.cases} kind-1..4 points "
+                     f"max rel {k14.value:.3g} (<=1e-8), lambda5 max rel "
+                     f"{k5.value:.3g} (<=1e-10), {k14.elapsed_s:.2f}s (<10s)")
+    assert k14.cases >= 240
+    assert k14.value <= 1e-8
+    assert k5.value <= 1e-10
+    assert k14.elapsed_s < 10.0
 
 
-def test_c2_lemma_identity():
+def test_c2_lemma_identity(row):
     # residual <= 1e-7*(1+|f(x)|) across 5 functions x 3 intervals x 9 x-points
     # (135 cases); runtime < 10 s
-    t0 = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for fn_id in LEMMA_FUNCTIONS:
-        f = get_function(fn_id)
-        for a, b in LEMMA_INTERVALS:
-            iv = Interval(a, b)
-            for x in _uniform_grid(a, b, 9):
-                r = lemma_residual(f, x, iv) / (1.0 + abs(f(x)))
-                worst = max(worst, r)
-                cases += 1
-    elapsed = time.perf_counter() - t0
-    ok = cases == 135 and worst <= 1e-7 and elapsed < 10.0
-    _announce(2, ok, f"lemma identity: {cases} cases, max scaled residual "
-                     f"{worst:.3g} (<=1e-7), {elapsed:.2f}s (<10s)")
-    assert cases == 135
-    assert worst <= 1e-7
-    assert elapsed < 10.0
+    c = row("lemma_identity")
+    ok = c.cases == 135 and c.value <= 1e-7 and c.elapsed_s < 10.0
+    _announce(2, ok, f"lemma identity: {c.cases} cases, max scaled residual "
+                     f"{c.value:.3g} (<=1e-7), {c.elapsed_s:.2f}s (<10s)")
+    assert c.cases == 135
+    assert c.value <= 1e-7
+    assert c.elapsed_s < 10.0
 
 
-def test_c3_hermite_hadamard_chain():
-    # x^s on [0.25,1] and [0.1,0.9] for s in {0.25,0.5,0.75,1}: both chain
-    # slacks >= -1e-12; and the s=1 chain for f(x)=x on [1,2] has middle
-    # term 2 ln 2 to 1e-10
-    min_slack = math.inf
-    gates_ok = True
-    for s in (0.25, 0.5, 0.75, 1.0):
-        f = get_function(f"pow:{s:g}")
-        for a, b in ((0.25, 1.0), (0.1, 0.9)):
-            rep = verify_theorem("T2_2", f, Interval(a, b), s)
-            gates_ok = gates_ok and rep.hypothesis_ok
-            if rep.hypothesis_ok:
-                min_slack = min(min_slack, rep.min_slack)
-    rep_id = verify_theorem("T2_2", get_function("id"), Interval(1.0, 2.0), 1.0)
-    middle = rep_id.results[0].rhs  # middle term of the chain
-    mid_err = abs(middle - 2.0 * math.log(2.0))
-    ok = gates_ok and min_slack >= -1e-12 and mid_err <= 1e-10
-    _announce(3, ok, f"harmonic chain: min slack {min_slack:.3g} (>=-1e-12), "
-                     f"all gates passed {gates_ok}, reference middle error "
-                     f"{mid_err:.3g} (<=1e-10)")
-    assert gates_ok
-    assert min_slack >= -1e-12
-    assert mid_err <= 1e-10
+def test_c3_hermite_hadamard_chain(row):
+    # x^s on [0.25,1] and [0.1,0.9] for s in {0.25,0.5,0.75,1}: every gate
+    # passes and both chain slacks >= -1e-12 (a failed gate reads as -inf);
+    # and the s=1 chain for f(x)=x on [1,2] has middle term 2 ln 2 to 1e-10
+    chain, mid = row("hh_chain_slack"), row("hh_reference_middle")
+    ok = chain.value >= -1e-12 and mid.value <= 1e-10
+    _announce(3, ok, f"harmonic chain: min slack {chain.value:.3g} (>=-1e-12) "
+                     f"over {chain.cases} configs, reference middle "
+                     f"error {mid.value:.3g} (<=1e-10)")
+    assert chain.value >= -1e-12
+    assert mid.value <= 1e-10
 
 
-def test_c4_ostrowski_matrix():
+def test_c4_ostrowski_matrix(row):
     # full sweep {registry fn} x {s in 0.5,1} x {q in 1,2; (p,q)=(2,2) for the
     # Holder pair theorems} x {[1,2],[0.5,3]} x 9 x-points: every gated
-    # configuration has slack >= -1e-9 and at least 5 distinct (theorem, fn)
-    # pairs pass the gate; runtime < 60 s
-    t0 = time.perf_counter()
-    summary = matrix_summary(run_ostrowski_matrix())
-    elapsed = time.perf_counter() - t0
-    pairs = len(summary["gated_pairs"])
-    min_slack = summary["min_slack"]
-    slack_txt = "n/a" if min_slack is None else f"{min_slack:.3g}"
-    ok = (min_slack is not None and min_slack >= -1e-9 and pairs >= 5
-          and not summary["failed"] and elapsed < 60.0)
-    _announce(4, ok, f"ostrowski matrix: {summary['reports']} configs, "
-                     f"{summary['gated']} gated, {pairs} distinct gated pairs "
-                     f"(>=5), min slack {slack_txt} (>=-1e-9), "
-                     f"{elapsed:.2f}s (<60s)")
-    assert min_slack is not None
-    assert min_slack >= -1e-9
-    assert pairs >= 5
-    assert summary["failed"] == []
-    assert elapsed < 60.0
+    # configuration has slack >= -1e-9 (no gated failure) and at least 5
+    # distinct (theorem, fn) pairs pass the gate; runtime < 60 s
+    slack, coverage = row("ostrowski_matrix_slack"), row("ostrowski_gate_coverage")
+    ok = (slack.value >= -1e-9 and coverage.value >= 5
+          and slack.elapsed_s < 60.0)
+    _announce(4, ok, f"ostrowski matrix: {coverage.cases} configs, "
+                     f"{slack.cases} gated, {coverage.value:.0f} distinct "
+                     f"gated pairs (>=5), min slack {slack.value:.3g} "
+                     f"(>=-1e-9), {slack.elapsed_s:.2f}s (<60s)")
+    assert slack.value >= -1e-9
+    assert coverage.value >= 5
+    assert slack.elapsed_s < 60.0
 
 
-def test_c5_corollary_monotonicity():
+def test_c5_corollary_monotonicity(row):
     # with M = max grid |f'| + 0.1, every corollary rhs dominates the
     # corresponding theorem rhs: gap >= -1e-12
-    gap = min_corollary_gap()
+    gap = row("corollary_monotonicity").value
     ok = gap >= -1e-12
     _announce(5, ok, f"corollary monotonicity: min gap {gap:.3g} (>=-1e-12)")
     assert gap >= -1e-12
 
 
-def test_c6_classic_ostrowski():
+def test_c6_classic_ostrowski(row):
     # f(x)=x, M=1 on [1,2]: |f(x) - mean| <= rhs at 33 grid points with
     # slack >= -1e-14
-    f = get_function("id")
-    iv = Interval(1.0, 2.0)
-    mean = integrate(lambda u: f(u), 1.0, 2.0).value / 1.0
-    min_slack = math.inf
-    for x in _uniform_grid(1.0, 2.0, 33):
-        slack = classic_ostrowski_rhs(x, iv, 1.0) - abs(f(x) - mean)
-        min_slack = min(min_slack, slack)
-    ok = min_slack >= -1e-14
-    _announce(6, ok, f"classic bound: min slack over 33 points "
-                     f"{min_slack:.3g} (>=-1e-14)")
-    assert min_slack >= -1e-14
+    c = row("classic_slack")
+    ok = c.cases == 33 and c.value >= -1e-14
+    _announce(6, ok, f"classic bound: min slack over {c.cases} points "
+                     f"{c.value:.3g} (>=-1e-14)")
+    assert c.cases == 33
+    assert c.value >= -1e-14
 
 
-def test_c7_implication_and_am_hm_grids():
+def test_c7_implication_and_am_hm_grids(row):
     # the two convexity implications and the AM-HM comparison on 32x32x17
     # grids: no violation beyond the grid tolerance
-    am_hm = check_am_hm(Interval(0.5, 4.0), grid_n=32, t_grid_n=17)
-    rows = proposition_implications(MATRIX_FUNCTIONS, (0.25, 0.5, 0.75, 1.0),
-                                    Interval(0.5, 4.0), grid_n=32, t_grid_n=17)
-    worst_impl = max(r["consequent_violation"] for r in rows)
-    ok = (am_hm.max_violation <= VIOLATION_TOL and len(rows) > 0
-          and all(r["holds"] for r in rows))
+    am_hm, n_impl = row("am_hm_grid"), row("proposition_nonvacuous")
+    impl = row("proposition_implications")
+    ok = am_hm.value <= 1e-12 and n_impl.value >= 1 and impl.value <= 1e-12
     _announce(7, ok, f"implication grids: am-hm max violation "
-                     f"{am_hm.max_violation:.3g} (<=1e-12), {len(rows)} "
+                     f"{am_hm.value:.3g} (<=1e-12), {n_impl.value:.0f} "
                      f"nonvacuous implications, worst consequent violation "
-                     f"{worst_impl:.3g} (<=1e-12)")
-    assert am_hm.max_violation <= VIOLATION_TOL
-    assert rows
-    assert all(r["holds"] for r in rows)
+                     f"{impl.value:.3g} (<=1e-12)")
+    assert am_hm.cases == 32 * 32 * 17
+    assert am_hm.value <= 1e-12
+    assert n_impl.value >= 1
+    assert impl.value <= 1e-12
 
 
-def test_c8_special_functions_and_selftest(capsys):
+def test_c8_special_functions_and_selftest(row, capsys):
     # 2F1(1,1;2;z) vs -ln(1-z)/z rel <= 1e-10 for z in {0.1..0.9}; beta
     # symmetric to 1e-13; the CLI selftest finishes < 60 s with exit 0
-    worst_f = 0.0
-    for i in range(1, 10):
-        z = i / 10.0
-        ref = -math.log1p(-z) / z
-        worst_f = max(worst_f, abs(hyp2f1(1.0, 1.0, 2.0, z) - ref) / abs(ref))
-    worst_b = 0.0
-    pts = (0.5, 1.0, 2.5, 7.0, 20.0)
-    for x in pts:
-        for y in pts:
-            worst_b = max(worst_b, abs(beta(x, y) - beta(y, x)) / beta(x, y))
+    worst_f, worst_b = row("hyp2f1_log_identity").value, row("beta_symmetry").value
     t0 = time.perf_counter()
     code = main(["selftest"])
     elapsed = time.perf_counter() - t0

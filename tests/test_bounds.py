@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import canary_lambda_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from hsconvex.bounds import (BoundResult, ConjugatePair, LambdaArgs,
                              lambda_value, ostrowski_lhs, ostrowski_rhs,
                              validate_q, validate_s)
 from hsconvex.errors import DomainError
-from hsconvex.numeric import Interval, get_function, integrate
+from hsconvex.numeric import FunctionSpec, Interval, get_function, integrate
 
 
 class TestValidators:
@@ -120,13 +121,13 @@ class TestLambdaValue:
     def test_variant_disagrees_for_positive_s(self):
         args = LambdaArgs(2, 1.0, 1.5, 1.0, 1.0, 1.0)
         honest = lambda_value(args)
-        variant = lambda_value(args, lambda2_variant=True)
+        variant = canary_lambda_value(args)
         assert abs(variant - honest) / honest > 0.1
 
     def test_variant_harmless_at_s_zero(self):
         # beta(rho+1, 1) equals beta(rho+1, s+1) when s = 0
         args = LambdaArgs(2, 1.0, 1.5, 0.0, 1.0, 1.0)
-        assert lambda_value(args, lambda2_variant=True) == lambda_value(args)
+        assert canary_lambda_value(args) == lambda_value(args)
 
 
 class TestLambda5:
@@ -209,6 +210,17 @@ class TestHHChains:
     def test_arithmetic_rejects_negative_a(self):
         with pytest.raises(DomainError):
             hh_s_convex_bounds(get_function("id"), -0.5, 1.0, 1.0)
+
+    def test_arithmetic_evaluates_zero_endpoint_once(self):
+        points = []
+
+        def square(x):
+            points.append(x)
+            return x * x
+
+        right = hh_s_convex_bounds(FunctionSpec("sq", square), 0.0, 1.0, 1.0)[2]
+        assert right == 0.5
+        assert points.count(0.0) == 1
 
     def test_middle_split_invariance(self):
         # the weighted mean must not depend on how the quadrature is split

@@ -4,8 +4,11 @@ import json
 import math
 
 import pytest
+from conftest import canary_lambda_value
 
+from hsconvex import cli
 from hsconvex.cli import main
+from hsconvex.verify import Check, lambda_checks, lambda_consistency_rows
 
 
 def run(capsys, *argv):
@@ -187,9 +190,19 @@ class TestOutputFile:
         assert doc["fn"] == "id"
 
 
+@pytest.fixture
+def selftest(battery, monkeypatch, capsys):
+    """Run the selftest command on given battery rows, by default the
+    session's, so the rendering is tested without running the battery."""
+    def run_selftest(*argv, rows=battery):
+        monkeypatch.setattr(cli, "run_battery", lambda: rows)
+        return run(capsys, "selftest", *argv)
+    return run_selftest
+
+
 class TestSelftestCommand:
-    def test_full_run_passes(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--format", "json")
+    def test_full_run_passes(self, selftest):
+        code, out, _ = selftest("--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
@@ -198,21 +211,29 @@ class TestSelftestCommand:
         assert "ostrowski_matrix_slack" in names
         assert all(c["pass"] for c in doc["checks"])
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--tol", "1e-30")
+    def test_impossible_tolerance_fails(self, selftest):
+        code, out, _ = selftest("--tol", "1e-30")
         assert code == 1
         assert "FAIL" in out
+        # the override replaces err/slack limits only; count rows keep theirs
+        _, out, _ = selftest("--tol", "1e-30", "--format", "json")
+        counts = [c for c in json.loads(out)["checks"] if c["kind"] == "count_min"]
+        assert counts and all(c["pass"] and c["limit"] >= 1.0 for c in counts)
 
-    def test_lambda2_variant_canary(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--debug-lambda2-variant",
-                           "--format", "json")
+    def test_kind2_canary(self, battery, selftest):
+        # the battery's lambda rows, recomputed with a wrong kind-2 front
+        # factor, must fail the kind-1..4 fidelity check and nothing else
+        rows = lambda_consistency_rows(closed_form=canary_lambda_value)
+        canary = {row[0]: Check(*row, 0.0) for row in lambda_checks(rows)}
+        code, out, _ = selftest("--format", "json",
+                                rows=[canary.get(c.name, c) for c in battery])
         assert code == 1
         doc = json.loads(out)
         failing = [c["check"] for c in doc["checks"] if not c["pass"]]
         assert failing == ["lambda_fidelity_kinds_1_4"]
 
-    def test_table_format(self, capsys):
-        code, out, _ = run(capsys, "selftest")
+    def test_table_format(self, selftest):
+        code, out, _ = selftest()
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import canary_lambda_value
 
 from hsconvex.bounds import ConjugatePair
 from hsconvex.errors import DomainError
@@ -144,7 +145,8 @@ class TestLambdaConsistency:
         assert all(r["rel_err"] <= 1e-9 for r in rows)
 
     def test_variant_breaks_consistency(self):
-        assert lambda_consistency(lambda2_variant=True) > 1e-3
+        rows = lambda_consistency_rows(closed_form=canary_lambda_value)
+        assert max(r["rel_err"] for r in rows) > 1e-3
 
 
 class TestMatrix:
