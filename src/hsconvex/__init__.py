@@ -17,10 +17,9 @@ from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda_value, ostrowski_lhs,
                      ostrowski_rhs)
-from .verify import (LambdaGrid, VerifyReport, lambda_consistency,
-                     lambda_consistency_rows, lemma_residual,
-                     matrix_summary, min_corollary_gap, run_ostrowski_matrix,
-                     verify_theorem)
+from .verify import (LambdaGrid, VerifyReport, lambda_consistency_rows,
+                     lemma_residual, matrix_summary, min_corollary_gap,
+                     run_ostrowski_matrix, verify_theorem)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "beta", "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
     "derivative", "get_function", "grid_monotone", "harmonic_combination",
     "hh_harmonic_bounds", "hh_s_convex_bounds", "hyp2f1", "integrate",
-    "lambda5", "lambda_consistency", "lambda_consistency_rows", "lambda_value",
+    "lambda5", "lambda_consistency_rows", "lambda_value",
     "lemma_residual", "ln_gamma", "matrix_summary", "min_corollary_gap",
     "ostrowski_lhs", "ostrowski_rhs", "proposition_implications",
     "run_ostrowski_matrix", "verify_theorem", "weighted_mean",

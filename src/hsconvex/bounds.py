@@ -170,6 +170,14 @@ def lambda_integrand(args: LambdaArgs):
     return integrand
 
 
+def lambda5_integrand(theta: float, x: float):
+    """Return the defining integrand t/(t*theta + (1-t)*x)^2 of lambda5."""
+    def integrand(t: float) -> float:
+        denom = t * theta + (1.0 - t) * x
+        return t / (denom * denom)
+    return integrand
+
+
 def lambda_value(args: LambdaArgs) -> float:
     """Evaluate the closed form of the lambda weight `args`.
 
@@ -210,8 +218,10 @@ def lambda5(theta: float, x: float) -> float:
     if abs(z) >= _LAMBDA5_TAYLOR_CUT:
         d = x - theta
         w = d / theta
-        # log1p keeps w - ln(1+w) accurate when w is small but above the cut
-        return (w - math.log1p(w)) / (d * d)
+        # log1p keeps w - ln(1+w) accurate when w is small but above the
+        # cut; w rounds to -1 when x << theta, where log1p has no value
+        log_ratio = math.log(x) - math.log(theta) if w <= -1.0 else math.log1p(w)
+        return (w - log_ratio) / (d * d)
     acc = 0.0
     term = 1.0
     for k in range(12):
@@ -249,7 +259,7 @@ def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float, s: float,
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 <= a < b):
         raise DomainError(f"requires 0 <= a < b, got [{a}, {b}]")
     left = 2.0 ** (s - 1.0) * f((a + b) / 2.0)
-    middle = integrate(lambda u: f(u), a, b, tol).value / (b - a)
+    middle = integrate(f, a, b, tol).value / (b - a)
     right = (f(a) + f(b)) / (s + 1.0)
     return left, middle, right
 

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from .bounds import (CSV_FIELDS, BoundResult, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds,
-                     hh_s_convex_bounds, lambda5, lambda_integrand,
-                     lambda_value, ostrowski_lhs, ostrowski_rhs,
-                     resolve_exponents)
+                     hh_s_convex_bounds, lambda5, lambda5_integrand,
+                     lambda_integrand, lambda_value, ostrowski_lhs,
+                     ostrowski_rhs, resolve_exponents)
 from .convexity import VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
 from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
@@ -92,27 +92,22 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def cmd_lambda(ns: argparse.Namespace) -> int:
     if ns.kind == 5:
         value = lambda5(ns.theta, ns.x)
+        integrand, oracle_tol = lambda5_integrand(ns.theta, ns.x), 1e-13
         payload = {"kind": 5, "theta": ns.theta, "x": ns.x,
                    "s": None, "vartheta": None, "rho": None, "value": value}
-        if ns.check:
-            def integrand(t: float) -> float:
-                denom = t * ns.theta + (1.0 - t) * ns.x
-                return t / (denom * denom)
-            oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
-            payload["oracle"] = oracle
-            payload["rel_err"] = abs(value - oracle) / abs(value)
     else:
         if ns.s is None or ns.vartheta is None or ns.rho is None:
             raise DomainError(f"kind {ns.kind} needs --s, --vartheta and --rho")
         args = LambdaArgs(ns.kind, ns.theta, ns.x, ns.s, ns.vartheta, ns.rho)
         value = lambda_value(args)
+        integrand, oracle_tol = lambda_integrand(args), 1e-12
         payload = {"kind": ns.kind, "theta": ns.theta, "x": ns.x,
                    "s": ns.s, "vartheta": ns.vartheta, "rho": ns.rho,
                    "value": value}
-        if ns.check:
-            oracle = integrate(lambda_integrand(args), 0.0, 1.0, 1e-12).value
-            payload["oracle"] = oracle
-            payload["rel_err"] = abs(value - oracle) / abs(value)
+    if ns.check:
+        oracle = integrate(integrand, 0.0, 1.0, oracle_tol).value
+        payload["oracle"] = oracle
+        payload["rel_err"] = abs(value - oracle) / abs(value)
     if ns.format == "csv":
         header = ("kind", "theta", "x", "s", "vartheta", "rho",
                   "value", "oracle", "rel_err")
@@ -149,7 +144,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
     if ns.theorem == "classic":
         if ns.M is None:
             raise DomainError("classic needs --M (a bound on |f'|)")
-        mean = integrate(lambda u: f(u), iv.a, iv.b, ns.tol).value / (iv.b - iv.a)
+        mean = integrate(f, iv.a, iv.b, ns.tol).value / (iv.b - iv.a)
         lhs = abs(f(ns.x) - mean)
         rhs = classic_ostrowski_rhs(ns.x, iv, ns.M)
         # the hypothesis here is |f'| <= M on [a, b]; check it on a grid

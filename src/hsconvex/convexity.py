@@ -1,24 +1,26 @@
 """Sampling-based convexity predicates used as hypothesis gates.
 
-Three notions are checked on tensor grids (x, y, t):
+Two notions are checked on tensor grids (x, y, t):
 
   s-convex, second sense:   f(tx + (1-t)y)      <= t^s f(x) + (1-t)^s f(y)
-  harmonically convex:      f(xy/(tx + (1-t)y)) <= t f(y) + (1-t) f(x)
   harmonically s-convex:    f(xy/(tx + (1-t)y)) <= t^s f(y) + (1-t)^s f(x)
 
-plus the AM-HM comparison xy/(tx+(1-t)y) <= ty + (1-t)x that links the
-harmonic and arithmetic notions for monotone functions. A report carries
-the signed maximum of lhs - rhs over the grid; anything at or below
-VIOLATION_TOL counts as "holds on the grid", absorbing endpoint rounding.
+Harmonic convexity is the s = 1 case of the second notion. The AM-HM
+comparison xy/(tx+(1-t)y) <= ty + (1-t)x, which links the harmonic and
+arithmetic notions for monotone functions, is harmonic convexity of u -> u.
+A report carries the signed maximum of lhs - rhs over the grid; anything at
+or below VIOLATION_TOL counts as "holds on the grid", absorbing endpoint
+rounding.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DomainError
 from .numeric import FunctionSpec, Interval, get_function
@@ -26,10 +28,13 @@ from .numeric import FunctionSpec, Interval, get_function
 # inequalities are tight at t in {0, 1}; tolerate float noise up to here
 VIOLATION_TOL = 1e-12
 
+# t grid size of every scan, and the uniform triples a seed adds to it
+T_GRID_N = 17
+N_RANDOM = 64
+
 
 class ConvexityMode(enum.Enum):
     S_CONVEX_SECOND_SENSE = "s_convex_second_sense"
-    HARMONICALLY_CONVEX = "harmonically_convex"
     HARMONICALLY_S_CONVEX = "harmonically_s_convex"
 
 
@@ -37,32 +42,17 @@ class ConvexityMode(enum.Enum):
 class ConvexityReport:
     """Outcome of one grid scan.
 
-    mode is None for the AM-HM comparison, which is not a convexity notion.
     witness is the (x, y, t) triple attaining max_violation; ties resolve
     to the lexicographically smallest triple because the scan ascends.
     """
 
-    mode: Optional[ConvexityMode]
-    s: Optional[float]
     max_violation: float
     witness: tuple[float, float, float]
     samples: int
-    seed: Optional[int] = None
 
     @property
     def holds(self) -> bool:
         return self.max_violation <= VIOLATION_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value if self.mode is not None else "am_hm",
-            "s": self.s,
-            "max_violation": self.max_violation,
-            "witness": list(self.witness),
-            "samples": self.samples,
-            "seed": self.seed,
-            "holds": self.holds,
-        }
 
 
 def harmonic_combination(x: float, y: float, t: float) -> float:
@@ -92,106 +82,77 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return pts
 
 
-def _violation_fn(mode: ConvexityMode, f: FunctionSpec,
-                  s: float) -> Callable[[float, float, float], float]:
-    if mode is ConvexityMode.S_CONVEX_SECOND_SENSE:
-        def viol(x: float, y: float, t: float) -> float:
-            lhs = f(t * x + (1.0 - t) * y)
-            return lhs - (t ** s * f(x) + (1.0 - t) ** s * f(y))
-        return viol
-    # the harmonic modes share one formula; plain harmonic convexity is
-    # exactly the s = 1 case and must produce an identical scan
-    def viol(x: float, y: float, t: float) -> float:
-        lhs = f(harmonic_combination(x, y, t))
-        return lhs - (t ** s * f(y) + (1.0 - t) ** s * f(x))
-    return viol
-
-
-def _scan(viol: Callable[[float, float, float], float],
-          xs: list[float], ys: list[float], ts: list[float],
-          rng: Optional[random.Random], n_random: int,
-          lo: float, hi: float) -> tuple[float, tuple[float, float, float], int]:
-    best = -math.inf
-    witness = (xs[0], ys[0], ts[0])
-    for x in xs:
-        for y in ys:
-            for t in ts:
-                v = viol(x, y, t)
-                if v > best:
-                    best = v
-                    witness = (x, y, t)
-    samples = len(xs) * len(ys) * len(ts)
-    if rng is not None:
-        for _ in range(n_random):
-            x = rng.uniform(lo, hi)
-            y = rng.uniform(lo, hi)
-            t = rng.random()
-            v = viol(x, y, t)
-            if v > best:
-                best = v
-                witness = (x, y, t)
-        samples += n_random
-    return best, witness, samples
-
-
 def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-                    s: float, grid_n: int = 16, t_grid_n: int = 17,
-                    seed: Optional[int] = None,
-                    n_random: int = 64) -> ConvexityReport:
+                    s: float, grid_n: int = 16,
+                    seed: Optional[int] = None) -> ConvexityReport:
     """Scan the defining inequality of `mode` over x, y in grid(iv) and
     t in grid([0, 1]).
 
-    s must lie in (0, 1]; for HARMONICALLY_CONVEX the supplied s is ignored
-    and 1 is used. A seed adds n_random uniform triples on top of the
-    deterministic grid and is recorded in the report.
+    s must lie in (0, 1]. f is evaluated once at each grid node and once
+    per triple at the combined point. A seed adds N_RANDOM uniform triples
+    after the grid.
     """
     if grid_n < 3:
         raise DomainError(f"grid_n must be at least 3, got {grid_n}")
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s}")
-    s_eff = 1.0 if mode is ConvexityMode.HARMONICALLY_CONVEX else s
-    viol = _violation_fn(mode, f, s_eff)
+    harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
+    combine = harmonic_combination if harmonic else (
+        lambda x, y, t: t * x + (1.0 - t) * y)
+
+    def weigh(t: float) -> tuple[float, float, float]:
+        # (t, weight of f(x), weight of f(y)); the harmonic form swaps them
+        wt, wr = t ** s, (1.0 - t) ** s
+        return (t, wr, wt) if harmonic else (t, wt, wr)
+
     xs = uniform_grid(iv.a, iv.b, grid_n)
-    ts = uniform_grid(0.0, 1.0, t_grid_n)
-    rng = random.Random(seed) if seed is not None else None
-    best, witness, samples = _scan(viol, xs, xs, ts, rng, n_random, iv.a, iv.b)
-    return ConvexityReport(mode=mode, s=s_eff, max_violation=best,
-                           witness=witness, samples=samples, seed=seed)
+    nodes = [(x, f(x)) for x in xs]
+    weights = [weigh(t) for t in uniform_grid(0.0, 1.0, T_GRID_N)]
+    # rows (x, f(x), y, f(y), weights per t): the grid ascending, then the
+    # seeded triples in draw order
+    rows = ((x, fx, y, fy, weights) for x, fx in nodes for y, fy in nodes)
+    samples = grid_n * grid_n * T_GRID_N
+    if seed is not None:
+        rng = random.Random(seed)
+        draws = [(rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b), rng.random())
+                 for _ in range(N_RANDOM)]
+        rows = itertools.chain(
+            rows, ((x, f(x), y, f(y), (weigh(t),)) for x, y, t in draws))
+        samples += N_RANDOM
+    best = -math.inf
+    witness = (xs[0], xs[0], 0.0)
+    for x, fx, y, fy, ws in rows:
+        for t, wx, wy in ws:
+            v = f(combine(x, y, t)) - (wx * fx + wy * fy)
+            if v > best:
+                best = v
+                witness = (x, y, t)
+    return ConvexityReport(max_violation=best, witness=witness, samples=samples)
 
 
-def check_am_hm(iv: Interval, grid_n: int = 32, t_grid_n: int = 17,
-                seed: Optional[int] = None, n_random: int = 64) -> ConvexityReport:
-    """Scan xy/(tx + (1-t)y) <= ty + (1-t)x over the grid.
+def check_am_hm(iv: Interval, grid_n: int = 32) -> ConvexityReport:
+    """Scan xy/(tx + (1-t)y) <= ty + (1-t)x over the grid, as harmonic
+    convexity of u -> u.
 
     This comparison holds for all positive x, y and t in [0, 1]; the report
     should always satisfy max_violation <= VIOLATION_TOL.
     """
-    if grid_n < 3:
-        raise DomainError(f"grid_n must be at least 3, got {grid_n}")
-
-    def viol(x: float, y: float, t: float) -> float:
-        return harmonic_combination(x, y, t) - (t * y + (1.0 - t) * x)
-
-    xs = uniform_grid(iv.a, iv.b, grid_n)
-    ts = uniform_grid(0.0, 1.0, t_grid_n)
-    rng = random.Random(seed) if seed is not None else None
-    best, witness, samples = _scan(viol, xs, xs, ts, rng, n_random, iv.a, iv.b)
-    return ConvexityReport(mode=None, s=None, max_violation=best,
-                           witness=witness, samples=samples, seed=seed)
+    return check_convexity(get_function("id"), iv,
+                           ConvexityMode.HARMONICALLY_S_CONVEX, 1.0, grid_n)
 
 
-def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32,
-                  tol: float = VIOLATION_TOL) -> str:
+def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32) -> str:
     """Classify f on the grid as 'nondecreasing', 'nonincreasing', 'constant'
-    or 'neither', comparing consecutive grid values with tolerance tol.
+    or 'neither', comparing consecutive grid values with tolerance
+    VIOLATION_TOL.
 
     The comparison-inequality implications need a testable stand-in for the
     monotonicity hypotheses, and this is it.
     """
     xs = uniform_grid(iv.a, iv.b, grid_n)
     vals = [f(x) for x in xs]
-    nondec = all(b >= a - tol for a, b in zip(vals, vals[1:]))
-    noninc = all(b <= a + tol for a, b in zip(vals, vals[1:]))
+    nondec = all(b >= a - VIOLATION_TOL for a, b in zip(vals, vals[1:]))
+    noninc = all(b <= a + VIOLATION_TOL for a, b in zip(vals, vals[1:]))
     if nondec and noninc:
         return "constant"
     if nondec:
@@ -202,8 +163,7 @@ def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32,
 
 
 def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...],
-                             iv: Interval, grid_n: int = 32,
-                             t_grid_n: int = 17) -> list[dict]:
+                             iv: Interval, grid_n: int = 32) -> list[dict]:
     """Grid form of the two comparison implications:
 
       (1) s-convex (second sense) and nondecreasing  =>  harmonically s-convex
@@ -220,9 +180,9 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
         mono = grid_monotone(f, iv, grid_n)
         for s in s_values:
             r_s = check_convexity(f, iv, ConvexityMode.S_CONVEX_SECOND_SENSE, s,
-                                  grid_n, t_grid_n)
+                                  grid_n)
             r_h = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                                  grid_n, t_grid_n)
+                                  grid_n)
             if r_s.holds and mono in ("nondecreasing", "constant"):
                 rows.append({"fn": fn_id, "s": s, "direction": "s_to_harmonic",
                              "consequent_violation": r_h.max_violation,

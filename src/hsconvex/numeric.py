@@ -126,7 +126,8 @@ def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, floa
     """Apply the 15-point Kronrod rule on [lo, hi].
 
     Returns (K15 value, |K15 - G7| error estimate). Raises DomainError on a
-    non-finite sample, per the integrate contract.
+    non-finite sample, per the integrate contract, and NumericError when
+    finite samples sum to a non-finite value or estimate.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -146,11 +147,14 @@ def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, floa
         kron += _WGK[j] * (fa + fb)
         if j % 2 == 1:
             gauss += _WG[j // 2] * (fa + fb)
-    return kron * h, abs(kron - gauss) * abs(h)
+    value, err = kron * h, abs(kron - gauss) * abs(h)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NumericError(f"non-finite panel sum on [{lo}, {hi}]")
+    return value, err
 
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
-              tol: float = DEFAULT_TOL, max_depth: int = MAX_DEPTH) -> QuadResult:
+              tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate f over [lo, hi] to absolute tolerance tol.
 
     Globally adaptive: the panel with the largest |K15 - G7| estimate is
@@ -159,7 +163,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     results bit-reproducible run to run.
 
     Raises NumericError (carrying the best value and its error estimate)
-    when a panel would need bisection beyond max_depth, and DomainError on
+    when a panel would need bisection beyond MAX_DEPTH, and DomainError on
     any non-finite sample.
     """
     if not tol > 0.0:
@@ -178,7 +182,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     while total_err > tol:
         _, _, depth, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        if depth >= max_depth or mid <= a or mid >= b:
+        if depth >= MAX_DEPTH or mid <= a or mid >= b:
             best = math.fsum(item[5] for item in heap) + v
             raise NumericError(
                 f"bisection depth {depth} exhausted at panel [{a}, {b}]",

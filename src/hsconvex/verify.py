@@ -6,9 +6,10 @@ harmonic chain on harmonic s-convexity of f itself and gates every
 Ostrowski-type theorem on harmonic s-convexity of u -> |f'(u)|^q; only
 when the gate passes does the slack scan run and count.
 
-lambda_consistency is the package's oracle comparison: every lambda closed
-form against its defining integral by adaptive quadrature. run_battery runs
-every check once, for the CLI's selftest and the acceptance tests alike.
+lambda_consistency_rows is the package's oracle comparison: every lambda
+closed form against its defining integral by adaptive quadrature.
+run_battery runs every check once, for the CLI's selftest and the
+acceptance tests alike.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Callable, Optional, Union
 
 from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
-                     lambda_integrand, lambda_value, ostrowski_rhs,
-                     resolve_exponents, validate_s, OSTROWSKI_THEOREMS)
+                     lambda5_integrand, lambda_integrand, lambda_value,
+                     ostrowski_rhs, resolve_exponents, validate_s,
+                     OSTROWSKI_THEOREMS)
 from .convexity import (VIOLATION_TOL, ConvexityMode, ConvexityReport,
                         check_am_hm, check_convexity, proposition_implications,
                         uniform_grid)
@@ -169,7 +171,7 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Grid specification for lambda_consistency.
+    """Grid specification for lambda_consistency_rows.
 
     pairs_a: (theta, x) pairs with theta <= x, used directly for kinds 1, 2
     and with roles swapped for kinds 3, 4. lambda5_points are (theta, x)
@@ -207,6 +209,13 @@ def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
     """
     g = grid or DEFAULT_LAMBDA_GRID
     closed_form = closed_form or lambda_value
+
+    def row(kind, theta, x, s, vt, rho, closed, integrand) -> dict:
+        oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
+        return {"family": f"lambda{kind}", "kind": kind, "theta": theta,
+                "x": x, "s": s, "vartheta": vt, "rho": rho, "closed": closed,
+                "oracle": oracle, "rel_err": abs(closed - oracle) / abs(closed)}
+
     rows: list[dict] = []
     for kind in (1, 2, 3, 4):
         for theta_a, x_a in g.pairs_a:
@@ -215,36 +224,12 @@ def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
             for s in g.s_values:
                 for vt, rho in g.vartheta_rho:
                     args = LambdaArgs(kind, theta, x, s, vt, rho)
-                    closed = closed_form(args)
-                    oracle = integrate(lambda_integrand(args), 0.0, 1.0, 1e-13).value
-                    rel = abs(closed - oracle) / abs(closed)
-                    rows.append({
-                        "family": f"lambda{kind}",
-                        "kind": kind, "theta": theta, "x": x,
-                        "s": s, "vartheta": vt, "rho": rho,
-                        "closed": closed, "oracle": oracle, "rel_err": rel,
-                    })
+                    rows.append(row(kind, theta, x, s, vt, rho,
+                                    closed_form(args), lambda_integrand(args)))
     for theta, x in g.lambda5_points:
-        closed = lambda5(theta, x)
-
-        def integrand(t: float, theta: float = theta, x: float = x) -> float:
-            denom = t * theta + (1.0 - t) * x
-            return t / (denom * denom)
-
-        oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
-        rel = abs(closed - oracle) / abs(closed)
-        rows.append({
-            "family": "lambda5", "kind": 5, "theta": theta, "x": x,
-            "s": None, "vartheta": None, "rho": None,
-            "closed": closed, "oracle": oracle, "rel_err": rel,
-        })
+        rows.append(row(5, theta, x, None, None, None, lambda5(theta, x),
+                        lambda5_integrand(theta, x)))
     return rows
-
-
-def lambda_consistency(grid: Optional[LambdaGrid] = None) -> float:
-    """Maximum relative discrepancy between closed forms and the oracle."""
-    rows = lambda_consistency_rows(grid)
-    return max(r["rel_err"] for r in rows)
 
 
 # the standard sweep configuration: every registry shape crossed with the
@@ -278,16 +263,15 @@ def _matrix_configs(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
 
 
 def run_ostrowski_matrix(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
-                         q_values=MATRIX_Q_VALUES, intervals=MATRIX_INTERVALS,
-                         x_grid: int = 9,
-                         gate_grid_n: int = 16) -> list[VerifyReport]:
-    """verify_theorem over the whole sweep matrix, in a fixed order."""
+                         q_values=MATRIX_Q_VALUES,
+                         intervals=MATRIX_INTERVALS) -> list[VerifyReport]:
+    """verify_theorem over the whole sweep matrix, in a fixed order, with
+    its default 9 x points and 16x16 gate grid."""
     reports = []
     for theorem, fn_id, iv, s, q in _matrix_configs(fn_ids, s_values,
                                                     q_values, intervals):
         f = get_function(fn_id)
-        reports.append(verify_theorem(theorem, f, iv, s, q,
-                                      x_grid=x_grid, gate_grid_n=gate_grid_n))
+        reports.append(verify_theorem(theorem, f, iv, s, q))
     return reports
 
 
@@ -311,22 +295,23 @@ def matrix_summary(reports: list[VerifyReport]) -> dict:
 
 
 def min_corollary_gap(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
-                      q_values=MATRIX_Q_VALUES, intervals=MATRIX_INTERVALS,
-                      x_grid: int = 9, margin: float = 0.1) -> float:
+                      q_values=MATRIX_Q_VALUES,
+                      intervals=MATRIX_INTERVALS) -> float:
     """Worst value of corollary_rhs - theorem_rhs across the matrix.
 
-    For each configuration M is set to the grid maximum of |f'| plus a
-    margin, so M dominates every derivative magnitude the theorem rhs uses;
-    substituting it must only ever enlarge the bound. The returned minimum
-    gap should therefore be nonnegative up to rounding. No hypothesis gate
-    applies: the monotonicity is structural.
+    For each configuration M is set to the maximum of |f'| over the 9 x
+    points of the matrix plus a margin of 0.1, so M dominates every
+    derivative magnitude the theorem rhs uses; substituting it must only
+    ever enlarge the bound. The returned minimum gap should therefore be
+    nonnegative up to rounding. No hypothesis gate applies: the
+    monotonicity is structural.
     """
     worst = math.inf
     for theorem, fn_id, iv, s, q in _matrix_configs(fn_ids, s_values,
                                                     q_values, intervals):
         f = get_function(fn_id)
-        xs = uniform_grid(iv.a, iv.b, x_grid)
-        m_cap = max(abs(derivative(f, u)) for u in xs) + margin
+        xs = uniform_grid(iv.a, iv.b, 9)
+        m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
         for x in xs:
             gap = (ostrowski_rhs(theorem, f, x, iv, s, q, M=m_cap)
                    - ostrowski_rhs(theorem, f, x, iv, s, q))
@@ -424,7 +409,7 @@ def run_battery() -> list[Check]:
     # classic bound for f(x)=x, M=1 on [1, 2]
     f_id = get_function("id")
     iv = Interval(1.0, 2.0)
-    mean = integrate(lambda u: f_id(u), 1.0, 2.0, DEFAULT_TOL).value
+    mean = integrate(f_id, 1.0, 2.0, DEFAULT_TOL).value
     xs = uniform_grid(1.0, 2.0, 33)
     add(("classic_slack", "min_slack",
          min(classic_ostrowski_rhs(x, iv, 1.0) - abs(f_id(x) - mean)

@@ -1,5 +1,6 @@
 """Closed-form bound evaluators: lambda family, chains, Ostrowski sides."""
 
+import json
 import math
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from hsconvex.bounds import (BoundResult, ConjugatePair, LambdaArgs,
                              classic_ostrowski_rhs, hh_harmonic_bounds,
-                             hh_s_convex_bounds, lambda5, lambda_integrand,
-                             lambda_value, ostrowski_lhs, ostrowski_rhs,
-                             validate_q, validate_s)
+                             hh_s_convex_bounds, lambda5, lambda5_integrand,
+                             lambda_integrand, lambda_value, ostrowski_lhs,
+                             ostrowski_rhs, validate_q, validate_s)
+from hsconvex.cli import main
 from hsconvex.errors import DomainError
 from hsconvex.numeric import FunctionSpec, Interval, get_function, integrate
 
@@ -149,10 +151,8 @@ class TestLambda5:
         for mag in (0.99e-4, 1.01e-4):
             for sign in (1.0, -1.0):
                 theta = x * (1.0 - sign * mag)
-                def integrand(t, theta=theta):
-                    denom = t * theta + (1.0 - t) * x
-                    return t / (denom * denom)
-                ref = integrate(integrand, 0.0, 1.0, 1e-13).value
+                ref = integrate(lambda5_integrand(theta, x), 0.0, 1.0,
+                                1e-13).value
                 assert lambda5(theta, x) == pytest.approx(ref, rel=1e-9)
 
     @given(st.floats(min_value=0.1, max_value=10.0),
@@ -164,6 +164,14 @@ class TestLambda5:
         lo = 0.5 / max(theta, x) ** 2
         hi = 0.5 / min(theta, x) ** 2
         assert lo - 1e-12 <= v <= hi + 1e-12
+
+    def test_x_far_below_theta(self, capsys):
+        # (x - theta)/theta rounds to exactly -1, where log1p(-1) has no
+        # value; the reference is the closed form in mpmath
+        code = main(["lambda", "--kind", "5", "--theta", "1", "--x", "1e-300"])
+        assert code == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert value == pytest.approx(689.77552789821370, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -79,6 +79,20 @@ class TestHHCommand:
         assert "domain error" in err
 
 
+class TestOverflow:
+    # f(u)/u^2 is finite at every node, but K15 panel sums overflow
+    @pytest.mark.parametrize("argv", [
+        ("ostrowski", "--theorem", "T2_5", "--fn", "const:1e308", "--a", "1",
+         "--b", "2", "--x", "1.5", "--q", "2"),
+        ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2"),
+    ])
+    def test_non_finite_panel_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "numeric error" in err
+
+
 class TestOstrowskiCommand:
     def test_classic(self, capsys):
         code, out, _ = run(capsys, "ostrowski", "--theorem", "classic",

@@ -9,10 +9,10 @@ from hsconvex.bounds import ConjugatePair
 from hsconvex.errors import DomainError
 from hsconvex.numeric import Interval, get_function
 from hsconvex.verify import (DEFAULT_LAMBDA_GRID, LambdaGrid, SLACK_TOL,
-                             VerifyReport, lambda_consistency,
-                             lambda_consistency_rows, lemma_residual,
-                             matrix_summary, min_corollary_gap,
-                             run_ostrowski_matrix, verify_theorem)
+                             VerifyReport, lambda_consistency_rows,
+                             lemma_residual, matrix_summary,
+                             min_corollary_gap, run_ostrowski_matrix,
+                             verify_theorem)
 
 IV12 = Interval(1.0, 2.0)
 
@@ -120,9 +120,6 @@ class TestVerifyTheorem:
 
 
 class TestLambdaConsistency:
-    def test_default_grid_max(self):
-        assert lambda_consistency() <= 1e-8
-
     def test_rows_cover_all_kinds(self):
         rows = lambda_consistency_rows()
         kinds = {r["kind"] for r in rows}
