@@ -17,16 +17,16 @@ from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda_value, ostrowski_lhs,
                      ostrowski_rhs)
-from .verify import (LambdaGrid, VerifyReport, lambda_consistency_rows,
-                     lemma_residual, matrix_summary, min_corollary_gap,
-                     run_ostrowski_matrix, verify_theorem)
+from .verify import (VerifyReport, lambda_consistency_rows, lemma_residual,
+                     matrix_summary, min_corollary_gap, run_ostrowski_matrix,
+                     verify_theorem)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult", "ConjugatePair", "ConvexityMode", "ConvexityReport",
     "DEFAULT_TOL", "DomainError", "FunctionSpec", "Interval", "LambdaArgs",
-    "LambdaGrid", "NumericError", "QuadResult", "SpecFnConfig", "VerifyReport",
+    "NumericError", "QuadResult", "SpecFnConfig", "VerifyReport",
     "beta", "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
     "derivative", "get_function", "grid_monotone", "harmonic_combination",
     "hh_harmonic_bounds", "hh_s_convex_bounds", "hyp2f1", "integrate",

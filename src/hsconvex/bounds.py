@@ -20,11 +20,12 @@ switches to a Taylor expansion in z = 1 - theta/x below |z| = 1e-4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .numeric import DEFAULT_TOL, FunctionSpec, Interval, derivative, integrate, weighted_mean
 from .specfn import Z_CAP, beta, hyp2f1
 
@@ -178,29 +179,34 @@ def lambda5_integrand(theta: float, x: float):
     return integrand
 
 
-def lambda_value(args: LambdaArgs) -> float:
-    """Evaluate the closed form of the lambda weight `args`.
+def _finite(fn):
+    """Make fn raise NumericError where its float result overflows: an
+    OverflowError inside it, or a non-finite value it would return."""
+    @functools.wraps(fn)
+    def finite_fn(*args, **kwargs):
+        try:
+            v = fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise NumericError(f"{fn.__name__}: result overflows") from exc
+        if not math.isfinite(v):
+            raise NumericError(f"{fn.__name__}: non-finite result {v}")
+        return v
+    return finite_fn
 
-    kind 1: beta(rho+s+1, 1)   / x^(2vt)     * 2F1(2vt, rho+s+1; rho+s+2; 1-theta/x)
-    kind 2: beta(rho+1, s+1)   / x^(2vt)     * 2F1(2vt, rho+1;   rho+s+2; 1-theta/x)
-    kind 3: beta(1, rho+s+1)   / theta^(2vt) * 2F1(2vt, 1;       rho+s+2; 1-x/theta)
-    kind 4: beta(s+1, rho+1)   / theta^(2vt) * 2F1(2vt, s+1;     rho+s+2; 1-x/theta)
-    """
-    z = args.z
-    two_vt = 2.0 * args.vartheta
+
+@_finite
+def lambda_value(args: LambdaArgs) -> float:
+    """Evaluate the closed form of the lambda weight `args`,
+    beta(b, b2) / base^(2vt) * 2F1(2vt, b; rho+s+2; z), with the Beta
+    arguments (b, b2) and the base of each kind in the table below."""
     rho, s = args.rho, args.s
-    c = rho + s + 2.0
-    if args.kind == 1:
-        front = beta(rho + s + 1.0, 1.0) / args.x ** two_vt
-        return front * hyp2f1(two_vt, rho + s + 1.0, c, z)
-    if args.kind == 2:
-        front = beta(rho + 1.0, s + 1.0) / args.x ** two_vt
-        return front * hyp2f1(two_vt, rho + 1.0, c, z)
-    if args.kind == 3:
-        front = beta(1.0, rho + s + 1.0) / args.theta ** two_vt
-        return front * hyp2f1(two_vt, 1.0, c, z)
-    front = beta(s + 1.0, rho + 1.0) / args.theta ** two_vt
-    return front * hyp2f1(two_vt, s + 1.0, c, z)
+    b, b2, base = {1: (rho + s + 1.0, 1.0, args.x),
+                   2: (rho + 1.0, s + 1.0, args.x),
+                   3: (1.0, rho + s + 1.0, args.theta),
+                   4: (s + 1.0, rho + 1.0, args.theta)}[args.kind]
+    two_vt = 2.0 * args.vartheta
+    front = beta(b, b2) / base ** two_vt
+    return front * hyp2f1(two_vt, b, rho + s + 2.0, args.z)
 
 
 def lambda5(theta: float, x: float) -> float:
@@ -289,6 +295,7 @@ def _pow_or_one(base: float, e: float) -> float:
     return base ** e
 
 
+@_finite
 def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
                   s: float, q: Union[float, ConjugatePair],
                   M: Optional[float] = None) -> float:

@@ -32,6 +32,15 @@ VIOLATION_TOL = 1e-12
 T_GRID_N = 17
 N_RANDOM = 64
 
+# grid_n x grid_n x T_GRID_N triples a scan may take: grid_n up to 256
+# (a 256 gate of |f'|^2 takes about 2 s on a 2-CPU Xeon host); larger
+# grids are refused before any evaluation
+MAX_SCAN_TRIPLES = 256 * 256 * T_GRID_N
+
+# x grid size of the AM-HM scan, the monotonicity classification and the
+# implication grids
+COMPARISON_GRID_N = 32
+
 
 class ConvexityMode(enum.Enum):
     S_CONVEX_SECOND_SENSE = "s_convex_second_sense"
@@ -90,10 +99,13 @@ def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
 
     s must lie in (0, 1]. f is evaluated once at each grid node and once
     per triple at the combined point. A seed adds N_RANDOM uniform triples
-    after the grid.
+    after the grid. A grid of more than MAX_SCAN_TRIPLES triples is refused.
     """
     if grid_n < 3:
         raise DomainError(f"grid_n must be at least 3, got {grid_n}")
+    if grid_n * grid_n * T_GRID_N > MAX_SCAN_TRIPLES:
+        raise DomainError(f"grid_n={grid_n} asks for {grid_n * grid_n * T_GRID_N}"
+                          f" triples, above the cap of {MAX_SCAN_TRIPLES}")
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s}")
     harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
@@ -130,7 +142,7 @@ def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
     return ConvexityReport(max_violation=best, witness=witness, samples=samples)
 
 
-def check_am_hm(iv: Interval, grid_n: int = 32) -> ConvexityReport:
+def check_am_hm(iv: Interval) -> ConvexityReport:
     """Scan xy/(tx + (1-t)y) <= ty + (1-t)x over the grid, as harmonic
     convexity of u -> u.
 
@@ -138,10 +150,11 @@ def check_am_hm(iv: Interval, grid_n: int = 32) -> ConvexityReport:
     should always satisfy max_violation <= VIOLATION_TOL.
     """
     return check_convexity(get_function("id"), iv,
-                           ConvexityMode.HARMONICALLY_S_CONVEX, 1.0, grid_n)
+                           ConvexityMode.HARMONICALLY_S_CONVEX, 1.0,
+                           COMPARISON_GRID_N)
 
 
-def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32) -> str:
+def grid_monotone(f: FunctionSpec, iv: Interval) -> str:
     """Classify f on the grid as 'nondecreasing', 'nonincreasing', 'constant'
     or 'neither', comparing consecutive grid values with tolerance
     VIOLATION_TOL.
@@ -149,7 +162,7 @@ def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32) -> str:
     The comparison-inequality implications need a testable stand-in for the
     monotonicity hypotheses, and this is it.
     """
-    xs = uniform_grid(iv.a, iv.b, grid_n)
+    xs = uniform_grid(iv.a, iv.b, COMPARISON_GRID_N)
     vals = [f(x) for x in xs]
     nondec = all(b >= a - VIOLATION_TOL for a, b in zip(vals, vals[1:]))
     noninc = all(b <= a + VIOLATION_TOL for a, b in zip(vals, vals[1:]))
@@ -163,7 +176,7 @@ def grid_monotone(f: FunctionSpec, iv: Interval, grid_n: int = 32) -> str:
 
 
 def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...],
-                             iv: Interval, grid_n: int = 32) -> list[dict]:
+                             iv: Interval) -> list[dict]:
     """Grid form of the two comparison implications:
 
       (1) s-convex (second sense) and nondecreasing  =>  harmonically s-convex
@@ -177,12 +190,12 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
     rows: list[dict] = []
     for fn_id in fn_ids:
         f = get_function(fn_id)
-        mono = grid_monotone(f, iv, grid_n)
+        mono = grid_monotone(f, iv)
         for s in s_values:
             r_s = check_convexity(f, iv, ConvexityMode.S_CONVEX_SECOND_SENSE, s,
-                                  grid_n)
+                                  COMPARISON_GRID_N)
             r_h = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                                  grid_n)
+                                  COMPARISON_GRID_N)
             if r_s.holds and mono in ("nondecreasing", "constant"):
                 rows.append({"fn": fn_id, "s": s, "direction": "s_to_harmonic",
                              "consequent_violation": r_h.max_violation,

@@ -6,8 +6,8 @@ Gauss-Kronrod 7/15 scheme. The embedded 7-point Gauss rule provides the
 error estimate |K15 - G7| per panel; the panel with the worst estimate is
 bisected until the summed estimate drops below the caller's tolerance.
 
-`FunctionSpec` packages an evaluable f with an optional analytic f' and a
-validity domain; the registry maps the CLI's function vocabulary
+`FunctionSpec` packages an evaluable f on (0, inf) with an optional
+analytic f'; the registry maps the CLI's function vocabulary
 (const:<c>, id, pow:<r>, inv, neg) onto FunctionSpec instances.
 """
 
@@ -85,23 +85,19 @@ class Interval:
 class FunctionSpec:
     """An evaluable scalar function with optional analytic derivative.
 
-    eval_fn and deriv_fn receive points from (domain_lo, domain_hi];
-    domain_lo is treated as an open endpoint (registry functions live on
-    (0, inf) and several blow up at 0).
+    eval_fn and deriv_fn receive points from (0, inf]; 0 is an open
+    endpoint (several registry functions blow up there).
     """
 
     fn_id: str
     eval_fn: Callable[[float], float]
     deriv_fn: Optional[Callable[[float], float]] = None
-    domain_lo: float = 0.0
-    domain_hi: float = math.inf
 
     def __call__(self, x: float) -> float:
         # the arithmetic-mean chain may evaluate at a = 0; that is allowed
         # when f is finite there, which the checks below establish
-        if not (self.domain_lo < x <= self.domain_hi or x == self.domain_lo == 0.0):
-            raise DomainError(f"{self.fn_id}: {x} outside domain "
-                              f"({self.domain_lo}, {self.domain_hi}]")
+        if not x >= 0.0:
+            raise DomainError(f"{self.fn_id}: {x} outside domain (0.0, inf]")
         try:
             v = self.eval_fn(x)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
@@ -179,14 +175,21 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     counter = 1
     evals = 15
     total_err = err
-    while total_err > tol:
+    while True:
+        if total_err <= tol:
+            # the running sum cancels, down to below zero; stop only when
+            # the exact sum over the live panels also meets tol
+            total_err = math.fsum(item[6] for item in heap)
+            if total_err <= tol:
+                break
         _, _, depth, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if depth >= MAX_DEPTH or mid <= a or mid >= b:
             best = math.fsum(item[5] for item in heap) + v
+            best_err = math.fsum(item[6] for item in heap) + e
             raise NumericError(
                 f"bisection depth {depth} exhausted at panel [{a}, {b}]",
-                value=best, err_est=total_err)
+                value=best, err_est=best_err)
         v1, e1 = gk15(f, a, mid)
         v2, e2 = gk15(f, mid, b)
         evals += 30
@@ -204,8 +207,6 @@ def weighted_mean(f: FunctionSpec, iv: Interval, tol: float = DEFAULT_TOL) -> fl
     This is the integral average against the measure du/u^2 that every
     harmonic-mean inequality in this package compares against.
     """
-    if iv.a < f.domain_lo or iv.b > f.domain_hi:
-        raise DomainError(f"[{iv.a}, {iv.b}] outside domain of {f.fn_id}")
     q = integrate(lambda u: f(u) / (u * u), iv.a, iv.b, tol)
     return iv.a * iv.b / (iv.b - iv.a) * q.value
 
@@ -219,7 +220,7 @@ def derivative(f: FunctionSpec, x: float) -> float:
     if f.deriv_fn is not None:
         return f.deriv(x)
     h = _CBRT_EPS * max(1.0, abs(x))
-    if x - h <= f.domain_lo or x + h > f.domain_hi:
+    if x - h <= 0.0:
         raise DomainError(
             f"{f.fn_id}: x={x} too close to the domain boundary for a "
             "central difference and no analytic derivative is available")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
@@ -62,8 +62,7 @@ class VerifyReport:
         }
 
 
-def lemma_residual(f: FunctionSpec, x: float, iv: Interval,
-                   tol: float = DEFAULT_TOL) -> float:
+def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
     """Residual of the integral identity behind all the Ostrowski bounds:
 
         f(x) - (ab/(b-a)) int_a^b f(u)/u^2 du
@@ -76,13 +75,13 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval,
     a, b = iv.a, iv.b
     if not a <= x <= b:
         raise DomainError(f"x={x} outside [{a}, {b}]")
-    lhs = f(x) - weighted_mean(f, iv, tol)
+    lhs = f(x) - weighted_mean(f, iv)
 
     def side_integral(theta: float) -> float:
         def integrand(t: float) -> float:
             denom = t * theta + (1.0 - t) * x
             return t / (denom * denom) * derivative(f, theta * x / denom)
-        return integrate(integrand, 0.0, 1.0, tol).value
+        return integrate(integrand, 0.0, 1.0).value
 
     rhs = 0.0
     if x > a:
@@ -101,8 +100,7 @@ def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     g = f
     if theorem != "T2_2":
         g = FunctionSpec(fn_id=f"|{f.fn_id}'|^{q:g}",
-                         eval_fn=lambda u: abs(derivative(f, u)) ** q,
-                         domain_lo=f.domain_lo, domain_hi=f.domain_hi)
+                         eval_fn=lambda u: abs(derivative(f, u)) ** q)
     return check_convexity(g, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
                            grid_n=grid_n, seed=seed)
 
@@ -169,45 +167,27 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                         passed=min_slack >= -SLACK_TOL)
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
-    """Grid specification for lambda_consistency_rows.
-
-    pairs_a: (theta, x) pairs with theta <= x, used directly for kinds 1, 2
-    and with roles swapped for kinds 3, 4. lambda5_points are (theta, x)
-    pairs for the lambda5 check and deliberately include the near-equal
-    regime that exercises the Taylor branch.
-    """
-
-    pairs_a: tuple = ((1.0, 1.1), (1.0, 1.5), (1.0, 1.9))
-    s_values: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    vartheta_rho: tuple = ((1.0, 0.0), (1.0, 1.0), (2.0, 2.0), (1.5, 1.5))
-    lambda5_points: tuple = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.lambda5_points:
-            pts = [(1.0, 2.0), (2.0, 1.5), (1.0, 1.5), (1.5, 1.5)]
-            x_ref = 1.5
-            for mag in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
-                for sign in (1.0, -1.0):
-                    # z = 1 - theta/x on both sides of the Taylor handoff
-                    pts.append((x_ref * (1.0 - sign * mag), x_ref))
-            object.__setattr__(self, "lambda5_points", tuple(pts))
+# the lambda sweep: (theta, x) pairs with theta <= x, used directly for
+# kinds 1, 2 and with roles swapped for kinds 3, 4, crossed with s and
+# (vartheta, rho): 3 x 5 x 4 points per kind
+LAMBDA_PAIRS = ((1.0, 1.1), (1.0, 1.5), (1.0, 1.9))
+LAMBDA_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
+LAMBDA_VARTHETA_RHO = ((1.0, 0.0), (1.0, 1.0), (2.0, 2.0), (1.5, 1.5))
+# (theta, x) pairs for lambda5, with the near-equal regime on both sides of
+# the Taylor handoff (z = 1 - theta/x at +-1e-6 .. +-1e-1)
+LAMBDA5_POINTS = ((1.0, 2.0), (2.0, 1.5), (1.0, 1.5), (1.5, 1.5)) + tuple(
+    (1.5 * (1.0 - sign * mag), 1.5)
+    for mag in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1) for sign in (1.0, -1.0))
 
 
-DEFAULT_LAMBDA_GRID = LambdaGrid()
-
-
-def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
-                            closed_form: Optional[Callable] = None) -> list[dict]:
-    """Closed form vs defining integral for every grid point.
+def lambda_consistency_rows(closed_form: Optional[Callable] = None) -> list[dict]:
+    """Closed form vs defining integral for every point of the lambda sweep.
 
     Returns one row per comparison with the closed value, the quadrature
     value, and their relative discrepancy (measured against the closed
-    value, which is strictly positive on the grid). closed_form (default
+    value, which is strictly positive on the sweep). closed_form (default
     lambda_value) lets a test show that a wrong closed form is caught.
     """
-    g = grid or DEFAULT_LAMBDA_GRID
     closed_form = closed_form or lambda_value
 
     def row(kind, theta, x, s, vt, rho, closed, integrand) -> dict:
@@ -218,15 +198,15 @@ def lambda_consistency_rows(grid: Optional[LambdaGrid] = None,
 
     rows: list[dict] = []
     for kind in (1, 2, 3, 4):
-        for theta_a, x_a in g.pairs_a:
+        for theta_a, x_a in LAMBDA_PAIRS:
             # kinds 3, 4 live on the b-side: swap so x <= theta
             theta, x = (theta_a, x_a) if kind in (1, 2) else (x_a, theta_a)
-            for s in g.s_values:
-                for vt, rho in g.vartheta_rho:
+            for s in LAMBDA_S_VALUES:
+                for vt, rho in LAMBDA_VARTHETA_RHO:
                     args = LambdaArgs(kind, theta, x, s, vt, rho)
                     rows.append(row(kind, theta, x, s, vt, rho,
                                     closed_form(args), lambda_integrand(args)))
-    for theta, x in g.lambda5_points:
+    for theta, x in LAMBDA5_POINTS:
         rows.append(row(5, theta, x, None, None, None, lambda5(theta, x),
                         lambda5_integrand(theta, x)))
     return rows
@@ -244,32 +224,28 @@ LEMMA_FUNCTIONS = ("const:2", "id", "pow:2", "pow:0.5", "inv")
 LEMMA_INTERVALS = ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
 
 
-def _matrix_configs(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
-                    q_values=MATRIX_Q_VALUES, intervals=MATRIX_INTERVALS):
+def _matrix_configs():
     """Yield (theorem, fn_id, iv, s, q_or_pair) across the sweep matrix.
 
     T2_3/T2_4/T2_5 run once per scalar q; T2_6/T2_7 run once per config with
     the fixed conjugate pair (such pairs have no free q to sweep).
     """
-    for fn_id in fn_ids:
-        for a, b in intervals:
+    for fn_id in MATRIX_FUNCTIONS:
+        for a, b in MATRIX_INTERVALS:
             iv = Interval(a, b)
-            for s in s_values:
+            for s in MATRIX_S_VALUES:
                 for theorem in ("T2_3", "T2_4", "T2_5"):
-                    for q in q_values:
+                    for q in MATRIX_Q_VALUES:
                         yield theorem, fn_id, iv, s, q
                 for theorem in ("T2_6", "T2_7"):
                     yield theorem, fn_id, iv, s, MATRIX_PAIR
 
 
-def run_ostrowski_matrix(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
-                         q_values=MATRIX_Q_VALUES,
-                         intervals=MATRIX_INTERVALS) -> list[VerifyReport]:
+def run_ostrowski_matrix() -> list[VerifyReport]:
     """verify_theorem over the whole sweep matrix, in a fixed order, with
     its default 9 x points and 16x16 gate grid."""
     reports = []
-    for theorem, fn_id, iv, s, q in _matrix_configs(fn_ids, s_values,
-                                                    q_values, intervals):
+    for theorem, fn_id, iv, s, q in _matrix_configs():
         f = get_function(fn_id)
         reports.append(verify_theorem(theorem, f, iv, s, q))
     return reports
@@ -294,9 +270,7 @@ def matrix_summary(reports: list[VerifyReport]) -> dict:
     }
 
 
-def min_corollary_gap(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
-                      q_values=MATRIX_Q_VALUES,
-                      intervals=MATRIX_INTERVALS) -> float:
+def min_corollary_gap() -> float:
     """Worst value of corollary_rhs - theorem_rhs across the matrix.
 
     For each configuration M is set to the maximum of |f'| over the 9 x
@@ -307,8 +281,7 @@ def min_corollary_gap(fn_ids=MATRIX_FUNCTIONS, s_values=MATRIX_S_VALUES,
     monotonicity is structural.
     """
     worst = math.inf
-    for theorem, fn_id, iv, s, q in _matrix_configs(fn_ids, s_values,
-                                                    q_values, intervals):
+    for theorem, fn_id, iv, s, q in _matrix_configs():
         f = get_function(fn_id)
         xs = uniform_grid(iv.a, iv.b, 9)
         m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
@@ -416,12 +389,12 @@ def run_battery() -> list[Check]:
              for x in xs), 1e-14, len(xs)))
 
     # comparison inequality and the monotonicity implications
-    am_hm = check_am_hm(Interval(0.5, 4.0), grid_n=32)
+    am_hm = check_am_hm(Interval(0.5, 4.0))
     add(("am_hm_grid", "max_err", am_hm.max_violation, VIOLATION_TOL,
          am_hm.samples))
     s_values = (0.25, 0.5, 0.75, 1.0)
     prop = proposition_implications(MATRIX_FUNCTIONS, s_values,
-                                    Interval(0.5, 4.0), grid_n=32)
+                                    Interval(0.5, 4.0))
     add(("proposition_nonvacuous", "count_min", float(len(prop)), 1.0,
          len(MATRIX_FUNCTIONS) * len(s_values)),
         ("proposition_implications", "max_err",

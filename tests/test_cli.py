@@ -79,18 +79,44 @@ class TestHHCommand:
         assert "domain error" in err
 
 
+# f(u)/u^2 is finite at every node, but K15 panel sums overflow
+NON_FINITE_PANEL = [
+    ("ostrowski", "--theorem", "T2_5", "--fn", "const:1e308", "--a", "1",
+     "--b", "2", "--x", "1.5", "--q", "2"),
+    ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2"),
+]
+
+
 class TestOverflow:
-    # f(u)/u^2 is finite at every node, but K15 panel sums overflow
-    @pytest.mark.parametrize("argv", [
-        ("ostrowski", "--theorem", "T2_5", "--fn", "const:1e308", "--a", "1",
-         "--b", "2", "--x", "1.5", "--q", "2"),
-        ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2"),
-    ])
+    @pytest.mark.parametrize("argv", NON_FINITE_PANEL)
     def test_non_finite_panel_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "numeric error" in err
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("argv", NON_FINITE_PANEL + [
+        # q near 1e4: theta^(2q) overflows inside lambda_value
+        ("verify", "--theorem", "T2_6", "--fn", "id", "--a", "1", "--b", "2",
+         "--p", "1.0001"),
+        ("ostrowski", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b",
+         "2", "--x", "1.5", "--q", "2000", "--M", "1e10"),
+        # the running error sum of integrate cancels below zero
+        ("hh", "--fn", "pow:0.5", "--a", "0.01", "--b", "100",
+         "--tol", "1e-300"),
+        # 1.7e11 gate triples: refused before the scan starts
+        ("verify", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
+         "--q", "1", "--grid-gate", "100000"),
+    ])
+    def test_clean_exit(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+        else:
+            json.loads(out)
 
 
 class TestOstrowskiCommand:

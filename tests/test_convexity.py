@@ -130,6 +130,29 @@ class TestCheckConvexity:
         # one value per node, then one per triple at the combined point
         assert len(points) == 8 + 17 * 8 * 8
 
+    def test_scan_cap_refuses_before_evaluating(self):
+        class Started(Exception):
+            pass
+
+        points = []
+
+        def first_eval(u):
+            points.append(u)
+            raise Started
+
+        f = FunctionSpec("counted", first_eval)
+        iv = Interval(1.0, 2.0)
+        mode = ConvexityMode.HARMONICALLY_S_CONVEX
+        # grid_n = 256 is admitted: the scan starts evaluating ...
+        with pytest.raises(Started):
+            check_convexity(f, iv, mode, 1.0, grid_n=256)
+        assert len(points) == 1
+        # ... a grid past the cap is refused before f is evaluated once
+        for grid_n in (257, 100000):
+            with pytest.raises(DomainError):
+                check_convexity(f, iv, mode, 1.0, grid_n=grid_n)
+        assert len(points) == 1
+
     def test_rejects_bad_parameters(self):
         f = get_function("id")
         iv = Interval(1.0, 2.0)
@@ -144,21 +167,21 @@ class TestCheckConvexity:
 
 class TestAmHm:
     def test_grid_clean(self):
-        rep = check_am_hm(Interval(0.5, 4.0), grid_n=32)
+        rep = check_am_hm(Interval(0.5, 4.0))
         assert rep.holds
         assert rep.max_violation <= VIOLATION_TOL
 
     def test_matches_comparison(self):
         iv = Interval(0.5, 4.0)
-        rep = check_am_hm(iv, grid_n=8)
+        rep = check_am_hm(iv)
         ref = reference_scan(
             lambda x, y, t: harmonic_combination(x, y, t) - (t * y + (1.0 - t) * x),
-            iv, 8)
+            iv, 32)
         assert (rep.max_violation, rep.witness, rep.samples) == ref
 
     def test_sample_count(self):
-        rep = check_am_hm(Interval(1.0, 2.0), grid_n=8)
-        assert rep.samples == 8 * 8 * 17
+        rep = check_am_hm(Interval(1.0, 2.0))
+        assert rep.samples == 32 * 32 * 17
 
 
 class TestGridMonotone:
@@ -175,14 +198,14 @@ class TestPropositionImplications:
     def test_all_hold(self):
         rows = proposition_implications(
             ("const:2", "id", "pow:2", "pow:0.5", "inv", "neg"),
-            (0.5, 1.0), Interval(0.5, 4.0), grid_n=16)
+            (0.5, 1.0), Interval(0.5, 4.0))
         assert rows, "implication grid must not be vacuous"
         assert all(r["holds"] for r in rows)
         assert all(r["consequent_violation"] <= VIOLATION_TOL for r in rows)
 
     def test_directions_present(self):
         rows = proposition_implications(("pow:2", "inv"), (1.0,),
-                                        Interval(0.5, 4.0), grid_n=16)
+                                        Interval(0.5, 4.0))
         directions = {r["direction"] for r in rows}
         # pow:2 is convex nondecreasing (forward implication); inv is
         # harmonically affine and nonincreasing (reverse implication)

@@ -1,4 +1,5 @@
-"""No module reaches into another module's private names."""
+"""Static checks of the package source: no module reaches into another
+module's private names, and no option is added by accident."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,29 @@ def test_no_private_imports_in_package():
 def test_no_private_imports_in_tests():
     files = sorted((ROOT / "tests").glob("*.py"))
     assert [hit for f in files for hit in private_imports(f, False)] == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass")
+               for d in node.decorator_list)
+
+
+def settable_values(path: Path) -> int:
+    """Defaulted parameters plus defaulted dataclass fields of path."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
+
+
+def test_settable_values_pinned():
+    # each default is a value a caller may set; a new one must be added on
+    # purpose, by raising this count in the same change
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    assert sum(settable_values(f) for f in files) == 24

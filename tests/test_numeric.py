@@ -120,23 +120,22 @@ class TestDerivative:
         assert derivative(g, 2.0) == -0.25
 
     def test_finite_difference(self):
-        f = FunctionSpec("custom", math.exp, domain_lo=-math.inf)
+        f = FunctionSpec("custom", math.exp)
         assert derivative(f, 0.7) == pytest.approx(math.exp(0.7), rel=1e-9)
 
     def test_fd_matches_analytic(self):
         for fn_id in ("id", "pow:2", "pow:0.5", "inv"):
             f = get_function(fn_id)
-            stripped = FunctionSpec(fn_id + "_fd", f.eval_fn,
-                                    domain_lo=f.domain_lo)
+            stripped = FunctionSpec(fn_id + "_fd", f.eval_fn)
             for x in (0.5, 1.0, 2.7, 10.0):
                 assert derivative(stripped, x) == pytest.approx(
                     derivative(f, x), rel=1e-6)
 
     def test_boundary_error(self):
-        f = get_function("pow:0.5")  # domain (0, inf)
+        f = get_function("pow:0.5")
         with pytest.raises(DomainError):
-            # stencil would step below the domain floor
-            derivative(FunctionSpec("r", f.eval_fn, domain_lo=0.0), 1e-20)
+            # stencil would step below the domain floor 0
+            derivative(FunctionSpec("r", f.eval_fn), 1e-20)
 
 
 class TestRegistry:

@@ -5,11 +5,11 @@ import math
 import pytest
 from conftest import canary_lambda_value
 
-from hsconvex.bounds import ConjugatePair
+from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
+                             lambda5_integrand, lambda_integrand, lambda_value)
 from hsconvex.errors import DomainError
-from hsconvex.numeric import Interval, get_function
-from hsconvex.verify import (DEFAULT_LAMBDA_GRID, LambdaGrid, SLACK_TOL,
-                             VerifyReport, lambda_consistency_rows,
+from hsconvex.numeric import Interval, get_function, integrate
+from hsconvex.verify import (SLACK_TOL, VerifyReport, lambda_consistency_rows,
                              lemma_residual, matrix_summary,
                              min_corollary_gap, run_ostrowski_matrix,
                              verify_theorem)
@@ -127,19 +127,25 @@ class TestLambdaConsistency:
         n_kind14 = sum(1 for r in rows if r["kind"] <= 4)
         assert n_kind14 >= 240
 
+    @staticmethod
+    def rel_err(closed, integrand):
+        # the comparison of one sweep row, at the sweep's oracle tolerance
+        oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
+        return abs(closed - oracle) / abs(closed)
+
     def test_z_zero_tight(self):
-        grid = LambdaGrid(pairs_a=((1.0, 1.0),), s_values=(0.5,),
-                          vartheta_rho=((1.0, 1.0),),
-                          lambda5_points=((1.0, 1.0),))
-        rows = lambda_consistency_rows(grid)
-        assert all(r["rel_err"] <= 1e-13 for r in rows)
+        for kind in (1, 2, 3, 4):
+            args = LambdaArgs(kind, 1.0, 1.0, 0.5, 1.0, 1.0)
+            assert self.rel_err(lambda_value(args),
+                                lambda_integrand(args)) <= 1e-13, kind
+        assert self.rel_err(lambda5(1.0, 1.0),
+                            lambda5_integrand(1.0, 1.0)) <= 1e-13
 
     def test_taylor_subgrid(self):
-        pts = tuple((1.5 * (1.0 - sign * 1e-5), 1.5) for sign in (1.0, -1.0))
-        grid = LambdaGrid(lambda5_points=pts)
-        rows = [r for r in lambda_consistency_rows(grid) if r["kind"] == 5]
-        assert rows
-        assert all(r["rel_err"] <= 1e-9 for r in rows)
+        for sign in (1.0, -1.0):
+            theta = 1.5 * (1.0 - sign * 1e-5)
+            assert self.rel_err(lambda5(theta, 1.5),
+                                lambda5_integrand(theta, 1.5)) <= 1e-9
 
     def test_variant_breaks_consistency(self):
         rows = lambda_consistency_rows(closed_form=canary_lambda_value)
@@ -148,11 +154,7 @@ class TestLambdaConsistency:
 
 class TestMatrix:
     def test_summary_shape_and_coverage(self):
-        # a trimmed matrix keeps this test quick; the full sweep is the
-        # acceptance suite's job
-        reports = run_ostrowski_matrix(fn_ids=("id", "pow:2", "neg"),
-                                       s_values=(1.0,), q_values=(1.0,),
-                                       intervals=((1.0, 2.0),))
+        reports = run_ostrowski_matrix()
         summary = matrix_summary(reports)
         assert summary["reports"] == len(reports) > 0
         assert summary["gated"] > 0
@@ -161,6 +163,5 @@ class TestMatrix:
         assert summary["min_slack"] >= -SLACK_TOL
 
     def test_corollary_gap_nonnegative(self):
-        gap = min_corollary_gap(fn_ids=("pow:2", "inv"), s_values=(1.0,),
-                                q_values=(2.0,), intervals=((1.0, 2.0),))
+        gap = min_corollary_gap()
         assert gap >= -1e-12
