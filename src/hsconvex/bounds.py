@@ -20,6 +20,8 @@ switches to a Taylor expansion in z = 1 - theta/x below |z| = 1e-4.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -181,12 +183,13 @@ def lambda5_integrand(theta: float, x: float):
 
 def _finite(fn):
     """Make fn raise NumericError where its float result overflows: an
-    OverflowError inside it, or a non-finite value it would return."""
+    OverflowError inside it, a division by a power that underflowed to 0,
+    or a non-finite value it would return."""
     @functools.wraps(fn)
     def finite_fn(*args, **kwargs):
         try:
             v = fn(*args, **kwargs)
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             raise NumericError(f"{fn.__name__}: result overflows") from exc
         if not math.isfinite(v):
             raise NumericError(f"{fn.__name__}: non-finite result {v}")
@@ -194,11 +197,38 @@ def _finite(fn):
     return finite_fn
 
 
+# the lambda weights of the sweep in progress, keyed by LambdaArgs; None
+# outside a lambda_memo block
+_LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "lambda_memo", default=None)
+
+
+@contextlib.contextmanager
+def lambda_memo():
+    """Within the block, lambda_value computes each distinct LambdaArgs
+    once and returns the stored value after. A weight does not depend on f,
+    so a sweep over many functions repeats the same few hundred. A block
+    inside another shares the outer block's memo; the memo ends with the
+    outermost block, so no value outlives the run that computed it."""
+    if _LAMBDA_MEMO.get() is not None:
+        yield
+        return
+    token = _LAMBDA_MEMO.set({})
+    try:
+        yield
+    finally:
+        _LAMBDA_MEMO.reset(token)
+
+
 @_finite
 def lambda_value(args: LambdaArgs) -> float:
     """Evaluate the closed form of the lambda weight `args`,
     beta(b, b2) / base^(2vt) * 2F1(2vt, b; rho+s+2; z), with the Beta
-    arguments (b, b2) and the base of each kind in the table below."""
+    arguments (b, b2) and the base of each kind in the table below.
+    Inside a lambda_memo block each distinct args is computed once."""
+    memo = _LAMBDA_MEMO.get()
+    if memo is not None and args in memo:
+        return memo[args]
     rho, s = args.rho, args.s
     b, b2, base = {1: (rho + s + 1.0, 1.0, args.x),
                    2: (rho + 1.0, s + 1.0, args.x),
@@ -206,7 +236,10 @@ def lambda_value(args: LambdaArgs) -> float:
                    4: (s + 1.0, rho + 1.0, args.theta)}[args.kind]
     two_vt = 2.0 * args.vartheta
     front = beta(b, b2) / base ** two_vt
-    return front * hyp2f1(two_vt, b, rho + s + 2.0, args.z)
+    value = front * hyp2f1(two_vt, b, rho + s + 2.0, args.z)
+    if memo is not None:
+        memo[args] = value
+    return value
 
 
 def lambda5(theta: float, x: float) -> float:

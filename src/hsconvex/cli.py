@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -87,6 +88,32 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _require_finite(obj) -> None:
+    """Raise NumericError on a non-finite float anywhere in a document of
+    dicts, lists and scalars: the arithmetic behind it overflowed."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NumericError(f"non-finite value {obj} in the document")
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _require_finite(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _require_finite(v)
+
+
+def _emit_document(ns: argparse.Namespace, header: Sequence[str],
+                   rows: list[dict], doc: dict) -> None:
+    """Write a value command's document: rows under header as csv, or doc,
+    which holds every row, as JSON. Nothing is written when a value is
+    not finite (_require_finite)."""
+    _require_finite(doc)
+    if ns.format == "csv":
+        _emit(_csv_doc(header, rows), ns.out)
+    else:
+        _emit(_to_json(doc), ns.out)
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_lambda(ns: argparse.Namespace) -> int:
@@ -105,15 +132,15 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
                    "s": ns.s, "vartheta": ns.vartheta, "rho": ns.rho,
                    "value": value}
     if ns.check:
+        if value == 0.0:
+            raise NumericError("the value underflows to 0.0, so it has no "
+                               "relative error to check")
         oracle = integrate(integrand, 0.0, 1.0, oracle_tol).value
         payload["oracle"] = oracle
         payload["rel_err"] = abs(value - oracle) / abs(value)
-    if ns.format == "csv":
-        header = ("kind", "theta", "x", "s", "vartheta", "rho",
-                  "value", "oracle", "rel_err")
-        _emit(_csv_doc(header, [payload]), ns.out)
-    else:
-        _emit(_to_json(payload), ns.out)
+    header = ("kind", "theta", "x", "s", "vartheta", "rho",
+              "value", "oracle", "rel_err")
+    _emit_document(ns, header, [payload], payload)
     return 0
 
 
@@ -129,12 +156,9 @@ def cmd_hh(ns: argparse.Namespace) -> int:
         "left": left, "middle": middle, "right": right,
         "slack_left": middle - left, "slack_right": right - middle,
     }
-    if ns.format == "csv":
-        header = ("variant", "fn", "a", "b", "s", "left", "middle", "right",
-                  "slack_left", "slack_right")
-        _emit(_csv_doc(header, [payload]), ns.out)
-    else:
-        _emit(_to_json(payload), ns.out)
+    header = ("variant", "fn", "a", "b", "s", "left", "middle", "right",
+              "slack_left", "slack_right")
+    _emit_document(ns, header, [payload], payload)
     return 0
 
 
@@ -166,10 +190,8 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
                              ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
                              hypothesis_ok=gate.holds,
                              fd_fallback=f.deriv_fn is None and ns.M is None)
-    if ns.format == "csv":
-        _emit(_csv_doc(CSV_FIELDS, [result.to_dict()]), ns.out)
-    else:
-        _emit(_to_json(result.to_dict()), ns.out)
+    doc = result.to_dict()
+    _emit_document(ns, CSV_FIELDS, [doc], doc)
     return 0
 
 
@@ -180,10 +202,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     report = verify_theorem(ns.theorem, f, iv, ns.s, pair or q_val,
                             x_grid=ns.grid, gate_grid_n=ns.grid_gate,
                             seed=ns.seed, tol=ns.tol)
-    if ns.format == "csv":
-        _emit(_csv_doc(CSV_FIELDS, [r.to_dict() for r in report.results]), ns.out)
-    else:
-        _emit(_to_json(report.to_dict()), ns.out)
+    doc = report.to_dict()
+    _emit_document(ns, CSV_FIELDS, doc["results"], doc)
     return 0 if report.passed else 1
 
 

@@ -16,11 +16,10 @@ rounding.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .numeric import FunctionSpec, Interval, get_function
@@ -91,55 +90,122 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return pts
 
 
-def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-                    s: float, grid_n: int = 16,
-                    seed: Optional[int] = None) -> ConvexityReport:
-    """Scan the defining inequality of `mode` over x, y in grid(iv) and
-    t in grid([0, 1]).
+# the t grid k/16: dyadic, so 1 - t is exact and again on the grid; T_HALF
+# is its t <= 1/2 part
+T_GRID = tuple(uniform_grid(0.0, 1.0, T_GRID_N))
+T_HALF = T_GRID[:T_GRID_N // 2 + 1]
 
-    s must lie in (0, 1]. f is evaluated once at each grid node and once
-    per triple at the combined point. A seed adds N_RANDOM uniform triples
-    after the grid. A grid of more than MAX_SCAN_TRIPLES triples is refused.
+
+def _require_s(s: float) -> None:
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"s must lie in (0, 1], got {s}")
+
+
+class ConvexityTable(NamedTuple):
+    """The s-independent part of one scan: f at every grid node and at the
+    combined point of every triple. report(s) reduces it for one s.
+
+    v(x, y, t) equals v(y, x, 1-t) exactly in floats on the dyadic t grid,
+    in both modes: the two combined points are the same sum in the other
+    order, and so are the two weighted sums. values therefore holds f at
+    the combined points of the canonical half only, in scan order: for
+    each pair of nodes i <= j, every t when i < j and t <= 1/2 when i == j.
+    Each mirrored triple comes after its twin in the full scan, so the
+    ascending scan of the half still meets the lexicographically smallest
+    maximizer first. nodes holds (x, f(x)) per grid node; draws the seeded
+    triples as (x, f(x), y, f(y), t, f at the combined point).
+    """
+
+    harmonic: bool
+    nodes: list[tuple[float, float]]
+    values: list[float]
+    draws: list[tuple]
+    samples: int
+
+    def report(self, s: float) -> ConvexityReport:
+        """The scan's maximum of lhs - rhs and its witness at exponent s."""
+        _require_s(s)
+        harmonic = self.harmonic
+
+        def weigh(t: float) -> tuple[float, float, float]:
+            # (t, weight of f(x), weight of f(y)); the harmonic form swaps them
+            wt, wr = t ** s, (1.0 - t) ** s
+            return (t, wr, wt) if harmonic else (t, wt, wr)
+
+        weights = [weigh(t) for t in T_GRID]
+        half = weights[:len(T_HALF)]
+        nodes, values = self.nodes, self.values
+
+        def rows():
+            # (x, f(x), y, f(y), ((weights, f at the combined point) per t))
+            k = 0
+            for i, (x, fx) in enumerate(nodes):
+                for j in range(i, len(nodes)):
+                    y, fy = nodes[j]
+                    ws = half if j == i else weights
+                    yield x, fx, y, fy, zip(ws, values[k:k + len(ws)])
+                    k += len(ws)
+            for x, fx, y, fy, t, fc in self.draws:
+                yield x, fx, y, fy, ((weigh(t), fc),)
+
+        best = -math.inf
+        witness = (nodes[0][0], nodes[0][0], 0.0)
+        for x, fx, y, fy, points in rows():
+            for (t, wx, wy), fc in points:
+                v = fc - (wx * fx + wy * fy)
+                if v > best:
+                    best = v
+                    witness = (x, y, t)
+        return ConvexityReport(max_violation=best, witness=witness,
+                               samples=self.samples)
+
+
+def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
+             grid_n: int, seed: Optional[int]) -> ConvexityTable:
+    """Evaluate f over the scan of `mode` on x, y in grid(iv) and t in
+    grid([0, 1]): once at each grid node, once per canonical triple at the
+    combined point, and three times per seeded triple. A seed adds N_RANDOM
+    uniform triples after the grid. A grid of more than MAX_SCAN_TRIPLES
+    triples is refused before any evaluation.
     """
     if grid_n < 3:
         raise DomainError(f"grid_n must be at least 3, got {grid_n}")
     if grid_n * grid_n * T_GRID_N > MAX_SCAN_TRIPLES:
         raise DomainError(f"grid_n={grid_n} asks for {grid_n * grid_n * T_GRID_N}"
                           f" triples, above the cap of {MAX_SCAN_TRIPLES}")
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s}")
     harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
     combine = harmonic_combination if harmonic else (
         lambda x, y, t: t * x + (1.0 - t) * y)
-
-    def weigh(t: float) -> tuple[float, float, float]:
-        # (t, weight of f(x), weight of f(y)); the harmonic form swaps them
-        wt, wr = t ** s, (1.0 - t) ** s
-        return (t, wr, wt) if harmonic else (t, wt, wr)
-
-    xs = uniform_grid(iv.a, iv.b, grid_n)
-    nodes = [(x, f(x)) for x in xs]
-    weights = [weigh(t) for t in uniform_grid(0.0, 1.0, T_GRID_N)]
-    # rows (x, f(x), y, f(y), weights per t): the grid ascending, then the
-    # seeded triples in draw order
-    rows = ((x, fx, y, fy, weights) for x, fx in nodes for y, fy in nodes)
+    nodes = [(x, f(x)) for x in uniform_grid(iv.a, iv.b, grid_n)]
+    values: list[float] = []
+    for i, (x, _) in enumerate(nodes):
+        for j in range(i, grid_n):
+            y = nodes[j][0]
+            values.extend(f(combine(x, y, t))
+                          for t in (T_HALF if j == i else T_GRID))
+    draws = []
     samples = grid_n * grid_n * T_GRID_N
     if seed is not None:
         rng = random.Random(seed)
-        draws = [(rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b), rng.random())
-                 for _ in range(N_RANDOM)]
-        rows = itertools.chain(
-            rows, ((x, f(x), y, f(y), (weigh(t),)) for x, y, t in draws))
+        for _ in range(N_RANDOM):
+            x, y, t = rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b), rng.random()
+            draws.append((x, f(x), y, f(y), t, f(combine(x, y, t))))
         samples += N_RANDOM
-    best = -math.inf
-    witness = (xs[0], xs[0], 0.0)
-    for x, fx, y, fy, ws in rows:
-        for t, wx, wy in ws:
-            v = f(combine(x, y, t)) - (wx * fx + wy * fy)
-            if v > best:
-                best = v
-                witness = (x, y, t)
-    return ConvexityReport(max_violation=best, witness=witness, samples=samples)
+    return ConvexityTable(harmonic=harmonic, nodes=nodes, values=values,
+                          draws=draws, samples=samples)
+
+
+def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
+                    s: float, grid_n: int = 16,
+                    seed: Optional[int] = None) -> ConvexityReport:
+    """Scan the defining inequality of `mode` over x, y in grid(iv) and
+    t in grid([0, 1]): the table of tabulate reduced at s.
+
+    s must lie in (0, 1]. samples counts the full grid, though f is
+    evaluated on its canonical half only (see ConvexityTable).
+    """
+    _require_s(s)
+    return tabulate(f, iv, mode, grid_n, seed).report(s)
 
 
 def check_am_hm(iv: Interval) -> ConvexityReport:
@@ -186,22 +252,38 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
     carries the consequent's max_violation, which must stay inside
     VIOLATION_TOL for the implication to hold on the grid. Functions whose
     antecedent fails contribute nothing (the implication is vacuous there).
+
+    Each mode is tabulated once per function and reduced for every s; a
+    function whose monotonicity class rules out both directions is not
+    scanned, and a consequent is scanned only where an antecedent holds.
     """
+    for s in s_values:
+        _require_s(s)
+    s_mode = ConvexityMode.S_CONVEX_SECOND_SENSE
+    h_mode = ConvexityMode.HARMONICALLY_S_CONVEX
     rows: list[dict] = []
     for fn_id in fn_ids:
         f = get_function(fn_id)
         mono = grid_monotone(f, iv)
-        for s in s_values:
-            r_s = check_convexity(f, iv, ConvexityMode.S_CONVEX_SECOND_SENSE, s,
-                                  COMPARISON_GRID_N)
-            r_h = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                                  COMPARISON_GRID_N)
-            if r_s.holds and mono in ("nondecreasing", "constant"):
-                rows.append({"fn": fn_id, "s": s, "direction": "s_to_harmonic",
-                             "consequent_violation": r_h.max_violation,
-                             "holds": r_h.holds})
-            if r_h.holds and mono in ("nonincreasing", "constant"):
-                rows.append({"fn": fn_id, "s": s, "direction": "harmonic_to_s",
-                             "consequent_violation": r_s.max_violation,
-                             "holds": r_s.holds})
+        directions = []
+        if mono in ("nondecreasing", "constant"):
+            directions.append(("s_to_harmonic", s_mode, h_mode))
+        if mono in ("nonincreasing", "constant"):
+            directions.append(("harmonic_to_s", h_mode, s_mode))
+        reports: dict = {}
+
+        def over_s(mode: ConvexityMode) -> list[ConvexityReport]:
+            # one table per (fn, mode), reduced for every s
+            if mode not in reports:
+                table = tabulate(f, iv, mode, COMPARISON_GRID_N, None)
+                reports[mode] = [table.report(s) for s in s_values]
+            return reports[mode]
+
+        for i, s in enumerate(s_values):
+            for direction, antecedent, consequent in directions:
+                if over_s(antecedent)[i].holds:
+                    r = over_s(consequent)[i]
+                    rows.append({"fn": fn_id, "s": s, "direction": direction,
+                                 "consequent_violation": r.max_violation,
+                                 "holds": r.holds})
     return rows

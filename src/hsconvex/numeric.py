@@ -122,27 +122,31 @@ def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, floa
     """Apply the 15-point Kronrod rule on [lo, hi].
 
     Returns (K15 value, |K15 - G7| error estimate). Raises DomainError on a
-    non-finite sample, per the integrate contract, and NumericError when
-    finite samples sum to a non-finite value or estimate.
+    non-finite sample, per the integrate contract, including one whose
+    evaluation divides by zero or overflows, and NumericError when finite
+    samples sum to a non-finite value or estimate.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fc = f(c)
-    if not math.isfinite(fc):
-        raise DomainError(f"non-finite sample at {c}")
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for j in range(7):
-        xa = c - h * _XGK[j]
-        xb = c + h * _XGK[j]
-        fa = f(xa)
-        fb = f(xb)
-        if not (math.isfinite(fa) and math.isfinite(fb)):
-            bad = xa if not math.isfinite(fa) else xb
-            raise DomainError(f"non-finite sample at {bad}")
-        kron += _WGK[j] * (fa + fb)
-        if j % 2 == 1:
-            gauss += _WG[j // 2] * (fa + fb)
+    try:
+        fc = f(c)
+        if not math.isfinite(fc):
+            raise DomainError(f"non-finite sample at {c}")
+        kron = _WGK[7] * fc
+        gauss = _WG[3] * fc
+        for j in range(7):
+            xa = c - h * _XGK[j]
+            xb = c + h * _XGK[j]
+            fa = f(xa)
+            fb = f(xb)
+            if not (math.isfinite(fa) and math.isfinite(fb)):
+                bad = xa if not math.isfinite(fa) else xb
+                raise DomainError(f"non-finite sample at {bad}")
+            kron += _WGK[j] * (fa + fb)
+            if j % 2 == 1:
+                gauss += _WG[j // 2] * (fa + fb)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"non-finite sample on [{lo}, {hi}]") from exc
     value, err = kron * h, abs(kron - gauss) * abs(h)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise NumericError(f"non-finite panel sum on [{lo}, {hi}]")

@@ -21,12 +21,12 @@ from typing import Callable, Optional, Union
 
 from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
-                     lambda5_integrand, lambda_integrand, lambda_value,
-                     ostrowski_rhs, resolve_exponents, validate_s,
-                     OSTROWSKI_THEOREMS)
+                     lambda5_integrand, lambda_integrand, lambda_memo,
+                     lambda_value, ostrowski_rhs, resolve_exponents,
+                     validate_s, OSTROWSKI_THEOREMS)
 from .convexity import (VIOLATION_TOL, ConvexityMode, ConvexityReport,
                         check_am_hm, check_convexity, proposition_implications,
-                        uniform_grid)
+                        tabulate, uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
                       get_function, integrate, weighted_mean)
@@ -37,6 +37,10 @@ from .specfn import beta, hyp2f1
 SLACK_TOL = 1e-9
 
 VERIFY_THEOREMS = ("T2_2",) + OSTROWSKI_THEOREMS
+
+# x points a verify_theorem scan may take: each costs one ostrowski_rhs and
+# one document row; larger grids are refused before any evaluation
+MAX_X_GRID = 1000
 
 
 @dataclass(frozen=True)
@@ -92,16 +96,23 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
     return abs(lhs - rhs)
 
 
+def _gate_function(theorem: str, f: FunctionSpec,
+                  q: Optional[float]) -> FunctionSpec:
+    """The function whose harmonic s-convexity `theorem` assumes: f for
+    T2_2, u -> |f'(u)|^q for the Ostrowski-type theorems."""
+    if theorem == "T2_2":
+        return f
+    return FunctionSpec(fn_id=f"|{f.fn_id}'|^{q:g}",
+                        eval_fn=lambda u: abs(derivative(f, u)) ** q)
+
+
 def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                     q: Optional[float], grid_n: int,
                     seed: Optional[int]) -> ConvexityReport:
     """Scan the hypothesis of `theorem` on a grid: harmonic s-convexity of
-    f for T2_2, and of u -> |f'(u)|^q for the Ostrowski-type theorems."""
-    g = f
-    if theorem != "T2_2":
-        g = FunctionSpec(fn_id=f"|{f.fn_id}'|^{q:g}",
-                         eval_fn=lambda u: abs(derivative(f, u)) ** q)
-    return check_convexity(g, iv, ConvexityMode.HARMONICALLY_S_CONVEX, s,
+    _gate_function(theorem, f, q)."""
+    return check_convexity(_gate_function(theorem, f, q), iv,
+                           ConvexityMode.HARMONICALLY_S_CONVEX, s,
                            grid_n=grid_n, seed=seed)
 
 
@@ -116,19 +127,28 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     (left-vs-middle and middle-vs-right; the two inequalities hold or fail
     independently). T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and
     yield one row per x-grid point. A failed gate short-circuits: results
-    stay empty and pass is false without any slack claim.
+    stay empty and pass is false without any slack claim. An x grid of
+    more than MAX_X_GRID points is refused before any evaluation.
     """
     validate_s(s)
     if theorem not in VERIFY_THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of "
                           f"{', '.join(VERIFY_THEOREMS)}")
-    if x_grid < 1:
-        raise DomainError("x_grid must have at least one point")
+    if not 1 <= x_grid <= MAX_X_GRID:
+        raise DomainError(f"x_grid must have 1 to {MAX_X_GRID} points, "
+                          f"got {x_grid}")
+    q_val, _ = resolve_exponents(theorem, q)
+    gate = hypothesis_gate(theorem, f, iv, s, q_val, gate_grid_n, seed)
+    return _gated_scan(theorem, f, iv, s, q, gate, x_grid, tol)
+
+
+def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
+                q: Union[float, ConjugatePair, None], gate: ConvexityReport,
+                x_grid: int, tol: float) -> VerifyReport:
+    """The report of verify_theorem once its gate is known."""
     a, b = iv.a, iv.b
     q_val, pair = resolve_exponents(theorem, q)
     p_val = pair.p if pair else None
-    gate = hypothesis_gate(theorem, f, iv, s, q_val, gate_grid_n, seed)
-
     grid_desc = {
         "x_count": 2 if theorem == "T2_2" else x_grid,
         "s_set": [s],
@@ -243,12 +263,33 @@ def _matrix_configs():
 
 def run_ostrowski_matrix() -> list[VerifyReport]:
     """verify_theorem over the whole sweep matrix, in a fixed order, with
-    its default 9 x points and 16x16 gate grid."""
+    its default 9 x points and 16x16 gate grid.
+
+    The gate depends on (fn, interval, q, s), and s only weights the
+    values, so each (fn, interval, q) table is built once, when its first
+    config comes up, and reduced for every s; one table is live at a time.
+    Lambda weights are shared across the sweep (lambda_memo).
+    """
+    gates: dict = {}
     reports = []
-    for theorem, fn_id, iv, s, q in _matrix_configs():
-        f = get_function(fn_id)
-        reports.append(verify_theorem(theorem, f, iv, s, q))
+    with lambda_memo():
+        for theorem, fn_id, iv, s, q in _matrix_configs():
+            f = get_function(fn_id)
+            q_val, _ = resolve_exponents(theorem, q)
+            key = (fn_id, iv, q_val)
+            if key not in gates:
+                gates[key] = _gates_over_s(theorem, f, iv, q_val)
+            reports.append(_gated_scan(theorem, f, iv, s, q, gates[key][s],
+                                       9, DEFAULT_TOL))
     return reports
+
+
+def _gates_over_s(theorem: str, f: FunctionSpec, iv: Interval,
+                  q: float) -> dict:
+    """The matrix's gate report for each s, from one table that dies here."""
+    table = tabulate(_gate_function(theorem, f, q), iv,
+                     ConvexityMode.HARMONICALLY_S_CONVEX, 16, None)
+    return {s: table.report(s) for s in MATRIX_S_VALUES}
 
 
 def matrix_summary(reports: list[VerifyReport]) -> dict:
@@ -278,18 +319,20 @@ def min_corollary_gap() -> float:
     derivative magnitude the theorem rhs uses; substituting it must only
     ever enlarge the bound. The returned minimum gap should therefore be
     nonnegative up to rounding. No hypothesis gate applies: the
-    monotonicity is structural.
+    monotonicity is structural. Both rhs share their lambda weights, and
+    so do all configs (lambda_memo).
     """
     worst = math.inf
-    for theorem, fn_id, iv, s, q in _matrix_configs():
-        f = get_function(fn_id)
-        xs = uniform_grid(iv.a, iv.b, 9)
-        m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
-        for x in xs:
-            gap = (ostrowski_rhs(theorem, f, x, iv, s, q, M=m_cap)
-                   - ostrowski_rhs(theorem, f, x, iv, s, q))
-            if gap < worst:
-                worst = gap
+    with lambda_memo():
+        for theorem, fn_id, iv, s, q in _matrix_configs():
+            f = get_function(fn_id)
+            xs = uniform_grid(iv.a, iv.b, 9)
+            m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
+            for x in xs:
+                gap = (ostrowski_rhs(theorem, f, x, iv, s, q, M=m_cap)
+                       - ostrowski_rhs(theorem, f, x, iv, s, q))
+                if gap < worst:
+                    worst = gap
     return worst
 
 
@@ -365,19 +408,22 @@ def run_battery() -> list[Check]:
     add(("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)),
          1e-10, 1))
 
-    # gated slack sweep over the theorem matrix
-    summary = matrix_summary(run_ostrowski_matrix())
-    min_slack = summary["min_slack"]
-    add(("ostrowski_matrix_slack", "min_slack",
-         -math.inf if min_slack is None else min_slack, SLACK_TOL,
-         summary["gated"]),
-        ("ostrowski_gate_coverage", "count_min",
-         float(len(summary["gated_pairs"])), 5.0, summary["reports"]))
+    # the matrix and the corollary sweep run the same configurations, so
+    # they share one set of lambda weights
+    with lambda_memo():
+        # gated slack sweep over the theorem matrix
+        summary = matrix_summary(run_ostrowski_matrix())
+        min_slack = summary["min_slack"]
+        add(("ostrowski_matrix_slack", "min_slack",
+             -math.inf if min_slack is None else min_slack, SLACK_TOL,
+             summary["gated"]),
+            ("ostrowski_gate_coverage", "count_min",
+             float(len(summary["gated_pairs"])), 5.0, summary["reports"]))
 
-    # replacing derivative magnitudes with a dominating M can only enlarge;
-    # min_corollary_gap sweeps the same configurations as the matrix
-    add(("corollary_monotonicity", "min_slack", min_corollary_gap(), 1e-12,
-         summary["reports"]))
+        # replacing derivative magnitudes with a dominating M can only
+        # enlarge; min_corollary_gap sweeps the same configurations
+        add(("corollary_monotonicity", "min_slack", min_corollary_gap(),
+             1e-12, summary["reports"]))
 
     # classic bound for f(x)=x, M=1 on [1, 2]
     f_id = get_function("id")

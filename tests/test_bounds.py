@@ -8,11 +8,13 @@ from conftest import canary_lambda_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsconvex import bounds
 from hsconvex.bounds import (BoundResult, ConjugatePair, LambdaArgs,
                              classic_ostrowski_rhs, hh_harmonic_bounds,
                              hh_s_convex_bounds, lambda5, lambda5_integrand,
-                             lambda_integrand, lambda_value, ostrowski_lhs,
-                             ostrowski_rhs, validate_q, validate_s)
+                             lambda_integrand, lambda_memo, lambda_value,
+                             ostrowski_lhs, ostrowski_rhs, validate_q,
+                             validate_s)
 from hsconvex.cli import main
 from hsconvex.errors import DomainError
 from hsconvex.numeric import FunctionSpec, Interval, get_function, integrate
@@ -130,6 +132,22 @@ class TestLambdaValue:
         # beta(rho+1, 1) equals beta(rho+1, s+1) when s = 0
         args = LambdaArgs(2, 1.0, 1.5, 0.0, 1.0, 1.0)
         assert canary_lambda_value(args) == lambda_value(args)
+
+    def test_memo_lives_for_its_outermost_block(self, monkeypatch):
+        computed = []
+        hyp2f1 = bounds.hyp2f1
+        monkeypatch.setattr(bounds, "hyp2f1",
+                            lambda *a: computed.append(a) or hyp2f1(*a))
+        args = LambdaArgs(1, 1.0, 1.5, 0.5, 1.0, 1.0)
+        value = lambda_value(args)
+        with lambda_memo():
+            assert lambda_value(args) == value
+            with lambda_memo():  # shares the enclosing block's memo
+                assert lambda_value(args) == value
+            assert lambda_value(args) == value
+        assert len(computed) == 2
+        lambda_value(args)  # the memo ended with the block
+        assert len(computed) == 3
 
 
 class TestLambda5:

@@ -1,10 +1,14 @@
 """End-to-end CLI tests driven in-process through main(argv)."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from conftest import canary_lambda_value
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsconvex import cli
 from hsconvex.cli import main
@@ -109,6 +113,20 @@ class TestHostileInput:
         # 1.7e11 gate triples: refused before the scan starts
         ("verify", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
          "--q", "1", "--grid-gate", "100000"),
+        # 1e9 x points: refused before the gate is scanned
+        ("verify", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
+         "--q", "1", "--grid", "1000000000"),
+        # the lambda5 integrand's denominator squared underflows to 0
+        ("lambda", "--kind", "5", "--theta", "1e-300", "--x", "0.82",
+         "--check"),
+        # lambda5 underflows to 0.0: no relative error exists
+        ("lambda", "--kind", "5", "--theta", "1e308", "--x", "1.05",
+         "--check"),
+        # base^(2 vartheta) underflows to 0 under the Beta factor
+        ("lambda", "--kind", "4", "--theta", "0.694315", "--x", "0.643997",
+         "--s", "0.75", "--vartheta", "1e9", "--rho", "2.5"),
+        # (f(a) + f(b)) / (s + 1) overflows to inf
+        ("hh", "--fn", "const:1e308", "--a", "1.35", "--b", "1.9"),
     ])
     def test_clean_exit(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
@@ -286,3 +304,76 @@ class TestParserEdges:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["verify", "--help"]) == 0
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# values the parser accepts that no command may take, and sizes that must
+# be refused before any work starts
+HOSTILE_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e308")
+FUZZ_FUNCTIONS = ("id", "inv", "neg", "const:2", "const:-1", "const:0",
+                  "pow:0.5", "pow:2", "pow:1e3", "const:1e308", "pow:-1",
+                  "pow:nan", "exp")
+
+
+def number(lo, hi):
+    return st.one_of(st.sampled_from(HOSTILE_NUMBERS),
+                     st.floats(lo, hi).map(lambda v: format(v, ".6g")))
+
+
+@st.composite
+def requests(draw):
+    """argv of one lambda, hh, ostrowski or verify request. Ordinary values
+    keep z = 1 - theta/x within [-3, 0.75]: near z = 1 the Euler route of
+    2F1 can still run for minutes, an open defect this test leaves out."""
+    command = draw(st.sampled_from(("lambda", "hh", "ostrowski", "verify")))
+    optional = []
+    if command == "lambda":
+        argv = ["lambda", "--kind", str(draw(st.integers(0, 6))),
+                "--theta", draw(number(0.5, 2.0)), "--x", draw(number(0.5, 2.0))]
+        optional = [("--s", number(0.0, 1.0)), ("--vartheta", number(0.5, 3.0)),
+                    ("--rho", number(0.0, 3.0)), ("--check", st.just(None))]
+    elif command == "hh":
+        argv = ["hh", "--fn", draw(st.sampled_from(FUZZ_FUNCTIONS)),
+                "--a", draw(number(0.25, 2.0)), "--b", draw(number(1.0, 4.0)),
+                "--variant", draw(st.sampled_from(("harmonic", "arithmetic")))]
+        optional = [("--s", number(0.0, 1.0)),
+                    ("--tol", st.sampled_from(("1e-6", "1e-12", "0", "-1")))]
+    else:
+        theorems = ("T2_2",) if command == "verify" else ("classic",)
+        argv = [command, "--theorem", draw(st.sampled_from(
+                    theorems + ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7"))),
+                "--fn", draw(st.sampled_from(FUZZ_FUNCTIONS)),
+                "--a", draw(number(0.25, 2.0)), "--b", draw(number(1.0, 4.0)),
+                "--grid-gate", str(draw(st.sampled_from((3, 4, 2, 0, 100000))))]
+        if command == "ostrowski":
+            argv += ["--x", draw(number(0.25, 4.0))]
+            optional = [("--M", number(0.0, 5.0))]
+        else:
+            argv += ["--grid", str(draw(st.sampled_from((1, 3, 0, 10 ** 9))))]
+        optional += [("--s", number(0.0, 1.0)), ("--q", number(1.0, 4.0)),
+                     ("--p", number(1.0, 4.0)),
+                     ("--seed", st.integers(0, 99).map(str))]
+    for flag, values in optional:
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestFuzz:
+    @given(requests())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_code_and_output_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        if code == 1:
+            assert argv[0] == "verify"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hsconvex.convexity import (VIOLATION_TOL, ConvexityMode, check_am_hm,
                                 check_convexity, grid_monotone,
                                 harmonic_combination,
-                                proposition_implications, uniform_grid)
+                                proposition_implications, tabulate,
+                                uniform_grid)
 from hsconvex.errors import DomainError
 from hsconvex.numeric import FunctionSpec, Interval, get_function
 
@@ -101,9 +102,15 @@ class TestCheckConvexity:
         r0 = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, 1.0)
         assert r1.samples > r0.samples
 
+    # const:2 ties everywhere at s = 1, so the witness rests on the
+    # tie-break alone; inv is harmonically affine
     @pytest.mark.parametrize("fn_id,s,seed", [("pow:2", 0.5, None),
                                               ("neg", 1.0, 7),
-                                              ("pow:0.5", 0.75, 3)])
+                                              ("pow:0.5", 0.75, 3),
+                                              ("const:2", 1.0, None),
+                                              ("const:2", 0.5, 5),
+                                              ("inv", 1.0, None),
+                                              ("inv", 0.25, 11)])
     def test_matches_defining_inequalities(self, fn_id, s, seed):
         f = get_function(fn_id)
         iv = Interval(0.5, 3.0)
@@ -125,10 +132,25 @@ class TestCheckConvexity:
     def test_evaluates_each_node_once(self):
         points = []
         f = FunctionSpec("counted", lambda u: points.append(u) or u * u)
-        check_convexity(f, Interval(1.0, 2.0),
-                        ConvexityMode.HARMONICALLY_S_CONVEX, 0.5, grid_n=8)
-        # one value per node, then one per triple at the combined point
-        assert len(points) == 8 + 17 * 8 * 8
+        rep = check_convexity(f, Interval(1.0, 2.0),
+                              ConvexityMode.HARMONICALLY_S_CONVEX, 0.5,
+                              grid_n=8)
+        # one value per node, then one per triple of the canonical half at
+        # the combined point: 28 pairs x < y over 17 t, 8 pairs x == y
+        # over the 9 t <= 1/2; samples still counts the full grid
+        assert len(points) == 8 + 28 * 17 + 8 * 9
+        assert rep.samples == 8 * 8 * 17
+
+    @pytest.mark.parametrize("mode", list(ConvexityMode))
+    def test_one_table_serves_every_s(self, mode):
+        f = get_function("pow:0.5")
+        iv = Interval(0.5, 3.0)
+        table = tabulate(f, iv, mode, 8, 3)
+        for s in (0.25, 0.5, 0.75, 1.0):
+            assert table.report(s) == check_convexity(f, iv, mode, s,
+                                                      grid_n=8, seed=3)
+        with pytest.raises(DomainError):
+            table.report(1.5)
 
     def test_scan_cap_refuses_before_evaluating(self):
         class Started(Exception):

@@ -59,3 +59,33 @@ def test_settable_values_pinned():
     # purpose, by raising this count in the same change
     files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
     assert sum(settable_values(f) for f in files) == 24
+
+
+def process_caches(path: Path) -> list[str]:
+    """Uses of functools.cache or functools.lru_cache in path: a cache that
+    lives as long as the process would carry one run's values into the next."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{path.name}:{node.lineno}: {alias.name}"
+                      for alias in node.names
+                      if alias.name in ("cache", "lru_cache")]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("cache", "lru_cache")
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            found.append(f"{path.name}:{node.lineno}: functools.{node.attr}")
+    return found
+
+
+def test_no_process_wide_caches():
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    assert [hit for f in files for hit in process_caches(f)] == []
+
+
+def test_cache_detector_finds_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import functools\nfrom functools import lru_cache\n"
+                     "@functools.cache\ndef f(): pass\n", encoding="utf-8")
+    assert process_caches(probe) == ["probe.py:2: lru_cache",
+                                     "probe.py:3: functools.cache"]

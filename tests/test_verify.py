@@ -1,17 +1,20 @@
 """Referee-layer tests: lemma residual, theorem gating, oracle consistency."""
 
 import math
+from collections import Counter
 
 import pytest
 from conftest import canary_lambda_value
 
+from hsconvex import bounds
 from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
                              lambda5_integrand, lambda_integrand, lambda_value)
 from hsconvex.errors import DomainError
-from hsconvex.numeric import Interval, get_function, integrate
-from hsconvex.verify import (SLACK_TOL, VerifyReport, lambda_consistency_rows,
-                             lemma_residual, matrix_summary,
-                             min_corollary_gap, run_ostrowski_matrix,
+from hsconvex.numeric import FunctionSpec, Interval, get_function, integrate
+from hsconvex.verify import (MAX_X_GRID, SLACK_TOL, VerifyReport,
+                             lambda_consistency_rows, lemma_residual,
+                             matrix_summary, min_corollary_gap,
+                             run_battery, run_ostrowski_matrix,
                              verify_theorem)
 
 IV12 = Interval(1.0, 2.0)
@@ -104,6 +107,14 @@ class TestVerifyTheorem:
         with pytest.raises(DomainError):
             verify_theorem("T2_3", get_function("id"), IV12, 1.0, 1.0, x_grid=0)
 
+    def test_x_grid_cap_refuses_before_evaluating(self):
+        points = []
+        f = FunctionSpec("counted", lambda u: points.append(u) or u)
+        for x_grid in (MAX_X_GRID + 1, 10 ** 9):
+            with pytest.raises(DomainError):
+                verify_theorem("T2_3", f, IV12, 1.0, 1.0, x_grid=x_grid)
+        assert points == []
+
     def test_deterministic_serialization(self):
         r1 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0)
         r2 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0)
@@ -165,3 +176,67 @@ class TestMatrix:
     def test_corollary_gap_nonnegative(self):
         gap = min_corollary_gap()
         assert gap >= -1e-12
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count FunctionSpec evaluations by fn_id prefix ('|' marks a gate's
+    |f'|^q), 2F1 evaluations of the lambda weights, and the distinct
+    LambdaArgs asked for."""
+    c = Counter()
+    asked = set()
+    call = FunctionSpec.__call__
+    hyp2f1 = bounds.hyp2f1
+    lambda_value = bounds.lambda_value
+
+    def counted_call(spec, x):
+        c["gate_evals" if spec.fn_id.startswith("|") else "f_evals"] += 1
+        return call(spec, x)
+
+    def counted_hyp2f1(*args):
+        c["hyp2f1"] += 1
+        return hyp2f1(*args)
+
+    def recorded_lambda(args):
+        c["lambda_calls"] += 1
+        asked.add(args)
+        return lambda_value(args)
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counted_call)
+    monkeypatch.setattr(bounds, "hyp2f1", counted_hyp2f1)
+    monkeypatch.setattr(bounds, "lambda_value", recorded_lambda)
+    c.asked = asked
+    return c
+
+
+class TestReuse:
+    # a 16 x 16 gate tabulates its nodes, 120 pairs x < y over 17 t and 16
+    # pairs x == y over 9 t
+    GATE_TABLE_EVALS = 16 + 120 * 17 + 16 * 9
+
+    def test_matrix_builds_one_gate_table_per_fn_interval_q(self, counts):
+        reports = run_ostrowski_matrix()
+        assert len(reports) == 192
+        # 6 functions x 2 intervals x 2 q, not 192 gates
+        assert counts["gate_evals"] == 24 * self.GATE_TABLE_EVALS
+
+    @pytest.mark.parametrize("sweep", [run_ostrowski_matrix, min_corollary_gap])
+    def test_sweep_computes_each_lambda_weight_once(self, counts, sweep):
+        sweep()
+        # a weight depends on the interval, x, s and (vartheta, rho), not on
+        # f: 2 intervals x 2 s x 4 (vartheta, rho) x 32 plus 2 x 16 for T2_7
+        assert counts["hyp2f1"] == len(counts.asked) == 544
+        assert counts["lambda_calls"] > 10 * 544
+
+    def test_memo_ends_with_the_run(self, counts):
+        totals = []
+        for _ in range(2):
+            counts.clear()
+            run_battery()
+            totals.append(dict(counts))
+        # a cache that outlived the first run would cut the second's counts
+        assert totals[0] == totals[1]
+        # the lambda sweep's 240 rows plus the 544 weights the matrix and
+        # the corollary sweep share
+        assert totals[0]["hyp2f1"] == 240 + 544
+        assert totals[0]["f_evals"] + totals[0]["gate_evals"] <= 250_000
