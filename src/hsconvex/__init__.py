@@ -9,7 +9,7 @@ an independent adaptive-quadrature oracle.
 from .errors import DomainError, NumericError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, QuadResult,
                       derivative, get_function, integrate, weighted_mean)
-from .specfn import SpecFnConfig, beta, hyp2f1, ln_gamma
+from .specfn import beta, hyp2f1
 from .convexity import (ConvexityMode, ConvexityReport, check_am_hm,
                         check_convexity, grid_monotone, harmonic_combination,
                         proposition_implications)
@@ -26,12 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundResult", "ConjugatePair", "ConvexityMode", "ConvexityReport",
     "DEFAULT_TOL", "DomainError", "FunctionSpec", "Interval", "LambdaArgs",
-    "NumericError", "QuadResult", "SpecFnConfig", "VerifyReport",
+    "NumericError", "QuadResult", "VerifyReport",
     "beta", "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
     "derivative", "get_function", "grid_monotone", "harmonic_combination",
     "hh_harmonic_bounds", "hh_s_convex_bounds", "hyp2f1", "integrate",
     "lambda5", "lambda_consistency_rows", "lambda_value",
-    "lemma_residual", "ln_gamma", "matrix_summary", "min_corollary_gap",
+    "lemma_residual", "matrix_summary", "min_corollary_gap",
     "ostrowski_lhs", "ostrowski_rhs", "proposition_implications",
     "run_ostrowski_matrix", "verify_theorem", "weighted_mean",
 ]

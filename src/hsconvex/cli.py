@@ -39,7 +39,9 @@ def _to_json(obj) -> str:
 
     The stdlib encoder does not allow overriding float formatting, and the
     output contract here fixes it, so the few shapes we emit are handled
-    directly. Dict keys keep insertion order.
+    directly. Dict keys keep insertion order. A non-finite float, which
+    JSON cannot hold, is written as null (the value of a selftest row
+    whose gate failed is -inf).
     """
     if obj is None:
         return "null"
@@ -52,7 +54,7 @@ def _to_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, dict):

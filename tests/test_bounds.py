@@ -2,9 +2,11 @@
 
 import json
 import math
+import random
 
+import mpmath
 import pytest
-from conftest import canary_lambda_value
+from conftest import canary_lambda_value, lambda_shapes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +123,24 @@ class TestLambdaValue:
         args = LambdaArgs(4, 1.9, 1.0, 0.75, 1.5, 1.5)
         oracle = integrate(lambda_integrand(args), 0.0, 1.0, 1e-12).value
         assert lambda_value(args) == pytest.approx(oracle, rel=1e-10)
+
+    def test_against_mpmath_up_to_one(self):
+        # kinds 1..4 over z in [0, 1 - 1e-10], vartheta <= 6, rho <= 6 and
+        # s in [0, 1]; every other weight has m = c - a - b an integer or
+        # within 1e-14..1e-3 of one. The reference takes the float z of
+        # args, so it measures the evaluation, not the rounding of z.
+        rng = random.Random(5)
+        worst = 0.0
+        for kind, s, vartheta, rho, b, b2, c in lambda_shapes(5, 400):
+            z = rng.choice((rng.random(), 1.0 - 10.0 ** rng.uniform(-10.0, -1.0)))
+            theta, x = (1.0 - z, 1.0) if kind in (1, 2) else (1.0, 1.0 - z)
+            args = LambdaArgs(kind, theta, x, s, vartheta, rho)
+            with mpmath.workdps(40):
+                base = x if kind in (1, 2) else theta
+                ref = (mpmath.beta(b, b2) / mpmath.mpf(base) ** (2 * vartheta)
+                       * mpmath.hyp2f1(2 * vartheta, b, c, args.z))
+                worst = max(worst, float(abs((lambda_value(args) - ref) / ref)))
+        assert worst <= 1e-10
 
     def test_variant_disagrees_for_positive_s(self):
         args = LambdaArgs(2, 1.0, 1.5, 1.0, 1.0, 1.0)

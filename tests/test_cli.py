@@ -137,6 +137,25 @@ class TestHostileInput:
             json.loads(out)
 
 
+class TestZNearOne:
+    # lambda weights with z = 1 - theta/x close to 1, where 2F1 is the
+    # continuation of the series along its differential equation
+    @pytest.mark.parametrize("argv", [
+        ("lambda", "--kind", "1", "--theta", "1", "--x", "1000", "--s", "0.5",
+         "--vartheta", "6", "--rho", "2"),
+        ("ostrowski", "--theorem", "T2_3", "--fn", "id", "--a", "1e-7",
+         "--b", "1", "--x", "0.5", "--q", "2"),
+        ("lambda", "--kind", "1", "--theta", "1e-9", "--x", "1", "--s", "1",
+         "--vartheta", "1", "--rho", "1"),
+    ])
+    def test_finite_answer(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject_constant)
+        value = doc["value"] if argv[0] == "lambda" else doc["rhs"]
+        assert math.isfinite(value) and value > 0.0
+
+
 class TestOstrowskiCommand:
     def test_classic(self, capsys):
         code, out, _ = run(capsys, "ostrowski", "--theorem", "classic",
@@ -290,6 +309,18 @@ class TestSelftestCommand:
         failing = [c["check"] for c in doc["checks"] if not c["pass"]]
         assert failing == ["lambda_fidelity_kinds_1_4"]
 
+    def test_failed_gate_row_is_json(self, battery, selftest):
+        # a row whose gate failed has the value -inf, which JSON cannot
+        # hold: it is written as null, and the exit code stays 1
+        rows = [Check(c.name, c.kind, -math.inf, c.limit, c.cases, 0.0)
+                if c.name == "hh_chain_slack" else c for c in battery]
+        code, out, _ = selftest("--format", "json", rows=rows)
+        assert code == 1
+        doc = json.loads(out, parse_constant=reject_constant)
+        row = next(c for c in doc["checks"] if c["check"] == "hh_chain_slack")
+        assert row["value"] is None and row["pass"] is False
+        assert doc["pass"] is False
+
     def test_table_format(self, selftest):
         code, out, _ = selftest()
         assert code == 0
@@ -325,16 +356,29 @@ def number(lo, hi):
 
 @st.composite
 def requests(draw):
-    """argv of one lambda, hh, ostrowski or verify request. Ordinary values
-    keep z = 1 - theta/x within [-3, 0.75]: near z = 1 the Euler route of
-    2F1 can still run for minutes, an open defect this test leaves out."""
+    """argv of one lambda, hh, ostrowski or verify request. A lambda request
+    without --check names a kind 1..4 with ordinary --s, --vartheta and
+    --rho, and draws theta/x over 1e-10..1e10, so z = 1 - theta/x (or
+    1 - x/theta) reaches 1 - 1e-10. With --check, ordinary values keep z
+    within [-3, 0.75]: near z = 1 the quadrature oracle's depth bound does
+    not bound its work, an open defect this test leaves out."""
     command = draw(st.sampled_from(("lambda", "hh", "ostrowski", "verify")))
     optional = []
     if command == "lambda":
-        argv = ["lambda", "--kind", str(draw(st.integers(0, 6))),
-                "--theta", draw(number(0.5, 2.0)), "--x", draw(number(0.5, 2.0))]
-        optional = [("--s", number(0.0, 1.0)), ("--vartheta", number(0.5, 3.0)),
-                    ("--rho", number(0.0, 3.0)), ("--check", st.just(None))]
+        weights = [("--s", (0.0, 1.0)), ("--vartheta", (0.5, 3.0)),
+                   ("--rho", (0.0, 3.0))]
+        if draw(st.booleans()):
+            argv = ["lambda", "--kind", str(draw(st.integers(0, 6))),
+                    "--theta", draw(number(0.5, 2.0)),
+                    "--x", draw(number(0.5, 2.0)), "--check"]
+            optional = [(flag, number(*span)) for flag, span in weights]
+        else:
+            ratio = draw(st.floats(-10.0, 10.0).map(lambda e: 10.0 ** e))
+            x = draw(st.floats(0.5, 2.0))
+            argv = ["lambda", "--kind", str(draw(st.integers(1, 4))),
+                    "--theta", format(x * ratio, ".17g"), "--x", format(x, ".17g")]
+            argv += [v for flag, span in weights
+                     for v in (flag, format(draw(st.floats(*span)), ".6g"))]
     elif command == "hh":
         argv = ["hh", "--fn", draw(st.sampled_from(FUZZ_FUNCTIONS)),
                 "--a", draw(number(0.25, 2.0)), "--b", draw(number(1.0, 4.0)),

@@ -1,36 +1,32 @@
-"""Log-gamma, Beta, and Gauss hypergeometric tests."""
+"""Beta and Gauss hypergeometric tests. mpmath, a test-only dependency,
+is the reference for both hyp2f1 routes on each side of the cutoff."""
 
 import math
+import random
+import sys
 
+import mpmath
 import pytest
+from conftest import lambda_shapes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsconvex import specfn
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.specfn import SpecFnConfig, beta, hyp2f1, ln_gamma
+from hsconvex.specfn import Z_CAP, beta, hyp2f1
+
+CUTOFF = specfn.DEFAULT_CONFIG.z_series_cutoff
+# z on both sides of the cutoff, up to 1 - 1e-10
+Z_POINTS = (0.0, 0.3, 0.75, CUTOFF, 0.9000001, 0.95, 0.999, 1.0 - 1e-6,
+            1.0 - 1e-10)
+# z of the closed-form identities, on both sides of the cutoff
+IDENTITY_Z = (0.1, 0.5, 0.85, 0.95, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
-class TestLnGamma:
-    def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
-
-    def test_integers(self):
-        # Gamma(n) = (n-1)!
-        fact = 1.0
-        for n in range(1, 15):
-            assert ln_gamma(float(n)) == pytest.approx(math.log(fact), abs=1e-12)
-            fact *= n
-
-    @given(st.floats(min_value=0.5, max_value=200.0))
-    @settings(max_examples=300, deadline=None)
-    def test_against_stdlib(self, x):
-        assert abs(ln_gamma(x) - math.lgamma(x)) <= 1e-12 * max(1.0, abs(math.lgamma(x)))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-1.5)
+def rel_err(value: float, a: float, b: float, c: float, z: float) -> float:
+    with mpmath.workdps(40):
+        ref = mpmath.hyp2f1(a, b, c, z)
+        return float(abs((value - ref) / ref))
 
 
 class TestBeta:
@@ -73,20 +69,16 @@ class TestHyp2F1:
             assert hyp2f1(0.5, 1.0, 1.5, z * z) == pytest.approx(ref, rel=1e-12)
 
     def test_dilog_style_identity(self):
-        # 2F1(1, 1; 3; z) = 2 (z + (1-z) ln(1-z)) / z^2
-        for z in (0.1, 0.5, 0.85):
+        # 2F1(1, 1; 3; z) = 2 (z + (1-z) ln(1-z)) / z^2, where c - a - b = 1
+        for z in IDENTITY_Z:
             ref = 2.0 * (z + (1.0 - z) * math.log1p(-z)) / (z * z)
             assert hyp2f1(1.0, 1.0, 3.0, z) == pytest.approx(ref, rel=1e-11)
 
-    def test_series_euler_agreement(self):
-        # both evaluation routes must agree where their regions overlap
-        cfg_series = SpecFnConfig(z_series_cutoff=0.95)
-        cfg_euler = SpecFnConfig(z_series_cutoff=0.05)
-        for a, b, c in ((1.0, 1.0, 2.0), (2.0, 1.5, 3.5), (0.5, 2.0, 4.0)):
-            for z in (0.1, 0.45, 0.9):
-                v_series = hyp2f1(a, b, c, z, cfg_series)
-                v_euler = hyp2f1(a, b, c, z, cfg_euler)
-                assert v_series == pytest.approx(v_euler, rel=1e-9)
+    def test_pole_identity(self):
+        # 2F1(2, 1; 2; z) = 1 / (1-z), where c - a - b = -1
+        for z in IDENTITY_Z:
+            assert hyp2f1(2.0, 1.0, 2.0, z) == pytest.approx(1.0 / (1.0 - z),
+                                                             rel=1e-13)
 
     def test_monotone_in_z(self):
         # positive-coefficient series, so nondecreasing in z
@@ -109,29 +101,80 @@ class TestHyp2F1:
 
     def test_near_one_large_value(self):
         # close to the z=1 singularity but inside the allowed domain the
-        # Euler route must still deliver a finite, accurate value
+        # continuation must still deliver a finite, accurate value
         z = 0.999
         ref = -math.log1p(-z) / z
         assert hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(ref, rel=1e-9)
 
     def test_series_budget_exhaustion(self):
-        cfg = SpecFnConfig(series_max_terms=5, z_series_cutoff=0.95)
+        # at c = 200 the continuation loses too much to cancellation, and
+        # the Gauss series at z this close to 1 needs more terms than the
+        # budget allows
         with pytest.raises(NumericError) as exc_info:
-            hyp2f1(1.0, 1.0, 2.0, 0.9, cfg)
+            hyp2f1(4.0, 199.0, 200.0, 1.0 - 1e-6)
         # the error carries the partial sum it got to
         assert math.isfinite(exc_info.value.value)
         assert exc_info.value.value > 1.0
 
 
-class TestConfig:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            SpecFnConfig(series_rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SpecFnConfig(series_rel_tol=1e-5)
-        with pytest.raises(DomainError):
-            SpecFnConfig(series_max_terms=0)
-        with pytest.raises(DomainError):
-            SpecFnConfig(z_series_cutoff=1.0)
-        with pytest.raises(DomainError):
-            SpecFnConfig(z_series_cutoff=0.0)
+class TestAgainstMpmath:
+    def test_lambda_domain_sweep(self):
+        worst = 0.0
+        for _, _, vartheta, _, b, _, c in lambda_shapes(6, 160):
+            a = 2.0 * vartheta
+            for z in Z_POINTS:
+                worst = max(worst, rel_err(hyp2f1(a, b, c, z), a, b, c, z))
+        assert worst <= 1e-10
+
+    def test_large_c_is_accurate_or_refused(self):
+        # a large c makes the continuation cancel; no value may come back
+        # that the loss estimate should have refused
+        rng = random.Random(7)
+        returned = refused = 0
+        for _ in range(120):
+            kind, rho, s = rng.randint(1, 4), rng.uniform(40.0, 300.0), rng.random()
+            a = 2.0 * rng.uniform(0.05, 6.0)
+            b = {1: rho + s + 1.0, 2: rho + 1.0, 3: 1.0, 4: s + 1.0}[kind]
+            c = rho + s + 2.0
+            z = 1.0 - 10.0 ** rng.uniform(-10.0, -1.05)
+            try:
+                value = hyp2f1(a, b, c, z)
+            except NumericError:
+                refused += 1
+                continue
+            returned += 1
+            assert rel_err(value, a, b, c, z) <= 1e-8
+        assert returned > 0 and refused > 0
+
+
+def sums_in(call) -> int:
+    """Number of sums (calls of specfn's helpers) that call() makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if (event == "call" and code.co_filename == specfn.__file__
+                and code.co_name != "hyp2f1"):
+            count += 1
+    sys.setprofile(profile)
+    try:
+        call()
+    except NumericError:
+        pass
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestWorkBound:
+    def test_at_most_41_sums(self):
+        # one series at z = 1/2, at most 39 steps to Z_CAP, and at most one
+        # fallback series; each sum stops at SERIES_MAX_TERMS terms
+        z_top = math.nextafter(Z_CAP, 0.0)
+        counts = [sums_in(lambda: hyp2f1(a, b, c, z))
+                  for a, b, c in ((1.0, 1.0, 2.0), (12.0, 7.0, 8.0),
+                                  (4.0, 199.0, 200.0), (2.0, 60.0, 62.0))
+                  for z in (0.5, CUTOFF, 0.95, 1.0 - 1e-9, z_top)]
+        assert max(counts) <= 41
+        assert sums_in(lambda: hyp2f1(1.0, 1.0, 2.0, z_top)) == 40
