@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DomainError, NumericError
-from .numeric import DEFAULT_TOL, FunctionSpec, Interval, derivative, integrate, weighted_mean
+from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
+                      integrate, validate_s, weighted_mean)
 from .specfn import Z_CAP, beta, hyp2f1
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
@@ -36,13 +37,6 @@ OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
 # switch point between the elementary lambda5 closed form and its Taylor
 # expansion about theta = x; below this the closed form cancels catastrophically
 _LAMBDA5_TAYLOR_CUT = 1e-4
-
-
-def validate_s(s: float) -> float:
-    """s-convexity exponent: s in (0, 1]."""
-    if not (math.isfinite(s) and 0.0 < s <= 1.0):
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    return s
 
 
 def validate_q(q: float) -> float:
@@ -417,8 +411,8 @@ CSV_FIELDS = ("theorem", "x", "a", "b", "s", "q", "p", "M",
 @dataclass(frozen=True)
 class BoundResult:
     """One inequality instance: lhs, rhs, slack = rhs - lhs, and whether the
-    hypothesis gate passed. fd_fallback marks derivative magnitudes that came
-    from finite differences rather than an analytic derivative."""
+    hypothesis gate passed. Every derivative magnitude is analytic, so the
+    document's fd_fallback flag is always false."""
 
     theorem: str
     x: float
@@ -432,9 +426,8 @@ class BoundResult:
     rhs: float
     slack: float
     hypothesis_ok: bool
-    fd_fallback: bool = False
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in CSV_FIELDS}
-        d["fd_fallback"] = self.fd_fallback
+        d["fd_fallback"] = False
         return d

@@ -23,11 +23,12 @@ from .bounds import (CSV_FIELDS, BoundResult, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
-                     ostrowski_rhs, resolve_exponents)
+                     OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
 from .convexity import VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
 from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
-from .verify import hypothesis_gate, run_battery, verify_theorem
+from .verify import (VERIFY_THEOREMS, hypothesis_gate, run_battery,
+                     verify_theorem)
 
 
 def _fmt(v: float) -> str:
@@ -178,8 +179,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         hyp_ok = worst <= ns.M + VIOLATION_TOL
         result = BoundResult("classic", ns.x, iv.a, iv.b, ns.s, None, None,
                              ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                             hypothesis_ok=hyp_ok,
-                             fd_fallback=f.deriv_fn is None)
+                             hypothesis_ok=hyp_ok)
     else:
         q_val, pair = resolve_exponents(ns.theorem, (ns.q, ns.p))
         p_val = pair.p if pair else None
@@ -190,8 +190,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
                             M=ns.M)
         result = BoundResult(ns.theorem, ns.x, iv.a, iv.b, ns.s, q_val, p_val,
                              ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                             hypothesis_ok=gate.holds,
-                             fd_fallback=f.deriv_fn is None and ns.M is None)
+                             hypothesis_ok=gate.holds)
     doc = result.to_dict()
     _emit_document(ns, CSV_FIELDS, [doc], doc)
     return 0
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ostrowski", help="evaluate one bound instance at x")
     p.add_argument("--theorem", required=True,
-                   choices=("classic", "T2_3", "T2_4", "T2_5", "T2_6", "T2_7"))
+                   choices=("classic",) + OSTROWSKI_THEOREMS)
     p.add_argument("--fn", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="gate a theorem's hypothesis and scan "
                                       "its slack over an x grid")
     p.add_argument("--theorem", required=True,
-                   choices=("T2_2", "T2_3", "T2_4", "T2_5", "T2_6", "T2_7"))
+                   choices=VERIFY_THEOREMS)
     p.add_argument("--fn", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)

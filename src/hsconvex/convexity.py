@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .numeric import FunctionSpec, Interval, get_function
+from .numeric import FunctionSpec, Interval, get_function, validate_s
 
 # inequalities are tight at t in {0, 1}; tolerate float noise up to here
 VIOLATION_TOL = 1e-12
@@ -67,7 +67,8 @@ def harmonic_combination(x: float, y: float, t: float) -> float:
     """Return xy/(tx + (1-t)y), the harmonic analogue of tx + (1-t)y.
 
     The result lies between min(x, y) and max(x, y); t=0 gives x, t=1
-    gives y.
+    gives y. Where xy underflows or overflows, the equal form
+    1/(t/y + (1-t)/x) is used instead, held inside [min, max].
     """
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"harmonic_combination requires x, y > 0, got ({x}, {y})")
@@ -77,7 +78,11 @@ def harmonic_combination(x: float, y: float, t: float) -> float:
         return x
     if t == 1.0:
         return y
-    return x * y / (t * x + (1.0 - t) * y)
+    xy = x * y
+    if 2.0 ** -1022 <= xy < math.inf:  # xy is normal: 2^-1022 is the least
+        return xy / (t * x + (1.0 - t) * y)
+    h = 1.0 / (t / y + (1.0 - t) / x)
+    return min(max(h, min(x, y)), max(x, y))
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -94,11 +99,6 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
 # is its t <= 1/2 part
 T_GRID = tuple(uniform_grid(0.0, 1.0, T_GRID_N))
 T_HALF = T_GRID[:T_GRID_N // 2 + 1]
-
-
-def _require_s(s: float) -> None:
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s}")
 
 
 class ConvexityTable(NamedTuple):
@@ -124,7 +124,7 @@ class ConvexityTable(NamedTuple):
 
     def report(self, s: float) -> ConvexityReport:
         """The scan's maximum of lhs - rhs and its witness at exponent s."""
-        _require_s(s)
+        validate_s(s)
         harmonic = self.harmonic
 
         def weigh(t: float) -> tuple[float, float, float]:
@@ -204,7 +204,7 @@ def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
     s must lie in (0, 1]. samples counts the full grid, though f is
     evaluated on its canonical half only (see ConvexityTable).
     """
-    _require_s(s)
+    validate_s(s)
     return tabulate(f, iv, mode, grid_n, seed).report(s)
 
 
@@ -258,7 +258,7 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
     scanned, and a consequent is scanned only where an antecedent holds.
     """
     for s in s_values:
-        _require_s(s)
+        validate_s(s)
     s_mode = ConvexityMode.S_CONVEX_SECOND_SENSE
     h_mode = ConvexityMode.HARMONICALLY_S_CONVEX
     rows: list[dict] = []

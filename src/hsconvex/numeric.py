@@ -6,9 +6,9 @@ Gauss-Kronrod 7/15 scheme. The embedded 7-point Gauss rule provides the
 error estimate |K15 - G7| per panel; the panel with the worst estimate is
 bisected until the summed estimate drops below the caller's tolerance.
 
-`FunctionSpec` packages an evaluable f on (0, inf) with an optional
-analytic f'; the registry maps the CLI's function vocabulary
-(const:<c>, id, pow:<r>, inv, neg) onto FunctionSpec instances.
+`FunctionSpec` packages an evaluable f on (0, inf) with its analytic f'
+or None; the registry maps the CLI's function vocabulary (const:<c>, id,
+pow:<r>, inv, neg) onto FunctionSpec instances, each with its f'.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ _WG = (
 )
 
 
+def validate_s(s: float) -> float:
+    """s-convexity exponent: s in (0, 1]."""
+    if not (math.isfinite(s) and 0.0 < s <= 1.0):
+        raise DomainError(f"s must lie in (0, 1], got {s}")
+    return s
+
+
 @dataclass(frozen=True)
 class QuadResult:
     """One quadrature answer: value, error estimate, evaluation count."""
@@ -83,7 +90,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """An evaluable scalar function with optional analytic derivative.
+    """An evaluable scalar function with its analytic derivative or None.
 
     eval_fn and deriv_fn receive points from (0, inf]; 0 is an open
     endpoint (several registry functions blow up there).
@@ -104,17 +111,6 @@ class FunctionSpec:
             raise DomainError(f"{self.fn_id}: evaluation failed at {x}") from exc
         if not math.isfinite(v):
             raise DomainError(f"{self.fn_id}: non-finite value at {x}")
-        return v
-
-    def deriv(self, x: float) -> float:
-        if self.deriv_fn is None:
-            raise DomainError(f"{self.fn_id}: no analytic derivative")
-        try:
-            v = self.deriv_fn(x)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise DomainError(f"{self.fn_id}: derivative failed at {x}") from exc
-        if not math.isfinite(v):
-            raise DomainError(f"{self.fn_id}: non-finite derivative at {x}")
         return v
 
 
@@ -215,20 +211,18 @@ def weighted_mean(f: FunctionSpec, iv: Interval, tol: float = DEFAULT_TOL) -> fl
     return iv.a * iv.b / (iv.b - iv.a) * q.value
 
 
-_CBRT_EPS = float(2.0 ** -52) ** (1.0 / 3.0)
-
-
 def derivative(f: FunctionSpec, x: float) -> float:
-    """Return f'(x): the analytic derivative when present, else a central
-    difference with step h = cbrt(machine epsilon) * max(1, |x|)."""
-    if f.deriv_fn is not None:
-        return f.deriv(x)
-    h = _CBRT_EPS * max(1.0, abs(x))
-    if x - h <= 0.0:
-        raise DomainError(
-            f"{f.fn_id}: x={x} too close to the domain boundary for a "
-            "central difference and no analytic derivative is available")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+    """Return the analytic f'(x). Raises DomainError when f has no
+    deriv_fn, or when deriv_fn fails or is not finite at x."""
+    if f.deriv_fn is None:
+        raise DomainError(f"{f.fn_id}: no analytic derivative")
+    try:
+        v = f.deriv_fn(x)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DomainError(f"{f.fn_id}: derivative failed at {x}") from exc
+    if not math.isfinite(v):
+        raise DomainError(f"{f.fn_id}: non-finite derivative at {x}")
+    return v
 
 
 def _make_pow(r: float) -> FunctionSpec:

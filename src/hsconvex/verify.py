@@ -23,13 +23,13 @@ from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda5_integrand, lambda_integrand, lambda_memo,
                      lambda_value, ostrowski_rhs, resolve_exponents,
-                     validate_s, OSTROWSKI_THEOREMS)
+                     OSTROWSKI_THEOREMS)
 from .convexity import (VIOLATION_TOL, ConvexityMode, ConvexityReport,
                         check_am_hm, check_convexity, proposition_implications,
                         tabulate, uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
-                      get_function, integrate, weighted_mean)
+                      get_function, integrate, validate_s, weighted_mean)
 from .specfn import beta, hyp2f1
 
 # combined quadrature + special-function error across an lhs/rhs pair stays
@@ -99,11 +99,15 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
 def _gate_function(theorem: str, f: FunctionSpec,
                   q: Optional[float]) -> FunctionSpec:
     """The function whose harmonic s-convexity `theorem` assumes: f for
-    T2_2, u -> |f'(u)|^q for the Ostrowski-type theorems."""
+    T2_2, u -> |f'(u)|^q for the Ostrowski-type theorems: one closure over
+    f.deriv_fn, guarded once per value by the spec's own call."""
     if theorem == "T2_2":
         return f
+    deriv_fn = f.deriv_fn
+    if deriv_fn is None:
+        raise DomainError(f"{f.fn_id}: no analytic derivative")
     return FunctionSpec(fn_id=f"|{f.fn_id}'|^{q:g}",
-                        eval_fn=lambda u: abs(derivative(f, u)) ** q)
+                        eval_fn=lambda u: abs(deriv_fn(u)) ** q)
 
 
 def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
@@ -161,7 +165,6 @@ def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         return VerifyReport(theorem=theorem, grid=grid_desc, results=[],
                             min_slack=None, hypothesis_ok=False, passed=False)
 
-    fd = f.deriv_fn is None and theorem != "T2_2"
     results: list[BoundResult] = []
     if theorem == "T2_2":
         left, middle, right = hh_harmonic_bounds(f, iv, s, tol)
@@ -179,7 +182,7 @@ def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
             rhs = ostrowski_rhs(theorem, f, x, iv, s, q)
             results.append(BoundResult(theorem, x, a, b, s, q_val, p_val, None,
                                        lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                                       hypothesis_ok=True, fd_fallback=fd))
+                                       hypothesis_ok=True))
 
     min_slack = min(r.slack for r in results)
     return VerifyReport(theorem=theorem, grid=grid_desc, results=results,

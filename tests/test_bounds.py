@@ -15,11 +15,11 @@ from hsconvex.bounds import (BoundResult, ConjugatePair, LambdaArgs,
                              classic_ostrowski_rhs, hh_harmonic_bounds,
                              hh_s_convex_bounds, lambda5, lambda5_integrand,
                              lambda_integrand, lambda_memo, lambda_value,
-                             ostrowski_lhs, ostrowski_rhs, validate_q,
-                             validate_s)
+                             ostrowski_lhs, ostrowski_rhs, validate_q)
 from hsconvex.cli import main
 from hsconvex.errors import DomainError
-from hsconvex.numeric import FunctionSpec, Interval, get_function, integrate
+from hsconvex.numeric import (FunctionSpec, Interval, get_function, integrate,
+                              validate_s)
 
 
 class TestValidators:

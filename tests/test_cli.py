@@ -127,6 +127,9 @@ class TestHostileInput:
          "--s", "0.75", "--vartheta", "1e9", "--rho", "2.5"),
         # (f(a) + f(b)) / (s + 1) overflows to inf
         ("hh", "--fn", "const:1e308", "--a", "1.35", "--b", "1.9"),
+        # the gate's |f'|^q = (2u)^100 overflows at u = 1e10
+        ("verify", "--theorem", "T2_3", "--fn", "pow:2", "--a", "1", "--b",
+         "1e10", "--q", "100"),
     ])
     def test_clean_exit(self, capsys, argv):
         code, out, _ = run(capsys, *argv)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex.convexity import (VIOLATION_TOL, ConvexityMode, check_am_hm,
-                                check_convexity, grid_monotone,
+from hsconvex.convexity import (T_GRID, VIOLATION_TOL, ConvexityMode,
+                                check_am_hm, check_convexity, grid_monotone,
                                 harmonic_combination,
                                 proposition_implications, tabulate,
                                 uniform_grid)
@@ -55,6 +55,25 @@ class TestHarmonicCombination:
         # swapping points and reflecting t is the same combination; on
         # dyadic t both orderings hit identical floats in the denominator
         assert harmonic_combination(y, x, 1.0 - t) == pytest.approx(h, rel=1e-12)
+
+    def test_between_where_xy_underflows_or_overflows(self):
+        extremes = (1e-300, 1e-200, 1e-180, 1e200, 1e300)
+        for x in extremes:
+            for y in extremes:
+                for t in T_GRID:
+                    h = harmonic_combination(x, y, t)
+                    assert min(x, y) <= h <= max(x, y), (x, y, t)
+        # x*y = 1e-380 underflows to 0; the scan used to evaluate inv there
+        check_convexity(get_function("inv"), Interval(1e-200, 1e-180),
+                        ConvexityMode.HARMONICALLY_S_CONVEX, 1.0)
+
+    def test_normal_products_keep_the_product_form(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            x, y = rng.uniform(0.01, 100.0), rng.uniform(0.01, 100.0)
+            for t in T_GRID[1:-1]:
+                assert harmonic_combination(x, y, t) == \
+                    x * y / (t * x + (1.0 - t) * y)
 
 
 class TestCheckConvexity:

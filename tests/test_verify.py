@@ -1,16 +1,19 @@
 """Referee-layer tests: lemma residual, theorem gating, oracle consistency."""
 
 import math
+import sys
 from collections import Counter
 
 import pytest
 from conftest import canary_lambda_value
 
-from hsconvex import bounds
+from hsconvex import bounds, numeric
 from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
-                             lambda5_integrand, lambda_integrand, lambda_value)
+                             lambda5_integrand, lambda_integrand, lambda_value,
+                             ostrowski_rhs)
 from hsconvex.errors import DomainError
-from hsconvex.numeric import FunctionSpec, Interval, get_function, integrate
+from hsconvex.numeric import (FunctionSpec, Interval, derivative, get_function,
+                              integrate)
 from hsconvex.verify import (MAX_X_GRID, SLACK_TOL, VerifyReport,
                              lambda_consistency_rows, lemma_residual,
                              matrix_summary, min_corollary_gap,
@@ -128,6 +131,53 @@ class TestVerifyTheorem:
         d = rep.to_dict()
         assert d["pass"] is rep.passed
         assert d["grid"]["fn"] == "inv"
+
+
+class TestDerivativeRoute:
+    def test_no_derivative_refused_before_any_evaluation(self):
+        points = []
+        f = FunctionSpec("counted", lambda u: points.append(u) or u)
+        with pytest.raises(DomainError, match="no analytic derivative"):
+            derivative(f, 1.5)
+        with pytest.raises(DomainError, match="no analytic derivative"):
+            verify_theorem("T2_3", f, IV12, 1.0, 1.0)
+        with pytest.raises(DomainError, match="no analytic derivative"):
+            ostrowski_rhs("T2_3", f, 1.5, IV12, 1.0, 1.0)
+        assert points == []
+
+    def test_gate_reads_the_derivative_through_one_guard(self, monkeypatch):
+        c = Counter()
+        pow23 = get_function("pow:2.3")
+
+        def deriv_fn(u):
+            c["deriv_fn"] += 1
+            return pow23.deriv_fn(u)
+
+        call = FunctionSpec.__call__
+        original = numeric.derivative
+
+        def counted_call(spec, x):
+            c["gate_evals"] += spec.fn_id.startswith("|")
+            return call(spec, x)
+
+        def counted_derivative(f, x):
+            c["derivative"] += 1
+            return original(f, x)
+
+        monkeypatch.setattr(FunctionSpec, "__call__", counted_call)
+        for name, mod in list(sys.modules.items()):
+            if (name.split(".")[0] == "hsconvex"
+                    and getattr(mod, "derivative", None) is original):
+                monkeypatch.setattr(mod, "derivative", counted_derivative)
+        f = FunctionSpec("pow:2.3", pow23.eval_fn, deriv_fn)
+        rep = verify_theorem("T2_4", f, IV12, 0.5, 2.0)
+        assert rep.hypothesis_ok
+        # the 16 x 16 gate's 2,200 values of |f'|^2 each pass one spec call
+        # and no derivative call; ostrowski_rhs takes |f'| at x, a and b
+        # for each of the 9 x points
+        assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 2200
+        assert c["derivative"] == 9 * 3
+        assert c["deriv_fn"] == 2200 + 27
 
 
 class TestLambdaConsistency:
