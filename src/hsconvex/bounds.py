@@ -176,15 +176,17 @@ def lambda5_integrand(theta: float, x: float):
 
 
 def _finite(fn):
-    """Make fn raise NumericError where its float result overflows: an
-    OverflowError inside it, a division by a power that underflowed to 0,
-    or a non-finite value it would return."""
+    """Make fn raise NumericError where its float arithmetic leaves the
+    float range: an OverflowError inside it, a division by a square or
+    power that underflowed to 0, or a non-finite value it would return."""
     @functools.wraps(fn)
     def finite_fn(*args, **kwargs):
         try:
             v = fn(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
+        except OverflowError as exc:
             raise NumericError(f"{fn.__name__}: result overflows") from exc
+        except ZeroDivisionError as exc:
+            raise NumericError(f"{fn.__name__}: a divisor underflows to 0") from exc
         if not math.isfinite(v):
             raise NumericError(f"{fn.__name__}: non-finite result {v}")
         return v
@@ -236,6 +238,7 @@ def lambda_value(args: LambdaArgs) -> float:
     return value
 
 
+@_finite
 def lambda5(theta: float, x: float) -> float:
     """Evaluate int_0^1 t/(t*theta + (1-t)*x)^2 dt.
 
@@ -297,6 +300,7 @@ def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float, s: float,
     return left, middle, right
 
 
+@_finite
 def classic_ostrowski_rhs(x: float, iv: Interval, M: float) -> float:
     """Classic Ostrowski bound M(b-a) [1/4 + (x - (a+b)/2)^2 / (b-a)^2]."""
     validate_m(M)
@@ -315,27 +319,22 @@ def ostrowski_lhs(f: FunctionSpec, x: float, iv: Interval,
     return abs(f(x) - weighted_mean(f, iv, tol))
 
 
-def _pow_or_one(base: float, e: float) -> float:
-    # exponent 0 (q = 1) is taken as exactly 1, sidestepping 0^0 concerns
-    if e == 0.0:
-        return 1.0
-    return base ** e
-
-
 @_finite
 def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
                   s: float, q: Union[float, ConjugatePair],
                   M: Optional[float] = None) -> float:
-    """Assemble the right-hand side of one Ostrowski-type bound at x.
+    """Assemble the right-hand side of one Ostrowski-type bound at x:
+    (ab/(b-a)) * prefactor * [side(a) + side(b)], where side(end) is
+    (x-end)^2 times a lambda-weighted power mean of |f'(x)|^q and
+    |f'(end)|^q (times lambda5^(1-1/q) for T2_5), or Hoelder's form of the
+    same for T2_7. Every end term of every theorem is built by side().
 
-    theorem selects among T2_3, T2_4, T2_5, T2_6, T2_7. T2_3/T2_4/T2_5 take
-    a scalar exponent q >= 1; T2_6/T2_7 require a ConjugatePair. Derivative
-    magnitudes |f'(x)|, |f'(a)|, |f'(b)| come from numeric.derivative, or
-    are all replaced by M when M is given (the corollary mode; the printed
-    corollary prefactors are algebraically this substitution).
-
-    x = a or x = b zeroes the corresponding side structurally, skipping the
-    lambda evaluations whose z would sit at the domain edge.
+    T2_3/T2_4/T2_5 take a scalar exponent q >= 1; T2_6/T2_7 require a
+    ConjugatePair. Derivative magnitudes |f'(x)|, |f'(a)|, |f'(b)| come from
+    numeric.derivative, or are all replaced by M when M is given (the
+    corollary mode; the printed corollary prefactors are algebraically this
+    substitution). x = a or x = b zeroes that side structurally, skipping
+    the lambda evaluations whose z would sit at the domain edge.
     """
     if theorem not in OSTROWSKI_THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of "
@@ -351,57 +350,43 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
         validate_m(M)
         dx = da = db = M
     else:
-        dx = abs(derivative(f, x))
-        da = abs(derivative(f, a))
-        db = abs(derivative(f, b))
+        dx, da, db = (abs(derivative(f, u)) for u in (x, a, b))
 
-    scale = a * b / (b - a)
     inv_q = 1.0 / q_exp
-
-    if theorem == "T2_7":
-        p = pair.p
-        total = 0.0
-        if x > a:
-            lam_a = lambda_value(LambdaArgs(1, a, x, 0.0, p, p))
-            total += lam_a ** (1.0 / p) * (x - a) ** 2 \
-                * ((dx ** q_exp + da ** q_exp) / (s + 1.0)) ** inv_q
-        if x < b:
-            lam_b = lambda_value(LambdaArgs(3, b, x, 0.0, p, p))
-            total += lam_b ** (1.0 / p) * (b - x) ** 2 \
-                * ((dx ** q_exp + db ** q_exp) / (s + 1.0)) ** inv_q
-        return scale * total
-
-    # T2_3/T2_4/T2_5/T2_6 share the bracket shape and differ in the
-    # (vartheta, rho) placement and an outer prefactor
+    # the theorems differ in the (vartheta, rho) of the lambda weights and
+    # an outer prefactor
     if theorem == "T2_3":
-        vt, rho = q_exp, q_exp
-        prefactor = 1.0
+        vt, rho, prefactor = q_exp, q_exp, 1.0
     elif theorem == "T2_4":
-        vt, rho = q_exp, 1.0
-        prefactor = 0.5 ** (1.0 - inv_q)
+        vt, rho, prefactor = q_exp, 1.0, 0.5 ** (1.0 - inv_q)
     elif theorem == "T2_5":
-        vt, rho = 1.0, 1.0
-        prefactor = 1.0
-    else:  # T2_6
-        vt, rho = q_exp, 0.0
-        prefactor = (1.0 / (pair.p + 1.0)) ** (1.0 / pair.p)
+        vt, rho, prefactor = 1.0, 1.0, 1.0
+    elif theorem == "T2_6":
+        vt, rho, prefactor = q_exp, 0.0, (1.0 / (pair.p + 1.0)) ** (1.0 / pair.p)
+    else:  # T2_7
+        vt, rho, prefactor = pair.p, pair.p, 1.0
+
+    def side(end: float, d_end: float, kind: int) -> float:
+        # kinds 1, 2 weigh the a-side, kinds 3, 4 the b-side; (x - end)^2
+        # equals (end - x)^2 exactly
+        if theorem == "T2_7":
+            lam = lambda_value(LambdaArgs(kind, end, x, 0.0, vt, rho))
+            return lam ** (1.0 / vt) * (x - end) ** 2 \
+                * ((dx ** q_exp + d_end ** q_exp) / (s + 1.0)) ** inv_q
+        lam_x = lambda_value(LambdaArgs(kind, end, x, s, vt, rho))
+        lam_end = lambda_value(LambdaArgs(kind + 1, end, x, s, vt, rho))
+        term = (x - end) ** 2 \
+            * (lam_x * dx ** q_exp + lam_end * d_end ** q_exp) ** inv_q
+        if theorem == "T2_5":
+            term *= lambda5(end, x) ** (1.0 - inv_q)
+        return term
 
     total = 0.0
     if x > a:
-        lam1 = lambda_value(LambdaArgs(1, a, x, s, vt, rho))
-        lam2 = lambda_value(LambdaArgs(2, a, x, s, vt, rho))
-        side = (x - a) ** 2 * (lam1 * dx ** q_exp + lam2 * da ** q_exp) ** inv_q
-        if theorem == "T2_5":
-            side *= _pow_or_one(lambda5(a, x), 1.0 - inv_q)
-        total += side
+        total += side(a, da, 1)
     if x < b:
-        lam3 = lambda_value(LambdaArgs(3, b, x, s, vt, rho))
-        lam4 = lambda_value(LambdaArgs(4, b, x, s, vt, rho))
-        side = (b - x) ** 2 * (lam3 * dx ** q_exp + lam4 * db ** q_exp) ** inv_q
-        if theorem == "T2_5":
-            side *= _pow_or_one(lambda5(b, x), 1.0 - inv_q)
-        total += side
-    return scale * prefactor * total
+        total += side(b, db, 3)
+    return a * b / (b - a) * prefactor * total
 
 
 CSV_FIELDS = ("theorem", "x", "a", "b", "s", "q", "p", "M",

@@ -24,11 +24,11 @@ from .bounds import (CSV_FIELDS, BoundResult, LambdaArgs,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
-from .convexity import VIOLATION_TOL, uniform_grid
+from .convexity import GATE_GRID_N, VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
 from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
-from .verify import (VERIFY_THEOREMS, hypothesis_gate, run_battery,
-                     verify_theorem)
+from .verify import (VERIFY_THEOREMS, X_GRID_N, hypothesis_gate,
+                     run_battery, verify_theorem)
 
 
 def _fmt(v: float) -> str:
@@ -199,8 +199,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
     iv = Interval(ns.a, ns.b)
-    q_val, pair = resolve_exponents(ns.theorem, (ns.q, ns.p))
-    report = verify_theorem(ns.theorem, f, iv, ns.s, pair or q_val,
+    report = verify_theorem(ns.theorem, f, iv, ns.s, (ns.q, ns.p),
                             x_grid=ns.grid, gate_grid_n=ns.grid_gate,
                             seed=ns.seed, tol=ns.tol)
     doc = report.to_dict()
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, default=None,
                    help="derivative bound; replaces every |f'| magnitude")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--grid-gate", type=int, default=16,
+    p.add_argument("--grid-gate", type=int, default=GATE_GRID_N,
                    help="grid size per axis for the hypothesis gate")
     p.add_argument("--seed", type=int, default=None,
                    help="adds seeded random samples to the hypothesis gate")
@@ -310,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--grid", type=int, default=9, help="number of x points")
-    p.add_argument("--grid-gate", type=int, default=16)
+    p.add_argument("--grid", type=int, default=X_GRID_N,
+                   help="number of x points")
+    p.add_argument("--grid-gate", type=int, default=GATE_GRID_N)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_flags(p)
@@ -341,6 +341,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,6 +31,9 @@ VIOLATION_TOL = 1e-12
 T_GRID_N = 17
 N_RANDOM = 64
 
+# x grid size per axis of a hypothesis gate by default
+GATE_GRID_N = 16
+
 # grid_n x grid_n x T_GRID_N triples a scan may take: grid_n up to 256
 # (a 256 gate of |f'|^2 takes about 2 s on a 2-CPU Xeon host); larger
 # grids are refused before any evaluation
@@ -196,7 +199,7 @@ def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
 
 
 def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-                    s: float, grid_n: int = 16,
+                    s: float, grid_n: int = GATE_GRID_N,
                     seed: Optional[int] = None) -> ConvexityReport:
     """Scan the defining inequality of `mode` over x, y in grid(iv) and
     t in grid([0, 1]): the table of tabulate reduced at s.

@@ -24,9 +24,9 @@ from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      lambda5_integrand, lambda_integrand, lambda_memo,
                      lambda_value, ostrowski_rhs, resolve_exponents,
                      OSTROWSKI_THEOREMS)
-from .convexity import (VIOLATION_TOL, ConvexityMode, ConvexityReport,
-                        check_am_hm, check_convexity, proposition_implications,
-                        tabulate, uniform_grid)
+from .convexity import (GATE_GRID_N, VIOLATION_TOL, ConvexityMode,
+                        ConvexityReport, check_am_hm, check_convexity,
+                        proposition_implications, tabulate, uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
                       get_function, integrate, validate_s, weighted_mean)
@@ -37,6 +37,9 @@ from .specfn import beta, hyp2f1
 SLACK_TOL = 1e-9
 
 VERIFY_THEOREMS = ("T2_2",) + OSTROWSKI_THEOREMS
+
+# x points of a verify_theorem scan by default, and of every matrix config
+X_GRID_N = 9
 
 # x points a verify_theorem scan may take: each costs one ostrowski_rhs and
 # one document row; larger grids are refused before any evaluation
@@ -122,7 +125,7 @@ def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                    q: Union[float, ConjugatePair, None] = None,
-                   x_grid: int = 9, gate_grid_n: int = 16,
+                   x_grid: int = X_GRID_N, gate_grid_n: int = GATE_GRID_N,
                    seed: Optional[int] = None,
                    tol: float = DEFAULT_TOL) -> VerifyReport:
     """Gate a theorem's hypothesis, then scan its inequality over x.
@@ -266,7 +269,7 @@ def _matrix_configs():
 
 def run_ostrowski_matrix() -> list[VerifyReport]:
     """verify_theorem over the whole sweep matrix, in a fixed order, with
-    its default 9 x points and 16x16 gate grid.
+    its default X_GRID_N x points and GATE_GRID_N-point gate grid.
 
     The gate depends on (fn, interval, q, s), and s only weights the
     values, so each (fn, interval, q) table is built once, when its first
@@ -281,22 +284,18 @@ def run_ostrowski_matrix() -> list[VerifyReport]:
             q_val, _ = resolve_exponents(theorem, q)
             key = (fn_id, iv, q_val)
             if key not in gates:
-                gates[key] = _gates_over_s(theorem, f, iv, q_val)
+                table = tabulate(_gate_function(theorem, f, q_val), iv,
+                                 ConvexityMode.HARMONICALLY_S_CONVEX,
+                                 GATE_GRID_N, None)
+                gates[key] = {s_gate: table.report(s_gate)
+                              for s_gate in MATRIX_S_VALUES}
             reports.append(_gated_scan(theorem, f, iv, s, q, gates[key][s],
-                                       9, DEFAULT_TOL))
+                                       X_GRID_N, DEFAULT_TOL))
     return reports
 
 
-def _gates_over_s(theorem: str, f: FunctionSpec, iv: Interval,
-                  q: float) -> dict:
-    """The matrix's gate report for each s, from one table that dies here."""
-    table = tabulate(_gate_function(theorem, f, q), iv,
-                     ConvexityMode.HARMONICALLY_S_CONVEX, 16, None)
-    return {s: table.report(s) for s in MATRIX_S_VALUES}
-
-
 def matrix_summary(reports: list[VerifyReport]) -> dict:
-    """Aggregate a matrix run: worst gated slack, gate coverage, failures.
+    """Aggregate a matrix run: worst gated slack and gate coverage.
 
     gated_pairs collects the distinct (theorem, fn) combinations whose
     hypothesis gate passed; a sweep where too few pairs pass is vacuous no
@@ -310,14 +309,13 @@ def matrix_summary(reports: list[VerifyReport]) -> dict:
         "gated": len(gated),
         "gated_pairs": gated_pairs,
         "min_slack": min_slack,
-        "failed": [r.theorem + "/" + r.grid["fn"] for r in gated if not r.passed],
     }
 
 
 def min_corollary_gap() -> float:
     """Worst value of corollary_rhs - theorem_rhs across the matrix.
 
-    For each configuration M is set to the maximum of |f'| over the 9 x
+    For each configuration M is set to the maximum of |f'| over the x
     points of the matrix plus a margin of 0.1, so M dominates every
     derivative magnitude the theorem rhs uses; substituting it must only
     ever enlarge the bound. The returned minimum gap should therefore be
@@ -329,7 +327,7 @@ def min_corollary_gap() -> float:
     with lambda_memo():
         for theorem, fn_id, iv, s, q in _matrix_configs():
             f = get_function(fn_id)
-            xs = uniform_grid(iv.a, iv.b, 9)
+            xs = uniform_grid(iv.a, iv.b, X_GRID_N)
             m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
             for x in xs:
                 gap = (ostrowski_rhs(theorem, f, x, iv, s, q, M=m_cap)

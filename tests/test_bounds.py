@@ -386,6 +386,76 @@ class TestOstrowskiRhs:
                                  s, q) >= 0.0
 
 
+
+def paper_rhs(theorem: str, x: float, s: float, q: float, p, df) -> float:
+    """(ab/(b-a)) [(x-a)^2 A + (b-x)^2 B] of Theorems 2.3-2.7 on [1, 2],
+    with every lambda weight integrated from its defining integrand and
+    df(u) standing for |f'(u)|."""
+    a, b = 1.0, 2.0
+
+    def quad(integrand) -> float:
+        return integrate(integrand, 0.0, 1.0, 1e-13).value
+
+    def lam(kind, theta, s_w, vt, rho) -> float:
+        return quad(lambda_integrand(LambdaArgs(kind, theta, x, s_w, vt, rho)))
+
+    def power_mean(kinds, end, vt, rho) -> float:
+        k_x, k_end = kinds
+        return (lam(k_x, end, s, vt, rho) * df(x) ** q
+                + lam(k_end, end, s, vt, rho) * df(end) ** q) ** (1.0 / q)
+
+    def hoelder(kind, end) -> float:
+        return (lam(kind, end, 0.0, p, p) ** (1.0 / p)
+                * ((df(x) ** q + df(end) ** q) / (s + 1.0)) ** (1.0 / q))
+
+    prefactor = 1.0
+    if theorem == "T2_3":
+        side_a = power_mean((1, 2), a, q, q)
+        side_b = power_mean((3, 4), b, q, q)
+    elif theorem == "T2_4":
+        side_a = power_mean((1, 2), a, q, 1.0)
+        side_b = power_mean((3, 4), b, q, 1.0)
+        prefactor = 0.5 ** (1.0 - 1.0 / q)
+    elif theorem == "T2_5":
+        side_a = (power_mean((1, 2), a, 1.0, 1.0)
+                  * quad(lambda5_integrand(a, x)) ** (1.0 - 1.0 / q))
+        side_b = (power_mean((3, 4), b, 1.0, 1.0)
+                  * quad(lambda5_integrand(b, x)) ** (1.0 - 1.0 / q))
+    elif theorem == "T2_6":
+        side_a = power_mean((1, 2), a, q, 0.0)
+        side_b = power_mean((3, 4), b, q, 0.0)
+        prefactor = (1.0 / (p + 1.0)) ** (1.0 / p)
+    else:
+        side_a, side_b = hoelder(1, a), hoelder(3, b)
+    return a * b / (b - a) * prefactor * ((x - a) ** 2 * side_a
+                                          + (b - x) ** 2 * side_b)
+
+
+class TestOstrowskiRhsAgainstQuadrature:
+    """Every theorem's rhs held against paper_rhs, at both ends and inside,
+    for two s, two exponents and with and without M: a mix-up of kind, s or
+    exponent in any end term shows here."""
+
+    @pytest.mark.parametrize("theorem", bounds.OSTROWSKI_THEOREMS)
+    def test_matches_assembled_formula(self, theorem):
+        f = get_function("pow:2.5")
+        if theorem in ("T2_6", "T2_7"):
+            exponents = [(ConjugatePair(2.0, 2.0), 2.0, 2.0),
+                         (ConjugatePair(3.0, 1.5), 1.5, 3.0)]
+        else:
+            exponents = [(1.0, 1.0, None), (2.5, 2.5, None)]
+        for x in (1.0, 1.3, 2.0):
+            for s in (0.5, 1.0):
+                for arg, q, p in exponents:
+                    for M in (None, 3.0):
+                        rhs = ostrowski_rhs(theorem, f, x, Interval(1.0, 2.0),
+                                            s, arg, M=M)
+                        df = ((lambda u: 2.5 * u ** 1.5) if M is None
+                              else (lambda u: M))
+                        expected = paper_rhs(theorem, x, s, q, p, df)
+                        assert abs(rhs - expected) <= 1e-9 * expected, (
+                            x, s, q, M)
+
 class TestBoundResult:
     def test_round_trip(self):
         r = BoundResult("T2_3", 1.5, 1.0, 2.0, 1.0, 2.0, None, None,

@@ -130,6 +130,16 @@ class TestHostileInput:
         # the gate's |f'|^q = (2u)^100 overflows at u = 1e10
         ("verify", "--theorem", "T2_3", "--fn", "pow:2", "--a", "1", "--b",
          "1e10", "--q", "100"),
+        # lambda5: x*x underflows to 0 in the Taylor branch
+        ("lambda", "--kind", "5", "--theta", "1e-200", "--x", "1e-200"),
+        # lambda5: d*d underflows to 0 in the closed form
+        ("lambda", "--kind", "5", "--theta", "1e-170", "--x", "3e-170"),
+        # classic: w*w underflows to 0
+        ("ostrowski", "--theorem", "classic", "--fn", "const:1", "--a",
+         "1e-200", "--b", "2e-200", "--x", "1.5e-200", "--M", "1"),
+        # classic: (x - mid)^2 overflows
+        ("ostrowski", "--theorem", "classic", "--fn", "const:1", "--a",
+         "1e200", "--b", "2e200", "--x", "1.2e200", "--M", "1"),
     ])
     def test_clean_exit(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
@@ -268,6 +278,14 @@ class TestOutputFile:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["fn"] == "id"
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f.json"
+        code, out, err = run(capsys, "lambda", "--kind", "5", "--theta", "1",
+                             "--x", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("output error:") and err.count("\n") == 1
 
 
 @pytest.fixture

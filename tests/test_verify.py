@@ -16,9 +16,8 @@ from hsconvex.numeric import (FunctionSpec, Interval, derivative, get_function,
                               integrate)
 from hsconvex.verify import (MAX_X_GRID, SLACK_TOL, VerifyReport,
                              lambda_consistency_rows, lemma_residual,
-                             matrix_summary, min_corollary_gap,
-                             run_battery, run_ostrowski_matrix,
-                             verify_theorem)
+                             min_corollary_gap, run_battery,
+                             run_ostrowski_matrix, verify_theorem)
 
 IV12 = Interval(1.0, 2.0)
 
@@ -211,21 +210,6 @@ class TestLambdaConsistency:
     def test_variant_breaks_consistency(self):
         rows = lambda_consistency_rows(closed_form=canary_lambda_value)
         assert max(r["rel_err"] for r in rows) > 1e-3
-
-
-class TestMatrix:
-    def test_summary_shape_and_coverage(self):
-        reports = run_ostrowski_matrix()
-        summary = matrix_summary(reports)
-        assert summary["reports"] == len(reports) > 0
-        assert summary["gated"] > 0
-        assert len(summary["gated_pairs"]) >= 5
-        assert summary["failed"] == []
-        assert summary["min_slack"] >= -SLACK_TOL
-
-    def test_corollary_gap_nonnegative(self):
-        gap = min_corollary_gap()
-        assert gap >= -1e-12
 
 
 @pytest.fixture
