@@ -24,6 +24,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -308,7 +309,11 @@ def classic_ostrowski_rhs(x: float, iv: Interval, M: float) -> float:
         raise DomainError(f"x={x} outside [{iv.a}, {iv.b}]")
     w = iv.b - iv.a
     mid = 0.5 * (iv.a + iv.b)
-    return M * w * (0.25 + (x - mid) ** 2 / (w * w))
+    ww = w * w
+    if sys.float_info.min <= ww <= sys.float_info.max:
+        return M * w * (0.25 + (x - mid) ** 2 / ww)
+    # w*w underflows or overflows; the ratio |x - mid|/w <= 1/2 does not
+    return M * w * (0.25 + ((x - mid) / w) ** 2)
 
 
 def ostrowski_lhs(f: FunctionSpec, x: float, iv: Interval,

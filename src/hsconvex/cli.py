@@ -8,6 +8,13 @@ failure, 2 usage or domain error; nothing else.
 All floating-point output uses 17 significant digits so downstream tools
 can diff and round-trip values exactly; identical invocations produce
 byte-identical documents.
+
+COMMANDS holds each command's help line and the function that adds its
+flags. A request builds the parser of the command it names and nothing
+else. build_parser() assembles all five as subparsers for `hsconvex
+--help` and for the usage errors only it can word: no command, an unknown
+command, a flag the command does not have. Help and usage errors read the
+same either way. No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -246,14 +253,7 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("json", "csv")) -> No
                    help="output format (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hsconvex",
-        description="Compute and verify integral-mean bounds for harmonically "
-                    "s-convex functions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lambda", help="evaluate a lambda coefficient weight")
+def _lambda_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", type=int, required=True, choices=(1, 2, 3, 4, 5))
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_lambda)
 
-    p = sub.add_parser("hh", help="evaluate a Hermite-Hadamard chain")
+
+def _hh_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fn", required=True, help="registry id, e.g. pow:0.5")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_hh)
 
-    p = sub.add_parser("ostrowski", help="evaluate one bound instance at x")
+
+def _ostrowski_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", required=True,
                    choices=("classic",) + OSTROWSKI_THEOREMS)
     p.add_argument("--fn", required=True)
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_ostrowski)
 
-    p = sub.add_parser("verify", help="gate a theorem's hypothesis and scan "
-                                      "its slack over an x grid")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", required=True,
                    choices=VERIFY_THEOREMS)
     p.add_argument("--fn", required=True)
@@ -317,19 +319,56 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="run the full verification battery")
+
+def _selftest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="replace every error/slack limit with this value")
     _add_output_flags(p, formats=("table", "json", "csv"))
     p.set_defaults(func=cmd_selftest)
 
+
+# name -> (help, fill): fill adds one command's flags to its parser
+COMMANDS = {
+    "lambda": ("evaluate a lambda coefficient weight", _lambda_flags),
+    "hh": ("evaluate a Hermite-Hadamard chain", _hh_flags),
+    "ostrowski": ("evaluate one bound instance at x", _ostrowski_flags),
+    "verify": ("gate a theorem's hypothesis and scan its slack over an x "
+               "grid", _verify_flags),
+    "selftest": ("run the full verification battery", _selftest_flags),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: every command of COMMANDS as a subparser. It parses
+    `hsconvex --help`, argv that names no known command, and argv with a
+    flag its command does not have (see _parse)."""
+    parser = argparse.ArgumentParser(
+        prog="hsconvex",
+        description="Compute and verify integral-mean bounds for harmonically "
+                    "s-convex functions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill) in COMMANDS.items():
+        fill(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with a parser of the command it names alone, built as
+    build_parser() builds its subparser, so --help and errors read the
+    same. Anything else, and flags that command does not know, go to the
+    whole parser, which reports them as `hsconvex` always has."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"hsconvex {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        ns, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return ns
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits itself on usage errors (status 2) and --help (0);
         # fold that into the return-code contract instead of raising

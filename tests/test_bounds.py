@@ -298,6 +298,20 @@ class TestClassicOstrowski:
         with pytest.raises(DomainError):
             classic_ostrowski_rhs(0.5, Interval(1.0, 2.0), 1.0)
 
+    def test_in_range_values_are_unchanged(self):
+        # where w*w is a normal float the bound is the expression it has
+        # always been, bit for bit; only out-of-range w takes another form
+        rng = random.Random(20)
+        for _ in range(10_000):
+            a = 10.0 ** rng.uniform(-140.0, 140.0)
+            b = a * (1.0 + 10.0 ** rng.uniform(-6.0, 3.0))
+            x = rng.choice((a, b, 0.5 * (a + b), rng.uniform(a, b)))
+            M = 10.0 ** rng.uniform(-5.0, 5.0)
+            w, mid = b - a, 0.5 * (a + b)
+            assert 2.0 ** -1022 <= w * w < math.inf
+            old = M * w * (0.25 + (x - mid) ** 2 / (w * w))
+            assert classic_ostrowski_rhs(x, Interval(a, b), M).hex() == old.hex()
+
 
 class TestOstrowskiLhs:
     def test_constant_zero(self):

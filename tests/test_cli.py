@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven in-process through main(argv)."""
 
+import argparse
 import io
 import json
 import math
@@ -134,10 +135,10 @@ class TestHostileInput:
         ("lambda", "--kind", "5", "--theta", "1e-200", "--x", "1e-200"),
         # lambda5: d*d underflows to 0 in the closed form
         ("lambda", "--kind", "5", "--theta", "1e-170", "--x", "3e-170"),
-        # classic: w*w underflows to 0
+        # classic: w*w underflows to 0 (TestOstrowskiCommand checks the value)
         ("ostrowski", "--theorem", "classic", "--fn", "const:1", "--a",
          "1e-200", "--b", "2e-200", "--x", "1.5e-200", "--M", "1"),
-        # classic: (x - mid)^2 overflows
+        # classic: w*w and (x - mid)^2 overflow
         ("ostrowski", "--theorem", "classic", "--fn", "const:1", "--a",
          "1e200", "--b", "2e200", "--x", "1.2e200", "--M", "1"),
     ])
@@ -179,6 +180,18 @@ class TestOstrowskiCommand:
         assert doc["rhs"] == pytest.approx(0.3125, rel=1e-12)
         assert doc["hypothesis_ok"] is True
         assert doc["slack"] >= 0.0
+
+    @pytest.mark.parametrize("a, b, x", [(1e-200, 2e-200, 1.5e-200),
+                                         (1e200, 2e200, 1.2e200)])
+    def test_classic_at_extreme_scales(self, capsys, a, b, x):
+        # w*w leaves the float range here, though the bound does not
+        code, out, _ = run(capsys, "ostrowski", "--theorem", "classic",
+                           "--fn", "const:1", "--a", str(a), "--b", str(b),
+                           "--x", str(x), "--M", "1")
+        assert code == 0
+        w = b - a
+        expected = w * (0.25 + ((x - 0.5 * (a + b)) / w) ** 2)
+        assert json.loads(out)["rhs"] == pytest.approx(expected, rel=1e-14)
 
     def test_classic_requires_m(self, capsys):
         code, _, err = run(capsys, "ostrowski", "--theorem", "classic",
@@ -349,6 +362,50 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
 
+def parse_reference(argv):
+    """Exit code, stdout and stderr of the whole parser on argv, which
+    must exit: argv asks for help or holds a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+COMMAND_NAMES = ("lambda", "hh", "ostrowski", "verify", "selftest")
+
+# per command: a required flag left out (for selftest, which has none, a
+# flag without its value), a value outside --choices, a float that is not
+# a number, and a flag the command does not have
+USAGE_ERRORS = [
+    ["lambda", "--kind", "5", "--x", "1"],
+    ["lambda", "--kind", "6", "--theta", "1", "--x", "1"],
+    ["lambda", "--kind", "5", "--theta", "abc", "--x", "1"],
+    ["lambda", "--kind", "5", "--theta", "1", "--x", "1", "--fn", "id"],
+    ["hh", "--fn", "id", "--a", "1"],
+    ["hh", "--fn", "id", "--a", "1", "--b", "2", "--variant", "geometric"],
+    ["hh", "--fn", "id", "--a", "abc", "--b", "2"],
+    ["hh", "--fn", "id", "--a", "1", "--b", "2", "--bogus"],
+    ["ostrowski", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2"],
+    ["ostrowski", "--theorem", "T9_9", "--fn", "id", "--a", "1", "--b", "2",
+     "--x", "1.5"],
+    ["ostrowski", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
+     "--x", "abc"],
+    ["ostrowski", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
+     "--x", "1.5", "--variant", "harmonic"],
+    ["verify", "--theorem", "T2_2", "--a", "1", "--b", "2"],
+    ["verify", "--theorem", "classic", "--fn", "id", "--a", "1", "--b", "2"],
+    ["verify", "--theorem", "T2_2", "--fn", "id", "--a", "1", "--b", "2",
+     "--s", "abc"],
+    ["verify", "--theorem", "T2_2", "--fn", "id", "--a", "1", "--b", "2",
+     "--M", "1"],
+    ["selftest", "--tol"],
+    ["selftest", "--format", "xml"],
+    ["selftest", "--tol", "abc"],
+    ["selftest", "extra"],
+]
+
+
 class TestParserEdges:
     def test_no_command_exits_two(self, capsys):
         assert main([]) == 2
@@ -356,6 +413,51 @@ class TestParserEdges:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["verify", "--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]]
+                             + [[name, "--help"] for name in COMMAND_NAMES]
+                             + USAGE_ERRORS)
+    def test_output_equals_the_whole_parser(self, capsys, monkeypatch, argv):
+        # main parses with the named command's parser alone; its help and
+        # errors must read exactly as build_parser()'s
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = parse_reference(argv)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert code in (0, 2) and (captured.out or captured.err)
+
+
+@pytest.fixture
+def added_options(monkeypatch):
+    """The option strings of every add_argument call made while the test
+    runs, one tuple per call, -h included."""
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    return calls
+
+
+class TestParserWork:
+    HELP = ("-h", "--help")
+
+    def test_whole_parser_has_47_flags(self, added_options):
+        cli.build_parser()
+        flags = [a for a in added_options if a != self.HELP]
+        # one -h for hsconvex and one for each of the five commands
+        assert len(added_options) - len(flags) == 6
+        assert len(flags) == 47
+
+    def test_a_request_builds_only_its_command(self, capsys, added_options):
+        assert main(["hh", "--fn", "id", "--a", "1", "--b", "2"]) == 0
+        assert added_options == [self.HELP] + [
+            (f,) for f in ("--fn", "--a", "--b", "--s", "--variant", "--tol",
+                           "--out", "--format")]
 
 
 def reject_constant(name):
