@@ -43,6 +43,10 @@ MAX_SCAN_TRIPLES = 256 * 256 * T_GRID_N
 # implication grids
 COMPARISON_GRID_N = 32
 
+# the least normal float: where x*y is at least this and finite, xy/(tx +
+# (1-t)y) is the harmonic combination
+MIN_NORMAL = 2.0 ** -1022
+
 
 class ConvexityMode(enum.Enum):
     S_CONVEX_SECOND_SENSE = "s_convex_second_sense"
@@ -82,7 +86,7 @@ def harmonic_combination(x: float, y: float, t: float) -> float:
     if t == 1.0:
         return y
     xy = x * y
-    if 2.0 ** -1022 <= xy < math.inf:  # xy is normal: 2^-1022 is the least
+    if MIN_NORMAL <= xy < math.inf:
         return xy / (t * x + (1.0 - t) * y)
     h = 1.0 / (t / y + (1.0 - t) / x)
     return min(max(h, min(x, y)), max(x, y))
@@ -103,6 +107,11 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
 T_GRID = tuple(uniform_grid(0.0, 1.0, T_GRID_N))
 T_HALF = T_GRID[:T_GRID_N // 2 + 1]
 
+# (t, 1 - t) for the t strictly inside (0, 1), and for those of T_HALF; at
+# t in {0, 1} the combined point is a grid node
+T_INNER = tuple((t, 1.0 - t) for t in T_GRID[1:-1])
+T_HALF_INNER = T_INNER[:len(T_HALF) - 1]
+
 
 class ConvexityTable(NamedTuple):
     """The s-independent part of one scan: f at every grid node and at the
@@ -113,10 +122,13 @@ class ConvexityTable(NamedTuple):
     order, and so are the two weighted sums. values therefore holds f at
     the combined points of the canonical half only, in scan order: for
     each pair of nodes i <= j, every t when i < j and t <= 1/2 when i == j.
-    Each mirrored triple comes after its twin in the full scan, so the
-    ascending scan of the half still meets the lexicographically smallest
-    maximizer first. nodes holds (x, f(x)) per grid node; draws the seeded
-    triples as (x, f(x), y, f(y), t, f at the combined point).
+    At t = 0 and t = 1 the combined point is a node, and values holds that
+    node's value: x then y in the harmonic mode, y then x in the
+    arithmetic one. Each mirrored triple comes after its twin in the full
+    scan, so the ascending scan of the half still meets the
+    lexicographically smallest maximizer first. nodes holds (x, f(x)) per
+    grid node; draws the seeded triples as (x, f(x), y, f(y), t, f at the
+    combined point).
     """
 
     harmonic: bool
@@ -130,46 +142,61 @@ class ConvexityTable(NamedTuple):
         validate_s(s)
         harmonic = self.harmonic
 
-        def weigh(t: float) -> tuple[float, float, float]:
-            # (t, weight of f(x), weight of f(y)); the harmonic form swaps them
+        def weigh(t: float) -> tuple[float, float]:
+            # (weight of f(x), weight of f(y)); the harmonic form swaps them
             wt, wr = t ** s, (1.0 - t) ** s
-            return (t, wr, wt) if harmonic else (t, wt, wr)
+            return (wr, wt) if harmonic else (wt, wr)
 
         weights = [weigh(t) for t in T_GRID]
-        half = weights[:len(T_HALF)]
         nodes, values = self.nodes, self.values
-
-        def rows():
-            # (x, f(x), y, f(y), ((weights, f at the combined point) per t))
-            k = 0
-            for i, (x, fx) in enumerate(nodes):
-                for j in range(i, len(nodes)):
-                    y, fy = nodes[j]
-                    ws = half if j == i else weights
-                    yield x, fx, y, fy, zip(ws, values[k:k + len(ws)])
-                    k += len(ws)
-            for x, fx, y, fy, t, fc in self.draws:
-                yield x, fx, y, fy, ((weigh(t), fc),)
-
         best = -math.inf
         witness = (nodes[0][0], nodes[0][0], 0.0)
-        for x, fx, y, fy, points in rows():
-            for (t, wx, wy), fc in points:
-                v = fc - (wx * fx + wy * fy)
+        k = 0
+        for i, (x, fx) in enumerate(nodes):
+            for j in range(i, len(nodes)):
+                y, fy = nodes[j]
+                n = len(T_HALF) if j == i else T_GRID_N
+                row = [fc - (wx * fx + wy * fy)
+                       for (wx, wy), fc in zip(weights, values[k:k + n])]
+                k += n
+                # max keeps the first of equal values, and index finds it
+                v = max(row)
                 if v > best:
                     best = v
-                    witness = (x, y, t)
+                    witness = (x, y, T_GRID[row.index(v)])
+        for x, fx, y, fy, t, fc in self.draws:
+            wx, wy = weigh(t)
+            v = fc - (wx * fx + wy * fy)
+            if v > best:
+                best = v
+                witness = (x, y, t)
         return ConvexityReport(max_violation=best, witness=witness,
                                samples=self.samples)
+
+
+def _combined_points(x: float, y: float, harmonic: bool,
+                     tus: tuple[tuple[float, float], ...]) -> list[float]:
+    """The combined point of (x, y, t) for each (t, 1 - t) of tus, as
+    harmonic_combination (x, y > 0, 0 < t < 1) or tx + (1-t)y computes it,
+    with x*y formed once."""
+    if not harmonic:
+        return [t * x + u * y for t, u in tus]
+    xy = x * y
+    if MIN_NORMAL <= xy < math.inf:
+        return [xy / (t * x + u * y) for t, u in tus]
+    return [harmonic_combination(x, y, t) for t, _ in tus]
 
 
 def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
              grid_n: int, seed: Optional[int]) -> ConvexityTable:
     """Evaluate f over the scan of `mode` on x, y in grid(iv) and t in
-    grid([0, 1]): once at each grid node, once per canonical triple at the
-    combined point, and three times per seeded triple. A seed adds N_RANDOM
-    uniform triples after the grid. A grid of more than MAX_SCAN_TRIPLES
-    triples is refused before any evaluation.
+    grid([0, 1]): once at each grid node, once per canonical triple with
+    0 < t < 1 at the combined point (at t = 0 and t = 1 that point is a
+    node), and three times per seeded triple. A seed adds N_RANDOM uniform
+    triples after the grid. f is called twice, through FunctionSpec.values:
+    on the nodes, then on every other point in scan order, so an error
+    names the first bad point of the scan. A grid of more than
+    MAX_SCAN_TRIPLES triples is refused before any evaluation.
     """
     if grid_n < 3:
         raise DomainError(f"grid_n must be at least 3, got {grid_n}")
@@ -177,25 +204,41 @@ def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
         raise DomainError(f"grid_n={grid_n} asks for {grid_n * grid_n * T_GRID_N}"
                           f" triples, above the cap of {MAX_SCAN_TRIPLES}")
     harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
-    combine = harmonic_combination if harmonic else (
-        lambda x, y, t: t * x + (1.0 - t) * y)
-    nodes = [(x, f(x)) for x in uniform_grid(iv.a, iv.b, grid_n)]
-    values: list[float] = []
-    for i, (x, _) in enumerate(nodes):
+    xs = uniform_grid(iv.a, iv.b, grid_n)
+    fxs = f.values(xs)
+    points: list[float] = []
+    for i, x in enumerate(xs):
         for j in range(i, grid_n):
-            y = nodes[j][0]
-            values.extend(f(combine(x, y, t))
-                          for t in (T_HALF if j == i else T_GRID))
-    draws = []
+            points += _combined_points(x, xs[j], harmonic,
+                                       T_HALF_INNER if j == i else T_INNER)
+    triples = []
     samples = grid_n * grid_n * T_GRID_N
     if seed is not None:
+        combine = harmonic_combination if harmonic else (
+            lambda x, y, t: t * x + (1.0 - t) * y)
         rng = random.Random(seed)
         for _ in range(N_RANDOM):
             x, y, t = rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b), rng.random()
-            draws.append((x, f(x), y, f(y), t, f(combine(x, y, t))))
+            triples.append((x, y, t))
+            points += (x, y, combine(x, y, t))
         samples += N_RANDOM
-    return ConvexityTable(harmonic=harmonic, nodes=nodes, values=values,
-                          draws=draws, samples=samples)
+    fps = f.values(points)
+    values: list[float] = []
+    k = 0
+    for i, fx in enumerate(fxs):
+        for j in range(i, grid_n):
+            fy = fxs[j]
+            n = len(T_HALF_INNER) if j == i else len(T_INNER)
+            values.append(fx if harmonic else fy)
+            values += fps[k:k + n]
+            k += n
+            if j > i:
+                values.append(fy if harmonic else fx)
+    drawn = fps[k:]
+    draws = [(x, drawn[3 * m], y, drawn[3 * m + 1], t, drawn[3 * m + 2])
+             for m, (x, y, t) in enumerate(triples)]
+    return ConvexityTable(harmonic=harmonic, nodes=list(zip(xs, fxs)),
+                          values=values, draws=draws, samples=samples)
 
 
 def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
@@ -232,7 +275,7 @@ def grid_monotone(f: FunctionSpec, iv: Interval) -> str:
     monotonicity hypotheses, and this is it.
     """
     xs = uniform_grid(iv.a, iv.b, COMPARISON_GRID_N)
-    vals = [f(x) for x in xs]
+    vals = f.values(xs)
     nondec = all(b >= a - VIOLATION_TOL for a, b in zip(vals, vals[1:]))
     noninc = all(b <= a + VIOLATION_TOL for a, b in zip(vals, vals[1:]))
     if nondec and noninc:

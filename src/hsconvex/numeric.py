@@ -113,6 +113,21 @@ class FunctionSpec:
             raise DomainError(f"{self.fn_id}: non-finite value at {x}")
         return v
 
+    def values(self, xs: list[float]) -> list[float]:
+        """[self(x) for x in xs], guarded once for the whole list: one
+        domain check, eval_fn mapped over xs, one finiteness check. When
+        any of them fails, the per-point calls are rerun, so the DomainError
+        raised is the one of the first bad point, with the same cause."""
+        if all(map((0.0).__le__, xs)):
+            try:
+                vs = list(map(self.eval_fn, xs))
+            except (ZeroDivisionError, OverflowError, ValueError):
+                pass
+            else:
+                if all(map(math.isfinite, vs)):
+                    return vs
+        return [self(x) for x in xs]
+
 
 def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Apply the 15-point Kronrod rule on [lo, hi].

@@ -103,7 +103,7 @@ def _gate_function(theorem: str, f: FunctionSpec,
                   q: Optional[float]) -> FunctionSpec:
     """The function whose harmonic s-convexity `theorem` assumes: f for
     T2_2, u -> |f'(u)|^q for the Ostrowski-type theorems: one closure over
-    f.deriv_fn, guarded once per value by the spec's own call."""
+    f.deriv_fn, guarded once per table by FunctionSpec.values."""
     if theorem == "T2_2":
         return f
     deriv_fn = f.deriv_fn

@@ -150,6 +150,17 @@ class TestHostileInput:
         else:
             json.loads(out)
 
+    def test_gate_error_names_the_first_bad_point(self, capsys):
+        # u ** 2 raises OverflowError past u = 1.3e154: the error names the
+        # second grid node, the first bad point of the scan, as a call per
+        # point would
+        code, out, err = run(capsys, "verify", "--theorem", "T2_2", "--fn",
+                             "pow:2", "--a", "1e150", "--b", "1e160",
+                             "--s", "1")
+        assert (code, out) == (2, "")
+        assert err == ("domain error: pow:2: evaluation failed at "
+                       "6.666666675999999e+158\n")
+
 
 class TestZNearOne:
     # lambda weights with z = 1 - theta/x close to 1, where 2F1 is the

@@ -148,17 +148,31 @@ class TestCheckConvexity:
             assert ((rep.max_violation, rep.witness, rep.samples)
                     == reference_scan(viol, iv, 8, seed))
 
-    def test_evaluates_each_node_once(self):
+    def test_evaluates_each_node_once(self, monkeypatch):
         points = []
         f = FunctionSpec("counted", lambda u: points.append(u) or u * u)
-        rep = check_convexity(f, Interval(1.0, 2.0),
-                              ConvexityMode.HARMONICALLY_S_CONVEX, 0.5,
+        calls = []
+        call = FunctionSpec.__call__
+        monkeypatch.setattr(FunctionSpec, "__call__",
+                            lambda spec, x: calls.append(x) or call(spec, x))
+        iv = Interval(1.0, 2.0)
+        rep = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, 0.5,
                               grid_n=8)
         # one value per node, then one per triple of the canonical half at
-        # the combined point: 28 pairs x < y over 17 t, 8 pairs x == y
-        # over the 9 t <= 1/2; samples still counts the full grid
-        assert len(points) == 8 + 28 * 17 + 8 * 9
+        # the combined point: 28 pairs x < y over the 15 t in (0, 1), 8
+        # pairs x == y over the 8 t in (0, 1/2]; at t = 0 and t = 1 that
+        # point is a node. samples still counts the full grid
+        assert len(points) == 8 + 28 * 15 + 8 * 8 == 492
         assert rep.samples == 8 * 8 * 17
+        # a seed adds three points per draw; every point goes through
+        # FunctionSpec.values, none through a per-point call
+        points.clear()
+        check_convexity(f, iv, ConvexityMode.S_CONVEX_SECOND_SENSE, 0.5,
+                        grid_n=8, seed=3)
+        assert len(points) == 492 + 3 * 64
+        grid_monotone(f, iv)
+        assert len(points) == 492 + 3 * 64 + 32
+        assert calls == []
 
     @pytest.mark.parametrize("mode", list(ConvexityMode))
     def test_one_table_serves_every_s(self, mode):
@@ -204,6 +218,68 @@ class TestCheckConvexity:
         with pytest.raises(DomainError):
             check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, 1.0,
                             grid_n=2)
+
+
+class TestBulkTable:
+    """tabulate and report against the scan evaluated point by point."""
+
+    @staticmethod
+    def reference(f, iv, mode, grid_n, seed, s):
+        harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
+        combine = harmonic_combination if harmonic else (
+            lambda x, y, t: t * x + (1.0 - t) * y)
+
+        def weigh(t):
+            wt, wr = t ** s, (1.0 - t) ** s
+            return (wr, wt) if harmonic else (wt, wr)
+
+        xs = uniform_grid(iv.a, iv.b, grid_n)
+        nodes = [(x, f(x)) for x in xs]
+        # the canonical half in scan order: pairs i <= j, t <= 1/2 on i == j
+        triples = [(i, j, t) for i in range(grid_n) for j in range(i, grid_n)
+                   for t in (T_GRID[:9] if j == i else T_GRID)]
+        values = [f(combine(xs[i], xs[j], t)) for i, j, t in triples]
+        draws = []
+        if seed is not None:
+            rng = random.Random(seed)
+            for _ in range(64):
+                x, y, t = (rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b),
+                           rng.random())
+                draws.append((x, f(x), y, f(y), t, f(combine(x, y, t))))
+        rows = [(nodes[i], nodes[j], t, fc)
+                for (i, j, t), fc in zip(triples, values)]
+        rows += [((x, fx), (y, fy), t, fc) for x, fx, y, fy, t, fc in draws]
+        best, witness = -math.inf, (xs[0], xs[0], 0.0)
+        for (x, fx), (y, fy), t, fc in rows:
+            wx, wy = weigh(t)
+            v = fc - (wx * fx + wy * fy)
+            if v > best:
+                best, witness = v, (x, y, t)
+        return nodes, values, draws, best, witness
+
+    @pytest.mark.parametrize("iv", [Interval(1.0, 2.0), Interval(0.5, 3.0),
+                                    Interval(1e-200, 1e-180),
+                                    Interval(1e200, 1e201)])
+    @pytest.mark.parametrize("fn_id", ["pow:0.5", "inv", "neg", "gate"])
+    def test_bit_identical_to_the_point_by_point_scan(self, fn_id, iv):
+        if fn_id == "gate":
+            # |f'|^3 for f = pow:1.5, built like the gate of a theorem
+            deriv_fn = get_function("pow:1.5").deriv_fn
+            f = FunctionSpec("|pow:1.5'|^3", lambda u: abs(deriv_fn(u)) ** 3.0)
+        else:
+            f = get_function(fn_id)
+        for mode in ConvexityMode:
+            for seed in (None, 5):
+                table = tabulate(f, iv, mode, 16, seed)
+                for s in (0.25, 0.5, 1.0):
+                    nodes, values, draws, best, witness = self.reference(
+                        f, iv, mode, 16, seed, s)
+                    assert table.nodes == nodes
+                    assert table.values == values
+                    assert table.draws == draws
+                    rep = table.report(s)
+                    assert rep.max_violation == best
+                    assert rep.witness == witness
 
 
 class TestAmHm:

@@ -126,6 +126,81 @@ class TestDerivative:
                 derivative(FunctionSpec("bad", lambda x: x, deriv_fn), 1.0)
 
 
+class TestValues:
+    XS = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    @staticmethod
+    def failing(kind, bad):
+        """An eval_fn that fails in the way `kind` names at x == bad."""
+        def eval_fn(x):
+            if x != bad:
+                return x
+            if kind == "zero_division":
+                return 1.0 / (x - bad)
+            if kind == "overflow":
+                return math.exp(1000.0 * x)
+            if kind == "value":
+                return math.sqrt(-x)
+            return {"inf": math.inf, "nan": math.nan}[kind]
+        return eval_fn
+
+    @staticmethod
+    def per_point_error(f, xs):
+        with pytest.raises(DomainError) as exc:
+            for x in xs:
+                f(x)
+        return exc.value
+
+    def assert_same_error(self, f, xs):
+        expected = self.per_point_error(f, xs)
+        with pytest.raises(DomainError) as exc:
+            f.values(xs)
+        assert str(exc.value) == str(expected)
+        assert type(exc.value.__cause__) is type(expected.__cause__)
+
+    def test_values_equal_the_calls(self):
+        for fn_id in ("pow:0.5", "inv", "neg", "const:2"):
+            f = get_function(fn_id)
+            xs = [0.5 + 0.25 * i for i in range(20)]
+            assert f.values(xs) == [f(x) for x in xs]
+        assert get_function("id").values([]) == []
+
+    @pytest.mark.parametrize("kind", ["zero_division", "overflow", "value",
+                                      "inf", "nan"])
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_failing_point_raises_as_the_calls_do(self, kind, k):
+        self.assert_same_error(FunctionSpec("bad", self.failing(kind, self.XS[k])),
+                               self.XS)
+
+    def test_first_bad_point_wins(self):
+        # a nan at 2.0 comes before a division by zero at 4.0: the batch
+        # stops at the division, the error still names 2.0
+        nan_at_2 = self.failing("nan", 2.0)
+
+        def eval_fn(x):
+            return 1.0 / (x - 4.0) if x == 4.0 else nan_at_2(x)
+
+        f = FunctionSpec("bad", eval_fn)
+        self.assert_same_error(f, self.XS)
+        with pytest.raises(DomainError, match="non-finite value at 2.0"):
+            f.values(self.XS)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, -math.inf])
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_points_outside_the_domain(self, bad, k):
+        xs = list(self.XS)
+        xs[k] = bad
+        for fn_id in ("id", "inv", "pow:0.5"):
+            self.assert_same_error(get_function(fn_id), xs)
+
+    def test_other_exceptions_propagate(self):
+        def eval_fn(x):
+            raise KeyError(x)
+
+        with pytest.raises(KeyError):
+            FunctionSpec("bad", eval_fn).values(self.XS)
+
+
 class TestRegistry:
     def test_vocabulary(self):
         cases = {

@@ -12,8 +12,8 @@ from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
                              lambda5_integrand, lambda_integrand, lambda_value,
                              ostrowski_rhs)
 from hsconvex.errors import DomainError
-from hsconvex.numeric import (FunctionSpec, Interval, derivative, get_function,
-                              integrate)
+from hsconvex.numeric import (REGISTRY_FORMS, FunctionSpec, Interval,
+                              derivative, get_function, integrate)
 from hsconvex.verify import (MAX_X_GRID, SLACK_TOL, VerifyReport,
                              lambda_consistency_rows, lemma_residual,
                              min_corollary_gap, run_battery,
@@ -156,13 +156,14 @@ class TestDerivativeRoute:
         original = numeric.derivative
 
         def counted_call(spec, x):
-            c["gate_evals"] += spec.fn_id.startswith("|")
+            c["gate_calls"] += spec.fn_id.startswith("|")
             return call(spec, x)
 
         def counted_derivative(f, x):
             c["derivative"] += 1
             return original(f, x)
 
+        count_evals(monkeypatch, c)
         monkeypatch.setattr(FunctionSpec, "__call__", counted_call)
         for name, mod in list(sys.modules.items()):
             if (name.split(".")[0] == "hsconvex"
@@ -171,12 +172,14 @@ class TestDerivativeRoute:
         f = FunctionSpec("pow:2.3", pow23.eval_fn, deriv_fn)
         rep = verify_theorem("T2_4", f, IV12, 0.5, 2.0)
         assert rep.hypothesis_ok
-        # the 16 x 16 gate's 2,200 values of |f'|^2 each pass one spec call
-        # and no derivative call; ostrowski_rhs takes |f'| at x, a and b
-        # for each of the 9 x points
-        assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 2200
+        # the 16 x 16 gate's 1,944 values of |f'|^2 are guarded per table by
+        # FunctionSpec.values, with no per-point spec call and no derivative
+        # call; ostrowski_rhs takes |f'| at x, a and b for each of the 9 x
+        # points
+        assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 1944
+        assert c["gate_calls"] == 0
         assert c["derivative"] == 9 * 3
-        assert c["deriv_fn"] == 2200 + 27
+        assert c["deriv_fn"] == 1944 + 27
 
 
 class TestLambdaConsistency:
@@ -212,20 +215,40 @@ class TestLambdaConsistency:
         assert max(r["rel_err"] for r in rows) > 1e-3
 
 
+def count_evals(monkeypatch, c):
+    """Count each call of an eval_fn in c: under "gate_evals" for a gate's
+    |f'|^q (its fn_id starts with '|'), else under "f_evals". This covers
+    the specs built from here on and the registry's fixed ones."""
+    def counted(fn_id, eval_fn):
+        key = "gate_evals" if fn_id.startswith("|") else "f_evals"
+
+        def counted_eval(x):
+            c[key] += 1
+            return eval_fn(x)
+        return counted_eval
+
+    init = FunctionSpec.__init__
+
+    def counted_init(spec, fn_id, eval_fn, deriv_fn=None):
+        init(spec, fn_id, counted(fn_id, eval_fn), deriv_fn)
+
+    monkeypatch.setattr(FunctionSpec, "__init__", counted_init)
+    # the registry forms without a parameter are specs built at import
+    for fn_id in [form for form in REGISTRY_FORMS if "<" not in form]:
+        spec = get_function(fn_id)
+        monkeypatch.setitem(vars(spec), "eval_fn",
+                            counted(fn_id, spec.eval_fn))
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """Count FunctionSpec evaluations by fn_id prefix ('|' marks a gate's
-    |f'|^q), 2F1 evaluations of the lambda weights, and the distinct
-    LambdaArgs asked for."""
+    """Count eval_fn calls by fn_id prefix (see count_evals), 2F1
+    evaluations of the lambda weights, and the distinct LambdaArgs asked
+    for."""
     c = Counter()
     asked = set()
-    call = FunctionSpec.__call__
     hyp2f1 = bounds.hyp2f1
     lambda_value = bounds.lambda_value
-
-    def counted_call(spec, x):
-        c["gate_evals" if spec.fn_id.startswith("|") else "f_evals"] += 1
-        return call(spec, x)
 
     def counted_hyp2f1(*args):
         c["hyp2f1"] += 1
@@ -236,7 +259,7 @@ def counts(monkeypatch):
         asked.add(args)
         return lambda_value(args)
 
-    monkeypatch.setattr(FunctionSpec, "__call__", counted_call)
+    count_evals(monkeypatch, c)
     monkeypatch.setattr(bounds, "hyp2f1", counted_hyp2f1)
     monkeypatch.setattr(bounds, "lambda_value", recorded_lambda)
     c.asked = asked
@@ -244,9 +267,10 @@ def counts(monkeypatch):
 
 
 class TestReuse:
-    # a 16 x 16 gate tabulates its nodes, 120 pairs x < y over 17 t and 16
-    # pairs x == y over 9 t
-    GATE_TABLE_EVALS = 16 + 120 * 17 + 16 * 9
+    # a 16 x 16 gate tabulates its nodes, 120 pairs x < y over the 15 t in
+    # (0, 1) and 16 pairs x == y over the 8 t in (0, 1/2]; at t = 0 and
+    # t = 1 the combined point is a node
+    GATE_TABLE_EVALS = 16 + 120 * 15 + 16 * 8
 
     def test_matrix_builds_one_gate_table_per_fn_interval_q(self, counts):
         reports = run_ostrowski_matrix()
@@ -273,4 +297,6 @@ class TestReuse:
         # the lambda sweep's 240 rows plus the 544 weights the matrix and
         # the corollary sweep share
         assert totals[0]["hyp2f1"] == 240 + 544
-        assert totals[0]["f_evals"] + totals[0]["gate_evals"] <= 250_000
+        # 24 gate tables, and 127,776 evaluations of f itself
+        assert totals[0]["gate_evals"] == 24 * self.GATE_TABLE_EVALS
+        assert totals[0]["f_evals"] + totals[0]["gate_evals"] <= 175_000
