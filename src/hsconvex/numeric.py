@@ -6,9 +6,9 @@ Gauss-Kronrod 7/15 scheme. The embedded 7-point Gauss rule provides the
 error estimate |K15 - G7| per panel; the panel with the worst estimate is
 bisected until the summed estimate drops below the caller's tolerance.
 
-`FunctionSpec` packages an evaluable f on (0, inf) with its analytic f'
-or None; the registry maps the CLI's function vocabulary (const:<c>, id,
-pow:<r>, inv, neg) onto FunctionSpec instances, each with its f'.
+`FunctionSpec` packages an evaluable f on (0, inf) with its analytic f' or
+None. Every registry function is c*u^r, with f and f' built by one rule in
+`power_law`; its exact name (const:<c>, id, pow:<r>, inv, neg) gives (c, r).
 """
 
 from __future__ import annotations
@@ -240,50 +240,49 @@ def derivative(f: FunctionSpec, x: float) -> float:
     return v
 
 
-def _make_pow(r: float) -> FunctionSpec:
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"pow exponent must be positive, got {r}")
-    return FunctionSpec(
-        fn_id=f"pow:{r:g}",
-        eval_fn=lambda x: x ** r,
-        deriv_fn=lambda x: r * x ** (r - 1.0),
-    )
+def power_law(fn_id: str, c: float, r: float) -> FunctionSpec:
+    """f(u) = c*u^r and f'(u) = (c*r)*u^(r-1), by one rule. r = -1 divides,
+    c/u and (c*r)/(u*u), as u**-1.0 and u**-2.0 round differently; r = 0
+    has f' = +0.0, as c*0 is -0.0 for c < 0 and u**-1.0 overflows at a
+    subnormal u."""
+    cr, r1 = c * r, r - 1.0
+    if r == -1.0:
+        return FunctionSpec(fn_id, lambda x: c / x, lambda x: cr / (x * x))
+    return FunctionSpec(fn_id, lambda x: c * x ** r,
+                        (lambda x: 0.0) if r == 0.0 else lambda x: cr * x ** r1)
 
 
-def _make_const(c: float) -> FunctionSpec:
-    if not math.isfinite(c):
-        raise DomainError(f"constant must be finite, got {c}")
-    return FunctionSpec(
-        fn_id=f"const:{c:g}",
-        eval_fn=lambda x: c,
-        deriv_fn=lambda x: 0.0,
-    )
+def _exact(v: float) -> str:
+    """v as {v:g} when that reads back as v, else as repr(v)."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
 
 
-_FIXED_REGISTRY = {
-    "id": FunctionSpec("id", lambda x: x, lambda x: 1.0),
-    "inv": FunctionSpec("inv", lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
-    "neg": FunctionSpec("neg", lambda x: -x, lambda x: -1.0),
-}
+_POWER_FORMS = {"id": (1.0, 1.0), "inv": (1.0, -1.0), "neg": (-1.0, 1.0)}
 
 REGISTRY_FORMS = ("const:<c>", "id", "pow:<r>", "inv", "neg")
 
 
 def get_function(fn_id: str) -> FunctionSpec:
-    """Resolve a registry id (const:<c>, id, pow:<r>, inv, neg)."""
-    if fn_id in _FIXED_REGISTRY:
-        return _FIXED_REGISTRY[fn_id]
+    """Resolve a registry id to the c*u^r it names: const:<c> is (c, 0), id
+    (1, 1), pow:<r> (1, r) for r > 0, inv (1, -1), neg (-1, 1). The fn_id
+    returned names c or r exactly, so it resolves to the same values."""
+    if fn_id in _POWER_FORMS:
+        return power_law(fn_id, *_POWER_FORMS[fn_id])
     if fn_id.startswith("const:"):
         try:
             c = float(fn_id[6:])
         except ValueError as exc:
             raise DomainError(f"bad constant in {fn_id!r}") from exc
-        return _make_const(c)
+        if not math.isfinite(c):
+            raise DomainError(f"constant must be finite, got {c}")
+        return power_law(f"const:{_exact(c)}", c, 0.0)
     if fn_id.startswith("pow:"):
         try:
             r = float(fn_id[4:])
         except ValueError as exc:
             raise DomainError(f"bad exponent in {fn_id!r}") from exc
-        return _make_pow(r)
+        if not (math.isfinite(r) and r > 0.0):
+            raise DomainError(f"pow exponent must be positive, got {r}")
+        return power_law(f"pow:{_exact(r)}", 1.0, r)
     raise DomainError(
         f"unknown function id {fn_id!r}; expected one of {', '.join(REGISTRY_FORMS)}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (DEFAULT_TOL, FunctionSpec, Interval, QuadResult,
                               derivative, get_function, integrate,
-                              weighted_mean)
+                              power_law, weighted_mean)
 
 
 class TestInterval:
@@ -218,10 +218,28 @@ class TestRegistry:
             assert f.fn_id == fn_id
 
     def test_unknown_ids(self):
-        for bad in ("", "pow", "pow:", "pow:0", "pow:-1", "exp", "const:",
-                    "const:nan", "POW:2"):
-            with pytest.raises(DomainError):
+        unknown = ("unknown function id {!r}; expected one of const:<c>, id, "
+                   "pow:<r>, inv, neg")
+        cases = {
+            "": (unknown.format(""), None),
+            "pow": (unknown.format("pow"), None),
+            "pow:": ("bad exponent in 'pow:'", ValueError),
+            "pow:0": ("pow exponent must be positive, got 0.0", None),
+            "pow:-1": ("pow exponent must be positive, got -1.0", None),
+            "exp": (unknown.format("exp"), None),
+            "const:": ("bad constant in 'const:'", ValueError),
+            "const:nan": ("constant must be finite, got nan", None),
+            "POW:2": (unknown.format("POW:2"), None),
+            "pow:inf": ("pow exponent must be positive, got inf", None),
+            "const:1e400": ("constant must be finite, got inf", None),
+            "id:": (unknown.format("id:"), None),
+            "inv:2": (unknown.format("inv:2"), None),
+        }
+        for bad, (message, cause) in cases.items():
+            with pytest.raises(DomainError) as exc:
                 get_function(bad)
+            assert str(exc.value) == message
+            assert type(exc.value.__cause__) is (cause or type(None))
 
     def test_domain_enforced(self):
         f = get_function("inv")
@@ -242,3 +260,104 @@ class TestRegistry:
     def test_pow_derivative_consistency(self, x, r):
         f = get_function(f"pow:{r!r}")
         assert derivative(f, x) == pytest.approx(r * x ** (r - 1.0), rel=1e-12)
+
+    def test_names_are_exact(self):
+        # an id resolves to a name that reads back as the same c or r: the
+        # 6-significant-digit form when it is exact, else repr
+        cases = {
+            "pow:2.30000001": "pow:2.30000001",
+            "pow:1.0000001": "pow:1.0000001",
+            "const:1234567": "const:1234567.0",
+            "pow:2": "pow:2",
+            "pow:0.5": "pow:0.5",
+            "pow:2.0": "pow:2",
+            "const:-1.5": "const:-1.5",
+            "const:2": "const:2",
+            "pow:1.23457": "pow:1.23457",
+            "const:-2.71828": "const:-2.71828",
+        }
+        xs = [0.25, 1.0, 1.7, 3.0]
+        for fn_id, name in cases.items():
+            f = get_function(fn_id)
+            assert f.fn_id == name
+            g = get_function(f.fn_id)
+            assert g.fn_id == name
+            assert g.values(xs) == f.values(xs)
+            assert [derivative(g, x) for x in xs] == [derivative(f, x)
+                                                      for x in xs]
+
+    def test_stream_names_unchanged(self):
+        # every 6-significant-digit parameter keeps its name
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            text = format(rng.uniform(0.25, 3.0), ".6g")
+            assert get_function("pow:" + text).fn_id == "pow:" + text
+            text = format(rng.uniform(-3.0, 3.0), ".6g")
+            assert get_function("const:" + text).fn_id == "const:" + text
+
+    def test_power_law(self):
+        f = power_law("k", 3.0, 2.5)
+        assert (f.fn_id, f(2.0), derivative(f, 2.0)) == (
+            "k", 3.0 * 2.0 ** 2.5, 7.5 * 2.0 ** 1.5)
+
+
+def reference_forms(fn_id):
+    """The registry's forms as closed lambdas: f and f' of each id."""
+    if fn_id.startswith("const:"):
+        c = float(fn_id[6:])
+        return lambda x: c, lambda x: 0.0
+    if fn_id.startswith("pow:"):
+        r = float(fn_id[4:])
+        return lambda x: x ** r, lambda x: r * x ** (r - 1.0)
+    return {
+        "id": (lambda x: x, lambda x: 1.0),
+        "inv": (lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
+        "neg": (lambda x: -x, lambda x: -1.0),
+    }[fn_id]
+
+
+def outcome(call, x):
+    """The value of call(x) with the sign of a zero, or its DomainError's
+    message and cause type."""
+    try:
+        v = call(x)
+    except DomainError as exc:
+        return str(exc), type(exc.__cause__)
+    return v, math.copysign(1.0, v)
+
+
+def log_spread(n, seed):
+    """n points spread in log scale over the positive floats, with the
+    smallest and largest, the least normal, 0, 1, 1e200 and inf."""
+    rng = random.Random(seed)
+    return sorted([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e200,
+                   1.7976931348623157e308, math.inf]
+                  + [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, 1024))
+                     for _ in range(n)])
+
+
+class TestReferenceForms:
+    XS = log_spread(10000, 16)
+
+    @pytest.mark.parametrize("fn_id", [
+        "id", "inv", "neg", "const:2", "const:-1.5", "const:0", "const:-0",
+        "const:1e300", "pow:2", "pow:0.5", "pow:3", "pow:1", "pow:2.5",
+        "pow:0.001", "pow:1.0000001"])
+    def test_values_and_derivative_bit_identical(self, fn_id):
+        f = get_function(fn_id)
+        ref = FunctionSpec(f.fn_id, *reference_forms(fn_id))
+        for x in self.XS:
+            assert outcome(f, x) == outcome(ref, x), x
+            assert (outcome(lambda u: derivative(f, u), x)
+                    == outcome(lambda u: derivative(ref, u), x)), x
+
+    def test_failures_keep_their_errors(self):
+        inv, pow3 = get_function("inv"), get_function("pow:3")
+        assert outcome(inv, 0.0) == ("inv: evaluation failed at 0.0",
+                                     ZeroDivisionError)
+        assert outcome(lambda u: derivative(inv, u), 1e-200) == (
+            "inv: derivative failed at 1e-200", ZeroDivisionError)
+        assert outcome(pow3, 1e200) == ("pow:3: evaluation failed at 1e+200",
+                                        OverflowError)
+        assert outcome(lambda u: derivative(pow3, u), 1e200) == (
+            "pow:3: derivative failed at 1e+200", OverflowError)

@@ -12,8 +12,8 @@ from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
                              lambda5_integrand, lambda_integrand, lambda_value,
                              ostrowski_rhs)
 from hsconvex.errors import DomainError
-from hsconvex.numeric import (REGISTRY_FORMS, FunctionSpec, Interval,
-                              derivative, get_function, integrate)
+from hsconvex.numeric import (FunctionSpec, Interval, derivative,
+                              get_function, integrate)
 from hsconvex.verify import (MAX_X_GRID, SLACK_TOL, VerifyReport,
                              lambda_consistency_rows, lemma_residual,
                              min_corollary_gap, run_battery,
@@ -217,8 +217,8 @@ class TestLambdaConsistency:
 
 def count_evals(monkeypatch, c):
     """Count each call of an eval_fn in c: under "gate_evals" for a gate's
-    |f'|^q (its fn_id starts with '|'), else under "f_evals". This covers
-    the specs built from here on and the registry's fixed ones."""
+    |f'|^q (its fn_id starts with '|'), else under "f_evals". No spec is
+    built at import, so patching FunctionSpec.__init__ covers them all."""
     def counted(fn_id, eval_fn):
         key = "gate_evals" if fn_id.startswith("|") else "f_evals"
 
@@ -233,11 +233,6 @@ def count_evals(monkeypatch, c):
         init(spec, fn_id, counted(fn_id, eval_fn), deriv_fn)
 
     monkeypatch.setattr(FunctionSpec, "__init__", counted_init)
-    # the registry forms without a parameter are specs built at import
-    for fn_id in [form for form in REGISTRY_FORMS if "<" not in form]:
-        spec = get_function(fn_id)
-        monkeypatch.setitem(vars(spec), "eval_fn",
-                            counted(fn_id, spec.eval_fn))
 
 
 @pytest.fixture
