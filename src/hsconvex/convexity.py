@@ -19,6 +19,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
@@ -114,27 +115,22 @@ T_HALF_INNER = T_INNER[:len(T_HALF) - 1]
 
 
 class ConvexityTable(NamedTuple):
-    """The s-independent part of one scan: f at every grid node and at the
-    combined point of every triple. report(s) reduces it for one s.
+    """The s-independent part of one scan: rows of f values that report(s)
+    reduces for one s.
 
     v(x, y, t) equals v(y, x, 1-t) exactly in floats on the dyadic t grid,
-    in both modes: the two combined points are the same sum in the other
-    order, and so are the two weighted sums. values therefore holds f at
-    the combined points of the canonical half only, in scan order: for
-    each pair of nodes i <= j, every t when i < j and t <= 1/2 when i == j.
-    At t = 0 and t = 1 the combined point is a node, and values holds that
-    node's value: x then y in the harmonic mode, y then x in the
-    arithmetic one. Each mirrored triple comes after its twin in the full
-    scan, so the ascending scan of the half still meets the
-    lexicographically smallest maximizer first. nodes holds (x, f(x)) per
-    grid node; draws the seeded triples as (x, f(x), y, f(y), t, f at the
-    combined point).
+    in both modes, so only the canonical half is tabulated: a row (x, f(x),
+    y, f(y), ts, fcs) per pair of nodes i <= j, in scan order, then one per
+    seeded triple. fcs holds f at the combined point of each t of ts:
+    T_GRID when i < j, T_HALF when i == j, (t,) for a draw. At t = 0 and
+    t = 1 that point is a node, whose value fcs holds: x then y in the
+    harmonic mode, y then x in the arithmetic one. Each mirrored triple
+    comes after its twin in the full scan, so the ascending scan of the
+    half still meets the lexicographically smallest maximizer first.
     """
 
     harmonic: bool
-    nodes: list[tuple[float, float]]
-    values: list[float]
-    draws: list[tuple]
+    rows: list[tuple]
     samples: int
 
     def report(self, s: float) -> ConvexityReport:
@@ -148,28 +144,17 @@ class ConvexityTable(NamedTuple):
             return (wr, wt) if harmonic else (wt, wr)
 
         weights = [weigh(t) for t in T_GRID]
-        nodes, values = self.nodes, self.values
         best = -math.inf
-        witness = (nodes[0][0], nodes[0][0], 0.0)
-        k = 0
-        for i, (x, fx) in enumerate(nodes):
-            for j in range(i, len(nodes)):
-                y, fy = nodes[j]
-                n = len(T_HALF) if j == i else T_GRID_N
-                row = [fc - (wx * fx + wy * fy)
-                       for (wx, wy), fc in zip(weights, values[k:k + n])]
-                k += n
-                # max keeps the first of equal values, and index finds it
-                v = max(row)
-                if v > best:
-                    best = v
-                    witness = (x, y, T_GRID[row.index(v)])
-        for x, fx, y, fy, t, fc in self.draws:
-            wx, wy = weigh(t)
-            v = fc - (wx * fx + wy * fy)
+        witness = (self.rows[0][0], self.rows[0][0], 0.0)
+        for x, fx, y, fy, ts, fcs in self.rows:
+            # zip stops at the 9 values of a diagonal row; a draw weighs its t
+            row = [fc - (wx * fx + wy * fy) for (wx, wy), fc in
+                   zip(weights if len(ts) > 1 else [weigh(ts[0])], fcs)]
+            # max keeps the first of equal values, and index finds it
+            v = max(row)
             if v > best:
                 best = v
-                witness = (x, y, t)
+                witness = (x, y, ts[row.index(v)])
         return ConvexityReport(max_violation=best, witness=witness,
                                samples=self.samples)
 
@@ -193,8 +178,8 @@ def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
     grid([0, 1]): once at each grid node, once per canonical triple with
     0 < t < 1 at the combined point (at t = 0 and t = 1 that point is a
     node), and three times per seeded triple. A seed adds N_RANDOM uniform
-    triples after the grid. f is called twice, through FunctionSpec.values:
-    on the nodes, then on every other point in scan order, so an error
+    triples after the grid. f is called once, through FunctionSpec.values,
+    on the nodes and then every other point in scan order, so an error
     names the first bad point of the scan. A grid of more than
     MAX_SCAN_TRIPLES triples is refused before any evaluation.
     """
@@ -205,13 +190,12 @@ def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
                           f" triples, above the cap of {MAX_SCAN_TRIPLES}")
     harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
     xs = uniform_grid(iv.a, iv.b, grid_n)
-    fxs = f.values(xs)
     points: list[float] = []
     for i, x in enumerate(xs):
-        for j in range(i, grid_n):
-            points += _combined_points(x, xs[j], harmonic,
-                                       T_HALF_INNER if j == i else T_INNER)
-    triples = []
+        points += _combined_points(x, x, harmonic, T_HALF_INNER)
+        for y in xs[i + 1:]:
+            points += _combined_points(x, y, harmonic, T_INNER)
+    draws = []
     samples = grid_n * grid_n * T_GRID_N
     if seed is not None:
         combine = harmonic_combination if harmonic else (
@@ -219,26 +203,23 @@ def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
         rng = random.Random(seed)
         for _ in range(N_RANDOM):
             x, y, t = rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b), rng.random()
-            triples.append((x, y, t))
+            draws.append((x, y, t))
             points += (x, y, combine(x, y, t))
         samples += N_RANDOM
-    fps = f.values(points)
-    values: list[float] = []
-    k = 0
-    for i, fx in enumerate(fxs):
-        for j in range(i, grid_n):
-            fy = fxs[j]
-            n = len(T_HALF_INNER) if j == i else len(T_INNER)
-            values.append(fx if harmonic else fy)
-            values += fps[k:k + n]
-            k += n
-            if j > i:
-                values.append(fy if harmonic else fx)
-    drawn = fps[k:]
-    draws = [(x, drawn[3 * m], y, drawn[3 * m + 1], t, drawn[3 * m + 2])
-             for m, (x, y, t) in enumerate(triples)]
-    return ConvexityTable(harmonic=harmonic, nodes=list(zip(xs, fxs)),
-                          values=values, draws=draws, samples=samples)
+    fps = iter(f.values(xs + points))
+    nodes = list(zip(xs, islice(fps, grid_n)))
+    rows = []
+    for i, (x, fx) in enumerate(nodes):
+        rows.append((x, fx, x, fx, T_HALF,
+                     [fx, *islice(fps, len(T_HALF_INNER))]))
+        for y, fy in nodes[i + 1:]:
+            f0, f1 = (fx, fy) if harmonic else (fy, fx)
+            rows.append((x, fx, y, fy, T_GRID,
+                         [f0, *islice(fps, len(T_INNER)), f1]))
+    for x, y, t in draws:
+        fx, fy, fc = islice(fps, 3)
+        rows.append((x, fx, y, fy, (t,), [fc]))
+    return ConvexityTable(harmonic=harmonic, rows=rows, samples=samples)
 
 
 def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,

@@ -252,7 +252,7 @@ def power_law(fn_id: str, c: float, r: float) -> FunctionSpec:
                         (lambda x: 0.0) if r == 0.0 else lambda x: cr * x ** r1)
 
 
-def _exact(v: float) -> str:
+def exact(v: float) -> str:
     """v as {v:g} when that reads back as v, else as repr(v)."""
     return f"{v:g}" if float(f"{v:g}") == v else repr(v)
 
@@ -275,7 +275,7 @@ def get_function(fn_id: str) -> FunctionSpec:
             raise DomainError(f"bad constant in {fn_id!r}") from exc
         if not math.isfinite(c):
             raise DomainError(f"constant must be finite, got {c}")
-        return power_law(f"const:{_exact(c)}", c, 0.0)
+        return power_law(f"const:{exact(c)}", c, 0.0)
     if fn_id.startswith("pow:"):
         try:
             r = float(fn_id[4:])
@@ -283,6 +283,6 @@ def get_function(fn_id: str) -> FunctionSpec:
             raise DomainError(f"bad exponent in {fn_id!r}") from exc
         if not (math.isfinite(r) and r > 0.0):
             raise DomainError(f"pow exponent must be positive, got {r}")
-        return power_law(f"pow:{_exact(r)}", 1.0, r)
+        return power_law(f"pow:{exact(r)}", 1.0, r)
     raise DomainError(
         f"unknown function id {fn_id!r}; expected one of {', '.join(REGISTRY_FORMS)}")

@@ -40,10 +40,18 @@ DEFAULT_CONFIG = RouteSplit(0.9)
 
 
 def beta(x: float, y: float) -> float:
-    """Return B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
+    """Return B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0.
+
+    The three lgamma values cancel; when their rounding, 2^-52 times the
+    sum of their magnitudes, could put the relative error above FIDELITY
+    (B(x, 1) for x above about 24700), NumericError is raised instead."""
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+    lx, ly, lxy = math.lgamma(x), math.lgamma(y), math.lgamma(x + y)
+    if (abs(lx) + abs(ly) + abs(lxy)) * 2.0 ** -52 > FIDELITY:
+        raise NumericError(f"beta({x}, {y}) loses its digits to the "
+                           f"cancellation of lgamma values")
+    return math.exp(lx + ly - lxy)
 
 
 def _gauss_series(a: float, b: float, c: float,

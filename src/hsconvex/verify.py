@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
@@ -28,7 +28,7 @@ from .convexity import (GATE_GRID_N, VIOLATION_TOL, ConvexityMode,
                         ConvexityReport, check_am_hm, check_convexity,
                         proposition_implications, tabulate, uniform_grid)
 from .errors import DomainError
-from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
+from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative, exact,
                       get_function, integrate, validate_s, weighted_mean)
 from .specfn import beta, hyp2f1
 
@@ -109,7 +109,7 @@ def _gate_function(theorem: str, f: FunctionSpec,
     deriv_fn = f.deriv_fn
     if deriv_fn is None:
         raise DomainError(f"{f.fn_id}: no analytic derivative")
-    return FunctionSpec(fn_id=f"|{f.fn_id}'|^{q:g}",
+    return FunctionSpec(fn_id=f"|{f.fn_id}'|^{exact(q)}",
                         eval_fn=lambda u: abs(deriv_fn(u)) ** q)
 
 
@@ -144,17 +144,18 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     if not 1 <= x_grid <= MAX_X_GRID:
         raise DomainError(f"x_grid must have 1 to {MAX_X_GRID} points, "
                           f"got {x_grid}")
-    q_val, _ = resolve_exponents(theorem, q)
+    q_val, pair = resolve_exponents(theorem, q)
     gate = hypothesis_gate(theorem, f, iv, s, q_val, gate_grid_n, seed)
-    return _gated_scan(theorem, f, iv, s, q, gate, x_grid, tol)
+    return _gated_scan(theorem, f, iv, s, q_val, pair, gate, x_grid, tol)
 
 
 def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-                q: Union[float, ConjugatePair, None], gate: ConvexityReport,
-                x_grid: int, tol: float) -> VerifyReport:
-    """The report of verify_theorem once its gate is known."""
+                q_val: Optional[float], pair: Optional[ConjugatePair],
+                gate: ConvexityReport, x_grid: int,
+                tol: float) -> VerifyReport:
+    """The report of verify_theorem once its gate is known, for the
+    exponents (q_val, pair) that resolve_exponents gave."""
     a, b = iv.a, iv.b
-    q_val, pair = resolve_exponents(theorem, q)
     p_val = pair.p if pair else None
     grid_desc = {
         "x_count": 2 if theorem == "T2_2" else x_grid,
@@ -182,7 +183,7 @@ def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
         for x in uniform_grid(a, b, x_grid):
             lhs = abs(f(x) - wm)
-            rhs = ostrowski_rhs(theorem, f, x, iv, s, q)
+            rhs = ostrowski_rhs(theorem, f, x, iv, s, pair or q_val)
             results.append(BoundResult(theorem, x, a, b, s, q_val, p_val, None,
                                        lhs=lhs, rhs=rhs, slack=rhs - lhs,
                                        hypothesis_ok=True))
@@ -206,16 +207,13 @@ LAMBDA5_POINTS = ((1.0, 2.0), (2.0, 1.5), (1.0, 1.5), (1.5, 1.5)) + tuple(
     for mag in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1) for sign in (1.0, -1.0))
 
 
-def lambda_consistency_rows(closed_form: Optional[Callable] = None) -> list[dict]:
+def lambda_consistency_rows() -> list[dict]:
     """Closed form vs defining integral for every point of the lambda sweep.
 
     Returns one row per comparison with the closed value, the quadrature
     value, and their relative discrepancy (measured against the closed
-    value, which is strictly positive on the sweep). closed_form (default
-    lambda_value) lets a test show that a wrong closed form is caught.
+    value, which is strictly positive on the sweep).
     """
-    closed_form = closed_form or lambda_value
-
     def row(kind, theta, x, s, vt, rho, closed, integrand) -> dict:
         oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
         return {"family": f"lambda{kind}", "kind": kind, "theta": theta,
@@ -231,7 +229,8 @@ def lambda_consistency_rows(closed_form: Optional[Callable] = None) -> list[dict
                 for vt, rho in LAMBDA_VARTHETA_RHO:
                     args = LambdaArgs(kind, theta, x, s, vt, rho)
                     rows.append(row(kind, theta, x, s, vt, rho,
-                                    closed_form(args), lambda_integrand(args)))
+                                    lambda_value(args),
+                                    lambda_integrand(args)))
     for theta, x in LAMBDA5_POINTS:
         rows.append(row(5, theta, x, None, None, None, lambda5(theta, x),
                         lambda5_integrand(theta, x)))
@@ -281,7 +280,7 @@ def run_ostrowski_matrix() -> list[VerifyReport]:
     with lambda_memo():
         for theorem, fn_id, iv, s, q in _matrix_configs():
             f = get_function(fn_id)
-            q_val, _ = resolve_exponents(theorem, q)
+            q_val, pair = resolve_exponents(theorem, q)
             key = (fn_id, iv, q_val)
             if key not in gates:
                 table = tabulate(_gate_function(theorem, f, q_val), iv,
@@ -289,8 +288,8 @@ def run_ostrowski_matrix() -> list[VerifyReport]:
                                  GATE_GRID_N, None)
                 gates[key] = {s_gate: table.report(s_gate)
                               for s_gate in MATRIX_S_VALUES}
-            reports.append(_gated_scan(theorem, f, iv, s, q, gates[key][s],
-                                       X_GRID_N, DEFAULT_TOL))
+            reports.append(_gated_scan(theorem, f, iv, s, q_val, pair,
+                                       gates[key][s], X_GRID_N, DEFAULT_TOL))
     return reports
 
 

@@ -11,7 +11,7 @@ from conftest import canary_lambda_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex import cli
+from hsconvex import cli, verify
 from hsconvex.cli import main
 from hsconvex.verify import Check, lambda_checks, lambda_consistency_rows
 
@@ -46,6 +46,16 @@ class TestLambdaCommand:
                            "--rho", "1")
         assert code == 2
         assert "domain error" in err
+
+    @pytest.mark.parametrize("rho", ["1e5", "1e15"])
+    def test_large_rho_refused(self, capsys, rho):
+        # B(rho + 3/2, 1) from lgamma values of about 1e6 and 3e16 is off
+        # by 1.5e-10 and by 77% relative: beta refuses it
+        code, out, err = run(capsys, "lambda", "--kind", "1", "--theta", "1",
+                             "--x", "2", "--s", "0.5", "--vartheta", "1",
+                             "--rho", rho)
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric error: beta(")
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "lambda", "--kind", "1",
@@ -342,10 +352,11 @@ class TestSelftestCommand:
         counts = [c for c in json.loads(out)["checks"] if c["kind"] == "count_min"]
         assert counts and all(c["pass"] and c["limit"] >= 1.0 for c in counts)
 
-    def test_kind2_canary(self, battery, selftest):
+    def test_kind2_canary(self, battery, selftest, monkeypatch):
         # the battery's lambda rows, recomputed with a wrong kind-2 front
         # factor, must fail the kind-1..4 fidelity check and nothing else
-        rows = lambda_consistency_rows(closed_form=canary_lambda_value)
+        monkeypatch.setattr(verify, "lambda_value", canary_lambda_value)
+        rows = lambda_consistency_rows()
         canary = {row[0]: Check(*row, 0.0) for row in lambda_checks(rows)}
         code, out, _ = selftest("--format", "json",
                                 rows=[canary.get(c.name, c) for c in battery])

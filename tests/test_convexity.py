@@ -234,28 +234,23 @@ class TestBulkTable:
             return (wr, wt) if harmonic else (wt, wr)
 
         xs = uniform_grid(iv.a, iv.b, grid_n)
-        nodes = [(x, f(x)) for x in xs]
         # the canonical half in scan order: pairs i <= j, t <= 1/2 on i == j
-        triples = [(i, j, t) for i in range(grid_n) for j in range(i, grid_n)
-                   for t in (T_GRID[:9] if j == i else T_GRID)]
-        values = [f(combine(xs[i], xs[j], t)) for i, j, t in triples]
-        draws = []
+        pairs = [(xs[i], xs[j], T_GRID[:9] if j == i else T_GRID)
+                 for i in range(grid_n) for j in range(i, grid_n)]
         if seed is not None:
             rng = random.Random(seed)
-            for _ in range(64):
-                x, y, t = (rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b),
-                           rng.random())
-                draws.append((x, f(x), y, f(y), t, f(combine(x, y, t))))
-        rows = [(nodes[i], nodes[j], t, fc)
-                for (i, j, t), fc in zip(triples, values)]
-        rows += [((x, fx), (y, fy), t, fc) for x, fx, y, fy, t, fc in draws]
+            pairs += [(rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b),
+                       (rng.random(),)) for _ in range(64)]
+        rows = [(x, f(x), y, f(y), ts, [f(combine(x, y, t)) for t in ts])
+                for x, y, ts in pairs]
         best, witness = -math.inf, (xs[0], xs[0], 0.0)
-        for (x, fx), (y, fy), t, fc in rows:
-            wx, wy = weigh(t)
-            v = fc - (wx * fx + wy * fy)
-            if v > best:
-                best, witness = v, (x, y, t)
-        return nodes, values, draws, best, witness
+        for x, fx, y, fy, ts, fcs in rows:
+            for t, fc in zip(ts, fcs):
+                wx, wy = weigh(t)
+                v = fc - (wx * fx + wy * fy)
+                if v > best:
+                    best, witness = v, (x, y, t)
+        return rows, best, witness
 
     @pytest.mark.parametrize("iv", [Interval(1.0, 2.0), Interval(0.5, 3.0),
                                     Interval(1e-200, 1e-180),
@@ -272,11 +267,9 @@ class TestBulkTable:
             for seed in (None, 5):
                 table = tabulate(f, iv, mode, 16, seed)
                 for s in (0.25, 0.5, 1.0):
-                    nodes, values, draws, best, witness = self.reference(
-                        f, iv, mode, 16, seed, s)
-                    assert table.nodes == nodes
-                    assert table.values == values
-                    assert table.draws == draws
+                    rows, best, witness = self.reference(f, iv, mode, 16,
+                                                         seed, s)
+                    assert table.rows == rows
                     rep = table.report(s)
                     assert rep.max_violation == best
                     assert rep.witness == witness

@@ -47,6 +47,30 @@ class TestBeta:
     def test_symmetry(self, x, y):
         assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-13)
 
+    def test_accepted_values_within_fidelity(self):
+        # large arguments cancel three big lgamma values: beta refuses
+        # there, and every normal value it returns holds FIDELITY
+        rng = random.Random(4)
+        accepted = refused = 0
+        for _ in range(1500):
+            x = 10.0 ** rng.uniform(-3.0, 6.0)
+            y = 10.0 ** rng.uniform(-3.0, 3.0)
+            try:
+                value = beta(x, y)
+            except NumericError:
+                refused += 1
+                continue
+            if value < sys.float_info.min:
+                continue
+            accepted += 1
+            with mpmath.workdps(40):
+                err = float(abs(value / mpmath.beta(x, y) - 1))
+            assert err <= specfn.FIDELITY, (x, y)
+        assert accepted > 1000 and refused > 100
+        for x in (1e5, 1e15):
+            with pytest.raises(NumericError):
+                beta(x, 1.0)
+
 
 class TestHyp2F1:
     def test_z_zero_is_one(self):

@@ -1,13 +1,14 @@
 """Referee-layer tests: lemma residual, theorem gating, oracle consistency."""
 
 import math
+import random
 import sys
 from collections import Counter
 
 import pytest
 from conftest import canary_lambda_value
 
-from hsconvex import bounds, numeric
+from hsconvex import bounds, numeric, verify
 from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
                              lambda5_integrand, lambda_integrand, lambda_value,
                              ostrowski_rhs)
@@ -92,6 +93,18 @@ class TestVerifyTheorem:
         rep2 = verify_theorem("T2_3", f, IV12, 0.5, 1.0)
         assert rep2.hypothesis_ok
         assert rep2.passed
+
+    def test_gate_named_by_its_exact_q(self):
+        # |f'|^q overflows at the first node, and the error names the gate;
+        # a q that {q:g} would round is written whole
+        rng = random.Random(17)
+        stream_qs = [format(rng.uniform(1.0, 4.0), ".6g") for _ in range(200)]
+        for text in ["1", "2", "2.5", "1.0000001"] + stream_qs:
+            with pytest.raises(DomainError) as exc:
+                verify_theorem("T2_3", get_function("pow:3"),
+                               Interval(1e154, 1e155), 1.0, float(text))
+            assert str(exc.value) == (f"|pow:3'|^{text}: non-finite value "
+                                      f"at 1e+154")
 
     def test_pair_theorems(self):
         pair = ConjugatePair(2.0, 2.0)
@@ -210,8 +223,9 @@ class TestLambdaConsistency:
             assert self.rel_err(lambda5(theta, 1.5),
                                 lambda5_integrand(theta, 1.5)) <= 1e-9
 
-    def test_variant_breaks_consistency(self):
-        rows = lambda_consistency_rows(closed_form=canary_lambda_value)
+    def test_variant_breaks_consistency(self, monkeypatch):
+        monkeypatch.setattr(verify, "lambda_value", canary_lambda_value)
+        rows = lambda_consistency_rows()
         assert max(r["rel_err"] for r in rows) > 1e-3
 
 
