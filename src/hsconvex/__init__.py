@@ -13,25 +13,24 @@ from .specfn import beta, hyp2f1
 from .convexity import (ConvexityMode, ConvexityReport, check_am_hm,
                         check_convexity, grid_monotone, harmonic_combination,
                         proposition_implications)
-from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
-                     classic_ostrowski_rhs, hh_harmonic_bounds,
-                     hh_s_convex_bounds, lambda5, lambda_value, ostrowski_lhs,
-                     ostrowski_rhs)
-from .verify import (VerifyReport, lambda_consistency_rows, lemma_residual,
+from .bounds import (ConjugatePair, LambdaArgs, classic_ostrowski_rhs,
+                     hh_harmonic_bounds, hh_s_convex_bounds, lambda5,
+                     lambda_value, ostrowski_lhs, ostrowski_rhs)
+from .verify import (bound_row, lambda_consistency_rows, lemma_residual,
                      matrix_summary, min_corollary_gap, run_ostrowski_matrix,
                      verify_theorem)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundResult", "ConjugatePair", "ConvexityMode", "ConvexityReport",
+    "ConjugatePair", "ConvexityMode", "ConvexityReport",
     "DEFAULT_TOL", "DomainError", "FunctionSpec", "Interval", "LambdaArgs",
-    "NumericError", "QuadResult", "VerifyReport",
-    "beta", "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
-    "derivative", "get_function", "grid_monotone", "harmonic_combination",
-    "hh_harmonic_bounds", "hh_s_convex_bounds", "hyp2f1", "integrate",
-    "lambda5", "lambda_consistency_rows", "lambda_value",
-    "lemma_residual", "matrix_summary", "min_corollary_gap",
+    "NumericError", "QuadResult",
+    "beta", "bound_row", "check_am_hm", "check_convexity",
+    "classic_ostrowski_rhs", "derivative", "get_function", "grid_monotone",
+    "harmonic_combination", "hh_harmonic_bounds", "hh_s_convex_bounds",
+    "hyp2f1", "integrate", "lambda5", "lambda_consistency_rows",
+    "lambda_value", "lemma_residual", "matrix_summary", "min_corollary_gap",
     "ostrowski_lhs", "ostrowski_rhs", "proposition_implications",
     "run_ostrowski_matrix", "verify_theorem", "weighted_mean",
 ]

@@ -392,32 +392,3 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
     if x < b:
         total += side(b, db, 3)
     return a * b / (b - a) * prefactor * total
-
-
-CSV_FIELDS = ("theorem", "x", "a", "b", "s", "q", "p", "M",
-              "lhs", "rhs", "slack", "hypothesis_ok")
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """One inequality instance: lhs, rhs, slack = rhs - lhs, and whether the
-    hypothesis gate passed. Every derivative magnitude is analytic, so the
-    document's fd_fallback flag is always false."""
-
-    theorem: str
-    x: float
-    a: float
-    b: float
-    s: float
-    q: Optional[float]
-    p: Optional[float]
-    M: Optional[float]
-    lhs: float
-    rhs: float
-    slack: float
-    hypothesis_ok: bool
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in CSV_FIELDS}
-        d["fd_fallback"] = False
-        return d

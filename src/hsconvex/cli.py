@@ -26,16 +26,15 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .bounds import (CSV_FIELDS, BoundResult, LambdaArgs,
-                     classic_ostrowski_rhs, hh_harmonic_bounds,
+from .bounds import (LambdaArgs, classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
 from .convexity import GATE_GRID_N, VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
 from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
-from .verify import (VERIFY_THEOREMS, X_GRID_N, hypothesis_gate,
-                     run_battery, verify_theorem)
+from .verify import (ROW_FIELDS, VERIFY_THEOREMS, X_GRID_N, bound_row,
+                     hypothesis_gate, run_battery, verify_theorem)
 
 
 def _fmt(v: float) -> str:
@@ -184,34 +183,29 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         # the hypothesis here is |f'| <= M on [a, b]; check it on a grid
         worst = max(abs(derivative(f, u)) for u in uniform_grid(iv.a, iv.b, 33))
         hyp_ok = worst <= ns.M + VIOLATION_TOL
-        result = BoundResult("classic", ns.x, iv.a, iv.b, ns.s, None, None,
-                             ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                             hypothesis_ok=hyp_ok)
+        q_val = p_val = None
     else:
         q_val, pair = resolve_exponents(ns.theorem, (ns.q, ns.p))
         p_val = pair.p if pair else None
-        gate = hypothesis_gate(ns.theorem, f, iv, ns.s, q_val, ns.grid_gate,
-                               ns.seed)
+        hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q_val,
+                                 ns.grid_gate, ns.seed).holds
         lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
         rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, pair or q_val,
                             M=ns.M)
-        result = BoundResult(ns.theorem, ns.x, iv.a, iv.b, ns.s, q_val, p_val,
-                             ns.M, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                             hypothesis_ok=gate.holds)
-    doc = result.to_dict()
-    _emit_document(ns, CSV_FIELDS, [doc], doc)
+    row = bound_row(ns.theorem, ns.x, iv, ns.s, q_val, p_val, ns.M, lhs, rhs,
+                    hyp_ok)
+    _emit_document(ns, ROW_FIELDS, [row], row)
     return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
     iv = Interval(ns.a, ns.b)
-    report = verify_theorem(ns.theorem, f, iv, ns.s, (ns.q, ns.p),
-                            x_grid=ns.grid, gate_grid_n=ns.grid_gate,
-                            seed=ns.seed, tol=ns.tol)
-    doc = report.to_dict()
-    _emit_document(ns, CSV_FIELDS, doc["results"], doc)
-    return 0 if report.passed else 1
+    doc = verify_theorem(ns.theorem, f, iv, ns.s, (ns.q, ns.p),
+                         x_grid=ns.grid, gate_grid_n=ns.grid_gate,
+                         seed=ns.seed, tol=ns.tol)
+    _emit_document(ns, ROW_FIELDS, doc["results"], doc)
+    return 0 if doc["pass"] else 1
 
 
 # ---------------------------------------------------------------- selftest

@@ -22,6 +22,10 @@ from .errors import DomainError, NumericError
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 50
+# integrand evaluations one integrate call may spend. MAX_DEPTH bounds how
+# deep one panel goes, not how many panels there are: near a sharp peak the
+# bisection can split many thousands of panels before any reaches MAX_DEPTH
+MAX_EVALS = 100_000
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1]. XGK holds the
 # nonnegative Kronrod nodes (odd indices are the embedded Gauss-7 nodes);
@@ -174,8 +178,9 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     results bit-reproducible run to run.
 
     Raises NumericError (carrying the best value and its error estimate)
-    when a panel would need bisection beyond MAX_DEPTH, and DomainError on
-    any non-finite sample.
+    when a panel would need bisection beyond MAX_DEPTH or a bisection would
+    take the evaluations past MAX_EVALS, and DomainError on any non-finite
+    sample.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -199,11 +204,15 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
                 break
         _, _, depth, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        if depth >= MAX_DEPTH or mid <= a or mid >= b:
+        too_deep = depth >= MAX_DEPTH or mid <= a or mid >= b
+        if too_deep or evals + 30 > MAX_EVALS:
             best = math.fsum(item[5] for item in heap) + v
             best_err = math.fsum(item[6] for item in heap) + e
             raise NumericError(
-                f"bisection depth {depth} exhausted at panel [{a}, {b}]",
+                f"bisection depth {depth} exhausted at panel [{a}, {b}]"
+                if too_deep else
+                f"evaluation budget spent: {evals} evaluations, error "
+                f"estimate {best_err:.3g} above tol {tol:g}",
                 value=best, err_est=best_err)
         v1, e1 = gk15(f, a, mid)
         v2, e2 = gk15(f, mid, b)

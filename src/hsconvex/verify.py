@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bounds import (BoundResult, ConjugatePair, LambdaArgs,
+from .bounds import (ConjugatePair, LambdaArgs,
                      classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda5_integrand, lambda_integrand, lambda_memo,
                      lambda_value, ostrowski_rhs, resolve_exponents,
@@ -46,27 +46,21 @@ X_GRID_N = 9
 MAX_X_GRID = 1000
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """One verify_theorem outcome. results is empty when the hypothesis gate
-    fails (no slack claim is made for a theorem whose premise is false)."""
+# the columns of a bound row, in document order
+ROW_FIELDS = ("theorem", "x", "a", "b", "s", "q", "p", "M",
+              "lhs", "rhs", "slack", "hypothesis_ok")
 
-    theorem: str
-    grid: dict
-    results: list[BoundResult]
-    min_slack: Optional[float]
-    hypothesis_ok: bool
-    passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "grid": self.grid,
-            "results": [r.to_dict() for r in self.results],
-            "min_slack": self.min_slack,
-            "hypothesis_ok": self.hypothesis_ok,
-            "pass": self.passed,
-        }
+def bound_row(theorem: str, x: float, iv: Interval, s: float,
+              q: Optional[float], p: Optional[float], M: Optional[float],
+              lhs: float, rhs: float, hypothesis_ok: bool) -> dict:
+    """One inequality instance as the documents print it: the ROW_FIELDS,
+    with slack = rhs - lhs, then fd_fallback. Every derivative magnitude is
+    analytic, so fd_fallback is always false."""
+    row = dict(zip(ROW_FIELDS, (theorem, x, iv.a, iv.b, s, q, p, M,
+                                lhs, rhs, rhs - lhs, hypothesis_ok)))
+    row["fd_fallback"] = False
+    return row
 
 
 def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
@@ -127,15 +121,17 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                    q: Union[float, ConjugatePair, None] = None,
                    x_grid: int = X_GRID_N, gate_grid_n: int = GATE_GRID_N,
                    seed: Optional[int] = None,
-                   tol: float = DEFAULT_TOL) -> VerifyReport:
+                   tol: float = DEFAULT_TOL) -> dict:
     """Gate a theorem's hypothesis, then scan its inequality over x.
 
-    T2_2 gates on harmonic s-convexity of f and yields two chain rows
-    (left-vs-middle and middle-vs-right; the two inequalities hold or fail
-    independently). T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and
-    yield one row per x-grid point. A failed gate short-circuits: results
-    stay empty and pass is false without any slack claim. An x grid of
-    more than MAX_X_GRID points is refused before any evaluation.
+    Returns the document `hsconvex verify` prints: theorem, grid, results
+    (bound_row dicts), min_slack, hypothesis_ok and pass. T2_2 gates on
+    harmonic s-convexity of f and yields two chain rows (left-vs-middle and
+    middle-vs-right; the two inequalities hold or fail independently).
+    T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and yield one row per
+    x-grid point. A failed gate short-circuits: results stay empty,
+    min_slack is None and pass is false, without any slack claim. An x grid
+    of more than MAX_X_GRID points is refused before any evaluation.
     """
     validate_s(s)
     if theorem not in VERIFY_THEOREMS:
@@ -151,47 +147,41 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
 
 def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                 q_val: Optional[float], pair: Optional[ConjugatePair],
-                gate: ConvexityReport, x_grid: int,
-                tol: float) -> VerifyReport:
-    """The report of verify_theorem once its gate is known, for the
+                gate: ConvexityReport, x_grid: int, tol: float) -> dict:
+    """The document of verify_theorem once its gate is known, for the
     exponents (q_val, pair) that resolve_exponents gave."""
     a, b = iv.a, iv.b
-    p_val = pair.p if pair else None
-    grid_desc = {
-        "x_count": 2 if theorem == "T2_2" else x_grid,
-        "s_set": [s],
-        "q_set": [] if q_val is None else [q_val],
-        "fn": f.fn_id,
-        "interval": [a, b],
-    }
-    hyp_ok = gate.holds
-    if not hyp_ok:
-        return VerifyReport(theorem=theorem, grid=grid_desc, results=[],
-                            min_slack=None, hypothesis_ok=False, passed=False)
-
-    results: list[BoundResult] = []
-    if theorem == "T2_2":
+    rows: list[dict] = []
+    if gate.holds and theorem == "T2_2":
         left, middle, right = hh_harmonic_bounds(f, iv, s, tol)
         h_mid = 2.0 * a * b / (a + b)
-        results.append(BoundResult("T2_2_left", h_mid, a, b, s, None, None, None,
-                                   lhs=left, rhs=middle, slack=middle - left,
-                                   hypothesis_ok=True))
-        results.append(BoundResult("T2_2_right", h_mid, a, b, s, None, None, None,
-                                   lhs=middle, rhs=right, slack=right - middle,
-                                   hypothesis_ok=True))
-    else:
+        rows.append(bound_row("T2_2_left", h_mid, iv, s, None, None, None,
+                              left, middle, True))
+        rows.append(bound_row("T2_2_right", h_mid, iv, s, None, None, None,
+                              middle, right, True))
+    elif gate.holds:
+        p_val = pair.p if pair else None
         wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
         for x in uniform_grid(a, b, x_grid):
             lhs = abs(f(x) - wm)
             rhs = ostrowski_rhs(theorem, f, x, iv, s, pair or q_val)
-            results.append(BoundResult(theorem, x, a, b, s, q_val, p_val, None,
-                                       lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                                       hypothesis_ok=True))
-
-    min_slack = min(r.slack for r in results)
-    return VerifyReport(theorem=theorem, grid=grid_desc, results=results,
-                        min_slack=min_slack, hypothesis_ok=True,
-                        passed=min_slack >= -SLACK_TOL)
+            rows.append(bound_row(theorem, x, iv, s, q_val, p_val, None,
+                                  lhs, rhs, True))
+    min_slack = min((r["slack"] for r in rows), default=None)
+    return {
+        "theorem": theorem,
+        "grid": {
+            "x_count": 2 if theorem == "T2_2" else x_grid,
+            "s_set": [s],
+            "q_set": [] if q_val is None else [q_val],
+            "fn": f.fn_id,
+            "interval": [a, b],
+        },
+        "results": rows,
+        "min_slack": min_slack,
+        "hypothesis_ok": gate.holds,
+        "pass": min_slack is not None and min_slack >= -SLACK_TOL,
+    }
 
 
 # the lambda sweep: (theta, x) pairs with theta <= x, used directly for
@@ -266,9 +256,10 @@ def _matrix_configs():
                     yield theorem, fn_id, iv, s, MATRIX_PAIR
 
 
-def run_ostrowski_matrix() -> list[VerifyReport]:
-    """verify_theorem over the whole sweep matrix, in a fixed order, with
-    its default X_GRID_N x points and GATE_GRID_N-point gate grid.
+def run_ostrowski_matrix() -> list[dict]:
+    """The verify_theorem documents of the whole sweep matrix, in a fixed
+    order, with its default X_GRID_N x points and GATE_GRID_N-point gate
+    grid.
 
     The gate depends on (fn, interval, q, s), and s only weights the
     values, so each (fn, interval, q) table is built once, when its first
@@ -293,16 +284,16 @@ def run_ostrowski_matrix() -> list[VerifyReport]:
     return reports
 
 
-def matrix_summary(reports: list[VerifyReport]) -> dict:
+def matrix_summary(reports: list[dict]) -> dict:
     """Aggregate a matrix run: worst gated slack and gate coverage.
 
     gated_pairs collects the distinct (theorem, fn) combinations whose
     hypothesis gate passed; a sweep where too few pairs pass is vacuous no
     matter how good the slacks look.
     """
-    gated = [r for r in reports if r.hypothesis_ok]
-    gated_pairs = sorted({(r.theorem, r.grid["fn"]) for r in gated})
-    min_slack = min((r.min_slack for r in gated), default=None)
+    gated = [r for r in reports if r["hypothesis_ok"]]
+    gated_pairs = sorted({(r["theorem"], r["grid"]["fn"]) for r in gated})
+    min_slack = min((r["min_slack"] for r in gated), default=None)
     return {
         "reports": len(reports),
         "gated": len(gated),
@@ -399,10 +390,10 @@ def run_battery() -> list[Check]:
         for a, b in ((0.25, 1.0), (0.1, 0.9)):
             rep = verify_theorem("T2_2", f, Interval(a, b), s)
             cases += 1
-            if not rep.hypothesis_ok:
+            if not rep["hypothesis_ok"]:
                 min_chain = -math.inf
                 break
-            min_chain = min(min_chain, rep.min_slack)
+            min_chain = min(min_chain, rep["min_slack"])
     add(("hh_chain_slack", "min_slack", min_chain, 1e-12, cases))
     mid = weighted_mean(get_function("id"), Interval(1.0, 2.0))
     add(("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)),

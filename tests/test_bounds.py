@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex import bounds
-from hsconvex.bounds import (BoundResult, ConjugatePair, LambdaArgs,
+from hsconvex.bounds import (ConjugatePair, LambdaArgs,
                              classic_ostrowski_rhs, hh_harmonic_bounds,
                              hh_s_convex_bounds, lambda5, lambda5_integrand,
                              lambda_integrand, lambda_memo, lambda_value,
@@ -469,13 +469,3 @@ class TestOstrowskiRhsAgainstQuadrature:
                         expected = paper_rhs(theorem, x, s, q, p, df)
                         assert abs(rhs - expected) <= 1e-9 * expected, (
                             x, s, q, M)
-
-class TestBoundResult:
-    def test_round_trip(self):
-        r = BoundResult("T2_3", 1.5, 1.0, 2.0, 1.0, 2.0, None, None,
-                        lhs=0.1, rhs=0.3, slack=0.2, hypothesis_ok=True)
-        d = r.to_dict()
-        assert d["theorem"] == "T2_3"
-        assert d["slack"] == 0.2
-        assert d["p"] is None
-        assert d["fd_fallback"] is False

@@ -4,6 +4,8 @@ module's private names, and no option is added by accident."""
 import ast
 from pathlib import Path
 
+import hsconvex
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,13 @@ def test_no_private_imports_in_package():
 def test_no_private_imports_in_tests():
     files = sorted((ROOT / "tests").glob("*.py"))
     assert [hit for f in files for hit in private_imports(f, False)] == []
+
+
+def test_package_exports_resolve_once():
+    # a name left in __all__ after its definition is gone fails here
+    names = hsconvex.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(hsconvex, n)] == []
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.numeric import (DEFAULT_TOL, FunctionSpec, Interval, QuadResult,
-                              derivative, get_function, integrate,
+from hsconvex.numeric import (DEFAULT_TOL, MAX_EVALS, FunctionSpec, Interval,
+                              QuadResult, derivative, get_function, integrate,
                               power_law, weighted_mean)
 
 
@@ -62,13 +62,31 @@ class TestIntegrate:
     def test_depth_exhaustion_carries_partial(self):
         # u^(-0.99) is integrable but its worst panel is always the leftmost,
         # so the subdivision chain hits the depth cap quickly
-        with pytest.raises(NumericError) as exc_info:
+        with pytest.raises(NumericError, match="bisection depth") as exc_info:
             integrate(lambda u: u ** -0.99, 0.0, 1.0)
         err = exc_info.value
         assert math.isfinite(err.value)
         # true value is 100; the partial sum is in the right region
         assert 0.0 < err.value <= 101.0
         assert err.err_est > 0.0
+
+    def test_evaluation_budget_carries_partial(self):
+        # sin^2 oscillates 3e5 times on [0, 100]: tol needs panels far
+        # narrower than the budget pays for, none of them deep
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return math.sin(1e4 * u) ** 2
+
+        with pytest.raises(NumericError, match="evaluation budget spent") as exc_info:
+            integrate(f, 0.0, 100.0, 1e-12)
+        err = exc_info.value
+        assert len(calls) <= MAX_EVALS
+        assert str(len(calls)) in str(err)
+        # true value is 50
+        assert abs(err.value - 50.0) <= 10.0
+        assert err.err_est > 1e-12
 
     def test_nonfinite_sample_is_domain_error(self):
         with pytest.raises(DomainError):

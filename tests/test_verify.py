@@ -15,7 +15,7 @@ from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
 from hsconvex.errors import DomainError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
                               get_function, integrate)
-from hsconvex.verify import (MAX_X_GRID, SLACK_TOL, VerifyReport,
+from hsconvex.verify import (MAX_X_GRID, ROW_FIELDS, SLACK_TOL, bound_row,
                              lambda_consistency_rows, lemma_residual,
                              min_corollary_gap, run_battery,
                              run_ostrowski_matrix, verify_theorem)
@@ -49,50 +49,52 @@ class TestVerifyTheorem:
     def test_t2_2_sqrt_on_unit_subinterval(self):
         rep = verify_theorem("T2_2", get_function("pow:0.5"),
                              Interval(0.25, 1.0), 0.5)
-        assert rep.hypothesis_ok
-        assert rep.passed
-        assert len(rep.results) == 2
-        assert {r.theorem for r in rep.results} == {"T2_2_left", "T2_2_right"}
-        assert all(r.slack >= -1e-12 for r in rep.results)
+        assert rep["hypothesis_ok"]
+        assert rep["pass"]
+        assert len(rep["results"]) == 2
+        assert ({r["theorem"] for r in rep["results"]}
+                == {"T2_2_left", "T2_2_right"})
+        assert all(r["slack"] >= -1e-12 for r in rep["results"])
 
     def test_t2_3_identity(self):
         rep = verify_theorem("T2_3", get_function("id"), IV12, 1.0, 1.0)
-        assert rep.passed
+        assert rep["pass"]
         # the bound is exactly sharp at both endpoints for f(x)=x, s=q=1,
         # so the minimum slack is zero up to a last-place rounding wiggle
-        assert rep.min_slack >= -1e-12
-        assert len(rep.results) == 9
-        interior = [r.slack for r in rep.results[1:-1]]
+        assert rep["min_slack"] >= -1e-12
+        assert len(rep["results"]) == 9
+        interior = [r["slack"] for r in rep["results"][1:-1]]
         assert min(interior) > 1e-3
         # the x = 1.5 row reproduces the reference pair of values
-        row = rep.results[4]
-        assert row.x == pytest.approx(1.5)
-        assert row.lhs == pytest.approx(abs(1.5 - 2.0 * math.log(2.0)), abs=1e-9)
-        assert row.rhs == pytest.approx(0.2644339286872331, rel=1e-9)
+        row = rep["results"][4]
+        assert row["x"] == pytest.approx(1.5)
+        assert row["lhs"] == pytest.approx(abs(1.5 - 2.0 * math.log(2.0)),
+                                           abs=1e-9)
+        assert row["rhs"] == pytest.approx(0.2644339286872331, rel=1e-9)
 
     def test_gate_failure_empties_results(self):
         rep = verify_theorem("T2_2", get_function("neg"), IV12, 1.0)
-        assert not rep.hypothesis_ok
-        assert not rep.passed
-        assert rep.results == []
-        assert rep.min_slack is None
+        assert not rep["hypothesis_ok"]
+        assert not rep["pass"]
+        assert rep["results"] == []
+        assert rep["min_slack"] is None
 
     def test_gate_is_on_derivative_for_ostrowski(self):
         # |f'|^q of neg is the constant 1, which is harmonically s-convex,
         # so the Ostrowski gates pass even though f itself is not
         rep = verify_theorem("T2_3", get_function("neg"), IV12, 1.0, 1.0)
-        assert rep.hypothesis_ok
-        assert rep.passed
+        assert rep["hypothesis_ok"]
+        assert rep["pass"]
 
     def test_sqrt_gate_depends_on_s(self):
         f = get_function("pow:0.5")
         # 0.5/sqrt(u) is not harmonically 1-convex ...
         rep1 = verify_theorem("T2_3", f, IV12, 1.0, 1.0)
-        assert not rep1.hypothesis_ok
+        assert not rep1["hypothesis_ok"]
         # ... but is harmonically 0.5-convex
         rep2 = verify_theorem("T2_3", f, IV12, 0.5, 1.0)
-        assert rep2.hypothesis_ok
-        assert rep2.passed
+        assert rep2["hypothesis_ok"]
+        assert rep2["pass"]
 
     def test_gate_named_by_its_exact_q(self):
         # |f'|^q overflows at the first node, and the error names the gate;
@@ -110,7 +112,7 @@ class TestVerifyTheorem:
         pair = ConjugatePair(2.0, 2.0)
         for theorem in ("T2_6", "T2_7"):
             rep = verify_theorem(theorem, get_function("pow:2"), IV12, 1.0, pair)
-            assert rep.hypothesis_ok and rep.passed, theorem
+            assert rep["hypothesis_ok"] and rep["pass"], theorem
             with pytest.raises(DomainError):
                 verify_theorem(theorem, get_function("pow:2"), IV12, 1.0, 2.0)
 
@@ -133,16 +135,26 @@ class TestVerifyTheorem:
     def test_deterministic_serialization(self):
         r1 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0)
         r2 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
 
     def test_report_invariants(self):
         rep = verify_theorem("T2_5", get_function("inv"), IV12, 1.0, 2.0)
-        assert isinstance(rep, VerifyReport)
-        assert rep.min_slack == min(r.slack for r in rep.results)
-        assert rep.passed == (rep.hypothesis_ok and rep.min_slack >= -SLACK_TOL)
-        d = rep.to_dict()
-        assert d["pass"] is rep.passed
-        assert d["grid"]["fn"] == "inv"
+        assert list(rep) == ["theorem", "grid", "results", "min_slack",
+                             "hypothesis_ok", "pass"]
+        assert rep["min_slack"] == min(r["slack"] for r in rep["results"])
+        assert rep["pass"] is (rep["hypothesis_ok"]
+                               and rep["min_slack"] >= -SLACK_TOL)
+        assert rep["grid"]["fn"] == "inv"
+
+
+class TestBoundRow:
+    def test_fields_and_slack(self):
+        r = bound_row("T2_3", 1.5, IV12, 1.0, 2.0, None, None, 0.1, 0.3, True)
+        assert list(r) == list(ROW_FIELDS) + ["fd_fallback"]
+        assert (r["theorem"], r["a"], r["b"]) == ("T2_3", 1.0, 2.0)
+        assert r["slack"] == 0.3 - 0.1
+        assert r["p"] is None
+        assert r["fd_fallback"] is False
 
 
 class TestDerivativeRoute:
@@ -184,7 +196,7 @@ class TestDerivativeRoute:
                 monkeypatch.setattr(mod, "derivative", counted_derivative)
         f = FunctionSpec("pow:2.3", pow23.eval_fn, deriv_fn)
         rep = verify_theorem("T2_4", f, IV12, 0.5, 2.0)
-        assert rep.hypothesis_ok
+        assert rep["hypothesis_ok"]
         # the 16 x 16 gate's 1,944 values of |f'|^2 are guarded per table by
         # FunctionSpec.values, with no per-point spec call and no derivative
         # call; ostrowski_rhs takes |f'| at x, a and b for each of the 9 x
