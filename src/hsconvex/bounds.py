@@ -25,8 +25,7 @@ import contextvars
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DomainError, NumericError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative,
@@ -54,112 +53,82 @@ def validate_m(m: float) -> float:
     return m
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
-    """Holder conjugate exponents: p, q > 1 with 1/p + 1/q = 1."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 1.0
-                and math.isfinite(self.q) and self.q > 1.0):
-            raise DomainError(f"conjugate exponents must exceed 1, got ({self.p}, {self.q})")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-14:
-            raise DomainError(f"1/p + 1/q must equal 1, got p={self.p}, q={self.q}")
-
-    @classmethod
-    def from_p(cls, p: float) -> "ConjugatePair":
+def resolve_exponents(theorem: str, q: Optional[float],
+                      p: Optional[float]) -> tuple[Optional[float], Optional[float]]:
+    """Check and complete the exponents (q, p) a theorem takes, given as the
+    CLI's --q and --p: none for T2_2 and classic; a power-mean q >= 1 for
+    T2_3..T2_5 (p None); Hoelder conjugates p, q > 1 with 1/p + 1/q = 1 for
+    T2_6/T2_7, where either determines the other. Resolved exponents come
+    back unchanged.
+    """
+    if theorem in ("T2_2", "classic"):
+        if q is not None or p is not None:
+            raise DomainError(f"{theorem} takes no exponents: drop --q and --p")
+        return None, None
+    if theorem not in ("T2_6", "T2_7"):
+        if p is not None:
+            raise DomainError(f"{theorem} takes no --p: give --q alone")
+        if q is None:
+            raise DomainError(f"{theorem} needs --q (a power-mean exponent >= 1)")
+        return validate_q(q), None
+    if p is None and q is None:
+        raise DomainError(f"{theorem} needs conjugate exponents: give --p, --q or both")
+    if q is None:
         if not (math.isfinite(p) and p > 1.0):
             raise DomainError(f"p must exceed 1, got {p}")
-        return cls(p, p / (p - 1.0))
-
-    @classmethod
-    def from_q(cls, q: float) -> "ConjugatePair":
+        q = p / (p - 1.0)
+    elif p is None:
         if not (math.isfinite(q) and q > 1.0):
             raise DomainError(f"q must exceed 1, got {q}")
-        return cls(q / (q - 1.0), q)
+        p = q / (q - 1.0)
+    if not (math.isfinite(p) and p > 1.0 and math.isfinite(q) and q > 1.0):
+        raise DomainError(f"conjugate exponents must exceed 1, got ({p}, {q})")
+    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-14:
+        raise DomainError(f"1/p + 1/q must equal 1, got p={p}, q={q}")
+    return q, p
 
 
-def resolve_exponents(theorem: str,
-                      exponents: Union[float, ConjugatePair, tuple, None]
-                      ) -> tuple[Optional[float], Optional[ConjugatePair]]:
-    """Normalize what a theorem takes to (q, pair): nothing for T2_2, a
-    ConjugatePair for T2_6/T2_7 (pair set), a scalar q >= 1 or the q of a
-    ConjugatePair for the others (pair None). exponents may also be the
-    CLI's (--q, --p) flags; for T2_6/T2_7 either determines the other.
-    """
-    if theorem == "T2_2":
-        return None, None
-    holder = theorem in ("T2_6", "T2_7")
-    if isinstance(exponents, tuple):
-        q, p = exponents
-        exponents = q
-        if holder and p is not None:
-            exponents = ConjugatePair.from_p(p) if q is None else ConjugatePair(p, q)
-        elif holder and q is not None:
-            exponents = ConjugatePair.from_q(q)
-    if holder and not isinstance(exponents, ConjugatePair):
-        raise DomainError(f"{theorem} needs conjugate exponents: give --p, --q or both")
-    if exponents is None:
-        raise DomainError(f"{theorem} needs --q (a power-mean exponent >= 1)")
-    if isinstance(exponents, ConjugatePair):
-        return exponents.q, exponents if holder else None
-    return validate_q(exponents), None
+def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
+             rho: float) -> float:
+    """Check the arguments of the lambda weight of `kind` and return its z:
+    1 - theta/x on the a-side (kinds 1, 2), 1 - x/theta on the b-side."""
+    if kind not in (1, 2, 3, 4):
+        raise DomainError(f"kind must be 1..4, got {kind}")
+    for name, v in (("theta", theta), ("x", x)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise DomainError(f"{name} must be positive, got {v}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise DomainError(f"s must be nonnegative, got {s}")
+    if not (math.isfinite(vartheta) and vartheta > 0.0):
+        raise DomainError(f"vartheta must be positive, got {vartheta}")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise DomainError(f"rho must be nonnegative, got {rho}")
+    if kind in (1, 2) and not theta <= x:
+        raise DomainError(
+            f"kinds 1, 2 are a-side weights and require theta <= x, "
+            f"got theta={theta}, x={x}")
+    if kind in (3, 4) and not x <= theta:
+        raise DomainError(
+            f"kinds 3, 4 are b-side weights and require x <= theta, "
+            f"got theta={theta}, x={x}")
+    z = 1.0 - theta / x if kind in (1, 2) else 1.0 - x / theta
+    if z >= Z_CAP:
+        raise DomainError(
+            f"z={z} too close to 1 (theta/x ratio too extreme)")
+    return z
 
 
-@dataclass(frozen=True)
-class LambdaArgs:
-    """Argument tuple (kind, theta, x, s, vartheta, rho) of the lambda family."""
-
-    kind: int
-    theta: float
-    x: float
-    s: float
-    vartheta: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in (1, 2, 3, 4):
-            raise DomainError(f"kind must be 1..4, got {self.kind}")
-        for name, v in (("theta", self.theta), ("x", self.x)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive, got {v}")
-        if not (math.isfinite(self.s) and self.s >= 0.0):
-            raise DomainError(f"s must be nonnegative, got {self.s}")
-        if not (math.isfinite(self.vartheta) and self.vartheta > 0.0):
-            raise DomainError(f"vartheta must be positive, got {self.vartheta}")
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise DomainError(f"rho must be nonnegative, got {self.rho}")
-        if self.kind in (1, 2) and not self.theta <= self.x:
-            raise DomainError(
-                f"kinds 1, 2 are a-side weights and require theta <= x, "
-                f"got theta={self.theta}, x={self.x}")
-        if self.kind in (3, 4) and not self.x <= self.theta:
-            raise DomainError(
-                f"kinds 3, 4 are b-side weights and require x <= theta, "
-                f"got theta={self.theta}, x={self.x}")
-        if self.z >= Z_CAP:
-            raise DomainError(
-                f"z={self.z} too close to 1 (theta/x ratio too extreme)")
-
-    @property
-    def z(self) -> float:
-        if self.kind in (1, 2):
-            return 1.0 - self.theta / self.x
-        return 1.0 - self.x / self.theta
-
-
-def lambda_integrand(args: LambdaArgs):
-    """Return the defining integrand of args as a callable on (0, 1).
+def lambda_integrand(kind: int, theta: float, x: float, s: float,
+                     vartheta: float, rho: float):
+    """Return the defining integrand of the lambda weight as a callable on
+    (0, 1), after the checks of lambda_z.
 
     This is what the quadrature oracle integrates when cross-checking the
     closed form.
     """
-    theta, x = args.theta, args.x
-    two_vt = 2.0 * args.vartheta
-    rho, s = args.rho, args.s
-    if args.kind in (1, 3):
+    lambda_z(kind, theta, x, s, vartheta, rho)
+    two_vt = 2.0 * vartheta
+    if kind in (1, 3):
         def integrand(t: float) -> float:
             return t ** (rho + s) / (t * theta + (1.0 - t) * x) ** two_vt
     else:
@@ -194,15 +163,15 @@ def _finite(fn):
     return finite_fn
 
 
-# the lambda weights of the sweep in progress, keyed by LambdaArgs; None
-# outside a lambda_memo block
+# the lambda weights of the sweep in progress, keyed by their argument
+# tuple (kind, theta, x, s, vartheta, rho); None outside a lambda_memo block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
 
 @contextlib.contextmanager
 def lambda_memo():
-    """Within the block, lambda_value computes each distinct LambdaArgs
+    """Within the block, lambda_value computes each distinct argument tuple
     once and returns the stored value after. A weight does not depend on f,
     so a sweep over many functions repeats the same few hundred. A block
     inside another shares the outer block's memo; the memo ends with the
@@ -218,24 +187,28 @@ def lambda_memo():
 
 
 @_finite
-def lambda_value(args: LambdaArgs) -> float:
-    """Evaluate the closed form of the lambda weight `args`,
+def lambda_value(kind: int, theta: float, x: float, s: float,
+                 vartheta: float, rho: float) -> float:
+    """Evaluate the closed form of the lambda weight of `kind`,
     beta(b, b2) / base^(2vt) * 2F1(2vt, b; rho+s+2; z), with the Beta
     arguments (b, b2) and the base of each kind in the table below.
-    Inside a lambda_memo block each distinct args is computed once."""
+    Inside a lambda_memo block each distinct argument tuple is checked
+    (lambda_z) and computed once; a stored tuple was checked before it
+    was stored."""
     memo = _LAMBDA_MEMO.get()
-    if memo is not None and args in memo:
-        return memo[args]
-    rho, s = args.rho, args.s
-    b, b2, base = {1: (rho + s + 1.0, 1.0, args.x),
-                   2: (rho + 1.0, s + 1.0, args.x),
-                   3: (1.0, rho + s + 1.0, args.theta),
-                   4: (s + 1.0, rho + 1.0, args.theta)}[args.kind]
-    two_vt = 2.0 * args.vartheta
+    key = (kind, theta, x, s, vartheta, rho)
+    if memo is not None and key in memo:
+        return memo[key]
+    z = lambda_z(kind, theta, x, s, vartheta, rho)
+    b, b2, base = {1: (rho + s + 1.0, 1.0, x),
+                   2: (rho + 1.0, s + 1.0, x),
+                   3: (1.0, rho + s + 1.0, theta),
+                   4: (s + 1.0, rho + 1.0, theta)}[kind]
+    two_vt = 2.0 * vartheta
     front = beta(b, b2) / base ** two_vt
-    value = front * hyp2f1(two_vt, b, rho + s + 2.0, args.z)
+    value = front * hyp2f1(two_vt, b, rho + s + 2.0, z)
     if memo is not None:
-        memo[args] = value
+        memo[key] = value
     return value
 
 
@@ -326,7 +299,7 @@ def ostrowski_lhs(f: FunctionSpec, x: float, iv: Interval,
 
 @_finite
 def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
-                  s: float, q: Union[float, ConjugatePair],
+                  s: float, q: Optional[float], p: Optional[float],
                   M: Optional[float] = None) -> float:
     """Assemble the right-hand side of one Ostrowski-type bound at x:
     (ab/(b-a)) * prefactor * [side(a) + side(b)], where side(end) is
@@ -334,8 +307,9 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
     |f'(end)|^q (times lambda5^(1-1/q) for T2_5), or Hoelder's form of the
     same for T2_7. Every end term of every theorem is built by side().
 
-    T2_3/T2_4/T2_5 take a scalar exponent q >= 1; T2_6/T2_7 require a
-    ConjugatePair. Derivative magnitudes |f'(x)|, |f'(a)|, |f'(b)| come from
+    The exponents (q, p) are checked and completed by resolve_exponents: a
+    power-mean q >= 1 for T2_3/T2_4/T2_5, Hoelder conjugates for T2_6/T2_7.
+    Derivative magnitudes |f'(x)|, |f'(a)|, |f'(b)| come from
     numeric.derivative, or are all replaced by M when M is given (the
     corollary mode; the printed corollary prefactors are algebraically this
     substitution). x = a or x = b zeroes that side structurally, skipping
@@ -349,7 +323,7 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
     if not a <= x <= b:
         raise DomainError(f"x={x} outside [{a}, {b}]")
 
-    q_exp, pair = resolve_exponents(theorem, q)
+    q, p = resolve_exponents(theorem, q, p)
 
     if M is not None:
         validate_m(M)
@@ -357,31 +331,31 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
     else:
         dx, da, db = (abs(derivative(f, u)) for u in (x, a, b))
 
-    inv_q = 1.0 / q_exp
+    inv_q = 1.0 / q
     # the theorems differ in the (vartheta, rho) of the lambda weights and
     # an outer prefactor
     if theorem == "T2_3":
-        vt, rho, prefactor = q_exp, q_exp, 1.0
+        vt, rho, prefactor = q, q, 1.0
     elif theorem == "T2_4":
-        vt, rho, prefactor = q_exp, 1.0, 0.5 ** (1.0 - inv_q)
+        vt, rho, prefactor = q, 1.0, 0.5 ** (1.0 - inv_q)
     elif theorem == "T2_5":
         vt, rho, prefactor = 1.0, 1.0, 1.0
     elif theorem == "T2_6":
-        vt, rho, prefactor = q_exp, 0.0, (1.0 / (pair.p + 1.0)) ** (1.0 / pair.p)
+        vt, rho, prefactor = q, 0.0, (1.0 / (p + 1.0)) ** (1.0 / p)
     else:  # T2_7
-        vt, rho, prefactor = pair.p, pair.p, 1.0
+        vt, rho, prefactor = p, p, 1.0
 
     def side(end: float, d_end: float, kind: int) -> float:
         # kinds 1, 2 weigh the a-side, kinds 3, 4 the b-side; (x - end)^2
         # equals (end - x)^2 exactly
         if theorem == "T2_7":
-            lam = lambda_value(LambdaArgs(kind, end, x, 0.0, vt, rho))
+            lam = lambda_value(kind, end, x, 0.0, vt, rho)
             return lam ** (1.0 / vt) * (x - end) ** 2 \
-                * ((dx ** q_exp + d_end ** q_exp) / (s + 1.0)) ** inv_q
-        lam_x = lambda_value(LambdaArgs(kind, end, x, s, vt, rho))
-        lam_end = lambda_value(LambdaArgs(kind + 1, end, x, s, vt, rho))
+                * ((dx ** q + d_end ** q) / (s + 1.0)) ** inv_q
+        lam_x = lambda_value(kind, end, x, s, vt, rho)
+        lam_end = lambda_value(kind + 1, end, x, s, vt, rho)
         term = (x - end) ** 2 \
-            * (lam_x * dx ** q_exp + lam_end * d_end ** q_exp) ** inv_q
+            * (lam_x * dx ** q + lam_end * d_end ** q) ** inv_q
         if theorem == "T2_5":
             term *= lambda5(end, x) ** (1.0 - inv_q)
         return term

@@ -26,7 +26,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .bounds import (LambdaArgs, classic_ostrowski_rhs, hh_harmonic_bounds,
+from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
@@ -127,19 +127,18 @@ def _emit_document(ns: argparse.Namespace, header: Sequence[str],
 
 def cmd_lambda(ns: argparse.Namespace) -> int:
     if ns.kind == 5:
+        if not (ns.s is None and ns.vartheta is None and ns.rho is None):
+            raise DomainError("kind 5 takes no --s, --vartheta or --rho")
         value = lambda5(ns.theta, ns.x)
         integrand, oracle_tol = lambda5_integrand(ns.theta, ns.x), 1e-13
-        payload = {"kind": 5, "theta": ns.theta, "x": ns.x,
-                   "s": None, "vartheta": None, "rho": None, "value": value}
     else:
         if ns.s is None or ns.vartheta is None or ns.rho is None:
             raise DomainError(f"kind {ns.kind} needs --s, --vartheta and --rho")
-        args = LambdaArgs(ns.kind, ns.theta, ns.x, ns.s, ns.vartheta, ns.rho)
-        value = lambda_value(args)
-        integrand, oracle_tol = lambda_integrand(args), 1e-12
-        payload = {"kind": ns.kind, "theta": ns.theta, "x": ns.x,
-                   "s": ns.s, "vartheta": ns.vartheta, "rho": ns.rho,
-                   "value": value}
+        args = (ns.kind, ns.theta, ns.x, ns.s, ns.vartheta, ns.rho)
+        value = lambda_value(*args)
+        integrand, oracle_tol = lambda_integrand(*args), 1e-12
+    payload = {"kind": ns.kind, "theta": ns.theta, "x": ns.x, "s": ns.s,
+               "vartheta": ns.vartheta, "rho": ns.rho, "value": value}
     if ns.check:
         if value == 0.0:
             raise NumericError("the value underflows to 0.0, so it has no "
@@ -174,6 +173,7 @@ def cmd_hh(ns: argparse.Namespace) -> int:
 def cmd_ostrowski(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
     iv = Interval(ns.a, ns.b)
+    q, p = resolve_exponents(ns.theorem, ns.q, ns.p)
     if ns.theorem == "classic":
         if ns.M is None:
             raise DomainError("classic needs --M (a bound on |f'|)")
@@ -183,17 +183,12 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         # the hypothesis here is |f'| <= M on [a, b]; check it on a grid
         worst = max(abs(derivative(f, u)) for u in uniform_grid(iv.a, iv.b, 33))
         hyp_ok = worst <= ns.M + VIOLATION_TOL
-        q_val = p_val = None
     else:
-        q_val, pair = resolve_exponents(ns.theorem, (ns.q, ns.p))
-        p_val = pair.p if pair else None
-        hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q_val,
+        hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q,
                                  ns.grid_gate, ns.seed).holds
         lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
-        rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, pair or q_val,
-                            M=ns.M)
-    row = bound_row(ns.theorem, ns.x, iv, ns.s, q_val, p_val, ns.M, lhs, rhs,
-                    hyp_ok)
+        rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q, p, M=ns.M)
+    row = bound_row(ns.theorem, ns.x, iv, ns.s, q, p, ns.M, lhs, rhs, hyp_ok)
     _emit_document(ns, ROW_FIELDS, [row], row)
     return 0
 
@@ -201,7 +196,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
     iv = Interval(ns.a, ns.b)
-    doc = verify_theorem(ns.theorem, f, iv, ns.s, (ns.q, ns.p),
+    doc = verify_theorem(ns.theorem, f, iv, ns.s, ns.q, ns.p,
                          x_grid=ns.grid, gate_grid_n=ns.grid_gate,
                          seed=ns.seed, tol=ns.tol)
     _emit_document(ns, ROW_FIELDS, doc["results"], doc)

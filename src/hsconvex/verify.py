@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .bounds import (ConjugatePair, LambdaArgs,
-                     classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
+from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda5_integrand, lambda_integrand, lambda_memo,
                      lambda_value, ostrowski_rhs, resolve_exponents,
                      OSTROWSKI_THEOREMS)
@@ -118,7 +117,7 @@ def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
 
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-                   q: Union[float, ConjugatePair, None] = None,
+                   q: Optional[float], p: Optional[float],
                    x_grid: int = X_GRID_N, gate_grid_n: int = GATE_GRID_N,
                    seed: Optional[int] = None,
                    tol: float = DEFAULT_TOL) -> dict:
@@ -129,7 +128,8 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     harmonic s-convexity of f and yields two chain rows (left-vs-middle and
     middle-vs-right; the two inequalities hold or fail independently).
     T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and yield one row per
-    x-grid point. A failed gate short-circuits: results stay empty,
+    x-grid point. The exponents (q, p) are resolved once
+    (resolve_exponents). A failed gate short-circuits: results stay empty,
     min_slack is None and pass is false, without any slack claim. An x grid
     of more than MAX_X_GRID points is refused before any evaluation.
     """
@@ -140,16 +140,16 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     if not 1 <= x_grid <= MAX_X_GRID:
         raise DomainError(f"x_grid must have 1 to {MAX_X_GRID} points, "
                           f"got {x_grid}")
-    q_val, pair = resolve_exponents(theorem, q)
-    gate = hypothesis_gate(theorem, f, iv, s, q_val, gate_grid_n, seed)
-    return _gated_scan(theorem, f, iv, s, q_val, pair, gate, x_grid, tol)
+    q, p = resolve_exponents(theorem, q, p)
+    gate = hypothesis_gate(theorem, f, iv, s, q, gate_grid_n, seed)
+    return _gated_scan(theorem, f, iv, s, q, p, gate, x_grid, tol)
 
 
 def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-                q_val: Optional[float], pair: Optional[ConjugatePair],
+                q: Optional[float], p: Optional[float],
                 gate: ConvexityReport, x_grid: int, tol: float) -> dict:
-    """The document of verify_theorem once its gate is known, for the
-    exponents (q_val, pair) that resolve_exponents gave."""
+    """The document of verify_theorem once its gate is known, for resolved
+    exponents (q, p)."""
     a, b = iv.a, iv.b
     rows: list[dict] = []
     if gate.holds and theorem == "T2_2":
@@ -160,12 +160,11 @@ def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         rows.append(bound_row("T2_2_right", h_mid, iv, s, None, None, None,
                               middle, right, True))
     elif gate.holds:
-        p_val = pair.p if pair else None
         wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
         for x in uniform_grid(a, b, x_grid):
             lhs = abs(f(x) - wm)
-            rhs = ostrowski_rhs(theorem, f, x, iv, s, pair or q_val)
-            rows.append(bound_row(theorem, x, iv, s, q_val, p_val, None,
+            rhs = ostrowski_rhs(theorem, f, x, iv, s, q, p)
+            rows.append(bound_row(theorem, x, iv, s, q, p, None,
                                   lhs, rhs, True))
     min_slack = min((r["slack"] for r in rows), default=None)
     return {
@@ -173,7 +172,7 @@ def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         "grid": {
             "x_count": 2 if theorem == "T2_2" else x_grid,
             "s_set": [s],
-            "q_set": [] if q_val is None else [q_val],
+            "q_set": [] if q is None else [q],
             "fn": f.fn_id,
             "interval": [a, b],
         },
@@ -217,10 +216,9 @@ def lambda_consistency_rows() -> list[dict]:
             theta, x = (theta_a, x_a) if kind in (1, 2) else (x_a, theta_a)
             for s in LAMBDA_S_VALUES:
                 for vt, rho in LAMBDA_VARTHETA_RHO:
-                    args = LambdaArgs(kind, theta, x, s, vt, rho)
-                    rows.append(row(kind, theta, x, s, vt, rho,
-                                    lambda_value(args),
-                                    lambda_integrand(args)))
+                    args = (kind, theta, x, s, vt, rho)
+                    rows.append(row(*args, lambda_value(*args),
+                                    lambda_integrand(*args)))
     for theta, x in LAMBDA5_POINTS:
         rows.append(row(5, theta, x, None, None, None, lambda5(theta, x),
                         lambda5_integrand(theta, x)))
@@ -233,17 +231,19 @@ MATRIX_FUNCTIONS = ("const:2", "id", "pow:2", "pow:0.5", "inv", "neg")
 MATRIX_INTERVALS = ((1.0, 2.0), (0.5, 3.0))
 MATRIX_S_VALUES = (0.5, 1.0)
 MATRIX_Q_VALUES = (1.0, 2.0)
-MATRIX_PAIR = ConjugatePair(2.0, 2.0)
+MATRIX_PAIR = (2.0, 2.0)  # (q, p) of T2_6, T2_7
 
 LEMMA_FUNCTIONS = ("const:2", "id", "pow:2", "pow:0.5", "inv")
 LEMMA_INTERVALS = ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
 
 
 def _matrix_configs():
-    """Yield (theorem, fn_id, iv, s, q_or_pair) across the sweep matrix.
+    """Yield (theorem, fn_id, iv, s, q, p) across the sweep matrix, with
+    the exponents as resolve_exponents gives them.
 
-    T2_3/T2_4/T2_5 run once per scalar q; T2_6/T2_7 run once per config with
-    the fixed conjugate pair (such pairs have no free q to sweep).
+    T2_3/T2_4/T2_5 run once per q (p None); T2_6/T2_7 run once per config
+    with the fixed conjugate pair (q, p) = MATRIX_PAIR (such pairs have no
+    free q to sweep).
     """
     for fn_id in MATRIX_FUNCTIONS:
         for a, b in MATRIX_INTERVALS:
@@ -251,9 +251,9 @@ def _matrix_configs():
             for s in MATRIX_S_VALUES:
                 for theorem in ("T2_3", "T2_4", "T2_5"):
                     for q in MATRIX_Q_VALUES:
-                        yield theorem, fn_id, iv, s, q
+                        yield theorem, fn_id, iv, s, q, None
                 for theorem in ("T2_6", "T2_7"):
-                    yield theorem, fn_id, iv, s, MATRIX_PAIR
+                    yield (theorem, fn_id, iv, s) + MATRIX_PAIR
 
 
 def run_ostrowski_matrix() -> list[dict]:
@@ -269,17 +269,16 @@ def run_ostrowski_matrix() -> list[dict]:
     gates: dict = {}
     reports = []
     with lambda_memo():
-        for theorem, fn_id, iv, s, q in _matrix_configs():
+        for theorem, fn_id, iv, s, q, p in _matrix_configs():
             f = get_function(fn_id)
-            q_val, pair = resolve_exponents(theorem, q)
-            key = (fn_id, iv, q_val)
+            key = (fn_id, iv, q)
             if key not in gates:
-                table = tabulate(_gate_function(theorem, f, q_val), iv,
+                table = tabulate(_gate_function(theorem, f, q), iv,
                                  ConvexityMode.HARMONICALLY_S_CONVEX,
                                  GATE_GRID_N, None)
                 gates[key] = {s_gate: table.report(s_gate)
                               for s_gate in MATRIX_S_VALUES}
-            reports.append(_gated_scan(theorem, f, iv, s, q_val, pair,
+            reports.append(_gated_scan(theorem, f, iv, s, q, p,
                                        gates[key][s], X_GRID_N, DEFAULT_TOL))
     return reports
 
@@ -315,13 +314,13 @@ def min_corollary_gap() -> float:
     """
     worst = math.inf
     with lambda_memo():
-        for theorem, fn_id, iv, s, q in _matrix_configs():
+        for theorem, fn_id, iv, s, q, p in _matrix_configs():
             f = get_function(fn_id)
             xs = uniform_grid(iv.a, iv.b, X_GRID_N)
             m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
             for x in xs:
-                gap = (ostrowski_rhs(theorem, f, x, iv, s, q, M=m_cap)
-                       - ostrowski_rhs(theorem, f, x, iv, s, q))
+                gap = (ostrowski_rhs(theorem, f, x, iv, s, q, p, M=m_cap)
+                       - ostrowski_rhs(theorem, f, x, iv, s, q, p))
                 if gap < worst:
                     worst = gap
     return worst
@@ -388,7 +387,7 @@ def run_battery() -> list[Check]:
     for s in (0.25, 0.5, 0.75, 1.0):
         f = get_function(f"pow:{s:g}")
         for a, b in ((0.25, 1.0), (0.1, 0.9)):
-            rep = verify_theorem("T2_2", f, Interval(a, b), s)
+            rep = verify_theorem("T2_2", f, Interval(a, b), s, None, None)
             cases += 1
             if not rep["hypothesis_ok"]:
                 min_chain = -math.inf

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from hsconvex.bounds import LambdaArgs, lambda_value
+from hsconvex.bounds import lambda_value, lambda_z
 from hsconvex.specfn import beta, hyp2f1
 from hsconvex.verify import run_battery
 
@@ -36,16 +36,17 @@ def battery():
     return run_battery()
 
 
-def canary_lambda_value(args: LambdaArgs) -> float:
+def canary_lambda_value(kind: int, theta: float, x: float, s: float,
+                        vartheta: float, rho: float) -> float:
     """lambda_value with the kind-2 front factor beta(rho+1, 1) in place of
     beta(rho+1, s+1): plausible-looking, equal at s = 0, and wrong for
     s > 0. The oracle comparison must catch it."""
-    if args.kind != 2:
-        return lambda_value(args)
-    two_vt = 2.0 * args.vartheta
-    front = beta(args.rho + 1.0, 1.0) / args.x ** two_vt
-    return front * hyp2f1(two_vt, args.rho + 1.0, args.rho + args.s + 2.0,
-                          args.z)
+    if kind != 2:
+        return lambda_value(kind, theta, x, s, vartheta, rho)
+    z = lambda_z(kind, theta, x, s, vartheta, rho)
+    two_vt = 2.0 * vartheta
+    front = beta(rho + 1.0, 1.0) / x ** two_vt
+    return front * hyp2f1(two_vt, rho + 1.0, rho + s + 2.0, z)
 
 
 # distances of m = c - a - b from an integer: the logarithmic cases of the

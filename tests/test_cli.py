@@ -215,6 +215,29 @@ class TestZNearOne:
             assert (out, err[:15]) == ("", "numeric error: ")
 
 
+class TestUnusedFlags:
+    """A flag the request does not use is refused, not dropped."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--theorem", "T2_3", "--fn", "pow:2", "--a", "1", "--b",
+          "2", "--q", "2", "--p", "3"), "T2_3 takes no --p: give --q alone"),
+        (("verify", "--theorem", "T2_2", "--fn", "pow:2", "--a", "1", "--b",
+          "2", "--q", "2"), "T2_2 takes no exponents: drop --q and --p"),
+        (("ostrowski", "--theorem", "T2_5", "--fn", "id", "--a", "1", "--b",
+          "2", "--x", "1.5", "--q", "2", "--p", "2"),
+         "T2_5 takes no --p: give --q alone"),
+        (("ostrowski", "--theorem", "classic", "--fn", "id", "--a", "1",
+          "--b", "2", "--x", "1.5", "--M", "1", "--q", "3"),
+         "classic takes no exponents: drop --q and --p"),
+        (("lambda", "--kind", "5", "--theta", "1", "--x", "2", "--s", "0.5"),
+         "kind 5 takes no --s, --vartheta or --rho"),
+        (("lambda", "--kind", "5", "--theta", "1", "--x", "2", "--rho", "0"),
+         "kind 5 takes no --s, --vartheta or --rho"),
+    ])
+    def test_exits_two_with_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"domain error: {message}\n")
+
+
 class TestLibraryParity:
     """verify and ostrowski print what the library returns for the same
     inputs: verify_theorem's document, and one bound_row."""
@@ -232,7 +255,7 @@ class TestLibraryParity:
         argv += [] if p is None else ["--p", repr(p)]
         code, out, _ = run(capsys, *argv)
         doc = verify_theorem(theorem, get_function(fn), Interval(0.5, 2.0),
-                             s, (q, p))
+                             s, q, p)
         assert json.loads(out) == doc
         assert code == (0 if doc["pass"] else 1)
         assert doc["hypothesis_ok"] is (theorem != "T2_3")
@@ -249,12 +272,11 @@ class TestLibraryParity:
         argv += [] if p is None else ["--p", repr(p)]
         code, out, _ = run(capsys, *argv)
         f, iv = get_function(fn), Interval(0.5, 2.0)
-        q_val, pair = resolve_exponents(theorem, (q, p))
-        gate = hypothesis_gate(theorem, f, iv, s, q_val, GATE_GRID_N, None)
-        row = bound_row(theorem, 1.25, iv, s, q_val,
-                        pair.p if pair else None, None,
+        q, p = resolve_exponents(theorem, q, p)
+        gate = hypothesis_gate(theorem, f, iv, s, q, GATE_GRID_N, None)
+        row = bound_row(theorem, 1.25, iv, s, q, p, None,
                         ostrowski_lhs(f, 1.25, iv),
-                        ostrowski_rhs(theorem, f, 1.25, iv, s, pair or q_val),
+                        ostrowski_rhs(theorem, f, 1.25, iv, s, q, p),
                         gate.holds)
         assert code == 0
         assert json.loads(out) == row

@@ -9,9 +9,8 @@ import pytest
 from conftest import canary_lambda_value
 
 from hsconvex import bounds, numeric, verify
-from hsconvex.bounds import (ConjugatePair, LambdaArgs, lambda5,
-                             lambda5_integrand, lambda_integrand, lambda_value,
-                             ostrowski_rhs)
+from hsconvex.bounds import (lambda5, lambda5_integrand, lambda_integrand,
+                             lambda_value, ostrowski_rhs)
 from hsconvex.errors import DomainError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
                               get_function, integrate)
@@ -48,7 +47,7 @@ class TestLemmaResidual:
 class TestVerifyTheorem:
     def test_t2_2_sqrt_on_unit_subinterval(self):
         rep = verify_theorem("T2_2", get_function("pow:0.5"),
-                             Interval(0.25, 1.0), 0.5)
+                             Interval(0.25, 1.0), 0.5, None, None)
         assert rep["hypothesis_ok"]
         assert rep["pass"]
         assert len(rep["results"]) == 2
@@ -57,7 +56,7 @@ class TestVerifyTheorem:
         assert all(r["slack"] >= -1e-12 for r in rep["results"])
 
     def test_t2_3_identity(self):
-        rep = verify_theorem("T2_3", get_function("id"), IV12, 1.0, 1.0)
+        rep = verify_theorem("T2_3", get_function("id"), IV12, 1.0, 1.0, None)
         assert rep["pass"]
         # the bound is exactly sharp at both endpoints for f(x)=x, s=q=1,
         # so the minimum slack is zero up to a last-place rounding wiggle
@@ -73,7 +72,7 @@ class TestVerifyTheorem:
         assert row["rhs"] == pytest.approx(0.2644339286872331, rel=1e-9)
 
     def test_gate_failure_empties_results(self):
-        rep = verify_theorem("T2_2", get_function("neg"), IV12, 1.0)
+        rep = verify_theorem("T2_2", get_function("neg"), IV12, 1.0, None, None)
         assert not rep["hypothesis_ok"]
         assert not rep["pass"]
         assert rep["results"] == []
@@ -82,17 +81,17 @@ class TestVerifyTheorem:
     def test_gate_is_on_derivative_for_ostrowski(self):
         # |f'|^q of neg is the constant 1, which is harmonically s-convex,
         # so the Ostrowski gates pass even though f itself is not
-        rep = verify_theorem("T2_3", get_function("neg"), IV12, 1.0, 1.0)
+        rep = verify_theorem("T2_3", get_function("neg"), IV12, 1.0, 1.0, None)
         assert rep["hypothesis_ok"]
         assert rep["pass"]
 
     def test_sqrt_gate_depends_on_s(self):
         f = get_function("pow:0.5")
         # 0.5/sqrt(u) is not harmonically 1-convex ...
-        rep1 = verify_theorem("T2_3", f, IV12, 1.0, 1.0)
+        rep1 = verify_theorem("T2_3", f, IV12, 1.0, 1.0, None)
         assert not rep1["hypothesis_ok"]
         # ... but is harmonically 0.5-convex
-        rep2 = verify_theorem("T2_3", f, IV12, 0.5, 1.0)
+        rep2 = verify_theorem("T2_3", f, IV12, 0.5, 1.0, None)
         assert rep2["hypothesis_ok"]
         assert rep2["pass"]
 
@@ -104,41 +103,45 @@ class TestVerifyTheorem:
         for text in ["1", "2", "2.5", "1.0000001"] + stream_qs:
             with pytest.raises(DomainError) as exc:
                 verify_theorem("T2_3", get_function("pow:3"),
-                               Interval(1e154, 1e155), 1.0, float(text))
+                               Interval(1e154, 1e155), 1.0, float(text), None)
             assert str(exc.value) == (f"|pow:3'|^{text}: non-finite value "
                                       f"at 1e+154")
 
     def test_pair_theorems(self):
-        pair = ConjugatePair(2.0, 2.0)
+        f = get_function("pow:2")
         for theorem in ("T2_6", "T2_7"):
-            rep = verify_theorem(theorem, get_function("pow:2"), IV12, 1.0, pair)
+            rep = verify_theorem(theorem, f, IV12, 1.0, 2.0, 2.0)
             assert rep["hypothesis_ok"] and rep["pass"], theorem
-            with pytest.raises(DomainError):
-                verify_theorem(theorem, get_function("pow:2"), IV12, 1.0, 2.0)
+            # either exponent determines the other
+            assert verify_theorem(theorem, f, IV12, 1.0, 2.0, None) == rep
+            assert verify_theorem(theorem, f, IV12, 1.0, None, 2.0) == rep
+            with pytest.raises(DomainError, match="needs conjugate exponents"):
+                verify_theorem(theorem, f, IV12, 1.0, None, None)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            verify_theorem("T9_9", get_function("id"), IV12, 1.0, 1.0)
+            verify_theorem("T9_9", get_function("id"), IV12, 1.0, 1.0, None)
         with pytest.raises(DomainError):
-            verify_theorem("T2_3", get_function("id"), IV12, 1.0, None)
+            verify_theorem("T2_3", get_function("id"), IV12, 1.0, None, None)
         with pytest.raises(DomainError):
-            verify_theorem("T2_3", get_function("id"), IV12, 1.0, 1.0, x_grid=0)
+            verify_theorem("T2_3", get_function("id"), IV12, 1.0, 1.0, None,
+                           x_grid=0)
 
     def test_x_grid_cap_refuses_before_evaluating(self):
         points = []
         f = FunctionSpec("counted", lambda u: points.append(u) or u)
         for x_grid in (MAX_X_GRID + 1, 10 ** 9):
             with pytest.raises(DomainError):
-                verify_theorem("T2_3", f, IV12, 1.0, 1.0, x_grid=x_grid)
+                verify_theorem("T2_3", f, IV12, 1.0, 1.0, None, x_grid=x_grid)
         assert points == []
 
     def test_deterministic_serialization(self):
-        r1 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0)
-        r2 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0)
+        r1 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0, None)
+        r2 = verify_theorem("T2_4", get_function("pow:2"), IV12, 0.5, 2.0, None)
         assert r1 == r2
 
     def test_report_invariants(self):
-        rep = verify_theorem("T2_5", get_function("inv"), IV12, 1.0, 2.0)
+        rep = verify_theorem("T2_5", get_function("inv"), IV12, 1.0, 2.0, None)
         assert list(rep) == ["theorem", "grid", "results", "min_slack",
                              "hypothesis_ok", "pass"]
         assert rep["min_slack"] == min(r["slack"] for r in rep["results"])
@@ -164,9 +167,9 @@ class TestDerivativeRoute:
         with pytest.raises(DomainError, match="no analytic derivative"):
             derivative(f, 1.5)
         with pytest.raises(DomainError, match="no analytic derivative"):
-            verify_theorem("T2_3", f, IV12, 1.0, 1.0)
+            verify_theorem("T2_3", f, IV12, 1.0, 1.0, None)
         with pytest.raises(DomainError, match="no analytic derivative"):
-            ostrowski_rhs("T2_3", f, 1.5, IV12, 1.0, 1.0)
+            ostrowski_rhs("T2_3", f, 1.5, IV12, 1.0, 1.0, None)
         assert points == []
 
     def test_gate_reads_the_derivative_through_one_guard(self, monkeypatch):
@@ -195,7 +198,7 @@ class TestDerivativeRoute:
                     and getattr(mod, "derivative", None) is original):
                 monkeypatch.setattr(mod, "derivative", counted_derivative)
         f = FunctionSpec("pow:2.3", pow23.eval_fn, deriv_fn)
-        rep = verify_theorem("T2_4", f, IV12, 0.5, 2.0)
+        rep = verify_theorem("T2_4", f, IV12, 0.5, 2.0, None)
         assert rep["hypothesis_ok"]
         # the 16 x 16 gate's 1,944 values of |f'|^2 are guarded per table by
         # FunctionSpec.values, with no per-point spec call and no derivative
@@ -223,9 +226,9 @@ class TestLambdaConsistency:
 
     def test_z_zero_tight(self):
         for kind in (1, 2, 3, 4):
-            args = LambdaArgs(kind, 1.0, 1.0, 0.5, 1.0, 1.0)
-            assert self.rel_err(lambda_value(args),
-                                lambda_integrand(args)) <= 1e-13, kind
+            args = (kind, 1.0, 1.0, 0.5, 1.0, 1.0)
+            assert self.rel_err(lambda_value(*args),
+                                lambda_integrand(*args)) <= 1e-13, kind
         assert self.rel_err(lambda5(1.0, 1.0),
                             lambda5_integrand(1.0, 1.0)) <= 1e-13
 
@@ -264,8 +267,8 @@ def count_evals(monkeypatch, c):
 @pytest.fixture
 def counts(monkeypatch):
     """Count eval_fn calls by fn_id prefix (see count_evals), 2F1
-    evaluations of the lambda weights, and the distinct LambdaArgs asked
-    for."""
+    evaluations of the lambda weights, and the distinct argument tuples
+    asked for."""
     c = Counter()
     asked = set()
     hyp2f1 = bounds.hyp2f1
@@ -275,10 +278,10 @@ def counts(monkeypatch):
         c["hyp2f1"] += 1
         return hyp2f1(*args)
 
-    def recorded_lambda(args):
+    def recorded_lambda(*args):
         c["lambda_calls"] += 1
         asked.add(args)
-        return lambda_value(args)
+        return lambda_value(*args)
 
     count_evals(monkeypatch, c)
     monkeypatch.setattr(bounds, "hyp2f1", counted_hyp2f1)
