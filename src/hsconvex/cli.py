@@ -20,7 +20,6 @@ same either way. No parser is kept between calls.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -211,7 +210,7 @@ def cmd_selftest(ns: argparse.Namespace) -> int:
     checks = []
     for c in run_battery():
         if ns.tol is not None and c.kind != "count_min":
-            c = dataclasses.replace(c, limit=ns.tol)
+            c = c._replace(limit=ns.tol)
         checks.append({"check": c.name, "kind": c.kind, "value": c.value,
                        "limit": c.limit, "pass": c.passed})
     n_pass = sum(1 for c in checks if c["pass"])

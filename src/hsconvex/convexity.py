@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -54,8 +53,7 @@ class ConvexityMode(enum.Enum):
     HARMONICALLY_S_CONVEX = "harmonically_s_convex"
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """Outcome of one grid scan.
 
     witness is the (x, y, t) triple attaining max_violation; ties resolve

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericError
 
@@ -65,35 +64,34 @@ def validate_s(s: float) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """One quadrature answer: value, error estimate, evaluation count."""
 
     value: float
     err_est: float
     evals: int
 
-    def __post_init__(self) -> None:
-        if self.err_est < 0:
-            raise ValueError("err_est must be nonnegative")
 
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed interval [a, b] strictly inside (0, inf)."""
-
+class _Endpoints(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+
+class Interval(_Endpoints):
+    """A closed interval [a, b] strictly inside (0, inf), checked on
+    construction (by a subclass: a NamedTuple may not define __new__)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float) -> Interval:
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError("interval endpoints must be finite")
-        if not 0.0 < self.a < self.b:
-            raise DomainError(f"interval requires 0 < a < b, got [{self.a}, {self.b}]")
+        if not 0.0 < a < b:
+            raise DomainError(f"interval requires 0 < a < b, got [{a}, {b}]")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """An evaluable scalar function with its analytic derivative or None.
 
     eval_fn and deriv_fn receive points from (0, inf]; 0 is an open

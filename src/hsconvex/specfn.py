@@ -44,14 +44,19 @@ def beta(x: float, y: float) -> float:
 
     The three lgamma values cancel; when their rounding, 2^-52 times the
     sum of their magnitudes, could put the relative error above FIDELITY
-    (B(x, 1) for x above about 24700), NumericError is raised instead."""
+    (B(x, 1) for x above about 24700), NumericError is raised instead. It
+    is raised too below the least normal float, 2^-1022, where rounding
+    cannot hold FIDELITY (B(800, 800) is 2.8e-483)."""
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
     lx, ly, lxy = math.lgamma(x), math.lgamma(y), math.lgamma(x + y)
     if (abs(lx) + abs(ly) + abs(lxy)) * 2.0 ** -52 > FIDELITY:
         raise NumericError(f"beta({x}, {y}) loses its digits to the "
                            f"cancellation of lgamma values")
-    return math.exp(lx + ly - lxy)
+    value = math.exp(lx + ly - lxy)
+    if value < 2.0 ** -1022:
+        raise NumericError(f"beta({x}, {y}) falls below the normal float range")
+    return value
 
 
 def _gauss_series(a: float, b: float, c: float,

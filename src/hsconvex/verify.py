@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda5_integrand, lambda_integrand, lambda_memo,
@@ -326,8 +325,7 @@ def min_corollary_gap() -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One battery row: a measured value against a limit.
 
     kind 'max_err' passes when value <= limit, 'min_slack' when value >=

@@ -18,7 +18,7 @@ from hsconvex.bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                              lambda_z, ostrowski_lhs, ostrowski_rhs,
                              resolve_exponents, validate_q)
 from hsconvex.cli import main
-from hsconvex.errors import DomainError
+from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (FunctionSpec, Interval, get_function, integrate,
                               validate_s)
 
@@ -574,3 +574,88 @@ class TestOstrowskiRhsAgainstQuadrature:
                         expected = paper_rhs(theorem, x, s, q, p, df)
                         assert abs(rhs - expected) <= 1e-9 * expected, (
                             x, s, q, M)
+
+
+def agree_or_both_refused(left, right, rel: float) -> bool:
+    """Call both sides: True when both raise NumericError, else whether
+    the values agree to rel relative to the right one."""
+    values = []
+    for side in (left, right):
+        try:
+            values.append(side())
+        except NumericError:
+            values.append(None)
+    if None in values:
+        return values == [None, None]
+    return abs(values[0] - values[1]) <= rel * abs(values[1])
+
+
+class TestLambdaIdentities:
+    """Identities between closed forms with different 2F1 parameters. With
+    D = t theta + (1 - t) x, the integrands t^(rho+1) + t^rho (1 - t) =
+    t^rho, and at s = 0 both a-side (and both b-side) weights are
+    t^rho / D^(2 vartheta), with t / D^2 the integrand of lambda5. No
+    quadrature is involved, so they hold at every scale."""
+
+    @staticmethod
+    def inputs(n: int):
+        # theta = 2^U(-30, 30), x = theta r on the a-side and theta / r on
+        # the b-side for r up to 50, vartheta and rho up to 6
+        rng = random.Random(13)
+        for _ in range(n):
+            theta = 2.0 ** rng.uniform(-30.0, 30.0)
+            r = rng.uniform(1.0, 50.0)
+            yield (theta, theta * r, theta / r, rng.uniform(0.01, 6.0),
+                   rng.uniform(0.0, 6.0))
+
+    def test_identities_hold_to_1e_13(self):
+        for theta, xa, xb, vt, rho in self.inputs(300):
+            def lam(kind, s, vt=vt, rho=rho):
+                return lambda_value(kind, theta, xa if kind <= 2 else xb, s,
+                                    vt, rho)
+            identities = (
+                (lambda: lam(1, 1.0) + lam(2, 1.0), lambda: lam(1, 0.0)),
+                (lambda: lam(3, 1.0) + lam(4, 1.0), lambda: lam(3, 0.0)),
+                (lambda: lam(2, 0.0), lambda: lam(1, 0.0)),
+                (lambda: lam(1, 0.0, 1.0, 1.0), lambda: lambda5(theta, xa)),
+            )
+            for k, (left, right) in enumerate(identities):
+                assert agree_or_both_refused(left, right, 1e-13), (
+                    k, theta, xa, xb, vt, rho)
+
+
+class TestSharpness:
+    """For affine f at s = 1, |f'| is constant and one side of the lemma
+    identity vanishes at an endpoint, so the triangle inequality behind
+    T2_3, T2_4 (q = 1) and T2_5 (every q) is tight there: lhs = rhs at
+    x = a and x = b, and these bounds are best possible."""
+
+    INTERVALS = ((0.7, 1.9), (1.0, 2.0), (0.2, 5.0), (3.0, 40.0),
+                 (1e-3, 2e-3), (1e3, 5e3))
+
+    @staticmethod
+    def relative_slacks(fn_ids, s: float, t2_5_qs):
+        for fn_id in fn_ids:
+            f = get_function(fn_id)
+            for a, b in TestSharpness.INTERVALS:
+                iv = Interval(a, b)
+                for theorem, qs in (("T2_3", (1.0,)), ("T2_4", (1.0,)),
+                                    ("T2_5", t2_5_qs)):
+                    for q in qs:
+                        for x in (a, b):
+                            rhs = ostrowski_rhs(theorem, f, x, iv, s, q, None)
+                            slack = rhs - ostrowski_lhs(f, x, iv)
+                            yield slack / rhs, (fn_id, a, b, theorem, q, x)
+
+    def test_affine_bounds_attained_at_the_endpoints(self):
+        for rel, case in self.relative_slacks(
+                ("id", "neg"), 1.0, (1.0, 1.5, 2.0, 3.0, 7.5)):
+            assert abs(rel) <= 1e-13, case
+
+    def test_curvature_or_s_below_one_leaves_slack(self):
+        # the control: f'' != 0, or s < 1, keeps the bound strict. T2_5's
+        # factor lambda5^(1-1/q) does not depend on s, so its slack at s < 1
+        # shrinks as q grows; q stays at 2 or below here
+        for fn_ids, s in ((("pow:2",), 1.0), (("id", "neg"), 0.5)):
+            for rel, case in self.relative_slacks(fn_ids, s, (1.0, 1.5, 2.0)):
+                assert rel >= 0.05, case

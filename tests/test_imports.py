@@ -1,7 +1,10 @@
 """Static checks of the package source: no module reaches into another
-module's private names, and no option is added by accident."""
+module's private names, no option is added by accident, and the CLI loads
+no heavy module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import hsconvex
@@ -133,3 +136,17 @@ def test_cache_detector_finds_both_spellings(tmp_path):
                      "@functools.cache\ndef f(): pass\n", encoding="utf-8")
     assert process_caches(probe) == ["probe.py:2: lru_cache",
                                      "probe.py:3: functools.cache"]
+
+
+# modules a CLI process has no use for: dataclasses imports the other three,
+# and together they took about a third of the time of `import hsconvex.cli`
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_cli_imports_no_heavy_module():
+    code = ("import sys, hsconvex.cli; "
+            f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         cwd=ROOT / "src").stdout
+    assert out.strip() == "[]"

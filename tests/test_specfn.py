@@ -48,8 +48,9 @@ class TestBeta:
         assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-13)
 
     def test_accepted_values_within_fidelity(self):
-        # large arguments cancel three big lgamma values: beta refuses
-        # there, and every normal value it returns holds FIDELITY
+        # large arguments cancel three big lgamma values, and large sums
+        # fall below the normal range: beta refuses both, and every value
+        # it returns holds FIDELITY
         rng = random.Random(4)
         accepted = refused = 0
         for _ in range(1500):
@@ -60,16 +61,14 @@ class TestBeta:
             except NumericError:
                 refused += 1
                 continue
-            if value < sys.float_info.min:
-                continue
             accepted += 1
             with mpmath.workdps(40):
                 err = float(abs(value / mpmath.beta(x, y) - 1))
             assert err <= specfn.FIDELITY, (x, y)
         assert accepted > 1000 and refused > 100
-        for x in (1e5, 1e15):
+        for x, y in ((1e5, 1.0), (1e15, 1.0), (3051.9, 196.9), (800.0, 800.0)):
             with pytest.raises(NumericError):
-                beta(x, 1.0)
+                beta(x, y)
 
 
 class TestHyp2F1:

@@ -247,7 +247,8 @@ class TestLambdaConsistency:
 def count_evals(monkeypatch, c):
     """Count each call of an eval_fn in c: under "gate_evals" for a gate's
     |f'|^q (its fn_id starts with '|'), else under "f_evals". No spec is
-    built at import, so patching FunctionSpec.__init__ covers them all."""
+    built at import, so patching the constructor FunctionSpec.__new__ covers
+    them all."""
     def counted(fn_id, eval_fn):
         key = "gate_evals" if fn_id.startswith("|") else "f_evals"
 
@@ -256,12 +257,12 @@ def count_evals(monkeypatch, c):
             return eval_fn(x)
         return counted_eval
 
-    init = FunctionSpec.__init__
+    new = FunctionSpec.__new__
 
-    def counted_init(spec, fn_id, eval_fn, deriv_fn=None):
-        init(spec, fn_id, counted(fn_id, eval_fn), deriv_fn)
+    def counted_new(cls, fn_id, eval_fn, deriv_fn=None):
+        return new(cls, fn_id, counted(fn_id, eval_fn), deriv_fn)
 
-    monkeypatch.setattr(FunctionSpec, "__init__", counted_init)
+    monkeypatch.setattr(FunctionSpec, "__new__", counted_new)
 
 
 @pytest.fixture
