@@ -9,12 +9,17 @@ All floating-point output uses 17 significant digits so downstream tools
 can diff and round-trip values exactly; identical invocations produce
 byte-identical documents.
 
-COMMANDS holds each command's help line and the function that adds its
-flags. A request builds the parser of the command it names and nothing
-else. build_parser() assembles all five as subparsers for `hsconvex
---help` and for the usage errors only it can word: no command, an unknown
-command, a flag the command does not have. Help and usage errors read the
-same either way. No parser is kept between calls.
+COMMANDS holds each command's help line, its function and its flags, each
+flag as the option and keywords of one `add_argument` call. A request in
+the canonical form `<command> --flag value ...` (every flag spelled in
+full and given once, no value starting with '-') is read from that table
+by _read, and builds no parser. Anything else goes to argparse, which is
+the only code that words help and usage errors: first a parser of the
+named command alone, then build_parser(), which assembles all five as
+subparsers for `hsconvex --help` and for the errors only it can word (no
+command, an unknown command, a flag the command does not have). Help and
+usage errors read the same either way. No parser, namespace or value is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -142,7 +147,10 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
         if value == 0.0:
             raise NumericError("the value underflows to 0.0, so it has no "
                                "relative error to check")
-        oracle = integrate(integrand, 0.0, 1.0, oracle_tol).value
+        # below |value| = 1 the tolerance scales with the value, so the
+        # oracle never claims less relative accuracy than it does at 1
+        oracle = integrate(integrand, 0.0, 1.0,
+                           oracle_tol * min(1.0, abs(value))).value
         payload["oracle"] = oracle
         payload["rel_err"] = abs(value - oracle) / abs(value)
     header = ("kind", "theta", "x", "s", "vartheta", "rho",
@@ -234,96 +242,89 @@ def cmd_selftest(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_output_flags(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write the document to PATH instead of stdout")
-    p.add_argument("--format", choices=formats, default=formats[0],
-                   help="output format (default %(default)s)")
+# (option, add_argument keywords) of the output flags the commands share
+_OUT = ("--out", dict(metavar="PATH", default=None,
+                      help="write the document to PATH instead of stdout"))
+_FORMAT_HELP = "output format (default %(default)s)"
+_JSON_CSV = ("--format", dict(choices=("json", "csv"), default="json",
+                              help=_FORMAT_HELP))
 
-
-def _lambda_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--vartheta", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--check", action="store_true",
-                   help="also integrate the defining integrand and report "
-                        "the relative discrepancy")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_lambda)
-
-
-def _hh_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fn", required=True, help="registry id, e.g. pow:0.5")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--variant", choices=("harmonic", "arithmetic"),
-                   default="harmonic",
-                   help="harmonic chain (weighted mean, default) or the "
-                        "arithmetic-mean chain for s-convex functions")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_hh)
-
-
-def _ostrowski_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theorem", required=True,
-                   choices=("classic",) + OSTROWSKI_THEOREMS)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--M", type=float, default=None,
-                   help="derivative bound; replaces every |f'| magnitude")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--grid-gate", type=int, default=GATE_GRID_N,
-                   help="grid size per axis for the hypothesis gate")
-    p.add_argument("--seed", type=int, default=None,
-                   help="adds seeded random samples to the hypothesis gate")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_ostrowski)
-
-
-def _verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theorem", required=True,
-                   choices=VERIFY_THEOREMS)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--grid", type=int, default=X_GRID_N,
-                   help="number of x points")
-    p.add_argument("--grid-gate", type=int, default=GATE_GRID_N)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-
-def _selftest_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
-                   help="replace every error/slack limit with this value")
-    _add_output_flags(p, formats=("table", "json", "csv"))
-    p.set_defaults(func=cmd_selftest)
-
-
-# name -> (help, fill): fill adds one command's flags to its parser
+# name -> (help, command function, flags); each flag is the (option,
+# keywords) of one add_argument call
 COMMANDS = {
-    "lambda": ("evaluate a lambda coefficient weight", _lambda_flags),
-    "hh": ("evaluate a Hermite-Hadamard chain", _hh_flags),
-    "ostrowski": ("evaluate one bound instance at x", _ostrowski_flags),
+    "lambda": ("evaluate a lambda coefficient weight", cmd_lambda, (
+        ("--kind", dict(type=int, required=True, choices=(1, 2, 3, 4, 5))),
+        ("--theta", dict(type=float, required=True)),
+        ("--x", dict(type=float, required=True)),
+        ("--s", dict(type=float, default=None)),
+        ("--vartheta", dict(type=float, default=None)),
+        ("--rho", dict(type=float, default=None)),
+        ("--check", dict(action="store_true",
+                         help="also integrate the defining integrand and "
+                              "report the relative discrepancy")),
+        _OUT, _JSON_CSV)),
+    "hh": ("evaluate a Hermite-Hadamard chain", cmd_hh, (
+        ("--fn", dict(required=True, help="registry id, e.g. pow:0.5")),
+        ("--a", dict(type=float, required=True)),
+        ("--b", dict(type=float, required=True)),
+        ("--s", dict(type=float, default=1.0)),
+        ("--variant", dict(choices=("harmonic", "arithmetic"),
+                           default="harmonic",
+                           help="harmonic chain (weighted mean, default) or "
+                                "the arithmetic-mean chain for s-convex "
+                                "functions")),
+        ("--tol", dict(type=float, default=DEFAULT_TOL)),
+        _OUT, _JSON_CSV)),
+    "ostrowski": ("evaluate one bound instance at x", cmd_ostrowski, (
+        ("--theorem", dict(required=True,
+                           choices=("classic",) + OSTROWSKI_THEOREMS)),
+        ("--fn", dict(required=True)),
+        ("--a", dict(type=float, required=True)),
+        ("--b", dict(type=float, required=True)),
+        ("--x", dict(type=float, required=True)),
+        ("--s", dict(type=float, default=1.0)),
+        ("--q", dict(type=float, default=None)),
+        ("--p", dict(type=float, default=None)),
+        ("--M", dict(type=float, default=None,
+                     help="derivative bound; replaces every |f'| magnitude")),
+        ("--tol", dict(type=float, default=DEFAULT_TOL)),
+        ("--grid-gate", dict(type=int, default=GATE_GRID_N,
+                             help="grid size per axis for the hypothesis "
+                                  "gate")),
+        ("--seed", dict(type=int, default=None,
+                        help="adds seeded random samples to the hypothesis "
+                             "gate")),
+        _OUT, _JSON_CSV)),
     "verify": ("gate a theorem's hypothesis and scan its slack over an x "
-               "grid", _verify_flags),
-    "selftest": ("run the full verification battery", _selftest_flags),
+               "grid", cmd_verify, (
+        ("--theorem", dict(required=True, choices=VERIFY_THEOREMS)),
+        ("--fn", dict(required=True)),
+        ("--a", dict(type=float, required=True)),
+        ("--b", dict(type=float, required=True)),
+        ("--s", dict(type=float, default=1.0)),
+        ("--q", dict(type=float, default=None)),
+        ("--p", dict(type=float, default=None)),
+        ("--grid", dict(type=int, default=X_GRID_N, help="number of x points")),
+        ("--grid-gate", dict(type=int, default=GATE_GRID_N)),
+        ("--seed", dict(type=int, default=None)),
+        ("--tol", dict(type=float, default=DEFAULT_TOL)),
+        _OUT, _JSON_CSV)),
+    "selftest": ("run the full verification battery", cmd_selftest, (
+        ("--tol", dict(type=float, default=None,
+                       help="replace every error/slack limit with this "
+                            "value")),
+        _OUT,
+        ("--format", dict(choices=("table", "json", "csv"), default="table",
+                          help=_FORMAT_HELP)))),
 }
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add command name's flags to parser, and its function as `func`."""
+    _, func, flags = COMMANDS[name]
+    for option, keywords in flags:
+        parser.add_argument(option, **keywords)
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,19 +336,66 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compute and verify integral-mean bounds for harmonically "
                     "s-convex functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fill) in COMMANDS.items():
-        fill(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _read(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace of `<command> --flag value ...` read straight from
+    COMMANDS, or None for anything else: an abbreviated, repeated or
+    unknown flag, a value that starts with '-', does not convert or is not
+    a choice, or a required flag left out. argparse gives the same
+    namespace for every argv read here; it parses the rest (_parse)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, flags = COMMANDS[argv[0]]
+    known, given = dict(flags), {}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        keywords = known.get(option)
+        if keywords is None or option in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[option] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[option] = value
+    ns = argparse.Namespace(func=func)
+    for option, keywords in flags:
+        if option in given:
+            value = given[option]
+        elif keywords.get("required"):
+            return None
+        elif keywords.get("action") == "store_true":
+            value = False
+        else:
+            value = keywords.get("default")
+        setattr(ns, option[2:].replace("-", "_"), value)
+    return ns
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with a parser of the command it names alone, built as
-    build_parser() builds its subparser, so --help and errors read the
-    same. Anything else, and flags that command does not know, go to the
-    whole parser, which reports them as `hsconvex` always has."""
+    """The namespace of argv: from _read when it can, else from a parser
+    of the command argv names alone, built as build_parser() builds its
+    subparser, so --help and errors read the same. Anything else, and
+    flags that command does not know, go to the whole parser, which
+    reports them as `hsconvex` always has."""
+    ns = _read(argv)
+    if ns is not None:
+        return ns
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"hsconvex {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
+        _fill(parser, argv[0])
         ns, extra = parser.parse_known_args(argv[1:])
         if not extra:
             return ns

@@ -46,6 +46,16 @@ class TestLambdaCommand:
                                              rel=1e-10)
         assert doc["rel_err"] <= 1e-8
 
+    def test_check_of_a_small_value_is_relative(self, capsys):
+        # value 4.4e-6: an absolute 1e-12 oracle tolerance allowed a
+        # rel_err of 3e-8 here
+        code, out, _ = run(capsys, "lambda", "--kind", "4",
+                           "--theta", "7.46844", "--x", "3.9473",
+                           "--s", "0.0372661", "--vartheta", "2.93278",
+                           "--rho", "2.74505", "--check", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rel_err"] <= 1e-8
+
     def test_side_precondition_violation(self, capsys):
         code, _, err = run(capsys, "lambda", "--kind", "1", "--theta", "2",
                            "--x", "1", "--s", "1", "--vartheta", "1",
@@ -581,11 +591,94 @@ class TestParserWork:
         assert len(added_options) - len(flags) == 6
         assert len(flags) == 47
 
-    def test_a_request_builds_only_its_command(self, capsys, added_options):
+    def test_a_well_formed_request_builds_no_parser(self, capsys,
+                                                    added_options):
         assert main(["hh", "--fn", "id", "--a", "1", "--b", "2"]) == 0
-        assert added_options == [self.HELP] + [
-            (f,) for f in ("--fn", "--a", "--b", "--s", "--variant", "--tol",
-                           "--out", "--format")]
+        assert added_options == []
+
+    def test_a_foreign_flag_is_worded_by_the_whole_parser(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["hh", "--fn", "id", "--a", "1", "--b", "2", "--bogus"]
+        expected = parse_reference(argv)
+        assert expected[0] == 2
+        assert "hsconvex: error: unrecognized arguments: --bogus" in expected[2]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+
+# values a flag may take, by type, and tokens that make a request one
+# _read declines: values of the wrong kind, then forms argparse parses or
+# refuses itself
+READ_VALUES = {float: ("1", "2.5", "nan", "1e-300"), int: ("3", "0"),
+               str: ("id", "pow:0.5", "")}
+READ_HOSTILE = ("-1", "nan", "", "5.0", "abc", "xml", "--", "-h", "--help",
+                "--the", "--fn=id", "--kind=5", "-x")
+
+
+@st.composite
+def flag_argvs(draw):
+    """argv of one command: its flags in any order with values of their
+    type, each optional flag half the time and a required one seven times
+    in eight, and then up to two tokens inserted anywhere: a hostile token
+    or a flag of the command, which may repeat one."""
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    flags = cli.COMMANDS[name][2]
+    argv = [name]
+    for option, keywords in draw(st.permutations(flags)):
+        if keywords.get("required"):
+            keep = draw(st.integers(0, 7)) > 0
+        else:
+            keep = draw(st.booleans())
+        if not keep:
+            continue
+        argv.append(option)
+        if keywords.get("action") != "store_true":
+            values = [str(c) for c in keywords.get("choices", ())]
+            argv.append(draw(st.sampled_from(
+                values or READ_VALUES[keywords.get("type", str)])))
+    token = st.sampled_from(READ_HOSTILE + tuple(o for o, _ in flags))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(token))
+    return argv
+
+
+def same_values(a: dict, b: dict) -> bool:
+    """a == b, with NaN equal to NaN."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and math.isnan(a[k])
+                         and isinstance(b[k], float) and math.isnan(b[k]))
+        for k in a)
+
+
+class TestRead:
+    @given(flag_argvs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_agrees_with_argparse(self, argv):
+        ns = cli._read(argv)
+        if ns is None:
+            return
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            reference = vars(cli.build_parser().parse_args(argv))
+        del reference["command"]
+        assert same_values(vars(ns), reference)
+
+    @pytest.mark.parametrize("argv", [
+        ["hh", "--fn", "id", "--a", "1"],
+        ["hh", "--fn", "id", "--a", "1", "--b", "2", "--a", "1"],
+        ["hh", "--fn", "id", "--a", "-1", "--b", "2"],
+        ["hh", "--fn=id", "--a", "1", "--b", "2"],
+        ["ostrowski", "--the", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
+         "--x", "1.5"],
+        ["lambda", "--kind", "5.0", "--theta", "1", "--x", "2"],
+        ["lambda", "--kind", "6", "--theta", "1", "--x", "2"],
+        ["lambda", "--kind", "5", "--theta", "1", "--x", "2", "--check", "1"],
+        ["selftest", "--"],
+        ["selftest", "-h"],
+    ])
+    def test_declines_what_is_not_canonical(self, argv):
+        assert cli._read(argv) is None
 
 
 def reject_constant(name):
