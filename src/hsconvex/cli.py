@@ -13,13 +13,10 @@ COMMANDS holds each command's help line, its function and its flags, each
 flag as the option and keywords of one `add_argument` call. A request in
 the canonical form `<command> --flag value ...` (every flag spelled in
 full and given once, no value starting with '-') is read from that table
-by _read, and builds no parser. Anything else goes to argparse, which is
-the only code that words help and usage errors: first a parser of the
-named command alone, then build_parser(), which assembles all five as
-subparsers for `hsconvex --help` and for the errors only it can word (no
-command, an unknown command, a flag the command does not have). Help and
-usage errors read the same either way. No parser, namespace or value is
-kept between calls.
+by _read, and builds no parser. Anything else goes to build_parser(),
+which assembles all five as argparse subparsers from the same table and
+is the only code that words help and usage errors. No parser, namespace
+or value is kept between calls.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
-from .convexity import GATE_GRID_N, VIOLATION_TOL, uniform_grid
+from .convexity import GATE_GRID_N, MIN_NORMAL, VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
 from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
 from .verify import (ROW_FIELDS, VERIFY_THEOREMS, X_GRID_N, bound_row,
@@ -144,9 +141,10 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
     payload = {"kind": ns.kind, "theta": ns.theta, "x": ns.x, "s": ns.s,
                "vartheta": ns.vartheta, "rho": ns.rho, "value": value}
     if ns.check:
-        if value == 0.0:
-            raise NumericError("the value underflows to 0.0, so it has no "
-                               "relative error to check")
+        if abs(value) < MIN_NORMAL:
+            raise NumericError(f"the value {_fmt(value)} underflows below "
+                               "the normal floats, so it has no relative "
+                               "error to check")
         # below |value| = 1 the tolerance scales with the value, so the
         # oracle never claims less relative accuracy than it does at 1
         oracle = integrate(integrand, 0.0, 1.0,
@@ -319,25 +317,19 @@ COMMANDS = {
 }
 
 
-def _fill(parser: argparse.ArgumentParser, name: str) -> None:
-    """Add command name's flags to parser, and its function as `func`."""
-    _, func, flags = COMMANDS[name]
-    for option, keywords in flags:
-        parser.add_argument(option, **keywords)
-    parser.set_defaults(func=func)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The whole CLI: every command of COMMANDS as a subparser. It parses
-    `hsconvex --help`, argv that names no known command, and argv with a
-    flag its command does not have (see _parse)."""
+    """The whole CLI: every command of COMMANDS as a subparser, with its
+    function as `func`. It parses every argv _read declines (see _parse)."""
     parser = argparse.ArgumentParser(
         prog="hsconvex",
         description="Compute and verify integral-mean bounds for harmonically "
                     "s-convex functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, func, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, keywords in flags:
+            command.add_argument(option, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -385,21 +377,9 @@ def _read(argv: list[str]) -> Optional[argparse.Namespace]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace of argv: from _read when it can, else from a parser
-    of the command argv names alone, built as build_parser() builds its
-    subparser, so --help and errors read the same. Anything else, and
-    flags that command does not know, go to the whole parser, which
-    reports them as `hsconvex` always has."""
-    ns = _read(argv)
-    if ns is not None:
-        return ns
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"hsconvex {argv[0]}")
-        _fill(parser, argv[0])
-        ns, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return ns
-    return build_parser().parse_args(argv)
+    """The namespace of argv: from _read when it can, else from the whole
+    parser, which words every help text and usage error."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -56,6 +56,21 @@ class TestLambdaCommand:
         assert code == 0
         assert json.loads(out)["rel_err"] <= 1e-8
 
+    @pytest.mark.parametrize("rho", ["100", "1e4"])
+    def test_check_of_a_subnormal_value_is_refused(self, capsys, rho):
+        # z = 0: the value is 1/((rho + 2) x^2), 9.8e-311 and 1.0e-312,
+        # which has too few digits for a relative error (at 1e-312 the
+        # scaled oracle tolerance would round to 0.0)
+        argv = ("lambda", "--kind", "1", "--theta", "1e154", "--x", "1e154",
+                "--s", "1", "--vartheta", "1", "--rho", rho)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and 0.0 < json.loads(out)["value"] < 2.0 ** -1022
+        code, out, err = run(capsys, *argv, "--check")
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric error: the value ")
+        assert err.endswith(" underflows below the normal floats, so it has "
+                            "no relative error to check\n")
+
     def test_side_precondition_violation(self, capsys):
         code, _, err = run(capsys, "lambda", "--kind", "1", "--theta", "2",
                            "--x", "1", "--s", "1", "--vartheta", "1",
@@ -556,8 +571,8 @@ class TestParserEdges:
                              + [[name, "--help"] for name in COMMAND_NAMES]
                              + USAGE_ERRORS)
     def test_output_equals_the_whole_parser(self, capsys, monkeypatch, argv):
-        # main parses with the named command's parser alone; its help and
-        # errors must read exactly as build_parser()'s
+        # main reads a well-formed request itself; its help and errors
+        # must read exactly as build_parser()'s
         monkeypatch.setenv("COLUMNS", "80")
         expected = parse_reference(argv)
         code = main(argv)
@@ -595,17 +610,6 @@ class TestParserWork:
                                                     added_options):
         assert main(["hh", "--fn", "id", "--a", "1", "--b", "2"]) == 0
         assert added_options == []
-
-    def test_a_foreign_flag_is_worded_by_the_whole_parser(self, capsys,
-                                                          monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        argv = ["hh", "--fn", "id", "--a", "1", "--b", "2", "--bogus"]
-        expected = parse_reference(argv)
-        assert expected[0] == 2
-        assert "hsconvex: error: unrecognized arguments: --bogus" in expected[2]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == expected
 
 
 # values a flag may take, by type, and tokens that make a request one
