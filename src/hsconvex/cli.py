@@ -7,7 +7,9 @@ failure, 2 usage or domain error; nothing else.
 
 All floating-point output uses 17 significant digits so downstream tools
 can diff and round-trip values exactly; identical invocations produce
-byte-identical documents.
+byte-identical documents. A json or csv document is written in one walk
+(_json, or _scalar per csv cell) that formats each float and refuses a
+non-finite one with NumericError, so exit 2 leaves stdout empty.
 
 COMMANDS holds each command's help line, its function and its flags, each
 flag as the option and keywords of one `add_argument` call. A request in
@@ -22,18 +24,19 @@ or value is kept between calls.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
-from .convexity import GATE_GRID_N, MIN_NORMAL, VIOLATION_TOL, uniform_grid
+from .convexity import GATE_GRID_N, VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
-from .numeric import DEFAULT_TOL, Interval, derivative, get_function, integrate
+from .numeric import (DEFAULT_TOL, MIN_NORMAL, Interval, arithmetic_mean,
+                      derivative, get_function, integrate)
 from .verify import (ROW_FIELDS, VERIFY_THEOREMS, X_GRID_N, bound_row,
                      hypothesis_gate, run_battery, verify_theorem)
 
@@ -42,86 +45,59 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _to_json(obj) -> str:
-    """Minimal deterministic JSON emitter with 17-significant-digit floats.
-
-    The stdlib encoder does not allow overriding float formatting, and the
-    output contract here fixes it, so the few shapes we emit are handled
-    directly. Dict keys keep insertion order. A non-finite float, which
-    JSON cannot hold, is written as null (the value of a selftest row
-    whose gate failed is -inf).
-    """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_to_json(v)}"
-                               for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
+def _scalar(v) -> str:
+    """The text of a float, int, bool or csv string, the one rule of json
+    and csv: a float in 17 significant digits (_fmt), and a non-finite one
+    refused, as the arithmetic behind it overflowed and neither format
+    holds it."""
+    if v.__class__ is float:
+        if math.isfinite(v):
+            return _fmt(v)
+        raise NumericError(f"non-finite value {v} in the document")
     if v is True:
         return "true"
     if v is False:
         return "false"
-    if isinstance(v, float):
-        return _fmt(v)
     return str(v)
 
 
-def _csv_doc(header: Sequence[str], rows: list[dict]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(k)) for k in header))
-    return "\n".join(lines)
+def _json(obj) -> str:
+    """obj, nested dicts and lists of scalars, as JSON with dict keys in
+    insertion order: the stdlib encoder does not let floats be formatted,
+    and the output contract fixes that format. None is null, a string is
+    escaped as json.dumps does, any other scalar is written by _scalar."""
+    if obj.__class__ is dict:
+        return "{" + ", ".join(f"{encode_basestring_ascii(k)}: {_json(v)}"
+                               for k, v in obj.items()) + "}"
+    if obj.__class__ in (list, tuple):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if obj is None:
+        return "null"
+    if obj.__class__ is str:
+        return encode_basestring_ascii(obj)
+    return _scalar(obj)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _document(ns: argparse.Namespace, header: Sequence[str],
+              rows: list[dict], doc: dict) -> str:
+    """The document in --format: rows under header as csv, a missing or
+    None cell empty, or doc, which holds every row, as JSON. Either way
+    every float is checked as it is written: outside rows, doc holds only
+    validated inputs and the minimum of the row slacks."""
+    if ns.format == "csv":
+        return "\n".join([",".join(header)] + [
+            ",".join("" if v is None else _scalar(v)
+                     for v in map(row.get, header)) for row in rows])
+    return _json(doc)
+
+
+def _write(ns: argparse.Namespace, text: str) -> None:
+    """Put text and a newline in the --out file, or on stdout."""
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _require_finite(obj) -> None:
-    """Raise NumericError on a non-finite float anywhere in a document of
-    dicts, lists and scalars: the arithmetic behind it overflowed."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NumericError(f"non-finite value {obj} in the document")
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _require_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _require_finite(v)
-
-
-def _emit_document(ns: argparse.Namespace, header: Sequence[str],
-                   rows: list[dict], doc: dict) -> None:
-    """Write a value command's document: rows under header as csv, or doc,
-    which holds every row, as JSON. Nothing is written when a value is
-    not finite (_require_finite)."""
-    _require_finite(doc)
-    if ns.format == "csv":
-        _emit(_csv_doc(header, rows), ns.out)
-    else:
-        _emit(_to_json(doc), ns.out)
 
 
 # ---------------------------------------------------------------- commands
@@ -153,7 +129,7 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
         payload["rel_err"] = abs(value - oracle) / abs(value)
     header = ("kind", "theta", "x", "s", "vartheta", "rho",
               "value", "oracle", "rel_err")
-    _emit_document(ns, header, [payload], payload)
+    _write(ns, _document(ns, header, [payload], payload))
     return 0
 
 
@@ -171,7 +147,7 @@ def cmd_hh(ns: argparse.Namespace) -> int:
     }
     header = ("variant", "fn", "a", "b", "s", "left", "middle", "right",
               "slack_left", "slack_right")
-    _emit_document(ns, header, [payload], payload)
+    _write(ns, _document(ns, header, [payload], payload))
     return 0
 
 
@@ -182,7 +158,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
     if ns.theorem == "classic":
         if ns.M is None:
             raise DomainError("classic needs --M (a bound on |f'|)")
-        mean = integrate(f, iv.a, iv.b, ns.tol).value / (iv.b - iv.a)
+        mean = arithmetic_mean(f, iv.a, iv.b, ns.tol)
         lhs = abs(f(ns.x) - mean)
         rhs = classic_ostrowski_rhs(ns.x, iv, ns.M)
         # the hypothesis here is |f'| <= M on [a, b]; check it on a grid
@@ -194,7 +170,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
         rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q, p, M=ns.M)
     row = bound_row(ns.theorem, ns.x, iv, ns.s, q, p, ns.M, lhs, rhs, hyp_ok)
-    _emit_document(ns, ROW_FIELDS, [row], row)
+    _write(ns, _document(ns, ROW_FIELDS, [row], row))
     return 0
 
 
@@ -204,7 +180,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     doc = verify_theorem(ns.theorem, f, iv, ns.s, ns.q, ns.p,
                          x_grid=ns.grid, gate_grid_n=ns.grid_gate,
                          seed=ns.seed, tol=ns.tol)
-    _emit_document(ns, ROW_FIELDS, doc["results"], doc)
+    _write(ns, _document(ns, ROW_FIELDS, doc["results"], doc))
     return 0 if doc["pass"] else 1
 
 
@@ -212,29 +188,25 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_selftest(ns: argparse.Namespace) -> int:
     """Render the rows of verify.run_battery. A --tol override replaces
-    the limit of every err/slack row (count rows keep theirs)."""
-    checks = []
-    for c in run_battery():
-        if ns.tol is not None and c.kind != "count_min":
-            c = c._replace(limit=ns.tol)
-        checks.append({"check": c.name, "kind": c.kind, "value": c.value,
-                       "limit": c.limit, "pass": c.passed})
-    n_pass = sum(1 for c in checks if c["pass"])
+    the limit of every err/slack row (count rows keep theirs). In json and
+    csv a non-finite value, the -inf of a row whose gate failed, is None."""
+    checks = [c if ns.tol is None or c.kind == "count_min"
+              else c._replace(limit=ns.tol) for c in run_battery()]
+    n_pass = sum(c.passed for c in checks)
     all_pass = n_pass == len(checks)
-    if ns.format == "json":
-        _emit(_to_json({"checks": checks, "pass": all_pass}), ns.out)
-    elif ns.format == "csv":
-        header = ("check", "kind", "value", "limit", "pass")
-        _emit(_csv_doc(header, checks), ns.out)
+    if ns.format == "table":
+        width = max(len(c.name) for c in checks)
+        text = "\n".join([f"{'PASS' if c.passed else 'FAIL'}  "
+                          f"{c.name:<{width}}  value={_fmt(c.value)}  "
+                          f"limit={_fmt(c.limit)}" for c in checks]
+                         + [f"selftest: {n_pass}/{len(checks)} checks passed"])
     else:
-        width = max(len(c["check"]) for c in checks)
-        lines = []
-        for c in checks:
-            status = "PASS" if c["pass"] else "FAIL"
-            lines.append(f"{status}  {c['check']:<{width}}  "
-                         f"value={_fmt(c['value'])}  limit={_fmt(c['limit'])}")
-        lines.append(f"selftest: {n_pass}/{len(checks)} checks passed")
-        _emit("\n".join(lines), ns.out)
+        rows = [{"check": c.name, "kind": c.kind,
+                 "value": c.value if math.isfinite(c.value) else None,
+                 "limit": c.limit, "pass": c.passed} for c in checks]
+        text = _document(ns, ("check", "kind", "value", "limit", "pass"),
+                         rows, {"checks": rows, "pass": all_pass})
+    _write(ns, text)
     return 0 if all_pass else 1
 
 

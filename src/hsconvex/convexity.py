@@ -22,7 +22,8 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .numeric import FunctionSpec, Interval, get_function, validate_s
+from .numeric import (MIN_NORMAL, FunctionSpec, Interval, get_function,
+                      validate_s)
 
 # inequalities are tight at t in {0, 1}; tolerate float noise up to here
 VIOLATION_TOL = 1e-12
@@ -42,10 +43,6 @@ MAX_SCAN_TRIPLES = 256 * 256 * T_GRID_N
 # x grid size of the AM-HM scan, the monotonicity classification and the
 # implication grids
 COMPARISON_GRID_N = 32
-
-# the least normal float: where x*y is at least this and finite, xy/(tx +
-# (1-t)y) is the harmonic combination
-MIN_NORMAL = 2.0 ** -1022
 
 
 class ConvexityMode(enum.Enum):

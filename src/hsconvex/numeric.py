@@ -26,6 +26,10 @@ MAX_DEPTH = 50
 # bisection can split many thousands of panels before any reaches MAX_DEPTH
 MAX_EVALS = 100_000
 
+# the least normal float; below it a value has lost digits, and a product
+# or integral may have underflowed to 0
+MIN_NORMAL = 2.0 ** -1022
+
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1]. XGK holds the
 # nonnegative Kronrod nodes (odd indices are the embedded Gauss-7 nodes);
 # WG holds the Gauss weights for those embedded nodes.
@@ -221,6 +225,17 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         counter += 2
     value = math.fsum(item[5] for item in heap)
     return QuadResult(value=value, err_est=total_err, evals=evals)
+
+
+def arithmetic_mean(f: FunctionSpec, a: float, b: float, tol: float) -> float:
+    """Return (1/(b-a)) * integral_a^b f(u) du, with the integral to
+    absolute tolerance tol. Where the integral is not a normal float (at
+    tiny a and b it underflows before the division), the mean is taken as
+    integral_0^1 f(a + t(b-a)) dt instead, to the same tolerance."""
+    total = integrate(f, a, b, tol).value
+    if abs(total) >= MIN_NORMAL:
+        return total / (b - a)
+    return integrate(lambda t: f(a + t * (b - a)), 0.0, 1.0, tol).value
 
 
 def weighted_mean(f: FunctionSpec, iv: Interval, tol: float = DEFAULT_TOL) -> float:

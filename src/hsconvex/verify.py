@@ -26,8 +26,9 @@ from .convexity import (GATE_GRID_N, VIOLATION_TOL, ConvexityMode,
                         ConvexityReport, check_am_hm, check_convexity,
                         proposition_implications, tabulate, uniform_grid)
 from .errors import DomainError
-from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, derivative, exact,
-                      get_function, integrate, validate_s, weighted_mean)
+from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, arithmetic_mean,
+                      derivative, exact, get_function, integrate, validate_s,
+                      weighted_mean)
 from .specfn import beta, hyp2f1
 
 # combined quadrature + special-function error across an lhs/rhs pair stays
@@ -416,7 +417,7 @@ def run_battery() -> list[Check]:
     # classic bound for f(x)=x, M=1 on [1, 2]
     f_id = get_function("id")
     iv = Interval(1.0, 2.0)
-    mean = integrate(f_id, 1.0, 2.0, DEFAULT_TOL).value
+    mean = arithmetic_mean(f_id, 1.0, 2.0, DEFAULT_TOL)
     xs = uniform_grid(1.0, 2.0, 33)
     add(("classic_slack", "min_slack",
          min(classic_ostrowski_rhs(x, iv, 1.0) - abs(f_id(x) - mean)

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex import bounds
-from hsconvex.bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
-                             hh_s_convex_bounds, lambda5, lambda5_integrand,
-                             lambda_integrand, lambda_memo, lambda_value,
-                             lambda_z, ostrowski_lhs, ostrowski_rhs,
-                             resolve_exponents, validate_q)
+from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
+                             hh_harmonic_bounds, hh_s_convex_bounds, lambda5,
+                             lambda5_integrand, lambda_integrand, lambda_memo,
+                             lambda_value, lambda_z, ostrowski_lhs,
+                             ostrowski_rhs, resolve_exponents, validate_q)
 from hsconvex.cli import main
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (FunctionSpec, Interval, get_function, integrate,
@@ -495,6 +495,35 @@ class TestOstrowskiRhs:
         with pytest.raises(DomainError):
             ostrowski_rhs("T2_2", get_function("id"), 1.5, self.IV, 1.0, None,
                           None)
+
+    # right answers of the scale probe below; every other point is refused
+    SCALED_RIGHT = {"T2_3": 41, "T2_4": 41, "T2_5": 68, "T2_6": 41,
+                    "T2_7": 51}
+
+    @pytest.mark.parametrize("theorem", OSTROWSKI_THEOREMS)
+    def test_scaled_power_law_is_right_or_refused(self, theorem):
+        # for f = u^0.5 each closed form is covariant under u -> 2^k u, so
+        # the rhs on 2^k [1, 2] at x = 1.5 2^k is 2^(k/2) times the one at
+        # k = 0, or refused. A power-mean bracket that underflowed to 0
+        # gave rhs 0 or a wrong sum at k = 210..250 (T2_5: 350..510)
+        f, q = get_function("pow:0.5"), 2.0
+        p = 2.0 if theorem in ("T2_6", "T2_7") else None
+        unit = ostrowski_rhs(theorem, f, 1.5, self.IV, 0.5, q, p)
+        right, wrong = 0, []
+        for k in range(-1000, 1001, 10):
+            iv = Interval(math.ldexp(1.0, k), math.ldexp(1.0, k + 1))
+            try:
+                rhs = ostrowski_rhs(theorem, f, math.ldexp(1.5, k), iv, 0.5,
+                                    q, p)
+            except NumericError:
+                continue
+            expected = math.ldexp(unit, k // 2)
+            if abs(rhs - expected) <= 1e-12 * expected:
+                right += 1
+            else:
+                wrong.append(k)
+        assert wrong == []
+        assert right >= self.SCALED_RIGHT[theorem]
 
     @given(st.floats(min_value=1.0, max_value=2.0),
            st.sampled_from([0.5, 0.75, 1.0]),

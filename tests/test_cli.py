@@ -119,6 +119,16 @@ class TestHHCommand:
         doc = json.loads(out)
         assert doc["middle"] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
+    def test_arithmetic_middle_at_tiny_scale(self, capsys):
+        # the integral of u over [1e-200, 2e-200], 1.5e-400, underflows;
+        # the mean does not
+        code, out, _ = run(capsys, "hh", "--variant", "arithmetic", "--fn",
+                           "id", "--a", "1e-200", "--b", "2e-200")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["middle"] == pytest.approx(1.5e-200, rel=1e-15, abs=0.0)
+        assert doc["slack_left"] == doc["middle"] - doc["left"]
+
     def test_unknown_function(self, capsys):
         code, _, err = run(capsys, "hh", "--fn", "exp", "--a", "1", "--b", "2")
         assert code == 2
@@ -167,7 +177,8 @@ class TestHostileInput:
         # base^(2 vartheta) underflows to 0 under the Beta factor
         ("lambda", "--kind", "4", "--theta", "0.694315", "--x", "0.643997",
          "--s", "0.75", "--vartheta", "1e9", "--rho", "2.5"),
-        # (f(a) + f(b)) / (s + 1) overflows to inf
+        # f(u)/u^2 is finite, but a K15 panel sum overflows and the
+        # bisection stops at depth 50
         ("hh", "--fn", "const:1e308", "--a", "1.35", "--b", "1.9"),
         # the gate's |f'|^q = (2u)^100 overflows at u = 1e10
         ("verify", "--theorem", "T2_3", "--fn", "pow:2", "--a", "1", "--b",
@@ -190,6 +201,15 @@ class TestHostileInput:
             assert out == ""
         else:
             json.loads(out)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_value_is_refused(self, capsys, fmt):
+        # f(a) + f(b) = 2e308 overflows to inf, so right and slack_right
+        # are inf; the document is refused, not written with null or inf
+        code, out, err = run(capsys, "hh", "--fn", "const:1e308", "--a", "10",
+                             "--b", "20", "--tol", "1e300", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "numeric error: non-finite value inf in the document\n"
 
     def test_gate_error_names_the_first_bad_point(self, capsys):
         # u ** 2 raises OverflowError past u = 1.3e154: the error names the
@@ -344,6 +364,15 @@ class TestOstrowskiCommand:
         w = b - a
         expected = w * (0.25 + ((x - 0.5 * (a + b)) / w) ** 2)
         assert json.loads(out)["rhs"] == pytest.approx(expected, rel=1e-14)
+
+    def test_underflowed_power_mean_is_refused(self, capsys):
+        # lambda * |f'|^q = 2.5e-266 * 1e-67 underflows to 0: the rhs was
+        # printed as 0 with a negative slack and exit 0
+        code, out, err = run(capsys, "ostrowski", "--theorem", "T2_3", "--fn",
+                             "pow:0.5", "--a", "1.6849e66", "--b", "3.3698e66",
+                             "--x", "2.5e66", "--s", "0.5", "--q", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric error: T2_3: the power mean at ")
 
     def test_classic_requires_m(self, capsys):
         code, _, err = run(capsys, "ostrowski", "--theorem", "classic",
@@ -769,3 +798,93 @@ class TestFuzz:
             json.loads(out.getvalue(), parse_constant=reject_constant)
         if code == 1:
             assert argv[0] == "verify"
+
+
+# registry ids with ordinary constants and exponents
+REGISTRY_IDS = st.one_of(
+    st.sampled_from(("id", "inv", "neg")),
+    st.floats(-3.0, 3.0).map(lambda c: f"const:{c:.6g}"),
+    st.floats(0.25, 3.0).map(lambda r: f"pow:{r:.6g}"))
+
+
+def draw_number(draw, lo, hi):
+    return format(draw(st.floats(lo, hi)), ".6g")
+
+
+@st.composite
+def well_formed(draw):
+    """argv of one lambda, hh, ostrowski or verify request with ordinary
+    values inside the domain of every flag: requests that answer, unless a
+    gate fails or a value leaves the float range."""
+    command = draw(st.sampled_from(("lambda", "hh", "ostrowski", "verify")))
+    x = 2.0 ** draw(st.floats(-2.0, 2.0))
+    if command == "lambda":
+        kind = draw(st.integers(1, 5))
+        ratio = draw(st.floats(0.5, 1.0))
+        theta = x * ratio if kind in (1, 2) else x / ratio
+        argv = ["lambda", "--kind", str(kind), "--theta", format(theta, ".6g"),
+                "--x", format(x, ".6g")]
+        if kind != 5:
+            argv += ["--s", draw_number(draw, 0.0, 1.0),
+                     "--vartheta", draw_number(draw, 0.5, 3.0),
+                     "--rho", draw_number(draw, 0.0, 3.0)]
+        return argv + (["--check"] if draw(st.booleans()) else [])
+    a, b = x, x * draw(st.floats(1.1, 4.0))
+    argv = [command, "--fn", draw(REGISTRY_IDS), "--a", format(a, ".6g"),
+            "--b", format(b, ".6g"), "--s", draw_number(draw, 0.05, 1.0)]
+    if command == "hh":
+        return argv + ["--variant", draw(st.sampled_from(("harmonic",
+                                                          "arithmetic")))]
+    theorem = draw(st.sampled_from(
+        ("classic" if command == "ostrowski" else "T2_2",
+         "T2_3", "T2_4", "T2_5", "T2_6", "T2_7")))
+    argv += ["--theorem", theorem, "--grid-gate", str(draw(st.integers(3, 8)))]
+    if theorem in ("T2_6", "T2_7"):
+        argv += [draw(st.sampled_from(("--q", "--p"))),
+                 draw_number(draw, 1.25, 4.0)]
+    elif theorem not in ("T2_2", "classic"):
+        argv += ["--q", draw_number(draw, 1.0, 4.0)]
+    if command == "verify":
+        return argv + ["--grid", str(draw(st.integers(1, 9)))]
+    argv += ["--x", format(draw(st.floats(a, b)), ".6g")]
+    if theorem == "classic" or draw(st.booleans()):
+        argv += ["--M", draw_number(draw, 0.5, 5.0)]
+    return argv
+
+
+def exact_float(text: str) -> float:
+    """A JSON number, which must be the 17-digit form of its value."""
+    v = float(text)
+    assert format(v, ".17g") == text
+    return v
+
+
+class TestWellFormed:
+    def test_documents_keep_their_contract(self):
+        codes = []
+
+        @given(well_formed())
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            codes.append(code)
+            if code == 2:
+                assert out.getvalue() == ""
+                return
+            doc = json.loads(out.getvalue(), parse_constant=reject_constant,
+                             parse_float=exact_float)
+            for row in doc.get("results", [doc]):
+                if "slack" in row:
+                    assert row["slack"] == row["rhs"] - row["lhs"]
+            if argv[0] == "hh":
+                assert doc["slack_left"] == doc["middle"] - doc["left"]
+                assert doc["slack_right"] == doc["right"] - doc["middle"]
+            if argv[0] == "verify" and not doc["hypothesis_ok"]:
+                assert doc["results"] == []
+            assert code == 0 or argv[0] == "verify"
+
+        check()
+        assert len(codes) == 400
+        assert sum(code in (0, 1) for code in codes) >= 300

@@ -3,14 +3,16 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (DEFAULT_TOL, MAX_EVALS, FunctionSpec, Interval,
-                              QuadResult, derivative, get_function, integrate,
-                              power_law, weighted_mean)
+                              QuadResult, arithmetic_mean, derivative,
+                              get_function, integrate, power_law,
+                              weighted_mean)
 
 
 class TestInterval:
@@ -128,6 +130,34 @@ class TestWeightedMean:
             b = a + rng.uniform(0.01, 5.0)
             assert weighted_mean(f, Interval(a, b)) == pytest.approx(
                 3.7, rel=1e-11)
+
+
+class TestArithmeticMean:
+    def test_in_range_is_the_quotient(self):
+        # where the integral is a normal float the mean is integral/(b-a),
+        # bit for bit
+        rng = random.Random(1307)
+        for _ in range(300):
+            f = get_function(rng.choice(("id", "inv", "neg", "pow:0.5",
+                                         "pow:2.3", "const:-1.7")))
+            a = rng.choice((0.0, 2.0 ** rng.uniform(-2.0, 2.0)))
+            b = (a or 1.0) * rng.uniform(1.1, 50.0)
+            if a == 0.0 and f.fn_id == "inv":
+                continue
+            old = integrate(f, a, b, DEFAULT_TOL).value / (b - a)
+            assert arithmetic_mean(f, a, b, DEFAULT_TOL).hex() == old.hex()
+
+    @pytest.mark.parametrize("fn_id, c, r", [("id", 1, 1), ("pow:0.5", 1, 0.5),
+                                             ("const:3", 3, 0)])
+    @pytest.mark.parametrize("a", [1e-200, 1e-300])
+    def test_tiny_scales(self, fn_id, c, r, a):
+        # the integral of id over [1e-200, 2e-200] is 1.5e-400, which
+        # underflows to 0 before the division by b - a
+        value = arithmetic_mean(get_function(fn_id), a, 2.0 * a, DEFAULT_TOL)
+        with mpmath.workdps(30):
+            lo, hi = mpmath.mpf(a), mpmath.mpf(2.0 * a)
+            mean = c * (hi ** (r + 1) - lo ** (r + 1)) / ((r + 1) * (hi - lo))
+            assert abs(value - mean) <= 2.2e-16 * mean
 
 
 class TestDerivative:
