@@ -166,7 +166,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         hyp_ok = worst <= ns.M + VIOLATION_TOL
     else:
         hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q,
-                                 ns.grid_gate, ns.seed).holds
+                                 ns.grid_gate).holds
         lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
         rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q, p, M=ns.M)
     row = bound_row(ns.theorem, ns.x, iv, ns.s, q, p, ns.M, lhs, rhs, hyp_ok)
@@ -179,7 +179,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     iv = Interval(ns.a, ns.b)
     doc = verify_theorem(ns.theorem, f, iv, ns.s, ns.q, ns.p,
                          x_grid=ns.grid, gate_grid_n=ns.grid_gate,
-                         seed=ns.seed, tol=ns.tol)
+                         tol=ns.tol)
     _write(ns, _document(ns, ROW_FIELDS, doc["results"], doc))
     return 0 if doc["pass"] else 1
 
@@ -188,8 +188,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_selftest(ns: argparse.Namespace) -> int:
     """Render the rows of verify.run_battery. A --tol override replaces
-    the limit of every err/slack row (count rows keep theirs). In json and
-    csv a non-finite value, the -inf of a row whose gate failed, is None."""
+    the limit of every err/slack row (count rows keep theirs); it must be
+    finite and positive, and is refused before the battery runs. In json
+    and csv a non-finite value, the -inf of a row whose gate failed, is
+    None."""
+    if ns.tol is not None and not 0.0 < ns.tol < math.inf:
+        raise DomainError(f"--tol must be finite and positive, got {ns.tol}")
     checks = [c if ns.tol is None or c.kind == "count_min"
               else c._replace(limit=ns.tol) for c in run_battery()]
     n_pass = sum(c.passed for c in checks)
@@ -261,9 +265,6 @@ COMMANDS = {
         ("--grid-gate", dict(type=int, default=GATE_GRID_N,
                              help="grid size per axis for the hypothesis "
                                   "gate")),
-        ("--seed", dict(type=int, default=None,
-                        help="adds seeded random samples to the hypothesis "
-                             "gate")),
         _OUT, _JSON_CSV)),
     "verify": ("gate a theorem's hypothesis and scan its slack over an x "
                "grid", cmd_verify, (
@@ -276,7 +277,6 @@ COMMANDS = {
         ("--p", dict(type=float, default=None)),
         ("--grid", dict(type=int, default=X_GRID_N, help="number of x points")),
         ("--grid-gate", dict(type=int, default=GATE_GRID_N)),
-        ("--seed", dict(type=int, default=None)),
         ("--tol", dict(type=float, default=DEFAULT_TOL)),
         _OUT, _JSON_CSV)),
     "selftest": ("run the full verification battery", cmd_selftest, (

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from itertools import islice
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError
 from .numeric import (MIN_NORMAL, FunctionSpec, Interval, get_function,
@@ -28,9 +27,8 @@ from .numeric import (MIN_NORMAL, FunctionSpec, Interval, get_function,
 # inequalities are tight at t in {0, 1}; tolerate float noise up to here
 VIOLATION_TOL = 1e-12
 
-# t grid size of every scan, and the uniform triples a seed adds to it
+# t grid size of every scan
 T_GRID_N = 17
-N_RANDOM = 64
 
 # x grid size per axis of a hypothesis gate by default
 GATE_GRID_N = 16
@@ -98,15 +96,13 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return pts
 
 
-# the t grid k/16: dyadic, so 1 - t is exact and again on the grid; T_HALF
-# is its t <= 1/2 part
+# the t grid k/16: dyadic, so 1 - t is exact and again on the grid
 T_GRID = tuple(uniform_grid(0.0, 1.0, T_GRID_N))
-T_HALF = T_GRID[:T_GRID_N // 2 + 1]
 
-# (t, 1 - t) for the t strictly inside (0, 1), and for those of T_HALF; at
+# (t, 1 - t) for the t strictly inside (0, 1), and for those up to 1/2; at
 # t in {0, 1} the combined point is a grid node
 T_INNER = tuple((t, 1.0 - t) for t in T_GRID[1:-1])
-T_HALF_INNER = T_INNER[:len(T_HALF) - 1]
+T_HALF_INNER = T_INNER[:T_GRID_N // 2]
 
 
 class ConvexityTable(NamedTuple):
@@ -115,13 +111,13 @@ class ConvexityTable(NamedTuple):
 
     v(x, y, t) equals v(y, x, 1-t) exactly in floats on the dyadic t grid,
     in both modes, so only the canonical half is tabulated: a row (x, f(x),
-    y, f(y), ts, fcs) per pair of nodes i <= j, in scan order, then one per
-    seeded triple. fcs holds f at the combined point of each t of ts:
-    T_GRID when i < j, T_HALF when i == j, (t,) for a draw. At t = 0 and
-    t = 1 that point is a node, whose value fcs holds: x then y in the
-    harmonic mode, y then x in the arithmetic one. Each mirrored triple
-    comes after its twin in the full scan, so the ascending scan of the
-    half still meets the lexicographically smallest maximizer first.
+    y, f(y), fcs) per pair of nodes i <= j, in scan order. fcs holds f at
+    the combined point of each t of T_GRID when i < j, and of its first 9
+    entries, t <= 1/2, when i == j. At t = 0 and t = 1 that point is a
+    node, whose value fcs holds: x then y in the harmonic mode, y then x in
+    the arithmetic one. Each mirrored triple comes after its twin in the
+    full scan, so the ascending scan of the half still meets the
+    lexicographically smallest maximizer first.
     """
 
     harmonic: bool
@@ -131,25 +127,21 @@ class ConvexityTable(NamedTuple):
     def report(self, s: float) -> ConvexityReport:
         """The scan's maximum of lhs - rhs and its witness at exponent s."""
         validate_s(s)
-        harmonic = self.harmonic
-
-        def weigh(t: float) -> tuple[float, float]:
-            # (weight of f(x), weight of f(y)); the harmonic form swaps them
-            wt, wr = t ** s, (1.0 - t) ** s
-            return (wr, wt) if harmonic else (wt, wr)
-
-        weights = [weigh(t) for t in T_GRID]
+        # (weight of f(x), weight of f(y)) per t; the harmonic form swaps them
+        weights = [(t ** s, (1.0 - t) ** s) for t in T_GRID]
+        if self.harmonic:
+            weights = [(wr, wt) for wt, wr in weights]
         best = -math.inf
         witness = (self.rows[0][0], self.rows[0][0], 0.0)
-        for x, fx, y, fy, ts, fcs in self.rows:
-            # zip stops at the 9 values of a diagonal row; a draw weighs its t
-            row = [fc - (wx * fx + wy * fy) for (wx, wy), fc in
-                   zip(weights if len(ts) > 1 else [weigh(ts[0])], fcs)]
+        for x, fx, y, fy, fcs in self.rows:
+            # zip stops at the 9 values of a diagonal row
+            row = [fc - (wx * fx + wy * fy)
+                   for (wx, wy), fc in zip(weights, fcs)]
             # max keeps the first of equal values, and index finds it
             v = max(row)
             if v > best:
                 best = v
-                witness = (x, y, ts[row.index(v)])
+                witness = (x, y, T_GRID[row.index(v)])
         return ConvexityReport(max_violation=best, witness=witness,
                                samples=self.samples)
 
@@ -168,15 +160,14 @@ def _combined_points(x: float, y: float, harmonic: bool,
 
 
 def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-             grid_n: int, seed: Optional[int]) -> ConvexityTable:
+             grid_n: int) -> ConvexityTable:
     """Evaluate f over the scan of `mode` on x, y in grid(iv) and t in
-    grid([0, 1]): once at each grid node, once per canonical triple with
-    0 < t < 1 at the combined point (at t = 0 and t = 1 that point is a
-    node), and three times per seeded triple. A seed adds N_RANDOM uniform
-    triples after the grid. f is called once, through FunctionSpec.values,
-    on the nodes and then every other point in scan order, so an error
-    names the first bad point of the scan. A grid of more than
-    MAX_SCAN_TRIPLES triples is refused before any evaluation.
+    grid([0, 1]): once at each grid node, and once per canonical triple
+    with 0 < t < 1 at the combined point (at t = 0 and t = 1 that point is
+    a node). f is called once, through FunctionSpec.values, on the nodes
+    and then every other point in scan order, so an error names the first
+    bad point of the scan. A grid of more than MAX_SCAN_TRIPLES triples is
+    refused before any evaluation.
     """
     if grid_n < 3:
         raise DomainError(f"grid_n must be at least 3, got {grid_n}")
@@ -190,36 +181,20 @@ def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
         points += _combined_points(x, x, harmonic, T_HALF_INNER)
         for y in xs[i + 1:]:
             points += _combined_points(x, y, harmonic, T_INNER)
-    draws = []
-    samples = grid_n * grid_n * T_GRID_N
-    if seed is not None:
-        combine = harmonic_combination if harmonic else (
-            lambda x, y, t: t * x + (1.0 - t) * y)
-        rng = random.Random(seed)
-        for _ in range(N_RANDOM):
-            x, y, t = rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b), rng.random()
-            draws.append((x, y, t))
-            points += (x, y, combine(x, y, t))
-        samples += N_RANDOM
     fps = iter(f.values(xs + points))
     nodes = list(zip(xs, islice(fps, grid_n)))
     rows = []
     for i, (x, fx) in enumerate(nodes):
-        rows.append((x, fx, x, fx, T_HALF,
-                     [fx, *islice(fps, len(T_HALF_INNER))]))
+        rows.append((x, fx, x, fx, [fx, *islice(fps, len(T_HALF_INNER))]))
         for y, fy in nodes[i + 1:]:
             f0, f1 = (fx, fy) if harmonic else (fy, fx)
-            rows.append((x, fx, y, fy, T_GRID,
-                         [f0, *islice(fps, len(T_INNER)), f1]))
-    for x, y, t in draws:
-        fx, fy, fc = islice(fps, 3)
-        rows.append((x, fx, y, fy, (t,), [fc]))
-    return ConvexityTable(harmonic=harmonic, rows=rows, samples=samples)
+            rows.append((x, fx, y, fy, [f0, *islice(fps, len(T_INNER)), f1]))
+    return ConvexityTable(harmonic=harmonic, rows=rows,
+                          samples=grid_n * grid_n * T_GRID_N)
 
 
 def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-                    s: float, grid_n: int = GATE_GRID_N,
-                    seed: Optional[int] = None) -> ConvexityReport:
+                    s: float, grid_n: int = GATE_GRID_N) -> ConvexityReport:
     """Scan the defining inequality of `mode` over x, y in grid(iv) and
     t in grid([0, 1]): the table of tabulate reduced at s.
 
@@ -227,7 +202,7 @@ def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
     evaluated on its canonical half only (see ConvexityTable).
     """
     validate_s(s)
-    return tabulate(f, iv, mode, grid_n, seed).report(s)
+    return tabulate(f, iv, mode, grid_n).report(s)
 
 
 def check_am_hm(iv: Interval) -> ConvexityReport:
@@ -297,7 +272,7 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
         def over_s(mode: ConvexityMode) -> list[ConvexityReport]:
             # one table per (fn, mode), reduced for every s
             if mode not in reports:
-                table = tabulate(f, iv, mode, COMPARISON_GRID_N, None)
+                table = tabulate(f, iv, mode, COMPARISON_GRID_N)
                 reports[mode] = [table.report(s) for s in s_values]
             return reports[mode]
 

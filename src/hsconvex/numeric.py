@@ -182,10 +182,10 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     Raises NumericError (carrying the best value and its error estimate)
     when a panel would need bisection beyond MAX_DEPTH or a bisection would
     take the evaluations past MAX_EVALS, and DomainError on any non-finite
-    sample.
+    sample or a tol that is not finite and positive.
     """
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if lo == hi:
         return QuadResult(value=0.0, err_est=0.0, evals=0)
     if not lo < hi:

@@ -107,19 +107,17 @@ def _gate_function(theorem: str, f: FunctionSpec,
 
 
 def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-                    q: Optional[float], grid_n: int,
-                    seed: Optional[int]) -> ConvexityReport:
+                    q: Optional[float], grid_n: int) -> ConvexityReport:
     """Scan the hypothesis of `theorem` on a grid: harmonic s-convexity of
     _gate_function(theorem, f, q)."""
     return check_convexity(_gate_function(theorem, f, q), iv,
                            ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                           grid_n=grid_n, seed=seed)
+                           grid_n=grid_n)
 
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                    q: Optional[float], p: Optional[float],
                    x_grid: int = X_GRID_N, gate_grid_n: int = GATE_GRID_N,
-                   seed: Optional[int] = None,
                    tol: float = DEFAULT_TOL) -> dict:
     """Gate a theorem's hypothesis, then scan its inequality over x.
 
@@ -141,7 +139,7 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         raise DomainError(f"x_grid must have 1 to {MAX_X_GRID} points, "
                           f"got {x_grid}")
     q, p = resolve_exponents(theorem, q, p)
-    gate = hypothesis_gate(theorem, f, iv, s, q, gate_grid_n, seed)
+    gate = hypothesis_gate(theorem, f, iv, s, q, gate_grid_n)
     return _gated_scan(theorem, f, iv, s, q, p, gate, x_grid, tol)
 
 
@@ -275,7 +273,7 @@ def run_ostrowski_matrix() -> list[dict]:
             if key not in gates:
                 table = tabulate(_gate_function(theorem, f, q), iv,
                                  ConvexityMode.HARMONICALLY_S_CONVEX,
-                                 GATE_GRID_N, None)
+                                 GATE_GRID_N)
                 gates[key] = {s_gate: table.report(s_gate)
                               for s_gate in MATRIX_S_VALUES}
             reports.append(_gated_scan(theorem, f, iv, s, q, p,

@@ -7,25 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex.convexity import (T_GRID, VIOLATION_TOL, ConvexityMode,
-                                check_am_hm, check_convexity, grid_monotone,
-                                harmonic_combination,
+from hsconvex.convexity import (GATE_GRID_N, T_GRID, VIOLATION_TOL,
+                                ConvexityMode, check_am_hm, check_convexity,
+                                grid_monotone, harmonic_combination,
                                 proposition_implications, tabulate,
                                 uniform_grid)
 from hsconvex.errors import DomainError
 from hsconvex.numeric import FunctionSpec, Interval, get_function
 
 
-def reference_scan(viol, iv, grid_n, seed=None):
+def reference_scan(viol, iv, grid_n):
     """Evaluate viol at every triple of the scan, in its order: the grid
-    ascending, then 64 seeded uniform triples; keep the first maximum."""
+    ascending; keep the first maximum."""
     xs = uniform_grid(iv.a, iv.b, grid_n)
     triples = [(x, y, t) for x in xs for y in xs
                for t in uniform_grid(0.0, 1.0, 17)]
-    if seed is not None:
-        rng = random.Random(seed)
-        triples += [(rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b),
-                     rng.random()) for _ in range(64)]
     best, witness = -math.inf, triples[0]
     for triple in triples:
         v = viol(*triple)
@@ -107,30 +103,17 @@ class TestCheckConvexity:
                               ConvexityMode.HARMONICALLY_S_CONVEX, 1.0)
         assert rep.holds
 
-    def test_seeded_random_augmentation_deterministic(self):
-        f = get_function("neg")
-        iv = Interval(1.0, 2.0)
-        r1 = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, 1.0,
-                             seed=7)
-        r2 = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, 1.0,
-                             seed=7)
-        assert r1.max_violation == r2.max_violation
-        assert r1.witness == r2.witness
-        assert r1.samples == r2.samples
-        # random points on top of the grid
-        r0 = check_convexity(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, 1.0)
-        assert r1.samples > r0.samples
-
     # const:2 ties everywhere at s = 1, so the witness rests on the
-    # tie-break alone; inv is harmonically affine
-    @pytest.mark.parametrize("fn_id,s,seed", [("pow:2", 0.5, None),
-                                              ("neg", 1.0, 7),
-                                              ("pow:0.5", 0.75, 3),
-                                              ("const:2", 1.0, None),
-                                              ("const:2", 0.5, 5),
-                                              ("inv", 1.0, None),
-                                              ("inv", 0.25, 11)])
-    def test_matches_defining_inequalities(self, fn_id, s, seed):
+    # tie-break alone; inv is harmonically affine. grid_n None is the
+    # default gate grid, the others odd and even sizes down to the least
+    @pytest.mark.parametrize("fn_id,s,grid_n", [("pow:2", 0.5, None),
+                                                ("neg", 1.0, 7),
+                                                ("pow:0.5", 0.75, 3),
+                                                ("const:2", 1.0, None),
+                                                ("const:2", 0.5, 5),
+                                                ("inv", 1.0, None),
+                                                ("inv", 0.25, 11)])
+    def test_matches_defining_inequalities(self, fn_id, s, grid_n):
         f = get_function(fn_id)
         iv = Interval(0.5, 3.0)
 
@@ -144,9 +127,12 @@ class TestCheckConvexity:
 
         for mode, viol in ((ConvexityMode.HARMONICALLY_S_CONVEX, harmonic),
                            (ConvexityMode.S_CONVEX_SECOND_SENSE, second_sense)):
-            rep = check_convexity(f, iv, mode, s, grid_n=8, seed=seed)
+            if grid_n is None:
+                rep = check_convexity(f, iv, mode, s)
+            else:
+                rep = check_convexity(f, iv, mode, s, grid_n=grid_n)
             assert ((rep.max_violation, rep.witness, rep.samples)
-                    == reference_scan(viol, iv, 8, seed))
+                    == reference_scan(viol, iv, grid_n or GATE_GRID_N))
 
     def test_evaluates_each_node_once(self, monkeypatch):
         points = []
@@ -164,24 +150,24 @@ class TestCheckConvexity:
         # point is a node. samples still counts the full grid
         assert len(points) == 8 + 28 * 15 + 8 * 8 == 492
         assert rep.samples == 8 * 8 * 17
-        # a seed adds three points per draw; every point goes through
+        # the arithmetic scan takes as many; every point goes through
         # FunctionSpec.values, none through a per-point call
         points.clear()
         check_convexity(f, iv, ConvexityMode.S_CONVEX_SECOND_SENSE, 0.5,
-                        grid_n=8, seed=3)
-        assert len(points) == 492 + 3 * 64
+                        grid_n=8)
+        assert len(points) == 492
         grid_monotone(f, iv)
-        assert len(points) == 492 + 3 * 64 + 32
+        assert len(points) == 492 + 32
         assert calls == []
 
     @pytest.mark.parametrize("mode", list(ConvexityMode))
     def test_one_table_serves_every_s(self, mode):
         f = get_function("pow:0.5")
         iv = Interval(0.5, 3.0)
-        table = tabulate(f, iv, mode, 8, 3)
+        table = tabulate(f, iv, mode, 8)
         for s in (0.25, 0.5, 0.75, 1.0):
             assert table.report(s) == check_convexity(f, iv, mode, s,
-                                                      grid_n=8, seed=3)
+                                                      grid_n=8)
         with pytest.raises(DomainError):
             table.report(1.5)
 
@@ -224,7 +210,7 @@ class TestBulkTable:
     """tabulate and report against the scan evaluated point by point."""
 
     @staticmethod
-    def reference(f, iv, mode, grid_n, seed, s):
+    def reference(f, iv, mode, grid_n, s):
         harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
         combine = harmonic_combination if harmonic else (
             lambda x, y, t: t * x + (1.0 - t) * y)
@@ -237,14 +223,10 @@ class TestBulkTable:
         # the canonical half in scan order: pairs i <= j, t <= 1/2 on i == j
         pairs = [(xs[i], xs[j], T_GRID[:9] if j == i else T_GRID)
                  for i in range(grid_n) for j in range(i, grid_n)]
-        if seed is not None:
-            rng = random.Random(seed)
-            pairs += [(rng.uniform(iv.a, iv.b), rng.uniform(iv.a, iv.b),
-                       (rng.random(),)) for _ in range(64)]
-        rows = [(x, f(x), y, f(y), ts, [f(combine(x, y, t)) for t in ts])
+        rows = [(x, f(x), y, f(y), [f(combine(x, y, t)) for t in ts])
                 for x, y, ts in pairs]
         best, witness = -math.inf, (xs[0], xs[0], 0.0)
-        for x, fx, y, fy, ts, fcs in rows:
+        for (x, fx, y, fy, fcs), (_, _, ts) in zip(rows, pairs):
             for t, fc in zip(ts, fcs):
                 wx, wy = weigh(t)
                 v = fc - (wx * fx + wy * fy)
@@ -264,15 +246,13 @@ class TestBulkTable:
         else:
             f = get_function(fn_id)
         for mode in ConvexityMode:
-            for seed in (None, 5):
-                table = tabulate(f, iv, mode, 16, seed)
-                for s in (0.25, 0.5, 1.0):
-                    rows, best, witness = self.reference(f, iv, mode, 16,
-                                                         seed, s)
-                    assert table.rows == rows
-                    rep = table.report(s)
-                    assert rep.max_violation == best
-                    assert rep.witness == witness
+            table = tabulate(f, iv, mode, 16)
+            for s in (0.25, 0.5, 1.0):
+                rows, best, witness = self.reference(f, iv, mode, 16, s)
+                assert table.rows == rows
+                rep = table.report(s)
+                assert rep.max_violation == best
+                assert rep.witness == witness
 
 
 class TestAmHm:

@@ -78,7 +78,7 @@ def test_settable_values_pinned():
     # each default is a value a caller may set; a new one must be added on
     # purpose, by raising this count in the same change
     files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
-    assert sum(settable_values(f) for f in files) == 16
+    assert sum(settable_values(f) for f in files) == 14
 
 
 def test_settable_values_count_named_tuple_defaults(tmp_path):
@@ -106,6 +106,12 @@ def test_special_functions_share_no_code_with_the_oracle():
     # which shows something only while specfn uses none of numeric
     specfn = ROOT / "src" / "hsconvex" / "specfn.py"
     assert imported_modules(specfn) == {"__future__", "math", "typing", ".errors"}
+
+
+def test_no_module_draws_random_numbers():
+    # every document depends on argv alone: no module imports random
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    assert [f.name for f in files if "random" in imported_modules(f)] == []
 
 
 def process_caches(path: Path) -> list[str]:

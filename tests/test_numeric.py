@@ -96,6 +96,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda u: 1.0 / (u - 0.5) ** 0 * math.inf, 0.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tol accepted the first panel whatever its error
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            integrate(math.exp, 0.0, 1.0, tol)
+
     def test_zero_width(self):
         r = integrate(math.exp, 1.0, 1.0)
         assert r.value == 0.0
