@@ -33,7 +33,7 @@ from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda5_integrand,
                      lambda_integrand, lambda_value, ostrowski_lhs,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
-from .convexity import GATE_GRID_N, VIOLATION_TOL, uniform_grid
+from .convexity import VIOLATION_TOL, uniform_grid
 from .errors import DomainError, NumericError
 from .numeric import (DEFAULT_TOL, MIN_NORMAL, Interval, arithmetic_mean,
                       derivative, get_function, integrate)
@@ -165,8 +165,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         worst = max(abs(derivative(f, u)) for u in uniform_grid(iv.a, iv.b, 33))
         hyp_ok = worst <= ns.M + VIOLATION_TOL
     else:
-        hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q,
-                                 ns.grid_gate).holds
+        hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q, ns.grid_gate)
         lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
         rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q, p, M=ns.M)
     row = bound_row(ns.theorem, ns.x, iv, ns.s, q, p, ns.M, lhs, rhs, hyp_ok)
@@ -262,7 +261,7 @@ COMMANDS = {
         ("--M", dict(type=float, default=None,
                      help="derivative bound; replaces every |f'| magnitude")),
         ("--tol", dict(type=float, default=DEFAULT_TOL)),
-        ("--grid-gate", dict(type=int, default=GATE_GRID_N,
+        ("--grid-gate", dict(type=int, default=None,
                              help="grid size per axis for the hypothesis "
                                   "gate")),
         _OUT, _JSON_CSV)),
@@ -276,7 +275,7 @@ COMMANDS = {
         ("--q", dict(type=float, default=None)),
         ("--p", dict(type=float, default=None)),
         ("--grid", dict(type=int, default=X_GRID_N, help="number of x points")),
-        ("--grid-gate", dict(type=int, default=GATE_GRID_N)),
+        ("--grid-gate", dict(type=int, default=None)),
         ("--tol", dict(type=float, default=DEFAULT_TOL)),
         _OUT, _JSON_CSV)),
     "selftest": ("run the full verification battery", cmd_selftest, (

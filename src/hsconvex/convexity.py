@@ -1,4 +1,12 @@
-"""Sampling-based convexity predicates used as hypothesis gates.
+"""Convexity predicates used as hypothesis gates: exact for power laws,
+sampled for any other function.
+
+power_gate decides whether K*u^rho is harmonically s-convex on [a, b],
+which is every hypothesis a registry function c*u^r brings: it is the
+s-convexity of K*w^-rho on [1/b, 1/a] (Iscan, Hacettepe J. Math. Stat. 43,
+2014; Hudzik and Maligranda, Aequationes Math. 48, 1994). Only the case
+0 < -rho < s < 1 needs a search, and that search is one-dimensional
+(power_search).
 
 Two notions are checked on tensor grids (x, y, t):
 
@@ -16,9 +24,10 @@ rounding.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from itertools import islice
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .numeric import (MIN_NORMAL, FunctionSpec, Interval, get_function,
@@ -41,6 +50,9 @@ MAX_SCAN_TRIPLES = 256 * 256 * T_GRID_N
 # x grid size of the AM-HM scan, the monotonicity classification and the
 # implication grids
 COMPARISON_GRID_N = 32
+
+# t boxes power_search may examine before it gives up undecided
+MAX_GATE_BOXES = 4000
 
 
 class ConvexityMode(enum.Enum):
@@ -84,6 +96,84 @@ def harmonic_combination(x: float, y: float, t: float) -> float:
         return xy / (t * x + (1.0 - t) * y)
     h = 1.0 / (t / y + (1.0 - t) / x)
     return min(max(h, min(x, y)), max(x, y))
+
+
+def power_gate(sign: int, rho: tuple[int, int], iv: Interval,
+               s: float) -> Optional[bool]:
+    """Whether K*u^rho is harmonically s-convex on iv, for K of the given
+    sign (-1, 0 or 1) and rho = num/den (den > 0) exactly, or None when
+    power_search spends its budget.
+
+    With alpha = -rho: K = 0 holds; K > 0 holds for rho >= 0, rho <= -1 or
+    alpha >= s, fails for 0 < alpha < 1 = s, and else is power_search's
+    case; K < 0 fails for s < 1, and at s = 1 holds iff -1 <= rho <= 0.
+    rho is compared with 0, -1 and -s in integers, as it need not be a
+    float: (r - 1)*q of floats r and q, say.
+    """
+    validate_s(s)
+    num, den = rho
+    if sign == 0:
+        return True
+    if sign < 0:
+        return s == 1.0 and -den <= num <= 0
+    s_num, s_den = s.as_integer_ratio()
+    if num >= 0 or num <= -den or -num * s_den >= s_num * den:
+        return True
+    if s == 1.0:
+        return False
+    return power_search(-num / den, s, iv)[0]
+
+
+def power_search(alpha: float, s: float,
+                 iv: Interval) -> tuple[Optional[bool], Optional[float]]:
+    """Decide whether w^alpha, 0 < alpha < s < 1, is s-convex on [1/b, 1/a]:
+    (True, None) if it is, (False, t) with a witness t, or (None, None)
+    after MAX_GATE_BOXES boxes.
+
+    With R = b/a and r the ratio of two points,
+    phi(t, r) = (t + (1-t) r)^alpha - t^s - (1-t)^s r^alpha must be <= 0 on
+    [0, 1] x [1, R]. d(phi)/dr has the sign of (t/r + 1-t)^(alpha-1) -
+    (1-t)^(s-1), which rises in r, and phi(t, 1) <= 0, so the maximum over
+    r is at r = 1 or r = R: it holds iff psi(t) = phi(t, R)/R^alpha =
+    (1-t + t/R)^alpha - t^s R^-alpha - (1-t)^s <= 0 for every t. Each term
+    of psi is at most 1 and monotone in t, which bounds psi on a box
+    [t0, t1] from above by its endpoint values. psi < 0 for t <
+    R^(-alpha/(1-s)) and for 1-t < (R^alpha/(1 + alpha(R-1)))^(1/(1-s)),
+    as (t + (1-t)R)^alpha is at most R^alpha and at most
+    1 + alpha(1-t)(R-1), t^s >= t and (1-t)^s >= 1-t. Between these edges
+    boxes are split, worst bound first, until every bound is below -noise
+    (holds) or a midpoint has psi > noise (fails); noise bounds the
+    rounding of psi and of log R.
+    """
+    a, b = iv
+    ratio = b / a
+    log_r = math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)
+    inv_r, r_alpha = math.exp(-log_r), math.exp(-alpha * log_r)
+    noise = 2.0 ** -47 * (1.0 + abs(math.log(a)) + abs(math.log(b)))
+
+    def bound(t0: float, t1: float) -> float:
+        return (((1.0 - t0) + t0 * inv_r) ** alpha - t0 ** s * r_alpha
+                - (1.0 - t1) ** s)
+
+    # log(1 + alpha(R-1)), from above where R-1 overflows; both edges are
+    # pulled in by a relative 1e-9, far more than they can round by
+    log_lin = (math.log1p(alpha * math.expm1(log_r)) if log_r < 700.0
+               else math.log(alpha) + log_r + inv_r / alpha)
+    lo = math.exp(-alpha * log_r / (1.0 - s)) * (1.0 - 1e-9)
+    hi = 1.0 - math.exp((alpha * log_r - log_lin) / (1.0 - s)) * (1.0 - 1e-9)
+    if lo >= hi:
+        return True, None
+    boxes = [(-bound(lo, hi), lo, hi)]
+    for _ in range(MAX_GATE_BOXES):
+        neg_bound, t0, t1 = heapq.heappop(boxes)
+        if neg_bound >= noise:
+            return True, None
+        t = 0.5 * (t0 + t1)
+        if bound(t, t) > noise:
+            return False, t
+        heapq.heappush(boxes, (-bound(t0, t), t0, t))
+        heapq.heappush(boxes, (-bound(t, t1), t, t1))
+    return None, None
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:

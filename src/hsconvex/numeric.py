@@ -8,7 +8,8 @@ bisected until the summed estimate drops below the caller's tolerance.
 
 `FunctionSpec` packages an evaluable f on (0, inf) with its analytic f' or
 None. Every registry function is c*u^r, with f and f' built by one rule in
-`power_law`; its exact name (const:<c>, id, pow:<r>, inv, neg) gives (c, r).
+`power_law`; its exact name (const:<c>, id, pow:<r>, inv, neg) gives (c, r),
+which its `power` field carries.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class Interval(_Endpoints):
 
 
 class FunctionSpec(NamedTuple):
-    """An evaluable scalar function with its analytic derivative or None.
+    """An evaluable scalar function with its analytic derivative or None,
+    and power = (c, r) when it is the c*u^r that power_law builds, else
+    None.
 
     eval_fn and deriv_fn receive points from (0, inf]; 0 is an open
     endpoint (several registry functions blow up there).
@@ -104,7 +107,8 @@ class FunctionSpec(NamedTuple):
 
     fn_id: str
     eval_fn: Callable[[float], float]
-    deriv_fn: Optional[Callable[[float], float]] = None
+    deriv_fn: Optional[Callable[[float], float]]
+    power: Optional[tuple[float, float]]
 
     def __call__(self, x: float) -> float:
         # the arithmetic-mean chain may evaluate at a = 0; that is allowed
@@ -263,15 +267,17 @@ def derivative(f: FunctionSpec, x: float) -> float:
 
 
 def power_law(fn_id: str, c: float, r: float) -> FunctionSpec:
-    """f(u) = c*u^r and f'(u) = (c*r)*u^(r-1), by one rule. r = -1 divides,
-    c/u and (c*r)/(u*u), as u**-1.0 and u**-2.0 round differently; r = 0
-    has f' = +0.0, as c*0 is -0.0 for c < 0 and u**-1.0 overflows at a
-    subnormal u."""
+    """f(u) = c*u^r and f'(u) = (c*r)*u^(r-1), by one rule, with power
+    (c, r). r = -1 divides, c/u and (c*r)/(u*u), as u**-1.0 and u**-2.0
+    round differently; r = 0 has f' = +0.0, as c*0 is -0.0 for c < 0 and
+    u**-1.0 overflows at a subnormal u."""
     cr, r1 = c * r, r - 1.0
     if r == -1.0:
-        return FunctionSpec(fn_id, lambda x: c / x, lambda x: cr / (x * x))
+        return FunctionSpec(fn_id, lambda x: c / x, lambda x: cr / (x * x),
+                            (c, r))
     return FunctionSpec(fn_id, lambda x: c * x ** r,
-                        (lambda x: 0.0) if r == 0.0 else lambda x: cr * x ** r1)
+                        (lambda x: 0.0) if r == 0.0 else lambda x: cr * x ** r1,
+                        (c, r))
 
 
 def exact(v: float) -> str:

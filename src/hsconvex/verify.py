@@ -1,10 +1,12 @@
 """The empirical referee: residual checks, hypothesis gates, slack scans.
 
 Nothing in here asserts an inequality without first checking its
-hypothesis numerically (check-then-assert). verify_theorem gates the
-harmonic chain on harmonic s-convexity of f itself and gates every
-Ostrowski-type theorem on harmonic s-convexity of u -> |f'(u)|^q; only
-when the gate passes does the slack scan run and count.
+hypothesis (check-then-assert). verify_theorem gates the harmonic chain on
+harmonic s-convexity of f itself and gates every Ostrowski-type theorem on
+harmonic s-convexity of u -> |f'(u)|^q; only when the gate passes does the
+slack scan run and count. For a power law c*u^r the gate is again a power
+law, decided exactly (convexity.power_gate); any other f is scanned on a
+grid.
 
 lambda_consistency_rows is the package's oracle comparison: every lambda
 closed form against its defining integral by adaptive quadrature.
@@ -23,8 +25,8 @@ from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda_value, ostrowski_rhs, resolve_exponents,
                      OSTROWSKI_THEOREMS)
 from .convexity import (GATE_GRID_N, VIOLATION_TOL, ConvexityMode,
-                        ConvexityReport, check_am_hm, check_convexity,
-                        proposition_implications, tabulate, uniform_grid)
+                        check_am_hm, check_convexity, power_gate,
+                        proposition_implications, uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, arithmetic_mean,
                       derivative, exact, get_function, integrate, validate_s,
@@ -103,21 +105,43 @@ def _gate_function(theorem: str, f: FunctionSpec,
     if deriv_fn is None:
         raise DomainError(f"{f.fn_id}: no analytic derivative")
     return FunctionSpec(fn_id=f"|{f.fn_id}'|^{exact(q)}",
-                        eval_fn=lambda u: abs(deriv_fn(u)) ** q)
+                        eval_fn=lambda u: abs(deriv_fn(u)) ** q,
+                        deriv_fn=None, power=None)
+
+
+def _gate_power(theorem: str, c: float, r: float,
+                q: Optional[float]) -> tuple[int, tuple[int, int]]:
+    """The gate of `theorem` for f = c*u^r as K*u^rho: the sign of K and
+    rho as an exact fraction. (K, rho) is (c, r) for T2_2 and
+    (|c*r|^q, (r - 1)*q) otherwise, whose K may overflow and whose rho
+    need not be a float, so neither is computed in floats."""
+    if theorem == "T2_2":
+        return (c > 0.0) - (c < 0.0), r.as_integer_ratio()
+    r_num, r_den = r.as_integer_ratio()
+    q_num, q_den = q.as_integer_ratio()
+    return int(c != 0.0 and r != 0.0), ((r_num - r_den) * q_num, r_den * q_den)
 
 
 def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-                    q: Optional[float], grid_n: int) -> ConvexityReport:
-    """Scan the hypothesis of `theorem` on a grid: harmonic s-convexity of
-    _gate_function(theorem, f, q)."""
+                    q: Optional[float], grid_n: Optional[int]) -> bool:
+    """Whether the hypothesis of `theorem` holds: harmonic s-convexity of
+    _gate_function(theorem, f, q). With grid_n None, a power law (f.power
+    set) is decided exactly by power_gate; anything else, and a power law
+    whose search spends its budget, is scanned on the GATE_GRID_N grid.
+    An explicit grid_n always scans on that grid."""
+    if grid_n is None and f.power is not None:
+        holds = power_gate(*_gate_power(theorem, *f.power, q), iv, s)
+        if holds is not None:
+            return holds
     return check_convexity(_gate_function(theorem, f, q), iv,
                            ConvexityMode.HARMONICALLY_S_CONVEX, s,
-                           grid_n=grid_n)
+                           grid_n=GATE_GRID_N if grid_n is None else grid_n
+                           ).holds
 
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                    q: Optional[float], p: Optional[float],
-                   x_grid: int = X_GRID_N, gate_grid_n: int = GATE_GRID_N,
+                   x_grid: int = X_GRID_N, gate_grid_n: Optional[int] = None,
                    tol: float = DEFAULT_TOL) -> dict:
     """Gate a theorem's hypothesis, then scan its inequality over x.
 
@@ -127,9 +151,11 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     middle-vs-right; the two inequalities hold or fail independently).
     T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and yield one row per
     x-grid point. The exponents (q, p) are resolved once
-    (resolve_exponents). A failed gate short-circuits: results stay empty,
-    min_slack is None and pass is false, without any slack claim. An x grid
-    of more than MAX_X_GRID points is refused before any evaluation.
+    (resolve_exponents), and the gate is hypothesis_gate's, on the
+    gate_grid_n grid if one is given. A failed gate short-circuits: results
+    stay empty, min_slack is None and pass is false, without any slack
+    claim. An x grid of more than MAX_X_GRID points, and a tol that is not
+    finite and positive, are refused before any evaluation.
     """
     validate_s(s)
     if theorem not in VERIFY_THEOREMS:
@@ -138,26 +164,20 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     if not 1 <= x_grid <= MAX_X_GRID:
         raise DomainError(f"x_grid must have 1 to {MAX_X_GRID} points, "
                           f"got {x_grid}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     q, p = resolve_exponents(theorem, q, p)
-    gate = hypothesis_gate(theorem, f, iv, s, q, gate_grid_n)
-    return _gated_scan(theorem, f, iv, s, q, p, gate, x_grid, tol)
-
-
-def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-                q: Optional[float], p: Optional[float],
-                gate: ConvexityReport, x_grid: int, tol: float) -> dict:
-    """The document of verify_theorem once its gate is known, for resolved
-    exponents (q, p)."""
+    holds = hypothesis_gate(theorem, f, iv, s, q, gate_grid_n)
     a, b = iv.a, iv.b
     rows: list[dict] = []
-    if gate.holds and theorem == "T2_2":
+    if holds and theorem == "T2_2":
         left, middle, right = hh_harmonic_bounds(f, iv, s, tol)
         h_mid = 2.0 * a * b / (a + b)
         rows.append(bound_row("T2_2_left", h_mid, iv, s, None, None, None,
                               left, middle, True))
         rows.append(bound_row("T2_2_right", h_mid, iv, s, None, None, None,
                               middle, right, True))
-    elif gate.holds:
+    elif holds:
         wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
         for x in uniform_grid(a, b, x_grid):
             lhs = abs(f(x) - wm)
@@ -176,7 +196,7 @@ def _gated_scan(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         },
         "results": rows,
         "min_slack": min_slack,
-        "hypothesis_ok": gate.holds,
+        "hypothesis_ok": holds,
         "pass": min_slack is not None and min_slack >= -SLACK_TOL,
     }
 
@@ -256,29 +276,14 @@ def _matrix_configs():
 
 def run_ostrowski_matrix() -> list[dict]:
     """The verify_theorem documents of the whole sweep matrix, in a fixed
-    order, with its default X_GRID_N x points and GATE_GRID_N-point gate
-    grid.
-
-    The gate depends on (fn, interval, q, s), and s only weights the
-    values, so each (fn, interval, q) table is built once, when its first
-    config comes up, and reduced for every s; one table is live at a time.
-    Lambda weights are shared across the sweep (lambda_memo).
+    order, with its defaults: X_GRID_N x points, and a gate that
+    power_gate decides, as every matrix function is a power law, so no
+    table is built. Lambda weights are shared across the sweep
+    (lambda_memo).
     """
-    gates: dict = {}
-    reports = []
     with lambda_memo():
-        for theorem, fn_id, iv, s, q, p in _matrix_configs():
-            f = get_function(fn_id)
-            key = (fn_id, iv, q)
-            if key not in gates:
-                table = tabulate(_gate_function(theorem, f, q), iv,
-                                 ConvexityMode.HARMONICALLY_S_CONVEX,
-                                 GATE_GRID_N)
-                gates[key] = {s_gate: table.report(s_gate)
-                              for s_gate in MATRIX_S_VALUES}
-            reports.append(_gated_scan(theorem, f, iv, s, q, p,
-                                       gates[key][s], X_GRID_N, DEFAULT_TOL))
-    return reports
+        return [verify_theorem(theorem, get_function(fn_id), iv, s, q, p)
+                for theorem, fn_id, iv, s, q, p in _matrix_configs()]
 
 
 def matrix_summary(reports: list[dict]) -> dict:

@@ -362,7 +362,8 @@ class TestHHChains:
             points.append(x)
             return x * x
 
-        right = hh_s_convex_bounds(FunctionSpec("sq", square), 0.0, 1.0, 1.0)[2]
+        f = FunctionSpec(fn_id="sq", eval_fn=square, deriv_fn=None, power=None)
+        right = hh_s_convex_bounds(f, 0.0, 1.0, 1.0)[2]
         assert right == 0.5
         assert points.count(0.0) == 1
 

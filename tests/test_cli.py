@@ -12,13 +12,14 @@ from conftest import canary_lambda_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex import cli, verify
-from hsconvex.bounds import (classic_ostrowski_rhs, ostrowski_lhs,
-                             ostrowski_rhs, resolve_exponents)
+from hsconvex import cli, convexity, verify
+from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
+                             ostrowski_lhs, ostrowski_rhs, resolve_exponents)
 from hsconvex.cli import main
-from hsconvex.convexity import GATE_GRID_N, VIOLATION_TOL, uniform_grid
+from hsconvex.convexity import VIOLATION_TOL, uniform_grid
 from hsconvex.numeric import Interval, derivative, get_function, integrate
-from hsconvex.verify import (Check, bound_row, hypothesis_gate, lambda_checks,
+from hsconvex.verify import (VERIFY_THEOREMS, Check, bound_row,
+                             hypothesis_gate, lambda_checks,
                              lambda_consistency_rows, verify_theorem)
 
 
@@ -222,10 +223,11 @@ class TestHostileInput:
     def test_gate_error_names_the_first_bad_point(self, capsys):
         # u ** 2 raises OverflowError past u = 1.3e154: the error names the
         # second grid node, the first bad point of the scan, as a call per
-        # point would
+        # point would. A registry gate needs no table, so the grid is asked
+        # for
         code, out, err = run(capsys, "verify", "--theorem", "T2_2", "--fn",
                              "pow:2", "--a", "1e150", "--b", "1e160",
-                             "--s", "1")
+                             "--s", "1", "--grid-gate", "16")
         assert (code, out) == (2, "")
         assert err == ("domain error: pow:2: evaluation failed at "
                        "6.666666675999999e+158\n")
@@ -326,11 +328,10 @@ class TestLibraryParity:
         code, out, _ = run(capsys, *argv)
         f, iv = get_function(fn), Interval(0.5, 2.0)
         q, p = resolve_exponents(theorem, q, p)
-        gate = hypothesis_gate(theorem, f, iv, s, q, GATE_GRID_N)
         row = bound_row(theorem, 1.25, iv, s, q, p, None,
                         ostrowski_lhs(f, 1.25, iv),
                         ostrowski_rhs(theorem, f, 1.25, iv, s, q, p),
-                        gate.holds)
+                        hypothesis_gate(theorem, f, iv, s, q, None))
         assert code == 0
         assert json.loads(out) == row
         assert row["hypothesis_ok"] is (theorem != "T2_3")
@@ -461,6 +462,57 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_gate_fails_between_grid_points(self, capsys):
+        # the gate 0.95 u^-0.05 breaks the inequality at (a, b, t = 0.995),
+        # between two t of the sampled grid, which passed it
+        code, out, _ = run(capsys, "verify", "--theorem", "T2_3", "--fn",
+                           "pow:0.95", "--a", "1", "--b", "1048576",
+                           "--s", "0.25", "--q", "1")
+        assert code == 1
+        assert json.loads(out)["hypothesis_ok"] is False
+
+    @pytest.mark.parametrize("argv", [
+        # harmonically convex gates whose sampled tables failed on rounding
+        # above the absolute VIOLATION_TOL
+        ("--theorem", "T2_4", "--fn", "pow:3", "--a", "32", "--b", "64",
+         "--s", "1", "--q", "2"),
+        ("--theorem", "T2_2", "--fn", "pow:2", "--a", "1000", "--b", "2000",
+         "--s", "1"),
+    ])
+    def test_gate_holds_at_any_scale(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert json.loads(out)["hypothesis_ok"] is True
+
+    @pytest.mark.parametrize("fn", ["pow:0.5", "pow:2"])  # gate fails, holds
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_is_refused_before_the_gate(self, capsys, fn, tol):
+        code, out, err = run(capsys, "verify", "--theorem", "T2_3",
+                             "--fn", fn, "--a", "0.5", "--b", "2",
+                             "--q", "1", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == ("domain error: tol must be finite and positive, "
+                       f"got {float(tol)}\n")
+
+    def test_registry_gates_build_no_table(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a registry gate built a table")
+
+        monkeypatch.setattr(convexity, "tabulate", no_table)
+        for fn in ("const:2", "const:-1.5", "const:0", "id", "pow:0.5",
+                   "pow:2.5", "inv", "neg"):
+            for s in ("0.25", "1"):
+                common = ("--fn", fn, "--a", "0.5", "--b", "3", "--s", s)
+                for theorem in VERIFY_THEOREMS:
+                    q = () if theorem == "T2_2" else ("--q", "2")
+                    code, _, _ = run(capsys, "verify", "--theorem", theorem,
+                                     *common, *q)
+                    assert code in (0, 1), (fn, s, theorem)
+                for theorem in OSTROWSKI_THEOREMS:
+                    code, _, _ = run(capsys, "ostrowski", "--theorem", theorem,
+                                     *common, "--x", "1", "--q", "2")
+                    assert code == 0, (fn, s, theorem)
 
 
 class TestOutputFile:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 from hsconvex.convexity import (GATE_GRID_N, T_GRID, VIOLATION_TOL,
                                 ConvexityMode, check_am_hm, check_convexity,
                                 grid_monotone, harmonic_combination,
+                                power_gate, power_search,
                                 proposition_implications, tabulate,
                                 uniform_grid)
 from hsconvex.errors import DomainError
 from hsconvex.numeric import FunctionSpec, Interval, get_function
+from hsconvex.verify import (MATRIX_FUNCTIONS, MATRIX_INTERVALS,
+                             MATRIX_Q_VALUES, MATRIX_S_VALUES,
+                             hypothesis_gate)
 
 
 def reference_scan(viol, iv, grid_n):
@@ -136,7 +141,9 @@ class TestCheckConvexity:
 
     def test_evaluates_each_node_once(self, monkeypatch):
         points = []
-        f = FunctionSpec("counted", lambda u: points.append(u) or u * u)
+        f = FunctionSpec(fn_id="counted",
+                         eval_fn=lambda u: points.append(u) or u * u,
+                         deriv_fn=None, power=None)
         calls = []
         call = FunctionSpec.__call__
         monkeypatch.setattr(FunctionSpec, "__call__",
@@ -181,7 +188,8 @@ class TestCheckConvexity:
             points.append(u)
             raise Started
 
-        f = FunctionSpec("counted", first_eval)
+        f = FunctionSpec(fn_id="counted", eval_fn=first_eval, deriv_fn=None,
+                         power=None)
         iv = Interval(1.0, 2.0)
         mode = ConvexityMode.HARMONICALLY_S_CONVEX
         # grid_n = 256 is admitted: the scan starts evaluating ...
@@ -242,7 +250,9 @@ class TestBulkTable:
         if fn_id == "gate":
             # |f'|^3 for f = pow:1.5, built like the gate of a theorem
             deriv_fn = get_function("pow:1.5").deriv_fn
-            f = FunctionSpec("|pow:1.5'|^3", lambda u: abs(deriv_fn(u)) ** 3.0)
+            f = FunctionSpec(fn_id="|pow:1.5'|^3",
+                             eval_fn=lambda u: abs(deriv_fn(u)) ** 3.0,
+                             deriv_fn=None, power=None)
         else:
             f = get_function(fn_id)
         for mode in ConvexityMode:
@@ -280,7 +290,8 @@ class TestGridMonotone:
         assert grid_monotone(get_function("id"), iv) == "nondecreasing"
         assert grid_monotone(get_function("inv"), iv) == "nonincreasing"
         assert grid_monotone(get_function("const:3"), iv) == "constant"
-        wavy = FunctionSpec("wavy", lambda u: math.sin(6.0 * u))
+        wavy = FunctionSpec(fn_id="wavy", eval_fn=lambda u: math.sin(6.0 * u),
+                            deriv_fn=None, power=None)
         assert grid_monotone(wavy, iv) == "neither"
 
 
@@ -301,3 +312,171 @@ class TestPropositionImplications:
         # harmonically affine and nonincreasing (reverse implication)
         assert "s_to_harmonic" in directions
         assert "harmonic_to_s" in directions
+
+
+def phi(t, r, alpha, s):
+    """(t + (1-t) r)^alpha - t^s - (1-t)^s r^alpha in mpmath at the working
+    precision: w^alpha breaks s-convexity at the points w1 and r w1 with
+    weight t where it is positive."""
+    t, r = mpmath.mpf(t), mpmath.mpf(r)
+    return (t + (1 - t) * r) ** alpha - t ** s - (1 - t) ** s * r ** alpha
+
+
+def search_cases(n):
+    """n derandomized (alpha, s, iv) with 0 < alpha < s < 1 and iv = [a, b],
+    a = 2^k for k in [-30, 30] and b/a in (1, 2^20]."""
+    rng = random.Random(25)
+    cases = []
+    for _ in range(n):
+        s = rng.uniform(0.05, 0.99)
+        a = 2.0 ** rng.uniform(-30.0, 30.0)
+        cases.append((rng.uniform(0.0, s) or s / 2, s,
+                      Interval(a, a * 2.0 ** rng.uniform(1e-6, 20.0))))
+    return cases
+
+
+def gate_table(theorem, f, iv, q):
+    """The sampled gate of `theorem` for f on its default grid, with the
+    largest magnitude among its values."""
+    if theorem != "T2_2":
+        deriv_fn = f.deriv_fn
+        f = FunctionSpec(fn_id="gate",
+                         eval_fn=lambda u: abs(deriv_fn(u)) ** q,
+                         deriv_fn=None, power=None)
+    table = tabulate(f, iv, ConvexityMode.HARMONICALLY_S_CONVEX, GATE_GRID_N)
+    scale = max(abs(v) for x, fx, y, fy, fcs in table.rows
+                for v in (fx, fy, *fcs))
+    return table, scale
+
+
+class TestPowerGate:
+    """The rule of power_gate, one case at a time: K*u^rho with K of a
+    sign and rho = num/den."""
+
+    IV = Interval(0.5, 3.0)
+
+    def test_zero_k_holds(self):
+        for rho in ((3, 1), (0, 1), (-1, 2), (-5, 1)):
+            for s in (0.25, 0.5, 1.0):
+                assert power_gate(0, rho, self.IV, s) is True
+
+    def test_positive_k_outside_minus_one_to_zero_holds(self):
+        # K u^rho is then convex and nonnegative in w = 1/u
+        for rho in ((0, 1), (1, 3), (7, 2), (-1, 1), (-3, 2), (-10 ** 30, 1)):
+            for s in (0.25, 0.5, 1.0):
+                assert power_gate(1, rho, self.IV, s) is True
+
+    def test_positive_k_alpha_at_least_s_holds(self):
+        # w^alpha, alpha >= s, is s-convex by subadditivity; alpha == s too
+        for rho, s in (((-1, 2), 0.5), ((-1, 2), 0.25), ((-9, 10), 0.9),
+                       ((-3, 4), 0.75), ((-999, 1000), 0.25)):
+            assert power_gate(1, rho, self.IV, s) is True
+
+    def test_positive_k_concave_at_s_one_fails(self):
+        for rho in ((-1, 2), (-999, 1000), (-1, 10 ** 20)):
+            assert power_gate(1, rho, self.IV, 1.0) is False
+
+    def test_positive_k_below_s_searches(self):
+        # the gate 0.95 u^-0.05 at s = 0.25: it fails on [1, 2^20], where
+        # the search finds t = 0.995, and holds on [1, 2] and [1, 2^16]
+        alpha = 0.05
+        assert power_gate(1, (-1, 20), Interval(1.0, 2.0 ** 20), 0.25) is False
+        holds, t = power_search(alpha, 0.25, Interval(1.0, 2.0 ** 20))
+        assert holds is False and 0.99 < t < 0.999
+        for b in (2.0, 2.0 ** 16):
+            assert power_gate(1, (-1, 20), Interval(1.0, b), 0.25) is True
+
+    def test_negative_k(self):
+        # -f with f > 0 fails on the diagonal x = y for s < 1, whatever rho
+        for rho in ((0, 1), (-1, 2), (-1, 1), (2, 1), (-3, 1)):
+            assert power_gate(-1, rho, self.IV, 0.5) is False
+        # at s = 1, -w^alpha is convex iff 0 <= alpha <= 1
+        for rho, holds in (((0, 1), True), ((-1, 2), True), ((-1, 1), True),
+                           ((1, 2), False), ((-3, 2), False)):
+            assert power_gate(-1, rho, self.IV, 1.0) is holds
+
+    def test_refuses_bad_s(self):
+        for s in (0.0, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                power_gate(1, (1, 1), self.IV, s)
+
+    def test_phi_peaks_over_r_at_an_end(self):
+        # phi(t, .) is quasi-convex and phi(t, 1) <= 0, so over a 2-D grid
+        # the maximum in r never exceeds max(0, phi(t, R))
+        cases = search_cases(12) + [(0.05, 0.25, Interval(1.0, 2.0 ** 20))]
+        peaks = 0
+        with mpmath.workdps(30):
+            for alpha, s, iv in cases:
+                ratio = mpmath.mpf(iv.b) / mpmath.mpf(iv.a)
+                rs = [ratio ** (k / 16) for k in range(17)]
+                for t in [k / 24 for k in range(1, 24)] + [0.995]:
+                    end = max(0, phi(t, ratio, alpha, s))
+                    peaks += end > 0
+                    assert max(phi(t, r, alpha, s) for r in rs) <= end + 1e-25
+        assert peaks > 0
+
+    def test_every_failure_carries_a_witness(self):
+        outcomes = []
+        with mpmath.workdps(50):
+            for alpha, s, iv in search_cases(300):
+                holds, t = power_search(alpha, s, iv)
+                outcomes.append(holds)
+                ratio = mpmath.mpf(iv.b) / mpmath.mpf(iv.a)
+                if holds is False:
+                    assert phi(t, ratio, alpha, s) > 0, (alpha, s, iv, t)
+                else:
+                    assert t is None
+        assert outcomes.count(False) >= 50 and outcomes.count(True) >= 50
+
+    def test_holds_against_a_dense_scan(self):
+        # where the search says holds, phi(t, R) <= 0 on a dense t grid,
+        # log-spaced toward both ends where the edges are cleared
+        ts = ([k / 200 for k in range(1, 200)]
+              + [10.0 ** (-k / 4) for k in range(10, 80)])
+        ts += [1.0 - t for t in ts]
+        checked = 0
+        with mpmath.workdps(30):
+            for alpha, s, iv in search_cases(24):
+                if power_search(alpha, s, iv)[0]:
+                    checked += 1
+                    ratio = mpmath.mpf(iv.b) / mpmath.mpf(iv.a)
+                    assert max(phi(t, ratio, alpha, s) for t in ts) <= 0
+        assert checked >= 10
+
+    def test_agrees_with_every_matrix_gate(self):
+        gates = 0
+        for fn_id in MATRIX_FUNCTIONS:
+            f = get_function(fn_id)
+            for iv in map(Interval._make, MATRIX_INTERVALS):
+                for q in MATRIX_Q_VALUES:
+                    table, _ = gate_table("T2_3", f, iv, q)
+                    for s in MATRIX_S_VALUES:
+                        gates += 1
+                        assert (hypothesis_gate("T2_3", f, iv, s, q, None)
+                                is table.report(s).holds), (fn_id, iv, q, s)
+        assert gates == 48
+
+    def test_fails_wherever_the_table_clearly_fails(self):
+        # one-sided over the verify_stream domain: a table violation above
+        # 1e-9 of its largest value is no rounding, and the exact gate
+        # must fail there too; the converse needs no test, as sampling
+        # cannot prove convexity
+        rng = random.Random(26)
+        clear = 0
+        for _ in range(300):
+            theorem = rng.choice(("T2_2", "T2_3", "T2_6"))
+            fn_id = rng.choice(("const:%.6g" % rng.uniform(-3.0, 3.0), "id",
+                                "pow:%.6g" % rng.uniform(0.25, 3.0), "inv",
+                                "neg"))
+            f = get_function(fn_id)
+            a = 2.0 ** rng.uniform(-2.0, 2.0)
+            iv = Interval(a, a * rng.uniform(1.1, 4.0))
+            s = rng.choice((0.25, 0.5, 0.75, 1.0))
+            q = {"T2_2": None, "T2_3": rng.uniform(1.0, 4.0),
+                 "T2_6": rng.uniform(1.25, 4.0)}[theorem]
+            table, scale = gate_table(theorem, f, iv, q)
+            if table.report(s).max_violation > 1e-9 * scale:
+                clear += 1
+                assert not hypothesis_gate(theorem, f, iv, s, q, None), (
+                    theorem, fn_id, iv, s, q)
+        assert clear >= 20

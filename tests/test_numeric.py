@@ -177,7 +177,8 @@ class TestDerivative:
         for deriv_fn in (lambda x: 1.0 / (x - 1.0), lambda x: math.inf,
                          lambda x: math.sqrt(-x)):
             with pytest.raises(DomainError):
-                derivative(FunctionSpec("bad", lambda x: x, deriv_fn), 1.0)
+                derivative(FunctionSpec(fn_id="bad", eval_fn=lambda x: x,
+                                        deriv_fn=deriv_fn, power=None), 1.0)
 
 
 class TestValues:
@@ -223,8 +224,9 @@ class TestValues:
                                       "inf", "nan"])
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_failing_point_raises_as_the_calls_do(self, kind, k):
-        self.assert_same_error(FunctionSpec("bad", self.failing(kind, self.XS[k])),
-                               self.XS)
+        f = FunctionSpec(fn_id="bad", eval_fn=self.failing(kind, self.XS[k]),
+                         deriv_fn=None, power=None)
+        self.assert_same_error(f, self.XS)
 
     def test_first_bad_point_wins(self):
         # a nan at 2.0 comes before a division by zero at 4.0: the batch
@@ -234,7 +236,7 @@ class TestValues:
         def eval_fn(x):
             return 1.0 / (x - 4.0) if x == 4.0 else nan_at_2(x)
 
-        f = FunctionSpec("bad", eval_fn)
+        f = FunctionSpec(fn_id="bad", eval_fn=eval_fn, deriv_fn=None, power=None)
         self.assert_same_error(f, self.XS)
         with pytest.raises(DomainError, match="non-finite value at 2.0"):
             f.values(self.XS)
@@ -252,7 +254,8 @@ class TestValues:
             raise KeyError(x)
 
         with pytest.raises(KeyError):
-            FunctionSpec("bad", eval_fn).values(self.XS)
+            FunctionSpec(fn_id="bad", eval_fn=eval_fn, deriv_fn=None,
+                         power=None).values(self.XS)
 
 
 class TestRegistry:
@@ -270,6 +273,13 @@ class TestRegistry:
             f = get_function(fn_id)
             assert f(x) == pytest.approx(expected, rel=1e-15)
             assert f.fn_id == fn_id
+
+    def test_power_carries_c_and_r(self):
+        # the exact gate reads (c, r) from here, not from the name
+        cases = {"id": (1.0, 1.0), "inv": (1.0, -1.0), "neg": (-1.0, 1.0),
+                 "const:-1.5": (-1.5, 0.0), "pow:2.30000001": (1.0, 2.30000001)}
+        for fn_id, power in cases.items():
+            assert get_function(fn_id).power == power
 
     def test_unknown_ids(self):
         unknown = ("unknown function id {!r}; expected one of const:<c>, id, "
@@ -399,7 +409,9 @@ class TestReferenceForms:
         "pow:0.001", "pow:1.0000001"])
     def test_values_and_derivative_bit_identical(self, fn_id):
         f = get_function(fn_id)
-        ref = FunctionSpec(f.fn_id, *reference_forms(fn_id))
+        eval_fn, deriv_fn = reference_forms(fn_id)
+        ref = FunctionSpec(fn_id=f.fn_id, eval_fn=eval_fn, deriv_fn=deriv_fn,
+                           power=None)
         for x in self.XS:
             assert outcome(f, x) == outcome(ref, x), x
             assert (outcome(lambda u: derivative(f, u), x)

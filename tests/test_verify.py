@@ -8,13 +8,15 @@ from collections import Counter
 import pytest
 from conftest import canary_lambda_value
 
-from hsconvex import bounds, numeric, verify
+from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (lambda5, lambda5_integrand, lambda_integrand,
                              lambda_value, ostrowski_rhs)
+from hsconvex.convexity import GATE_GRID_N
 from hsconvex.errors import DomainError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
                               get_function, integrate)
 from hsconvex.verify import (MAX_X_GRID, ROW_FIELDS, SLACK_TOL, bound_row,
+                             hypothesis_gate,
                              lambda_consistency_rows, lemma_residual,
                              min_corollary_gap, run_battery,
                              run_ostrowski_matrix, verify_theorem)
@@ -96,14 +98,15 @@ class TestVerifyTheorem:
         assert rep2["pass"]
 
     def test_gate_named_by_its_exact_q(self):
-        # |f'|^q overflows at the first node, and the error names the gate;
-        # a q that {q:g} would round is written whole
+        # |f'|^q overflows at the first node of the sampled gate, and the
+        # error names the gate; a q that {q:g} would round is written whole
         rng = random.Random(17)
         stream_qs = [format(rng.uniform(1.0, 4.0), ".6g") for _ in range(200)]
         for text in ["1", "2", "2.5", "1.0000001"] + stream_qs:
             with pytest.raises(DomainError) as exc:
                 verify_theorem("T2_3", get_function("pow:3"),
-                               Interval(1e154, 1e155), 1.0, float(text), None)
+                               Interval(1e154, 1e155), 1.0, float(text), None,
+                               gate_grid_n=GATE_GRID_N)
             assert str(exc.value) == (f"|pow:3'|^{text}: non-finite value "
                                       f"at 1e+154")
 
@@ -129,7 +132,8 @@ class TestVerifyTheorem:
 
     def test_x_grid_cap_refuses_before_evaluating(self):
         points = []
-        f = FunctionSpec("counted", lambda u: points.append(u) or u)
+        f = FunctionSpec(fn_id="counted", eval_fn=lambda u: points.append(u) or u,
+                         deriv_fn=None, power=None)
         for x_grid in (MAX_X_GRID + 1, 10 ** 9):
             with pytest.raises(DomainError):
                 verify_theorem("T2_3", f, IV12, 1.0, 1.0, None, x_grid=x_grid)
@@ -150,6 +154,44 @@ class TestVerifyTheorem:
         assert rep["grid"]["fn"] == "inv"
 
 
+class TestHypothesisGate:
+    def test_rho_is_compared_exactly(self):
+        # (r - 1) q = -(1 - 2^-104) exactly, which rounds to -1.0: |f'|^q
+        # is then strictly concave in w = 1/u and fails at s = 1, where a
+        # float rho would say it holds. The sampled gate cannot see 2^-104
+        r, q = 0.5 - 2.0 ** -53, 2.0 - 2.0 ** -51
+        assert (r - 1.0) * q == -1.0
+        f = get_function(f"pow:{r!r}")
+        assert hypothesis_gate("T2_3", f, IV12, 1.0, q, None) is False
+        assert hypothesis_gate("T2_3", f, IV12, 1.0, q, GATE_GRID_N) is True
+
+    def test_decided_by_the_sign_of_k(self):
+        # K = 3^1000 overflows: the table cannot be built, the rule needs
+        # only the sign of K
+        f = get_function("pow:3")
+        assert hypothesis_gate("T2_3", f, IV12, 0.5, 1000.0, None) is True
+        with pytest.raises(DomainError, match="evaluation failed"):
+            hypothesis_gate("T2_3", f, IV12, 0.5, 1000.0, GATE_GRID_N)
+
+    def test_spent_budget_falls_back_to_the_table(self, monkeypatch):
+        # 0.95 u^-0.05 at s = 0.25 on [1, 256] needs boxes between the
+        # edges that the search clears analytically
+        tables = []
+        tabulate = convexity.tabulate
+
+        def counted_tabulate(*args):
+            tables.append(args)
+            return tabulate(*args)
+
+        monkeypatch.setattr(convexity, "tabulate", counted_tabulate)
+        f, iv = get_function("pow:0.95"), Interval(1.0, 256.0)
+        assert hypothesis_gate("T2_3", f, iv, 0.25, 1.0, None) is True
+        assert tables == []
+        monkeypatch.setattr(convexity, "MAX_GATE_BOXES", 0)
+        assert hypothesis_gate("T2_3", f, iv, 0.25, 1.0, None) is True
+        assert len(tables) == 1
+
+
 class TestBoundRow:
     def test_fields_and_slack(self):
         r = bound_row("T2_3", 1.5, IV12, 1.0, 2.0, None, None, 0.1, 0.3, True)
@@ -163,7 +205,8 @@ class TestBoundRow:
 class TestDerivativeRoute:
     def test_no_derivative_refused_before_any_evaluation(self):
         points = []
-        f = FunctionSpec("counted", lambda u: points.append(u) or u)
+        f = FunctionSpec(fn_id="counted", eval_fn=lambda u: points.append(u) or u,
+                         deriv_fn=None, power=None)
         with pytest.raises(DomainError, match="no analytic derivative"):
             derivative(f, 1.5)
         with pytest.raises(DomainError, match="no analytic derivative"):
@@ -197,7 +240,9 @@ class TestDerivativeRoute:
             if (name.split(".")[0] == "hsconvex"
                     and getattr(mod, "derivative", None) is original):
                 monkeypatch.setattr(mod, "derivative", counted_derivative)
-        f = FunctionSpec("pow:2.3", pow23.eval_fn, deriv_fn)
+        # a spec built by hand has no power, so its gate is the table
+        f = FunctionSpec(fn_id="pow:2.3", eval_fn=pow23.eval_fn,
+                         deriv_fn=deriv_fn, power=None)
         rep = verify_theorem("T2_4", f, IV12, 0.5, 2.0, None)
         assert rep["hypothesis_ok"]
         # the 16 x 16 gate's 1,944 values of |f'|^2 are guarded per table by
@@ -259,8 +304,8 @@ def count_evals(monkeypatch, c):
 
     new = FunctionSpec.__new__
 
-    def counted_new(cls, fn_id, eval_fn, deriv_fn=None):
-        return new(cls, fn_id, counted(fn_id, eval_fn), deriv_fn)
+    def counted_new(cls, fn_id, eval_fn, deriv_fn, power):
+        return new(cls, fn_id, counted(fn_id, eval_fn), deriv_fn, power)
 
     monkeypatch.setattr(FunctionSpec, "__new__", counted_new)
 
@@ -297,11 +342,11 @@ class TestReuse:
     # t = 1 the combined point is a node
     GATE_TABLE_EVALS = 16 + 120 * 15 + 16 * 8
 
-    def test_matrix_builds_one_gate_table_per_fn_interval_q(self, counts):
+    def test_matrix_builds_no_gate_table(self, counts):
         reports = run_ostrowski_matrix()
         assert len(reports) == 192
-        # 6 functions x 2 intervals x 2 q, not 192 gates
-        assert counts["gate_evals"] == 24 * self.GATE_TABLE_EVALS
+        # every matrix function is a power law, decided by power_gate
+        assert counts["gate_evals"] == 0
 
     @pytest.mark.parametrize("sweep", [run_ostrowski_matrix, min_corollary_gap])
     def test_sweep_computes_each_lambda_weight_once(self, counts, sweep):
@@ -322,6 +367,7 @@ class TestReuse:
         # the lambda sweep's 240 rows plus the 544 weights the matrix and
         # the corollary sweep share
         assert totals[0]["hyp2f1"] == 240 + 544
-        # 24 gate tables, and 127,776 evaluations of f itself
-        assert totals[0]["gate_evals"] == 24 * self.GATE_TABLE_EVALS
-        assert totals[0]["f_evals"] + totals[0]["gate_evals"] <= 175_000
+        # no gate table, and 112,224 evaluations of f itself: the chain's
+        # T2_2 gates are power laws too, and tabulate f no more
+        assert "gate_evals" not in totals[0]
+        assert totals[0]["f_evals"] <= 175_000
