@@ -33,7 +33,7 @@ from .errors import DomainError, NumericError
 from .numeric import (DEFAULT_TOL, MIN_NORMAL, FunctionSpec, Interval,
                       arithmetic_mean, derivative, integrate, validate_s,
                       weighted_mean)
-from .specfn import Z_CAP, beta, hyp2f1
+from .specfn import Z_CAP, Gauss2F1, beta
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
 
@@ -166,8 +166,11 @@ def _finite(fn):
     return finite_fn
 
 
-# the lambda weights of the sweep in progress, keyed by their argument
-# tuple (kind, theta, x, s, vartheta, rho); None outside a lambda_memo block
+# the lambda weights of the sweep in progress: each argument tuple
+# (kind, theta, x, s, vartheta, rho) maps to its value, and each
+# (kind, s, vartheta, rho) to the part of its weight that no theta or x
+# changes, its Beta factor and its Gauss2F1 with the ratio table; None
+# outside a lambda_memo block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
@@ -175,10 +178,13 @@ _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
 @contextlib.contextmanager
 def lambda_memo():
     """Within the block, lambda_value computes each distinct argument tuple
-    once and returns the stored value after. A weight does not depend on f,
-    so a sweep over many functions repeats the same few hundred. A block
-    inside another shares the outer block's memo; the memo ends with the
-    outermost block, so no value outlives the run that computed it."""
+    once and returns the stored value after, and sums the 2F1 of every
+    weight that shares (kind, s, vartheta, rho) from one ratio table. A
+    weight does not depend on f, so a sweep over many functions repeats
+    the same few hundred, and the x points of one scan share their tables.
+    A block inside another shares the outer block's memo; the memo ends
+    with the outermost block, so no value or table outlives the run that
+    computed it."""
     if _LAMBDA_MEMO.get() is not None:
         yield
         return
@@ -197,19 +203,26 @@ def lambda_value(kind: int, theta: float, x: float, s: float,
     arguments (b, b2) and the base of each kind in the table below.
     Inside a lambda_memo block each distinct argument tuple is checked
     (lambda_z) and computed once; a stored tuple was checked before it
-    was stored."""
+    was stored. The Beta factor and the Gauss2F1 depend on (kind, s,
+    vartheta, rho) alone, and the block keeps them too."""
     memo = _LAMBDA_MEMO.get()
     key = (kind, theta, x, s, vartheta, rho)
     if memo is not None and key in memo:
         return memo[key]
     z = lambda_z(kind, theta, x, s, vartheta, rho)
-    b, b2, base = {1: (rho + s + 1.0, 1.0, x),
-                   2: (rho + 1.0, s + 1.0, x),
-                   3: (1.0, rho + s + 1.0, theta),
-                   4: (s + 1.0, rho + 1.0, theta)}[kind]
-    two_vt = 2.0 * vartheta
-    front = beta(b, b2) / base ** two_vt
-    value = front * hyp2f1(two_vt, b, rho + s + 2.0, z)
+    shape = (kind, s, vartheta, rho)
+    part = None if memo is None else memo.get(shape)
+    if part is None:
+        b, b2 = {1: (rho + s + 1.0, 1.0),
+                 2: (rho + 1.0, s + 1.0),
+                 3: (1.0, rho + s + 1.0),
+                 4: (s + 1.0, rho + 1.0)}[kind]
+        part = beta(b, b2), Gauss2F1(2.0 * vartheta, b, rho + s + 2.0)
+        if memo is not None:
+            memo[shape] = part
+    beta_factor, series = part
+    base = x if kind in (1, 2) else theta
+    value = beta_factor / base ** (2.0 * vartheta) * series(z)
     if memo is not None:
         memo[key] = value
     return value

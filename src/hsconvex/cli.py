@@ -61,12 +61,25 @@ def _scalar(v) -> str:
     return str(v)
 
 
+# the keys of a bound row in document order (verify.bound_row), and the
+# JSON object of a row, with one %s per value
+_ROW_KEYS = ROW_FIELDS + ("fd_fallback",)
+_ROW_JSON = "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s"
+                            for k in _ROW_KEYS) + "}"
+
+
 def _json(obj) -> str:
     """obj, nested dicts and lists of scalars, as JSON with dict keys in
     insertion order: the stdlib encoder does not let floats be formatted,
     and the output contract fixes that format. None is null, a string is
-    escaped as json.dumps does, any other scalar is written by _scalar."""
+    escaped as json.dumps does, any other scalar is written by _scalar. A
+    dict whose keys are a bound row's, in order, fills _ROW_JSON with its
+    values by the same rule, in one pass."""
     if obj.__class__ is dict:
+        if tuple(obj) == _ROW_KEYS:
+            return _ROW_JSON % tuple([
+                "null" if v is None else encode_basestring_ascii(v)
+                if v.__class__ is str else _scalar(v) for v in obj.values()])
         return "{" + ", ".join(f"{encode_basestring_ascii(k)}: {_json(v)}"
                                for k, v in obj.items()) + "}"
     if obj.__class__ in (list, tuple):

@@ -59,32 +59,153 @@ def beta(x: float, y: float) -> float:
     return value
 
 
-def _gauss_series(a: float, b: float, c: float,
-                  z: float) -> tuple[float, float]:
-    """Gauss power series: return (F, z F') at z, the sums of t_n and of
-    n t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n.
+def _series_error(what: str, z: float, value: float, tail: float,
+                  size: float) -> NumericError:
+    """NumericError for a sum that spent its SERIES_MAX_TERMS terms: value
+    is the partial sum, and err_est the bound `tail` on what the unsummed
+    terms add (inf when none is known) plus SERIES_MAX_TERMS * 2^-50 of
+    the summed magnitudes `size`, for the rounding of that many steps of a
+    few operations each."""
+    return NumericError(
+        f"2F1 {what} did not converge within {SERIES_MAX_TERMS} terms "
+        f"at z={z}", value=value,
+        err_est=tail + SERIES_MAX_TERMS * 2.0 ** -50 * size)
 
-    Terms are built by the ratio recurrence. Termination requires two
-    consecutive terms below SERIES_REL_TOL relative to the partial sum,
-    guarding against an accidental zero term.
+
+def _ratio_cap(u: float, v: float) -> float:
+    """Bound on (u+m)/(v+m) over m >= SERIES_MAX_TERMS for u, v >= 0: the
+    ratio is monotone in m and tends to 1, so it stays below the larger of
+    1 and its first value, here rounded up."""
+    n = SERIES_MAX_TERMS
+    return max(1.0, (u + n) / (v + n) * (1.0 + 2.0 ** -50))
+
+
+class Gauss2F1:
+    """2F1(a, b; c; z) for one parameter triple on the region c > b > 0,
+    a >= 0, as a function of z in [0, Z_CAP).
+
+    ratios[n] = (a+n)(b+n) / ((c+n)(n+1)) is the ratio t_(n+1)/t_n of the
+    Gauss series' terms t_n = (a)_n (b)_n / ((c)_n n!) z^n, bar the factor
+    z. The table starts empty and grows as far as a sum needs; every sum
+    reads it, so each ratio of a triple is computed once, whichever z
+    come and in whatever order. A term is advanced as term *= ratios[n] * z,
+    which rounds as the ratio recurrence written out does, so a value does
+    not depend on the table's history. Only the owner of an instance keeps
+    its table: hyp2f1 starts an empty one per call.
     """
-    term = 1.0
-    total = 1.0
-    z_deriv = 0.0
-    small_run = 0
-    for n in range(SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        total += term
-        z_deriv += (n + 1.0) * term
-        if abs(term) <= SERIES_REL_TOL * abs(total):
-            small_run += 1
-            if small_run >= 2:
-                return total, z_deriv
-        else:
-            small_run = 0
-    raise NumericError(
-        f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
-        f"at z={z}", value=total, err_est=abs(term))
+
+    __slots__ = ("a", "b", "c", "ratios")
+
+    def __init__(self, a: float, b: float, c: float):
+        for name, v in (("a", a), ("b", b), ("c", c)):
+            if not math.isfinite(v):
+                raise DomainError(f"hyp2f1: {name} must be finite, got {v}")
+        if not c > b > 0.0:
+            raise DomainError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
+        if a < 0.0:
+            raise DomainError(f"hyp2f1 requires a >= 0, got {a}")
+        self.a, self.b, self.c = a, b, c
+        self.ratios: list[float] = []
+
+    def __call__(self, z: float) -> float:
+        """Return 2F1(a, b; c; z).
+
+        Up to z_series_cutoff the Gauss series. Above it F and F' at
+        z0 = 1/2 come from the series and are carried to z by Taylor steps
+        of length min(z - z0, (1 - z0)/2), so each step's sum converges
+        like 2^-n and at most 39 steps reach Z_CAP. When the summed losses
+        of the steps put the estimated error above FIDELITY (large c), the
+        Gauss series at z is summed instead, and NumericError raised if it
+        does not converge. z within 1e-12 of 1 is rejected: the function
+        diverges there and the lambda coefficients built on it lose
+        meaning.
+        """
+        if not math.isfinite(z):
+            raise DomainError(f"hyp2f1: z must be finite, got {z}")
+        if not 0.0 <= z < Z_CAP:
+            raise DomainError(f"hyp2f1 requires 0 <= z < {Z_CAP}, got {z}")
+        if z <= DEFAULT_CONFIG.z_series_cutoff:
+            return self._series(z)
+        a, b, c = self.a, self.b, self.c
+        z0 = 0.5
+        f, z_deriv = self._series_with_slope(z0)
+        deriv, loss = z_deriv / z0, 1.0
+        while z0 < z:
+            h = min(z - z0, (1.0 - z0) / 2.0)
+            f, h_deriv, step_loss = _taylor_step(a, b, c, z0, h, f, h * deriv)
+            deriv, loss, z0 = h_deriv / h, loss + step_loss, z0 + h
+            # the comparison is false for a nan loss, which counts as lost
+            if not loss * 2.0 ** -52 <= FIDELITY:
+                return self._series(z)
+        return f
+
+    def _series(self, z: float) -> float:
+        """Gauss power series: return F at z, the sum of the t_n.
+
+        The terms are positive, so a sum ends after two consecutive terms
+        below SERIES_REL_TOL of the partial sum, which guards against an
+        accidental zero term. The ratios come from the table while it
+        lasts and extend it after.
+        """
+        ratios = self.ratios
+        term = total = 1.0
+        small_run = 0
+        for ratio in ratios:
+            term *= ratio * z
+            total += term
+            if term <= SERIES_REL_TOL * total:
+                small_run += 1
+                if small_run >= 2:
+                    return total
+            else:
+                small_run = 0
+        a, b, c = self.a, self.b, self.c
+        for n in range(len(ratios), SERIES_MAX_TERMS):
+            ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n))
+            ratios.append(ratio)
+            term *= ratio * z
+            total += term
+            if term <= SERIES_REL_TOL * total:
+                small_run += 1
+                if small_run >= 2:
+                    return total
+            else:
+                small_run = 0
+        raise self._unconverged(z, term, total)
+
+    def _series_with_slope(self, z: float) -> tuple[float, float]:
+        """The continuation's start: (F, z F') at z, the sums of t_n and of
+        n t_n, ended as _series ends."""
+        a, b, c = self.a, self.b, self.c
+        ratios = self.ratios
+        term = total = 1.0
+        z_deriv = 0.0
+        small_run = 0
+        for n in range(SERIES_MAX_TERMS):
+            if n == len(ratios):
+                ratios.append((a + n) * (b + n) / ((c + n) * (1.0 + n)))
+            term *= ratios[n] * z
+            total += term
+            z_deriv += (n + 1.0) * term
+            if term <= SERIES_REL_TOL * total:
+                small_run += 1
+                if small_run >= 2:
+                    return total, z_deriv
+            else:
+                small_run = 0
+        raise self._unconverged(z, term, total)
+
+    def _unconverged(self, z: float, term: float,
+                     total: float) -> NumericError:
+        """The error of a Gauss sum that spent its terms at z. Each later
+        ratio times z is at most r = z * cap(a, 1) * cap(b, c), or the
+        other pairing of the four factors (_ratio_cap), so while r < 1 the
+        unsummed terms add at most term * r / (1 - r)."""
+        a, b, c = self.a, self.b, self.c
+        r = z * min(_ratio_cap(a, 1.0) * _ratio_cap(b, c),
+                    _ratio_cap(a, c) * _ratio_cap(b, 1.0))
+        tail = term * r / (1.0 - r) if r < 1.0 else math.inf
+        return _series_error("series", z, total, tail, total)
 
 
 def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
@@ -116,42 +237,25 @@ def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
                 return total, h_total, size / abs(total)
         else:
             small_run = 0
-    raise NumericError(
-        f"2F1 Taylor step did not converge within {SERIES_MAX_TERMS} terms "
-        f"at z={z0 + h}", value=total, err_est=abs(v1))
+    # for m >= N = SERIES_MAX_TERMS, |v_(m+2)| <= A |v_m| + B |v_(m+1)|
+    # with A, B the caps below ((p1 m + q0)/(m+2) is monotone in m and
+    # tends to p1); then |v_(N+k)| <= K r^k for r the positive root of
+    # r^2 = B r + A, so while r < 1 the unsummed terms add at most
+    # K r^2 / (1 - r)
+    n = SERIES_MAX_TERMS
+    cap_a = h * h / p0 * min(_ratio_cap(a, 1.0) * _ratio_cap(b, 2.0),
+                             _ratio_cap(a, 2.0) * _ratio_cap(b, 1.0))
+    cap_b = h / p0 * max(abs(p1), abs(p1 * n + q0) / (n + 2.0))
+    r = (cap_b + math.sqrt(cap_b * cap_b + 4.0 * cap_a)) / 2.0 \
+        * (1.0 + 2.0 ** -50)
+    tail = math.inf
+    if r < 1.0:
+        k = max(abs(v0), abs(v1) / r)
+        tail = k * r * r / (1.0 - r)
+    raise _series_error("Taylor step", z0 + h, total, tail, size)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Return 2F1(a, b; c; z) on the region c > b > 0, a >= 0, z in [0, 1).
-
-    Up to z_series_cutoff the Gauss series. Above it F and F' at z0 = 1/2
-    come from the series and are carried to z by Taylor steps of length
-    min(z - z0, (1 - z0)/2), so each step's sum converges like 2^-n and at
-    most 39 steps reach Z_CAP. When the summed losses of the steps put the
-    estimated error above FIDELITY (large c), the Gauss series at z is
-    summed instead, and NumericError raised if it does not converge. z
-    within 1e-12 of 1 is rejected: the function diverges there and the
-    lambda coefficients built on it lose meaning.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(v):
-            raise DomainError(f"hyp2f1: {name} must be finite, got {v}")
-    if not c > b > 0.0:
-        raise DomainError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
-    if a < 0.0:
-        raise DomainError(f"hyp2f1 requires a >= 0, got {a}")
-    if not 0.0 <= z < Z_CAP:
-        raise DomainError(f"hyp2f1 requires 0 <= z < {Z_CAP}, got {z}")
-    if z <= DEFAULT_CONFIG.z_series_cutoff:
-        return _gauss_series(a, b, c, z)[0]
-    z0 = 0.5
-    f, z_deriv = _gauss_series(a, b, c, z0)
-    deriv, loss = z_deriv / z0, 1.0
-    while z0 < z:
-        h = min(z - z0, (1.0 - z0) / 2.0)
-        f, h_deriv, step_loss = _taylor_step(a, b, c, z0, h, f, h * deriv)
-        deriv, loss, z0 = h_deriv / h, loss + step_loss, z0 + h
-        # the comparison is false for a nan loss, which counts as lost
-        if not loss * 2.0 ** -52 <= FIDELITY:
-            return _gauss_series(a, b, c, z)[0]
-    return f
+    """Return 2F1(a, b; c; z) on the region c > b > 0, a >= 0, z in [0, 1),
+    summed from a ratio table of its own (Gauss2F1)."""
+    return Gauss2F1(a, b, c)(z)

@@ -179,11 +179,13 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                               middle, right, True))
     elif holds:
         wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
-        for x in uniform_grid(a, b, x_grid):
-            lhs = abs(f(x) - wm)
-            rhs = ostrowski_rhs(theorem, f, x, iv, s, q, p)
-            rows.append(bound_row(theorem, x, iv, s, q, p, None,
-                                  lhs, rhs, True))
+        # the x points share each weight's ratio table (lambda_memo)
+        with lambda_memo():
+            for x in uniform_grid(a, b, x_grid):
+                lhs = abs(f(x) - wm)
+                rhs = ostrowski_rhs(theorem, f, x, iv, s, q, p)
+                rows.append(bound_row(theorem, x, iv, s, q, p, None,
+                                      lhs, rhs, True))
     min_slack = min((r["slack"] for r in rows), default=None)
     return {
         "theorem": theorem,

@@ -13,8 +13,9 @@ import random
 
 import pytest
 
+from hsconvex import bounds
 from hsconvex.bounds import lambda_value, lambda_z
-from hsconvex.specfn import beta, hyp2f1
+from hsconvex.specfn import Gauss2F1, beta, hyp2f1
 from hsconvex.verify import run_battery
 
 ACCEPTANCE_LINES: list[str] = []
@@ -47,6 +48,30 @@ def canary_lambda_value(kind: int, theta: float, x: float, s: float,
     two_vt = 2.0 * vartheta
     front = beta(rho + 1.0, 1.0) / x ** two_vt
     return front * hyp2f1(two_vt, rho + 1.0, rho + s + 2.0, z)
+
+
+class RecordedGauss2F1(Gauss2F1):
+    """A Gauss2F1 that keeps the z of each evaluation in `asked`."""
+
+    def __init__(self, a: float, b: float, c: float):
+        super().__init__(a, b, c)
+        self.asked: list[float] = []
+
+    def __call__(self, z: float) -> float:
+        self.asked.append(z)
+        return super().__call__(z)
+
+
+def record_tables(monkeypatch) -> list[RecordedGauss2F1]:
+    """Make lambda_value build RecordedGauss2F1 tables, and return the list
+    of those it builds, in order."""
+    tables = []
+
+    def build(a: float, b: float, c: float) -> RecordedGauss2F1:
+        tables.append(RecordedGauss2F1(a, b, c))
+        return tables[-1]
+    monkeypatch.setattr(bounds, "Gauss2F1", build)
+    return tables
 
 
 # distances of m = c - a - b from an integer: the logarithmic cases of the

@@ -7,7 +7,7 @@ import re
 
 import mpmath
 import pytest
-from conftest import canary_lambda_value, lambda_shapes
+from conftest import canary_lambda_value, lambda_shapes, record_tables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,10 +252,10 @@ class TestLambdaValue:
         assert canary_lambda_value(*args) == lambda_value(*args)
 
     def test_memo_lives_for_its_outermost_block(self, monkeypatch):
-        computed = []
-        hyp2f1 = bounds.hyp2f1
-        monkeypatch.setattr(bounds, "hyp2f1",
-                            lambda *a: computed.append(a) or hyp2f1(*a))
+        tables = record_tables(monkeypatch)
+
+        def computed() -> int:
+            return sum(len(t.asked) for t in tables)
         args = (1, 1.0, 1.5, 0.5, 1.0, 1.0)
         value = lambda_value(*args)
         with lambda_memo():
@@ -263,9 +263,38 @@ class TestLambdaValue:
             with lambda_memo():  # shares the enclosing block's memo
                 assert lambda_value(*args) == value
             assert lambda_value(*args) == value
-        assert len(computed) == 2
+        assert computed() == 2
         lambda_value(*args)  # the memo ended with the block
-        assert len(computed) == 3
+        assert computed() == 3
+
+    def test_table_lives_for_its_outermost_block(self, monkeypatch):
+        tables = record_tables(monkeypatch)
+        # one shape (kind, s, vartheta, rho) at three x
+        shape = dict(kind=1, theta=1.0, s=0.5, vartheta=1.5, rho=1.5)
+        with lambda_memo():
+            lambda_value(x=1.2, **shape)
+            with lambda_memo():  # shares the enclosing block's tables
+                lambda_value(x=1.7, **shape)
+            lambda_value(x=1.4, **shape)
+            # another kind, or another s, is another table
+            lambda_value(**dict(shape, kind=2), x=1.2)
+            lambda_value(**dict(shape, s=0.25), x=1.2)
+        assert [len(t.asked) for t in tables] == [3, 1, 1]
+        lambda_value(x=1.9, **shape)  # the tables ended with the block
+        lambda_value(x=1.9, **shape)  # and outside one none is kept
+        assert [len(t.asked) for t in tables] == [3, 1, 1, 1, 1]
+
+    def test_shared_table_is_bit_identical(self):
+        # x ascending, descending and interleaved in one block, each value
+        # against its computation outside any block
+        xs = [1.0 + 0.1 * i for i in range(1, 10)]
+        for order in (xs, xs[::-1], xs[::2] + xs[1::2]):
+            for kind, theta in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 2.0)):
+                args = [(kind, theta, x, 0.75, 1.5, 1.5) for x in order]
+                fresh = [lambda_value(*a) for a in args]
+                with lambda_memo():
+                    shared = [lambda_value(*a) for a in args]
+                assert [v.hex() for v in shared] == [v.hex() for v in fresh]
 
 
 class TestLambda5:

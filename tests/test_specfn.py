@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hsconvex import specfn
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.specfn import Z_CAP, beta, hyp2f1
+from hsconvex.specfn import Z_CAP, Gauss2F1, beta, hyp2f1
 
 CUTOFF = specfn.DEFAULT_CONFIG.z_series_cutoff
 # z on both sides of the cutoff, up to 1 - 1e-10
@@ -170,15 +170,136 @@ class TestAgainstMpmath:
         assert returned > 0 and refused > 0
 
 
+def outcome(call):
+    """call()'s value as hex, or the value and message of its NumericError."""
+    try:
+        return call().hex()
+    except NumericError as exc:
+        return exc.value, str(exc)
+
+
+class TestRatioTable:
+    # the series below the cutoff, the continuation from z = 1/2 above it,
+    # and at c = 200 the series at z that the continuation falls back to
+    # (returned up to 0.99, refused beyond)
+    FALLBACK = (4.0, 199.0, 200.0)
+    FALLBACK_Z = (0.3, 0.92, 0.95, 0.99, 0.999, 1.0 - 1e-6)
+
+    @staticmethod
+    def orders(zs):
+        ascending = sorted(zs)
+        return (ascending, ascending[::-1],
+                ascending[1::2] + ascending[::2])
+
+    def check_orders(self, a, b, c, zs):
+        fresh = {z: outcome(lambda: hyp2f1(a, b, c, z)) for z in zs}
+        for order in self.orders(zs):
+            table = Gauss2F1(a, b, c)
+            assert [outcome(lambda: table(z)) for z in order] == [
+                fresh[z] for z in order], (a, b, c, order)
+
+    def test_tabled_sum_equals_a_fresh_one(self):
+        # every value a shared table returns is the value of a table of its
+        # own, over the lambda region, whichever order the z come in
+        for _, _, vartheta, _, b, _, c in lambda_shapes(26, 60):
+            self.check_orders(2.0 * vartheta, b, c,
+                              Z_POINTS + (0.5, 0.1, 0.6))
+        self.check_orders(*self.FALLBACK, self.FALLBACK_Z)
+
+    def test_table_grows_only_as_far_as_a_sum_needs(self):
+        # after each z the table is as long as the longest fresh table of
+        # the z so far: no ratio is computed twice or ahead of its need
+        table = Gauss2F1(*self.FALLBACK)
+        longest = 0
+        for z in self.orders(self.FALLBACK_Z)[2]:
+            fresh = Gauss2F1(*self.FALLBACK)
+            outcome(lambda: fresh(z))
+            outcome(lambda: table(z))
+            longest = max(longest, len(fresh.ratios))
+            assert len(table.ratios) == longest
+        # the refused sums at 0.999 and 1 - 1e-6 fill it to the budget
+        assert longest == specfn.SERIES_MAX_TERMS
+        assert table.ratios[7] == (4.0 + 7) * (199.0 + 7) / ((200.0 + 7) * 8.0)
+
+    def test_table_checks_its_arguments(self):
+        for args in ((1.0, 2.0, 1.5, 0.5), (-1.0, 1.0, 2.0, 0.5),
+                     (1.0, math.inf, 2.0, 0.5)):
+            with pytest.raises(DomainError):
+                Gauss2F1(*args[:3])
+        table = Gauss2F1(1.0, 1.0, 2.0)
+        for z in (-0.1, 1.0, math.nan):
+            with pytest.raises(DomainError):
+                table(z)
+        assert table.ratios == []
+
+
+class TestRefusedSumError:
+    def test_no_bound_is_infinite(self):
+        # every later ratio times z exceeds 1 - 1e-6, so no tail bound
+        # below 1 exists; the last term, 7.9e8, once stood in for an error
+        # of 6.6e19
+        with pytest.raises(NumericError) as exc_info:
+            hyp2f1(4.0, 199.0, 200.0, 1.0 - 1e-6)
+        assert exc_info.value.err_est == math.inf
+
+    def test_bound_holds_the_value(self):
+        # here the later ratios times z stay below z = 1 - 1e-6
+        args = (0.5, 199.0, 200.0, 1.0 - 1e-6)
+        with pytest.raises(NumericError) as exc_info:
+            hyp2f1(*args)
+        exc = exc_info.value
+        with mpmath.workdps(40):
+            err = float(abs(mpmath.hyp2f1(*args) - exc.value))
+        assert err > 1.0
+        assert err <= exc.err_est < math.inf
+
+    def test_short_budget_bounds_hold_the_values(self, monkeypatch):
+        # with 24 terms most sums run out; each refusal's err_est must cover
+        # the distance of its partial sum from the mpmath value
+        monkeypatch.setattr(specfn, "SERIES_MAX_TERMS", 24)
+        bounded = 0
+        for _, _, vartheta, _, b, _, c in lambda_shapes(27, 24):
+            a = 2.0 * vartheta
+            for z in (0.3, 0.6, 0.8, 0.95):
+                with pytest.raises(NumericError) as exc_info:
+                    Gauss2F1(a, b, c)._series(z)
+                exc = exc_info.value
+                with mpmath.workdps(40):
+                    err = float(abs(mpmath.hyp2f1(a, b, c, z) - exc.value))
+                assert err <= exc.err_est, (a, b, c, z)
+                bounded += exc.err_est < math.inf
+                # one Taylor step from z0 of length h, from exact F, F'
+                z0 = 0.5 + 0.4 * z
+                h = min(0.999 - z0, (1.0 - z0) / 2.0)
+                with mpmath.workdps(40):
+                    f = float(mpmath.hyp2f1(a, b, c, z0))
+                    h_deriv = float(h * mpmath.diff(
+                        lambda t: mpmath.hyp2f1(a, b, c, t), z0))
+                    ref = mpmath.hyp2f1(a, b, c, z0 + h)
+                with pytest.raises(NumericError) as exc_info:
+                    specfn._taylor_step(a, b, c, z0, h, f, h_deriv)
+                exc = exc_info.value
+                with mpmath.workdps(40):
+                    err = float(abs(ref - exc.value))
+                assert err <= exc.err_est, (a, b, c, z0, h)
+                bounded += exc.err_est < math.inf
+        # 171 of the 192 refusals have a finite bound
+        assert bounded >= 150
+
+
+# the functions of specfn that each sum one series
+SUMS = ("_series", "_series_with_slope", "_taylor_step")
+
+
 def sums_in(call) -> int:
-    """Number of sums (calls of specfn's helpers) that call() makes."""
+    """Number of sums (calls of the SUMS) that call() makes."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
         code = frame.f_code
         if (event == "call" and code.co_filename == specfn.__file__
-                and code.co_name != "hyp2f1"):
+                and code.co_name in SUMS):
             count += 1
     sys.setprofile(profile)
     try:

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from conftest import canary_lambda_value
+from conftest import canary_lambda_value, record_tables
 
 from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (lambda5, lambda5_integrand, lambda_integrand,
@@ -15,6 +15,7 @@ from hsconvex.convexity import GATE_GRID_N
 from hsconvex.errors import DomainError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
                               get_function, integrate)
+from hsconvex.specfn import Gauss2F1
 from hsconvex.verify import (MAX_X_GRID, ROW_FIELDS, SLACK_TOL, bound_row,
                              hypothesis_gate,
                              lambda_consistency_rows, lemma_residual,
@@ -317,12 +318,12 @@ def counts(monkeypatch):
     asked for."""
     c = Counter()
     asked = set()
-    hyp2f1 = bounds.hyp2f1
     lambda_value = bounds.lambda_value
 
-    def counted_hyp2f1(*args):
-        c["hyp2f1"] += 1
-        return hyp2f1(*args)
+    class CountedGauss2F1(Gauss2F1):
+        def __call__(self, z):
+            c["hyp2f1"] += 1
+            return super().__call__(z)
 
     def recorded_lambda(*args):
         c["lambda_calls"] += 1
@@ -330,7 +331,7 @@ def counts(monkeypatch):
         return lambda_value(*args)
 
     count_evals(monkeypatch, c)
-    monkeypatch.setattr(bounds, "hyp2f1", counted_hyp2f1)
+    monkeypatch.setattr(bounds, "Gauss2F1", CountedGauss2F1)
     monkeypatch.setattr(bounds, "lambda_value", recorded_lambda)
     c.asked = asked
     return c
@@ -355,6 +356,26 @@ class TestReuse:
         # f: 2 intervals x 2 s x 4 (vartheta, rho) x 32 plus 2 x 16 for T2_7
         assert counts["hyp2f1"] == len(counts.asked) == 544
         assert counts["lambda_calls"] > 10 * 544
+
+    def test_scan_sums_from_one_table_per_kind(self, monkeypatch):
+        tables = record_tables(monkeypatch)
+        doc = verify_theorem("T2_3", get_function("pow:2"), IV12, 0.5, 2.0,
+                             None)
+        assert len(doc["results"]) == 9
+        # kinds 1, 2 weigh the 8 points x > a, kinds 3, 4 the 8 points x < b
+        assert [(t.b, len(t.asked)) for t in tables] == [
+            (1.0, 8), (1.5, 8), (3.5, 8), (3.0, 8)]
+        # each table is as long as its longest sum needs: every ratio is
+        # computed once, where fresh tables compute one per term summed
+        terms = []
+        for t in tables:
+            fresh = [Gauss2F1(t.a, t.b, t.c) for _ in t.asked]
+            for g, z in zip(fresh, t.asked):
+                g(z)
+            assert len(t.ratios) == max(len(g.ratios) for g in fresh)
+            terms += [len(g.ratios) for g in fresh]
+        assert sum(len(t.ratios) for t in tables) == 216
+        assert sum(terms) == 1109
 
     def test_memo_ends_with_the_run(self, counts):
         totals = []
