@@ -10,9 +10,8 @@ from .errors import DomainError, NumericError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, QuadResult,
                       derivative, get_function, integrate, weighted_mean)
 from .specfn import beta, hyp2f1
-from .convexity import (ConvexityMode, ConvexityReport, check_am_hm,
-                        check_convexity, grid_monotone, harmonic_combination,
-                        proposition_implications)
+from .convexity import (ConvexityReport, check_am_hm, check_convexity,
+                        harmonic_combination, proposition_implications)
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                      hh_s_convex_bounds, lambda5, lambda_value, ostrowski_lhs,
                      ostrowski_rhs)
@@ -23,13 +22,13 @@ from .verify import (bound_row, lambda_consistency_rows, lemma_residual,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexityMode", "ConvexityReport", "DEFAULT_TOL", "DomainError",
-    "FunctionSpec", "Interval", "NumericError", "QuadResult",
-    "beta", "bound_row", "check_am_hm", "check_convexity",
-    "classic_ostrowski_rhs", "derivative", "get_function", "grid_monotone",
-    "harmonic_combination", "hh_harmonic_bounds", "hh_s_convex_bounds",
-    "hyp2f1", "integrate", "lambda5", "lambda_consistency_rows",
-    "lambda_value", "lemma_residual", "matrix_summary", "min_corollary_gap",
-    "ostrowski_lhs", "ostrowski_rhs", "proposition_implications",
-    "run_ostrowski_matrix", "verify_theorem", "weighted_mean",
+    "ConvexityReport", "DEFAULT_TOL", "DomainError", "FunctionSpec",
+    "Interval", "NumericError", "QuadResult", "beta", "bound_row",
+    "check_am_hm", "check_convexity", "classic_ostrowski_rhs", "derivative",
+    "get_function", "harmonic_combination", "hh_harmonic_bounds",
+    "hh_s_convex_bounds", "hyp2f1", "integrate", "lambda5",
+    "lambda_consistency_rows", "lambda_value", "lemma_residual",
+    "matrix_summary", "min_corollary_gap", "ostrowski_lhs", "ostrowski_rhs",
+    "proposition_implications", "run_ostrowski_matrix", "verify_theorem",
+    "weighted_mean",
 ]

@@ -6,30 +6,30 @@ which is every hypothesis a registry function c*u^r brings: it is the
 s-convexity of K*w^-rho on [1/b, 1/a] (Iscan, Hacettepe J. Math. Stat. 43,
 2014; Hudzik and Maligranda, Aequationes Math. 48, 1994). Only the case
 0 < -rho < s < 1 needs a search, and that search is one-dimensional
-(power_search).
+(power_search). The same map decides s-convexity in the second sense,
 
-Two notions are checked on tensor grids (x, y, t):
+  s-convex, second sense:   f(tx + (1-t)y)      <= t^s f(x) + (1-t)^s f(y),
 
-  s-convex, second sense:   f(tx + (1-t)y)      <= t^s f(x) + (1-t)^s f(y)
+so proposition_implications decides the paper's comparison proposition
+exactly. check_convexity scans the harmonic notion on a tensor grid
+(x, y, t):
+
   harmonically s-convex:    f(xy/(tx + (1-t)y)) <= t^s f(y) + (1-t)^s f(x)
 
-Harmonic convexity is the s = 1 case of the second notion. The AM-HM
-comparison xy/(tx+(1-t)y) <= ty + (1-t)x, which links the harmonic and
-arithmetic notions for monotone functions, is harmonic convexity of u -> u.
-A report carries the signed maximum of lhs - rhs over the grid; anything at
-or below VIOLATION_TOL counts as "holds on the grid", absorbing endpoint
-rounding.
+The AM-HM comparison xy/(tx+(1-t)y) <= ty + (1-t)x is harmonic convexity
+of u -> u. A report carries the signed maximum of lhs - rhs over the grid;
+anything at or below VIOLATION_TOL counts as "holds on the grid",
+absorbing endpoint rounding.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .numeric import (MIN_NORMAL, FunctionSpec, Interval, get_function,
                       validate_s)
 
@@ -47,17 +47,11 @@ GATE_GRID_N = 16
 # grids are refused before any evaluation
 MAX_SCAN_TRIPLES = 256 * 256 * T_GRID_N
 
-# x grid size of the AM-HM scan, the monotonicity classification and the
-# implication grids
+# x grid size of the AM-HM scan
 COMPARISON_GRID_N = 32
 
 # t boxes power_search may examine before it gives up undecided
 MAX_GATE_BOXES = 4000
-
-
-class ConvexityMode(enum.Enum):
-    S_CONVEX_SECOND_SENSE = "s_convex_second_sense"
-    HARMONICALLY_S_CONVEX = "harmonically_s_convex"
 
 
 class ConvexityReport(NamedTuple):
@@ -99,10 +93,10 @@ def harmonic_combination(x: float, y: float, t: float) -> float:
 
 
 def power_gate(sign: int, rho: tuple[int, int], iv: Interval,
-               s: float) -> Optional[bool]:
+               s: float) -> bool:
     """Whether K*u^rho is harmonically s-convex on iv, for K of the given
-    sign (-1, 0 or 1) and rho = num/den (den > 0) exactly, or None when
-    power_search spends its budget.
+    sign (-1, 0 or 1) and rho = num/den (den > 0) exactly. NumericError
+    when power_search spends its budget: no sampled answer stands in.
 
     With alpha = -rho: K = 0 holds; K > 0 holds for rho >= 0, rho <= -1 or
     alpha >= s, fails for 0 < alpha < 1 = s, and else is power_search's
@@ -121,7 +115,10 @@ def power_gate(sign: int, rho: tuple[int, int], iv: Interval,
         return True
     if s == 1.0:
         return False
-    return power_search(-num / den, s, iv)[0]
+    holds = power_search(-num / den, s, iv)[0]
+    if holds is None:
+        raise NumericError("gate undecided within budget")
+    return holds
 
 
 def power_search(alpha: float, s: float,
@@ -195,35 +192,57 @@ T_INNER = tuple((t, 1.0 - t) for t in T_GRID[1:-1])
 T_HALF_INNER = T_INNER[:T_GRID_N // 2]
 
 
-class ConvexityTable(NamedTuple):
-    """The s-independent part of one scan: rows of f values that report(s)
-    reduces for one s.
+def _combined_points(x: float, y: float,
+                     tus: tuple[tuple[float, float], ...]) -> list[float]:
+    """harmonic_combination(x, y, t) for each (t, 1 - t) of tus, with
+    x, y > 0 and 0 < t < 1, and x*y formed once."""
+    xy = x * y
+    if MIN_NORMAL <= xy < math.inf:
+        return [xy / (t * x + u * y) for t, u in tus]
+    return [harmonic_combination(x, y, t) for t, _ in tus]
+
+
+def check_convexity(f: FunctionSpec, iv: Interval, s: float,
+                    grid_n: int = GATE_GRID_N) -> ConvexityReport:
+    """Scan harmonic s-convexity of f over x, y in grid(iv) and t in
+    grid([0, 1]), s in (0, 1].
 
     v(x, y, t) equals v(y, x, 1-t) exactly in floats on the dyadic t grid,
-    in both modes, so only the canonical half is tabulated: a row (x, f(x),
-    y, f(y), fcs) per pair of nodes i <= j, in scan order. fcs holds f at
-    the combined point of each t of T_GRID when i < j, and of its first 9
-    entries, t <= 1/2, when i == j. At t = 0 and t = 1 that point is a
-    node, whose value fcs holds: x then y in the harmonic mode, y then x in
-    the arithmetic one. Each mirrored triple comes after its twin in the
+    so only the canonical half is evaluated: each pair of nodes i <= j, at
+    every t of T_GRID when i < j and at t <= 1/2 when i == j. f is called
+    once, through FunctionSpec.values, on the nodes and then at the
+    combined point of every such triple with 0 < t < 1 in scan order (at
+    t = 0 and t = 1 that point is a node), so an error names the first bad
+    point of the scan. Each mirrored triple comes after its twin in the
     full scan, so the ascending scan of the half still meets the
-    lexicographically smallest maximizer first.
+    lexicographically smallest maximizer first. samples counts the full
+    grid. A grid of more than MAX_SCAN_TRIPLES triples is refused before
+    any evaluation.
     """
-
-    harmonic: bool
-    rows: list[tuple]
-    samples: int
-
-    def report(self, s: float) -> ConvexityReport:
-        """The scan's maximum of lhs - rhs and its witness at exponent s."""
-        validate_s(s)
-        # (weight of f(x), weight of f(y)) per t; the harmonic form swaps them
-        weights = [(t ** s, (1.0 - t) ** s) for t in T_GRID]
-        if self.harmonic:
-            weights = [(wr, wt) for wt, wr in weights]
-        best = -math.inf
-        witness = (self.rows[0][0], self.rows[0][0], 0.0)
-        for x, fx, y, fy, fcs in self.rows:
+    validate_s(s)
+    if grid_n < 3:
+        raise DomainError(f"grid_n must be at least 3, got {grid_n}")
+    if grid_n * grid_n * T_GRID_N > MAX_SCAN_TRIPLES:
+        raise DomainError(f"grid_n={grid_n} asks for {grid_n * grid_n * T_GRID_N}"
+                          f" triples, above the cap of {MAX_SCAN_TRIPLES}")
+    xs = uniform_grid(iv.a, iv.b, grid_n)
+    points: list[float] = []
+    for i, x in enumerate(xs):
+        points += _combined_points(x, x, T_HALF_INNER)
+        for y in xs[i + 1:]:
+            points += _combined_points(x, y, T_INNER)
+    fps = iter(f.values(xs + points))
+    nodes = list(zip(xs, islice(fps, grid_n)))
+    # (weight of f(x), weight of f(y)) per t
+    weights = [((1.0 - t) ** s, t ** s) for t in T_GRID]
+    best = -math.inf
+    witness = (xs[0], xs[0], 0.0)
+    for i, (x, fx) in enumerate(nodes):
+        for j, (y, fy) in enumerate(nodes[i:]):
+            if j:
+                fcs = [fx, *islice(fps, len(T_INNER)), fy]
+            else:
+                fcs = [fx, *islice(fps, len(T_HALF_INNER))]
             # zip stops at the 9 values of a diagonal row
             row = [fc - (wx * fx + wy * fy)
                    for (wx, wy), fc in zip(weights, fcs)]
@@ -232,67 +251,8 @@ class ConvexityTable(NamedTuple):
             if v > best:
                 best = v
                 witness = (x, y, T_GRID[row.index(v)])
-        return ConvexityReport(max_violation=best, witness=witness,
-                               samples=self.samples)
-
-
-def _combined_points(x: float, y: float, harmonic: bool,
-                     tus: tuple[tuple[float, float], ...]) -> list[float]:
-    """The combined point of (x, y, t) for each (t, 1 - t) of tus, as
-    harmonic_combination (x, y > 0, 0 < t < 1) or tx + (1-t)y computes it,
-    with x*y formed once."""
-    if not harmonic:
-        return [t * x + u * y for t, u in tus]
-    xy = x * y
-    if MIN_NORMAL <= xy < math.inf:
-        return [xy / (t * x + u * y) for t, u in tus]
-    return [harmonic_combination(x, y, t) for t, _ in tus]
-
-
-def tabulate(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-             grid_n: int) -> ConvexityTable:
-    """Evaluate f over the scan of `mode` on x, y in grid(iv) and t in
-    grid([0, 1]): once at each grid node, and once per canonical triple
-    with 0 < t < 1 at the combined point (at t = 0 and t = 1 that point is
-    a node). f is called once, through FunctionSpec.values, on the nodes
-    and then every other point in scan order, so an error names the first
-    bad point of the scan. A grid of more than MAX_SCAN_TRIPLES triples is
-    refused before any evaluation.
-    """
-    if grid_n < 3:
-        raise DomainError(f"grid_n must be at least 3, got {grid_n}")
-    if grid_n * grid_n * T_GRID_N > MAX_SCAN_TRIPLES:
-        raise DomainError(f"grid_n={grid_n} asks for {grid_n * grid_n * T_GRID_N}"
-                          f" triples, above the cap of {MAX_SCAN_TRIPLES}")
-    harmonic = mode is ConvexityMode.HARMONICALLY_S_CONVEX
-    xs = uniform_grid(iv.a, iv.b, grid_n)
-    points: list[float] = []
-    for i, x in enumerate(xs):
-        points += _combined_points(x, x, harmonic, T_HALF_INNER)
-        for y in xs[i + 1:]:
-            points += _combined_points(x, y, harmonic, T_INNER)
-    fps = iter(f.values(xs + points))
-    nodes = list(zip(xs, islice(fps, grid_n)))
-    rows = []
-    for i, (x, fx) in enumerate(nodes):
-        rows.append((x, fx, x, fx, [fx, *islice(fps, len(T_HALF_INNER))]))
-        for y, fy in nodes[i + 1:]:
-            f0, f1 = (fx, fy) if harmonic else (fy, fx)
-            rows.append((x, fx, y, fy, [f0, *islice(fps, len(T_INNER)), f1]))
-    return ConvexityTable(harmonic=harmonic, rows=rows,
-                          samples=grid_n * grid_n * T_GRID_N)
-
-
-def check_convexity(f: FunctionSpec, iv: Interval, mode: ConvexityMode,
-                    s: float, grid_n: int = GATE_GRID_N) -> ConvexityReport:
-    """Scan the defining inequality of `mode` over x, y in grid(iv) and
-    t in grid([0, 1]): the table of tabulate reduced at s.
-
-    s must lie in (0, 1]. samples counts the full grid, though f is
-    evaluated on its canonical half only (see ConvexityTable).
-    """
-    validate_s(s)
-    return tabulate(f, iv, mode, grid_n).report(s)
+    return ConvexityReport(max_violation=best, witness=witness,
+                           samples=grid_n * grid_n * T_GRID_N)
 
 
 def check_am_hm(iv: Interval) -> ConvexityReport:
@@ -302,75 +262,45 @@ def check_am_hm(iv: Interval) -> ConvexityReport:
     This comparison holds for all positive x, y and t in [0, 1]; the report
     should always satisfy max_violation <= VIOLATION_TOL.
     """
-    return check_convexity(get_function("id"), iv,
-                           ConvexityMode.HARMONICALLY_S_CONVEX, 1.0,
-                           COMPARISON_GRID_N)
-
-
-def grid_monotone(f: FunctionSpec, iv: Interval) -> str:
-    """Classify f on the grid as 'nondecreasing', 'nonincreasing', 'constant'
-    or 'neither', comparing consecutive grid values with tolerance
-    VIOLATION_TOL.
-
-    The comparison-inequality implications need a testable stand-in for the
-    monotonicity hypotheses, and this is it.
-    """
-    xs = uniform_grid(iv.a, iv.b, COMPARISON_GRID_N)
-    vals = f.values(xs)
-    nondec = all(b >= a - VIOLATION_TOL for a, b in zip(vals, vals[1:]))
-    noninc = all(b <= a + VIOLATION_TOL for a, b in zip(vals, vals[1:]))
-    if nondec and noninc:
-        return "constant"
-    if nondec:
-        return "nondecreasing"
-    if noninc:
-        return "nonincreasing"
-    return "neither"
+    return check_convexity(get_function("id"), iv, 1.0, COMPARISON_GRID_N)
 
 
 def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...],
                              iv: Interval) -> list[dict]:
-    """Grid form of the two comparison implications:
+    """The two comparison implications, decided exactly for each registry
+    function c*u^r on iv:
 
       (1) s-convex (second sense) and nondecreasing  =>  harmonically s-convex
       (2) harmonically s-convex and nonincreasing    =>  s-convex (second sense)
 
-    Returns a row per (fn, s, direction) whose antecedent held; each row
-    carries the consequent's max_violation, which must stay inside
-    VIOLATION_TOL for the implication to hold on the grid. Functions whose
-    antecedent fails contribute nothing (the implication is vacuous there).
-
-    Each mode is tabulated once per function and reduced for every s; a
-    function whose monotonicity class rules out both directions is not
-    scanned, and a consequent is scanned only where an antecedent holds.
+    Returns a row per (fn, s, direction) whose antecedent holds, with
+    holds the consequent's answer. c*u^r is nondecreasing for c*r >= 0 and
+    nonincreasing for c*r <= 0; the harmonic notion is power_gate of
+    (c, r) on iv, and the second sense power_gate of (c, -r) on [1/b, 1/a].
+    Functions whose antecedent fails contribute nothing (the implication
+    is vacuous there). NumericError if a search spends its budget.
     """
     for s in s_values:
         validate_s(s)
-    s_mode = ConvexityMode.S_CONVEX_SECOND_SENSE
-    h_mode = ConvexityMode.HARMONICALLY_S_CONVEX
+    mirror = Interval(1.0 / iv.b, 1.0 / iv.a)
     rows: list[dict] = []
     for fn_id in fn_ids:
-        f = get_function(fn_id)
-        mono = grid_monotone(f, iv)
+        c, r = get_function(fn_id).power
+        sign = (c > 0.0) - (c < 0.0)
+        num, den = r.as_integer_ratio()
+        # the sign of c*r, read without forming the product
+        slope = sign * ((r > 0.0) - (r < 0.0))
+        # (rho, interval) of power_gate for each notion
+        harmonic = ((num, den), iv)
+        second_sense = ((-num, den), mirror)
         directions = []
-        if mono in ("nondecreasing", "constant"):
-            directions.append(("s_to_harmonic", s_mode, h_mode))
-        if mono in ("nonincreasing", "constant"):
-            directions.append(("harmonic_to_s", h_mode, s_mode))
-        reports: dict = {}
-
-        def over_s(mode: ConvexityMode) -> list[ConvexityReport]:
-            # one table per (fn, mode), reduced for every s
-            if mode not in reports:
-                table = tabulate(f, iv, mode, COMPARISON_GRID_N)
-                reports[mode] = [table.report(s) for s in s_values]
-            return reports[mode]
-
-        for i, s in enumerate(s_values):
+        if slope >= 0:
+            directions.append(("s_to_harmonic", second_sense, harmonic))
+        if slope <= 0:
+            directions.append(("harmonic_to_s", harmonic, second_sense))
+        for s in s_values:
             for direction, antecedent, consequent in directions:
-                if over_s(antecedent)[i].holds:
-                    r = over_s(consequent)[i]
+                if power_gate(sign, *antecedent, s):
                     rows.append({"fn": fn_id, "s": s, "direction": direction,
-                                 "consequent_violation": r.max_violation,
-                                 "holds": r.holds})
+                                 "holds": power_gate(sign, *consequent, s)})
     return rows

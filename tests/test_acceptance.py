@@ -109,19 +109,20 @@ def test_c6_classic_ostrowski(row):
 
 
 def test_c7_implication_and_am_hm_grids(row):
-    # the two convexity implications and the AM-HM comparison on 32x32x17
-    # grids: no violation beyond the grid tolerance
+    # the AM-HM comparison on a 32x32x17 grid, no violation beyond the grid
+    # tolerance, and the two convexity implications decided exactly: no
+    # consequent fails
     am_hm, n_impl = row("am_hm_grid"), row("proposition_nonvacuous")
     impl = row("proposition_implications")
-    ok = am_hm.value <= 1e-12 and n_impl.value >= 1 and impl.value <= 1e-12
+    ok = am_hm.value <= 1e-12 and n_impl.value >= 1 and impl.value == 0.0
     _announce(7, ok, f"implication grids: am-hm max violation "
                      f"{am_hm.value:.3g} (<=1e-12), {n_impl.value:.0f} "
-                     f"nonvacuous implications, worst consequent violation "
-                     f"{impl.value:.3g} (<=1e-12)")
+                     f"nonvacuous implications, {impl.value:.0f} failing "
+                     f"consequents (0)")
     assert am_hm.cases == 32 * 32 * 17
     assert am_hm.value <= 1e-12
     assert n_impl.value >= 1
-    assert impl.value <= 1e-12
+    assert impl.value == 0.0
 
 
 def test_c8_special_functions_and_selftest(row, capsys):

@@ -499,7 +499,7 @@ class TestVerifyCommand:
         def no_table(*args):
             raise AssertionError("a registry gate built a table")
 
-        monkeypatch.setattr(convexity, "tabulate", no_table)
+        monkeypatch.setattr(verify, "check_convexity", no_table)
         for fn in ("const:2", "const:-1.5", "const:0", "id", "pow:0.5",
                    "pow:2.5", "inv", "neg"):
             for s in ("0.25", "1"):
@@ -513,6 +513,18 @@ class TestVerifyCommand:
                     code, _, _ = run(capsys, "ostrowski", "--theorem", theorem,
                                      *common, "--x", "1", "--q", "2")
                     assert code == 0, (fn, s, theorem)
+
+
+    def test_spent_search_exits_2(self, capsys, monkeypatch):
+        # the gate of pow:0.95 at s = 0.25 on [1, 256] is decided by
+        # splitting boxes; with none to spend the request is refused, not
+        # answered by a table
+        monkeypatch.setattr(convexity, "MAX_GATE_BOXES", 0)
+        code, out, err = run(capsys, "verify", "--theorem", "T2_3",
+                             "--fn", "pow:0.95", "--a", "1", "--b", "256",
+                             "--s", "0.25", "--q", "1")
+        assert (code, out) == (2, "")
+        assert err == "numeric error: gate undecided within budget\n"
 
 
 class TestOutputFile:

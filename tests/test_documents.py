@@ -21,13 +21,13 @@ from hsconvex.cli import main
 
 SELFTEST_SHA256 = {
     ("--format", "json"):
-        "05785ed8335e6bf57551a0f609c7c1344b9fe9fd46934e3d2815558657dfbff1",
+        "88fb72d6311df8a263453a8532378a41c1c334155c49e5a14435dfe9250d0c09",
     ("--format", "csv"):
-        "86f6cfaf0d359435c08644fcf620e2e51660681409d6ea87863b46365f4d95c9",
+        "b44b4c3e45c5d3b86821900f4a69b41636b91906aa22f926dd3fef9c22375225",
     ():
-        "55025faed8349aee6b13b9bda85245fdebb1623163c2dab529d00767512ace96",
+        "41a19e9c6254d9427b4ef10265adafdedf023c35023e6e2a7fea6b763fe7b559",
     ("--tol", "1e-30"):
-        "88ffbdb220c8148499782f5ea178e58982e8a0102e2f41b93fd7f80669f6597f",
+        "91f7895a55452df8209bf27fa24abe027d3d1a2f5d31e5b8dafa5e4e0013f26b",
 }
 
 

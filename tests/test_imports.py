@@ -47,6 +47,21 @@ def test_package_exports_resolve_once():
     assert [n for n in names if not hasattr(hsconvex, n)] == []
 
 
+def test_public_api_pinned():
+    # a public name is added or removed on purpose, by editing this list
+    # in the same change
+    assert sorted(hsconvex.__all__) == [
+        "ConvexityReport", "DEFAULT_TOL", "DomainError", "FunctionSpec",
+        "Interval", "NumericError", "QuadResult", "beta", "bound_row",
+        "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
+        "derivative", "get_function", "harmonic_combination",
+        "hh_harmonic_bounds", "hh_s_convex_bounds", "hyp2f1", "integrate",
+        "lambda5", "lambda_consistency_rows", "lambda_value",
+        "lemma_residual", "matrix_summary", "min_corollary_gap",
+        "ostrowski_lhs", "ostrowski_rhs", "proposition_implications",
+        "run_ostrowski_matrix", "verify_theorem", "weighted_mean"]
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any((isinstance(d, ast.Name) and d.id == "dataclass")
                or (isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass")

@@ -12,7 +12,7 @@ from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (lambda5, lambda5_integrand, lambda_integrand,
                              lambda_value, ostrowski_rhs)
 from hsconvex.convexity import GATE_GRID_N
-from hsconvex.errors import DomainError
+from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
                               get_function, integrate)
 from hsconvex.specfn import Gauss2F1
@@ -174,23 +174,24 @@ class TestHypothesisGate:
         with pytest.raises(DomainError, match="evaluation failed"):
             hypothesis_gate("T2_3", f, IV12, 0.5, 1000.0, GATE_GRID_N)
 
-    def test_spent_budget_falls_back_to_the_table(self, monkeypatch):
+    def test_spent_budget_raises(self, monkeypatch):
         # 0.95 u^-0.05 at s = 0.25 on [1, 256] needs boxes between the
-        # edges that the search clears analytically
-        tables = []
-        tabulate = convexity.tabulate
+        # edges that the search clears analytically; a search that spends
+        # its budget is an error, and no table stands in for it
+        scans = []
+        check_convexity = verify.check_convexity
 
-        def counted_tabulate(*args):
-            tables.append(args)
-            return tabulate(*args)
+        def counted_check_convexity(*args):
+            scans.append(args)
+            return check_convexity(*args)
 
-        monkeypatch.setattr(convexity, "tabulate", counted_tabulate)
+        monkeypatch.setattr(verify, "check_convexity", counted_check_convexity)
         f, iv = get_function("pow:0.95"), Interval(1.0, 256.0)
         assert hypothesis_gate("T2_3", f, iv, 0.25, 1.0, None) is True
-        assert tables == []
         monkeypatch.setattr(convexity, "MAX_GATE_BOXES", 0)
-        assert hypothesis_gate("T2_3", f, iv, 0.25, 1.0, None) is True
-        assert len(tables) == 1
+        with pytest.raises(NumericError, match="gate undecided within budget"):
+            hypothesis_gate("T2_3", f, iv, 0.25, 1.0, None)
+        assert scans == []
 
 
 class TestBoundRow:
