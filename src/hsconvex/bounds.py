@@ -166,11 +166,12 @@ def _finite(fn):
     return finite_fn
 
 
-# the lambda weights of the sweep in progress: each argument tuple
-# (kind, theta, x, s, vartheta, rho) maps to its value, and each
+# the values of the sweep in progress: each lambda argument tuple
+# (kind, theta, x, s, vartheta, rho) maps to its weight, and each
 # (kind, s, vartheta, rho) to the part of its weight that no theta or x
-# changes, its Beta factor and its Gauss2F1 with the ratio table; None
-# outside a lambda_memo block
+# changes, its Beta factor and its Gauss2F1 with the ratio table; keys that
+# lead with a string hold the values callers keep (sweep_memo). None outside
+# a lambda_memo block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
@@ -182,9 +183,12 @@ def lambda_memo():
     weight that shares (kind, s, vartheta, rho) from one ratio table. A
     weight does not depend on f, so a sweep over many functions repeats
     the same few hundred, and the x points of one scan share their tables.
-    A block inside another shares the outer block's memo; the memo ends
-    with the outermost block, so no value or table outlives the run that
-    computed it."""
+    shared_mean keeps each weighted mean in the same block, and callers
+    may keep values of their own there (sweep_memo), so the sweeps of one
+    battery integrate a mean and assemble a theorem rhs once. A block
+    inside another shares the outer block's memo; the memo ends with the
+    outermost block, so no value or table outlives the run that computed
+    it."""
     if _LAMBDA_MEMO.get() is not None:
         yield
         return
@@ -193,6 +197,27 @@ def lambda_memo():
         yield
     finally:
         _LAMBDA_MEMO.reset(token)
+
+
+def sweep_memo() -> Optional[dict]:
+    """The memo of the lambda_memo block in progress, None outside one. A
+    caller keeps a value of its own there under a tuple key that leads
+    with a string, which no key of lambda_value does."""
+    return _LAMBDA_MEMO.get()
+
+
+def shared_mean(f: FunctionSpec, iv: Interval, tol: float) -> float:
+    """weighted_mean(f, iv, tol), integrated once per (c, r, a, b, tol)
+    within a lambda_memo block. The key is f.power, never f.fn_id, which a
+    hand-built spec may share with another function; a spec whose power is
+    None is integrated at every call."""
+    memo = _LAMBDA_MEMO.get()
+    if memo is None or f.power is None:
+        return weighted_mean(f, iv, tol)
+    key = ("mean", f.power, iv, tol)
+    if key not in memo:
+        memo[key] = weighted_mean(f, iv, tol)
+    return memo[key]
 
 
 @_finite
@@ -263,11 +288,11 @@ def hh_harmonic_bounds(f: FunctionSpec, iv: Interval, s: float,
         2^(s-1) f(2ab/(a+b))  <=  (ab/(b-a)) int_a^b f(u)/u^2 du  <=  (f(a)+f(b))/(s+1)
 
     The chain holds whenever f is harmonically s-convex on [a, b]; this
-    function only evaluates the three members.
+    function only evaluates the three members. The middle is shared_mean's.
     """
     validate_s(s)
     left = 2.0 ** (s - 1.0) * f(2.0 * iv.a * iv.b / (iv.a + iv.b))
-    middle = weighted_mean(f, iv, tol)
+    middle = shared_mean(f, iv, tol)
     right = (f(iv.a) + f(iv.b)) / (s + 1.0)
     return left, middle, right
 

@@ -277,12 +277,15 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
     holds the consequent's answer. c*u^r is nondecreasing for c*r >= 0 and
     nonincreasing for c*r <= 0; the harmonic notion is power_gate of
     (c, r) on iv, and the second sense power_gate of (c, -r) on [1/b, 1/a].
-    Functions whose antecedent fails contribute nothing (the implication
-    is vacuous there). NumericError if a search spends its budget.
+    power_search reads an interval only through b/a and |log a| + |log b|,
+    which [1/b, 1/a] shares with iv, so the second sense is asked on iv
+    itself: no mirror is built, and an end whose reciprocal overflows is
+    no obstacle. Functions whose antecedent fails contribute nothing (the
+    implication is vacuous there). NumericError if a search spends its
+    budget.
     """
     for s in s_values:
         validate_s(s)
-    mirror = Interval(1.0 / iv.b, 1.0 / iv.a)
     rows: list[dict] = []
     for fn_id in fn_ids:
         c, r = get_function(fn_id).power
@@ -290,9 +293,9 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
         num, den = r.as_integer_ratio()
         # the sign of c*r, read without forming the product
         slope = sign * ((r > 0.0) - (r < 0.0))
-        # (rho, interval) of power_gate for each notion
-        harmonic = ((num, den), iv)
-        second_sense = ((-num, den), mirror)
+        # rho of power_gate for each notion
+        harmonic = (num, den)
+        second_sense = (-num, den)
         directions = []
         if slope >= 0:
             directions.append(("s_to_harmonic", second_sense, harmonic))
@@ -300,7 +303,8 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
             directions.append(("harmonic_to_s", harmonic, second_sense))
         for s in s_values:
             for direction, antecedent, consequent in directions:
-                if power_gate(sign, *antecedent, s):
+                if power_gate(sign, antecedent, iv, s):
+                    holds = power_gate(sign, consequent, iv, s)
                     rows.append({"fn": fn_id, "s": s, "direction": direction,
-                                 "holds": power_gate(sign, *consequent, s)})
+                                 "holds": holds})
     return rows

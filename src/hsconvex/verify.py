@@ -25,14 +25,13 @@ from typing import NamedTuple, Optional
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda5_integrand, lambda_integrand, lambda_memo,
                      lambda_value, ostrowski_rhs, resolve_exponents,
-                     OSTROWSKI_THEOREMS)
+                     shared_mean, sweep_memo, OSTROWSKI_THEOREMS)
 from .convexity import (GATE_GRID_N, VIOLATION_TOL, check_am_hm,
                         check_convexity, power_gate, proposition_implications,
                         uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, arithmetic_mean,
-                      derivative, exact, get_function, integrate, validate_s,
-                      weighted_mean)
+                      derivative, exact, get_function, integrate, validate_s)
 from .specfn import beta, hyp2f1
 
 # combined quadrature + special-function error across an lhs/rhs pair stays
@@ -73,13 +72,14 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
           = (ab/(b-a)) [ (x-a)^2 int_0^1 t/(ta+(1-t)x)^2 f'(ax/(ta+(1-t)x)) dt
                        - (b-x)^2 int_0^1 t/(tb+(1-t)x)^2 f'(bx/(tb+(1-t)x)) dt ]
 
-    Both sides are evaluated by quadrature and |lhs - rhs| returned; for a
-    differentiable f the residual is pure numerical noise.
+    Both sides are evaluated by quadrature (the mean by shared_mean) and
+    |lhs - rhs| returned; for a differentiable f the residual is pure
+    numerical noise.
     """
     a, b = iv.a, iv.b
     if not a <= x <= b:
         raise DomainError(f"x={x} outside [{a}, {b}]")
-    lhs = f(x) - weighted_mean(f, iv)
+    lhs = f(x) - shared_mean(f, iv, DEFAULT_TOL)
 
     def side_integral(theta: float) -> float:
         def integrand(t: float) -> float:
@@ -150,10 +150,12 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and yield one row per
     x-grid point. The exponents (q, p) are resolved once
     (resolve_exponents), and the gate is hypothesis_gate's, on the
-    gate_grid_n grid if one is given. A failed gate short-circuits: results
-    stay empty, min_slack is None and pass is false, without any slack
-    claim. An x grid of more than MAX_X_GRID points, and a tol that is not
-    finite and positive, are refused before any evaluation.
+    gate_grid_n grid if one is given. The mean is shared_mean's, so an
+    enclosing lambda_memo block integrates it once for all its scans. A
+    failed gate short-circuits: results stay empty, min_slack is None and
+    pass is false, without any slack claim. An x grid of more than
+    MAX_X_GRID points, and a tol that is not finite and positive, are
+    refused before any evaluation.
     """
     validate_s(s)
     if theorem not in VERIFY_THEOREMS:
@@ -176,7 +178,7 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
         rows.append(bound_row("T2_2_right", h_mid, iv, s, None, None, None,
                               middle, right, True))
     elif holds:
-        wm = weighted_mean(f, iv, tol)  # one quadrature shared by all x
+        wm = shared_mean(f, iv, tol)  # one quadrature shared by all x
         # the x points share each weight's ratio table (lambda_memo)
         with lambda_memo():
             for x in uniform_grid(a, b, x_grid):
@@ -255,6 +257,13 @@ LEMMA_FUNCTIONS = ("const:2", "id", "pow:2", "pow:0.5", "inv")
 LEMMA_INTERVALS = ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
 
 
+def _rhs_key(theorem: str, f: FunctionSpec, iv: Interval, s: float,
+             q: Optional[float], p: Optional[float]) -> tuple:
+    """The sweep-memo key of the theorem rhs of one matrix config at its
+    X_GRID_N x points, with f keyed by its power law (c, r)."""
+    return ("rhs", theorem, f.power, iv, s, q, p)
+
+
 def _matrix_configs():
     """Yield (theorem, fn_id, iv, s, q, p) across the sweep matrix, with
     the exponents as resolve_exponents gives them.
@@ -278,12 +287,20 @@ def run_ostrowski_matrix() -> list[dict]:
     """The verify_theorem documents of the whole sweep matrix, in a fixed
     order, with its defaults: X_GRID_N x points, and a gate that
     power_gate decides, as every matrix function is a power law, so no
-    table is built. Lambda weights are shared across the sweep
-    (lambda_memo).
+    table is built. Lambda weights and weighted means are shared across
+    the sweep (lambda_memo), and the rhs column of each config is kept in
+    the block under _rhs_key for min_corollary_gap.
     """
+    reports = []
     with lambda_memo():
-        return [verify_theorem(theorem, get_function(fn_id), iv, s, q, p)
-                for theorem, fn_id, iv, s, q, p in _matrix_configs()]
+        memo = sweep_memo()
+        for theorem, fn_id, iv, s, q, p in _matrix_configs():
+            f = get_function(fn_id)
+            doc = verify_theorem(theorem, f, iv, s, q, p)
+            memo[_rhs_key(theorem, f, iv, s, q, p)] = [
+                row["rhs"] for row in doc["results"]]
+            reports.append(doc)
+    return reports
 
 
 def matrix_summary(reports: list[dict]) -> dict:
@@ -313,17 +330,24 @@ def min_corollary_gap() -> float:
     ever enlarge the bound. The returned minimum gap should therefore be
     nonnegative up to rounding. No hypothesis gate applies: the
     monotonicity is structural. Both rhs share their lambda weights, and
-    so do all configs (lambda_memo).
+    so do all configs (lambda_memo). Inside a block where
+    run_ostrowski_matrix ran, as in run_battery, the theorem rhs of every
+    gated config is the one the matrix kept, so only the M rhs and the rhs
+    of the ungated configs are assembled here; called alone, it assembles
+    both.
     """
     worst = math.inf
     with lambda_memo():
+        memo = sweep_memo()
         for theorem, fn_id, iv, s, q, p in _matrix_configs():
             f = get_function(fn_id)
             xs = uniform_grid(iv.a, iv.b, X_GRID_N)
             m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
-            for x in xs:
+            rhs = memo.get(_rhs_key(theorem, f, iv, s, q, p)) or [
+                ostrowski_rhs(theorem, f, x, iv, s, q, p) for x in xs]
+            for x, theorem_rhs in zip(xs, rhs):
                 gap = (ostrowski_rhs(theorem, f, x, iv, s, q, p, M=m_cap)
-                       - ostrowski_rhs(theorem, f, x, iv, s, q, p))
+                       - theorem_rhs)
                 if gap < worst:
                     worst = gap
     return worst
@@ -364,7 +388,11 @@ def lambda_checks(rows: list[dict]) -> list[tuple]:
 
 def run_battery() -> list[Check]:
     """Run every check of the package once: one Check per row, in a fixed
-    order from closed-form fidelity to the special-function spot checks."""
+    order from closed-form fidelity to the special-function spot checks.
+    The rows from the lemma identity to the corollary sweep run in one
+    lambda_memo block, so each distinct weighted mean is integrated once
+    and each rhs of the matrix serves the corollary sweep too; the block
+    ends with the run."""
     checks: list[Check] = []
     t0 = time.perf_counter()
 
@@ -378,31 +406,34 @@ def run_battery() -> list[Check]:
     # closed forms vs the quadrature oracle
     add(*lambda_checks(lambda_consistency_rows()))
 
-    # the integral identity behind all the bounds
-    residuals = [lemma_residual(f, x, Interval(a, b)) / (1.0 + abs(f(x)))
-                 for f in map(get_function, LEMMA_FUNCTIONS)
-                 for a, b in LEMMA_INTERVALS for x in uniform_grid(a, b, 9)]
-    add(("lemma_identity", "max_err", max(residuals), 1e-7, len(residuals)))
-
-    # two-sided chain for x^s on subintervals of (0, 1]
-    min_chain, cases = math.inf, 0
-    for s in (0.25, 0.5, 0.75, 1.0):
-        f = get_function(f"pow:{s:g}")
-        for a, b in ((0.25, 1.0), (0.1, 0.9)):
-            rep = verify_theorem("T2_2", f, Interval(a, b), s, None, None)
-            cases += 1
-            if not rep["hypothesis_ok"]:
-                min_chain = -math.inf
-                break
-            min_chain = min(min_chain, rep["min_slack"])
-    add(("hh_chain_slack", "min_slack", min_chain, 1e-12, cases))
-    mid = weighted_mean(get_function("id"), Interval(1.0, 2.0))
-    add(("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)),
-         1e-10, 1))
-
-    # the matrix and the corollary sweep run the same configurations, so
-    # they share one set of lambda weights
+    # the lemma rows, the chain, its reference middle and the matrix share
+    # their weighted means, the matrix and the corollary sweep their lambda
+    # weights and theorem rhs (lambda_memo)
     with lambda_memo():
+        # the integral identity behind all the bounds
+        residuals = [lemma_residual(f, x, Interval(a, b)) / (1.0 + abs(f(x)))
+                     for f in map(get_function, LEMMA_FUNCTIONS)
+                     for a, b in LEMMA_INTERVALS
+                     for x in uniform_grid(a, b, 9)]
+        add(("lemma_identity", "max_err", max(residuals), 1e-7,
+             len(residuals)))
+
+        # two-sided chain for x^s on subintervals of (0, 1]
+        min_chain, cases = math.inf, 0
+        for s in (0.25, 0.5, 0.75, 1.0):
+            f = get_function(f"pow:{s:g}")
+            for a, b in ((0.25, 1.0), (0.1, 0.9)):
+                rep = verify_theorem("T2_2", f, Interval(a, b), s, None, None)
+                cases += 1
+                if not rep["hypothesis_ok"]:
+                    min_chain = -math.inf
+                    break
+                min_chain = min(min_chain, rep["min_slack"])
+        add(("hh_chain_slack", "min_slack", min_chain, 1e-12, cases))
+        mid = shared_mean(get_function("id"), Interval(1.0, 2.0), DEFAULT_TOL)
+        add(("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)),
+             1e-10, 1))
+
         # gated slack sweep over the theorem matrix
         summary = matrix_summary(run_ostrowski_matrix())
         min_slack = summary["min_slack"]
@@ -413,7 +444,8 @@ def run_battery() -> list[Check]:
              float(len(summary["gated_pairs"])), 5.0, summary["reports"]))
 
         # replacing derivative magnitudes with a dominating M can only
-        # enlarge; min_corollary_gap sweeps the same configurations
+        # enlarge; min_corollary_gap sweeps the same configurations and
+        # reads the matrix's theorem rhs
         add(("corollary_monotonicity", "min_slack", min_corollary_gap(),
              1e-12, summary["reports"]))
 

@@ -344,6 +344,23 @@ class TestPropositionImplications:
         with pytest.raises(NumericError, match="gate undecided within budget"):
             proposition_implications(("pow:0.05",), (0.25,), iv)
 
+    def test_subnormal_left_end(self):
+        # 1/a overflows at a = 1e-310, so no mirror [1/b, 1/a] exists; the
+        # second sense is asked on the interval itself, whose b/a and log
+        # terms are the mirror's, and a search gives the same decisions as
+        # on [1, 1e10], which has the same b/a
+        fwd, back = "s_to_harmonic", "harmonic_to_s"
+        rows = proposition_implications(("id", "inv"), (0.5,),
+                                        Interval(1e-310, 1.0))
+        assert [(r["fn"], r["direction"], r["holds"]) for r in rows] == [
+            ("id", fwd, True), ("inv", back, True)]
+        fn_ids, s_values = ("pow:0.05", "pow:0.5", "inv"), (0.25, 0.75)
+        rows = proposition_implications(fn_ids, s_values,
+                                        Interval(1e-310, 1e-300))
+        assert rows == proposition_implications(fn_ids, s_values,
+                                                Interval(1.0, 1e10))
+        assert len(rows) == 3
+
     @pytest.mark.parametrize("fn_id,notion,x,t,printed", [
         ("id", "harmonic", 3.5483870967741935, 0.1875, 8.881784197001252e-16),
         ("pow:2", "harmonic", 3.5483870967741935, 0.1875,

@@ -10,11 +10,13 @@ from conftest import canary_lambda_value, record_tables
 
 from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (lambda5, lambda5_integrand, lambda_integrand,
-                             lambda_value, ostrowski_rhs)
+                             lambda_memo, lambda_value, ostrowski_rhs,
+                             shared_mean)
 from hsconvex.convexity import GATE_GRID_N
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.numeric import (FunctionSpec, Interval, derivative,
-                              get_function, integrate)
+from hsconvex.numeric import (DEFAULT_TOL, FunctionSpec, Interval,
+                              derivative, get_function, integrate,
+                              weighted_mean)
 from hsconvex.specfn import Gauss2F1
 from hsconvex.verify import (MAX_X_GRID, ROW_FIELDS, SLACK_TOL, bound_row,
                              hypothesis_gate,
@@ -312,11 +314,26 @@ def count_evals(monkeypatch, c):
     monkeypatch.setattr(FunctionSpec, "__new__", counted_new)
 
 
+def count_calls(monkeypatch, c, module, name):
+    """Count in c[name] each call of module.<name> that goes through an
+    hsconvex module holding it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        c[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "hsconvex"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Count eval_fn calls by fn_id prefix (see count_evals), 2F1
-    evaluations of the lambda weights, and the distinct argument tuples
-    asked for."""
+    evaluations of the lambda weights, the distinct argument tuples asked
+    for, and the weighted means and rhs computed (see count_calls)."""
     c = Counter()
     asked = set()
     lambda_value = bounds.lambda_value
@@ -332,6 +349,8 @@ def counts(monkeypatch):
         return lambda_value(*args)
 
     count_evals(monkeypatch, c)
+    count_calls(monkeypatch, c, numeric, "weighted_mean")
+    count_calls(monkeypatch, c, bounds, "ostrowski_rhs")
     monkeypatch.setattr(bounds, "Gauss2F1", CountedGauss2F1)
     monkeypatch.setattr(bounds, "lambda_value", recorded_lambda)
     c.asked = asked
@@ -389,7 +408,35 @@ class TestReuse:
         # the lambda sweep's 240 rows plus the 544 weights the matrix and
         # the corollary sweep share
         assert totals[0]["hyp2f1"] == 240 + 544
-        # no gate table, and 112,224 evaluations of f itself: the chain's
-        # T2_2 gates are power laws too, and tabulate f no more
+        # one quadrature per distinct (f, interval): the lemma's 5 x 3, the
+        # chain's 4 x 2, and neg on the 2 matrix intervals
+        assert totals[0]["weighted_mean"] == 15 + 8 + 2
+        # the rhs of the 186 gated matrix configs at 9 x each, read again by
+        # the corollary sweep, which adds its M rhs for all 192 and the rhs
+        # of the 6 ungated ones
+        assert totals[0]["ostrowski_rhs"] == (186 + 192 + 6) * 9 == 3456
+        # no gate table, and 11,289 evaluations of f itself (27,024 when
+        # each config integrated its own mean): the chain's T2_2 gates are
+        # power laws too, and tabulate f no more
         assert "gate_evals" not in totals[0]
-        assert totals[0]["f_evals"] <= 175_000
+        assert totals[0]["f_evals"] == 11_289
+
+    def test_means_are_keyed_on_the_power_law(self, counts):
+        # two hand-built specs may share a fn_id and be different
+        # functions; a spec with no power is integrated at every call
+        square, cube = get_function("pow:2"), get_function("pow:3")
+        twins = [FunctionSpec("f", g.eval_fn, g.deriv_fn, g.power)
+                 for g in (square, cube)]
+        bare = FunctionSpec("f", square.eval_fn, square.deriv_fn, None)
+        with lambda_memo():
+            means = [shared_mean(f, IV12, DEFAULT_TOL)
+                     for f in twins + twins + [bare, bare]]
+        assert counts["weighted_mean"] == 2 + 2
+        expected = [weighted_mean(g, IV12) for g in (square, cube)]
+        assert means == expected * 2 + [expected[0]] * 2
+
+    def test_corollary_sweep_alone_matches_the_battery(self):
+        # in the battery the sweep reads the matrix's rhs; alone it
+        # assembles them, and the value is the same float
+        row, = [c for c in run_battery() if c.name == "corollary_monotonicity"]
+        assert min_corollary_gap() == row.value
