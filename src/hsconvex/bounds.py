@@ -167,11 +167,11 @@ def _finite(fn):
 
 
 # the values of the sweep in progress: each lambda argument tuple
-# (kind, theta, x, s, vartheta, rho) maps to its weight, and each
+# (kind, theta, x, s, vartheta, rho) maps to its weight, each
 # (kind, s, vartheta, rho) to the part of its weight that no theta or x
-# changes, its Beta factor and its Gauss2F1 with the ratio table; keys that
-# lead with a string hold the values callers keep (sweep_memo). None outside
-# a lambda_memo block
+# changes, its Beta factor and its Gauss2F1 with the ratio table, and each
+# ("mean", c, r, iv, tol) to a weighted mean (shared_mean). None outside a
+# lambda_memo block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
@@ -183,12 +183,10 @@ def lambda_memo():
     weight that shares (kind, s, vartheta, rho) from one ratio table. A
     weight does not depend on f, so a sweep over many functions repeats
     the same few hundred, and the x points of one scan share their tables.
-    shared_mean keeps each weighted mean in the same block, and callers
-    may keep values of their own there (sweep_memo), so the sweeps of one
-    battery integrate a mean and assemble a theorem rhs once. A block
-    inside another shares the outer block's memo; the memo ends with the
-    outermost block, so no value or table outlives the run that computed
-    it."""
+    shared_mean keeps each weighted mean in the same block, so the sweeps
+    of one battery integrate a mean once. A block inside another shares
+    the outer block's memo; the memo ends with the outermost block, so no
+    value or table outlives the run that computed it."""
     if _LAMBDA_MEMO.get() is not None:
         yield
         return
@@ -199,22 +197,14 @@ def lambda_memo():
         _LAMBDA_MEMO.reset(token)
 
 
-def sweep_memo() -> Optional[dict]:
-    """The memo of the lambda_memo block in progress, None outside one. A
-    caller keeps a value of its own there under a tuple key that leads
-    with a string, which no key of lambda_value does."""
-    return _LAMBDA_MEMO.get()
-
-
 def shared_mean(f: FunctionSpec, iv: Interval, tol: float) -> float:
     """weighted_mean(f, iv, tol), integrated once per (c, r, a, b, tol)
-    within a lambda_memo block. The key is f.power, never f.fn_id, which a
-    hand-built spec may share with another function; a spec whose power is
-    None is integrated at every call."""
+    within a lambda_memo block. The key is (c, r), not fn_id: id and pow:1
+    name one function."""
     memo = _LAMBDA_MEMO.get()
-    if memo is None or f.power is None:
+    if memo is None:
         return weighted_mean(f, iv, tol)
-    key = ("mean", f.power, iv, tol)
+    key = ("mean", f.c, f.r, iv, tol)
     if key not in memo:
         memo[key] = weighted_mean(f, iv, tol)
     return memo[key]

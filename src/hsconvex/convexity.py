@@ -1,5 +1,5 @@
 """Convexity predicates used as hypothesis gates: exact for power laws,
-sampled for any other function.
+sampled on a grid when one is asked for.
 
 power_gate decides whether K*u^rho is harmonically s-convex on [a, b],
 which is every hypothesis a registry function c*u^r brings: it is the
@@ -27,11 +27,10 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import islice
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericError
-from .numeric import (MIN_NORMAL, FunctionSpec, Interval, get_function,
-                      validate_s)
+from .numeric import MIN_NORMAL, Interval, get_function, validate_s
 
 # inequalities are tight at t in {0, 1}; tolerate float noise up to here
 VIOLATION_TOL = 1e-12
@@ -202,22 +201,51 @@ def _combined_points(x: float, y: float,
     return [harmonic_combination(x, y, t) for t, _ in tus]
 
 
-def check_convexity(f: FunctionSpec, iv: Interval, s: float,
-                    grid_n: int = GATE_GRID_N) -> ConvexityReport:
-    """Scan harmonic s-convexity of f over x, y in grid(iv) and t in
-    grid([0, 1]), s in (0, 1].
+def _guarded(name: str, fn: Callable[[float], float], x: float) -> float:
+    """fn(x), or DomainError named `name` when it fails or is not finite."""
+    try:
+        v = fn(x)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DomainError(f"{name}: evaluation failed at {x}") from exc
+    if not math.isfinite(v):
+        raise DomainError(f"{name}: non-finite value at {x}")
+    return v
+
+
+def _table(name: str, fn: Callable[[float], float],
+           xs: list[float]) -> list[float]:
+    """[_guarded(name, fn, x) for x in xs], guarded once for the whole
+    list: fn mapped over xs, then one finiteness check. When either fails,
+    the points are rerun one by one, so the DomainError raised is the one
+    of the first bad point, with the same cause. A DomainError that fn
+    raises itself, as a FunctionSpec does, passes through from that
+    point."""
+    try:
+        vs = list(map(fn, xs))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        pass
+    else:
+        if all(map(math.isfinite, vs)):
+            return vs
+    return [_guarded(name, fn, x) for x in xs]
+
+
+def check_convexity(name: str, fn: Callable[[float], float], iv: Interval,
+                    s: float, grid_n: int = GATE_GRID_N) -> ConvexityReport:
+    """Scan harmonic s-convexity of fn, a function named `name`, over x, y
+    in grid(iv) and t in grid([0, 1]), s in (0, 1].
 
     v(x, y, t) equals v(y, x, 1-t) exactly in floats on the dyadic t grid,
     so only the canonical half is evaluated: each pair of nodes i <= j, at
-    every t of T_GRID when i < j and at t <= 1/2 when i == j. f is called
-    once, through FunctionSpec.values, on the nodes and then at the
-    combined point of every such triple with 0 < t < 1 in scan order (at
-    t = 0 and t = 1 that point is a node), so an error names the first bad
-    point of the scan. Each mirrored triple comes after its twin in the
-    full scan, so the ascending scan of the half still meets the
-    lexicographically smallest maximizer first. samples counts the full
-    grid. A grid of more than MAX_SCAN_TRIPLES triples is refused before
-    any evaluation.
+    every t of T_GRID when i < j and at t <= 1/2 when i == j. fn is called
+    once per point, on the nodes and then at the combined point of every
+    such triple with 0 < t < 1 in scan order (at t = 0 and t = 1 that point
+    is a node), and the table is guarded as a whole (_table), so an error
+    names the first bad point of the scan. Each mirrored triple comes after
+    its twin in the full scan, so the ascending scan of the half still
+    meets the lexicographically smallest maximizer first. samples counts
+    the full grid. A grid of more than MAX_SCAN_TRIPLES triples is refused
+    before any evaluation.
     """
     validate_s(s)
     if grid_n < 3:
@@ -231,7 +259,7 @@ def check_convexity(f: FunctionSpec, iv: Interval, s: float,
         points += _combined_points(x, x, T_HALF_INNER)
         for y in xs[i + 1:]:
             points += _combined_points(x, y, T_INNER)
-    fps = iter(f.values(xs + points))
+    fps = iter(_table(name, fn, xs + points))
     nodes = list(zip(xs, islice(fps, grid_n)))
     # (weight of f(x), weight of f(y)) per t
     weights = [((1.0 - t) ** s, t ** s) for t in T_GRID]
@@ -262,7 +290,7 @@ def check_am_hm(iv: Interval) -> ConvexityReport:
     This comparison holds for all positive x, y and t in [0, 1]; the report
     should always satisfy max_violation <= VIOLATION_TOL.
     """
-    return check_convexity(get_function("id"), iv, 1.0, COMPARISON_GRID_N)
+    return check_convexity("id", lambda u: u, iv, 1.0, COMPARISON_GRID_N)
 
 
 def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...],
@@ -288,7 +316,7 @@ def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...
         validate_s(s)
     rows: list[dict] = []
     for fn_id in fn_ids:
-        c, r = get_function(fn_id).power
+        _, c, r = get_function(fn_id)
         sign = (c > 0.0) - (c < 0.0)
         num, den = r.as_integer_ratio()
         # the sign of c*r, read without forming the product

@@ -6,17 +6,16 @@ Gauss-Kronrod 7/15 scheme. The embedded 7-point Gauss rule provides the
 error estimate |K15 - G7| per panel; the panel with the worst estimate is
 bisected until the summed estimate drops below the caller's tolerance.
 
-`FunctionSpec` packages an evaluable f on (0, inf) with its analytic f' or
-None. Every registry function is c*u^r, with f and f' built by one rule in
-`power_law`; its exact name (const:<c>, id, pow:<r>, inv, neg) gives (c, r),
-which its `power` field carries.
+`FunctionSpec` is the one function type: a registry function c*u^r, held as
+its exact name (const:<c>, id, pow:<r>, inv, neg) and (c, r). Calling it
+gives f(u) and `derivative` gives f'(u), each by one rule.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, NumericError
 
@@ -97,18 +96,13 @@ class Interval(_Endpoints):
 
 
 class FunctionSpec(NamedTuple):
-    """An evaluable scalar function with its analytic derivative or None,
-    and power = (c, r) when it is the c*u^r that power_law builds, else
-    None.
-
-    eval_fn and deriv_fn receive points from (0, inf]; 0 is an open
-    endpoint (several registry functions blow up there).
-    """
+    """The registry function f(u) = c*u^r on [0, inf], named fn_id; 0 is
+    an open endpoint where r < 0. r = -1 divides, c/u, as u**-1.0 rounds
+    differently."""
 
     fn_id: str
-    eval_fn: Callable[[float], float]
-    deriv_fn: Optional[Callable[[float], float]]
-    power: Optional[tuple[float, float]]
+    c: float
+    r: float
 
     def __call__(self, x: float) -> float:
         # the arithmetic-mean chain may evaluate at a = 0; that is allowed
@@ -116,27 +110,12 @@ class FunctionSpec(NamedTuple):
         if not x >= 0.0:
             raise DomainError(f"{self.fn_id}: {x} outside domain (0.0, inf]")
         try:
-            v = self.eval_fn(x)
+            v = self.c / x if self.r == -1.0 else self.c * x ** self.r
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise DomainError(f"{self.fn_id}: evaluation failed at {x}") from exc
         if not math.isfinite(v):
             raise DomainError(f"{self.fn_id}: non-finite value at {x}")
         return v
-
-    def values(self, xs: list[float]) -> list[float]:
-        """[self(x) for x in xs], guarded once for the whole list: one
-        domain check, eval_fn mapped over xs, one finiteness check. When
-        any of them fails, the per-point calls are rerun, so the DomainError
-        raised is the one of the first bad point, with the same cause."""
-        if all(map((0.0).__le__, xs)):
-            try:
-                vs = list(map(self.eval_fn, xs))
-            except (ZeroDivisionError, OverflowError, ValueError):
-                pass
-            else:
-                if all(map(math.isfinite, vs)):
-                    return vs
-        return [self(x) for x in xs]
 
 
 def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -253,31 +232,23 @@ def weighted_mean(f: FunctionSpec, iv: Interval, tol: float = DEFAULT_TOL) -> fl
 
 
 def derivative(f: FunctionSpec, x: float) -> float:
-    """Return the analytic f'(x). Raises DomainError when f has no
-    deriv_fn, or when deriv_fn fails or is not finite at x."""
-    if f.deriv_fn is None:
-        raise DomainError(f"{f.fn_id}: no analytic derivative")
+    """Return f'(x) = (c*r)*x^(r-1): (c*r)/(x*x) at r = -1, as x**-2.0
+    rounds differently, and +0.0 at r = 0, as c*0 is -0.0 for c < 0 and
+    x**-1.0 overflows at a subnormal x. Raises DomainError when that fails
+    or is not finite at x."""
+    c, r = f.c, f.r
     try:
-        v = f.deriv_fn(x)
+        if r == 0.0:
+            v = 0.0
+        elif r == -1.0:
+            v = c * r / (x * x)
+        else:
+            v = c * r * x ** (r - 1.0)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise DomainError(f"{f.fn_id}: derivative failed at {x}") from exc
     if not math.isfinite(v):
         raise DomainError(f"{f.fn_id}: non-finite derivative at {x}")
     return v
-
-
-def power_law(fn_id: str, c: float, r: float) -> FunctionSpec:
-    """f(u) = c*u^r and f'(u) = (c*r)*u^(r-1), by one rule, with power
-    (c, r). r = -1 divides, c/u and (c*r)/(u*u), as u**-1.0 and u**-2.0
-    round differently; r = 0 has f' = +0.0, as c*0 is -0.0 for c < 0 and
-    u**-1.0 overflows at a subnormal u."""
-    cr, r1 = c * r, r - 1.0
-    if r == -1.0:
-        return FunctionSpec(fn_id, lambda x: c / x, lambda x: cr / (x * x),
-                            (c, r))
-    return FunctionSpec(fn_id, lambda x: c * x ** r,
-                        (lambda x: 0.0) if r == 0.0 else lambda x: cr * x ** r1,
-                        (c, r))
 
 
 def exact(v: float) -> str:
@@ -295,7 +266,7 @@ def get_function(fn_id: str) -> FunctionSpec:
     (1, 1), pow:<r> (1, r) for r > 0, inv (1, -1), neg (-1, 1). The fn_id
     returned names c or r exactly, so it resolves to the same values."""
     if fn_id in _POWER_FORMS:
-        return power_law(fn_id, *_POWER_FORMS[fn_id])
+        return FunctionSpec(fn_id, *_POWER_FORMS[fn_id])
     if fn_id.startswith("const:"):
         try:
             c = float(fn_id[6:])
@@ -303,7 +274,7 @@ def get_function(fn_id: str) -> FunctionSpec:
             raise DomainError(f"bad constant in {fn_id!r}") from exc
         if not math.isfinite(c):
             raise DomainError(f"constant must be finite, got {c}")
-        return power_law(f"const:{exact(c)}", c, 0.0)
+        return FunctionSpec(f"const:{exact(c)}", c, 0.0)
     if fn_id.startswith("pow:"):
         try:
             r = float(fn_id[4:])
@@ -311,6 +282,6 @@ def get_function(fn_id: str) -> FunctionSpec:
             raise DomainError(f"bad exponent in {fn_id!r}") from exc
         if not (math.isfinite(r) and r > 0.0):
             raise DomainError(f"pow exponent must be positive, got {r}")
-        return power_law(f"pow:{exact(r)}", 1.0, r)
+        return FunctionSpec(f"pow:{exact(r)}", 1.0, r)
     raise DomainError(
         f"unknown function id {fn_id!r}; expected one of {', '.join(REGISTRY_FORMS)}")

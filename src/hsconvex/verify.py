@@ -6,8 +6,8 @@ harmonic s-convexity of f itself and gates every Ostrowski-type theorem on
 harmonic s-convexity of u -> |f'(u)|^q; only when the gate passes does the
 slack scan run and count. For a power law c*u^r the gate is again a power
 law, decided exactly (convexity.power_gate), and a search that spends its
-budget is an error, not a sampled answer; any other f, or an explicit gate
-grid, is scanned on a grid.
+budget is an error, not a sampled answer; a gate grid, when one is asked
+for, is scanned instead.
 
 lambda_consistency_rows is the package's oracle comparison: every lambda
 closed form against its defining integral by adaptive quadrature.
@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
                      lambda5_integrand, lambda_integrand, lambda_memo,
                      lambda_value, ostrowski_rhs, resolve_exponents,
-                     shared_mean, sweep_memo, OSTROWSKI_THEOREMS)
-from .convexity import (GATE_GRID_N, VIOLATION_TOL, check_am_hm,
-                        check_convexity, power_gate, proposition_implications,
-                        uniform_grid)
+                     shared_mean, OSTROWSKI_THEOREMS)
+from .convexity import (VIOLATION_TOL, check_am_hm, check_convexity,
+                        power_gate, proposition_implications, uniform_grid)
 from .errors import DomainError
 from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, arithmetic_mean,
                       derivative, exact, get_function, integrate, validate_s)
@@ -97,18 +96,21 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
 
 
 def _gate_function(theorem: str, f: FunctionSpec,
-                  q: Optional[float]) -> FunctionSpec:
-    """The function whose harmonic s-convexity `theorem` assumes: f for
-    T2_2, u -> |f'(u)|^q for the Ostrowski-type theorems: one closure over
-    f.deriv_fn, guarded once per table by FunctionSpec.values."""
+                   q: Optional[float]) -> tuple[str, Callable[[float], float]]:
+    """The function whose harmonic s-convexity `theorem` assumes, as the
+    name and callable check_convexity scans: f itself for T2_2, else
+    u -> |f'(u)|^q by the rule of derivative (f' is (c*r)/(u*u) at r = -1
+    and +0.0 at r = 0) but unguarded, as the scan guards its table as a
+    whole and names the error after |f'|^q."""
     if theorem == "T2_2":
-        return f
-    deriv_fn = f.deriv_fn
-    if deriv_fn is None:
-        raise DomainError(f"{f.fn_id}: no analytic derivative")
-    return FunctionSpec(fn_id=f"|{f.fn_id}'|^{exact(q)}",
-                        eval_fn=lambda u: abs(deriv_fn(u)) ** q,
-                        deriv_fn=None, power=None)
+        return f.fn_id, f
+    _, c, r = f
+    name, cr, r1 = f"|{f.fn_id}'|^{exact(q)}", c * r, r - 1.0
+    if r == 0.0:
+        return name, lambda u: 0.0
+    if r == -1.0:
+        return name, lambda u: abs(cr / (u * u)) ** q
+    return name, lambda u: abs(cr * u ** r1) ** q
 
 
 def _gate_power(theorem: str, c: float, r: float,
@@ -127,14 +129,13 @@ def _gate_power(theorem: str, c: float, r: float,
 def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                     q: Optional[float], grid_n: Optional[int]) -> bool:
     """Whether the hypothesis of `theorem` holds: harmonic s-convexity of
-    _gate_function(theorem, f, q). With grid_n None, a power law (f.power
-    set) is decided exactly by power_gate, which raises NumericError when
-    its search spends the budget; anything else is scanned on the
-    GATE_GRID_N grid. An explicit grid_n always scans on that grid."""
-    if grid_n is None and f.power is not None:
-        return power_gate(*_gate_power(theorem, *f.power, q), iv, s)
-    return check_convexity(_gate_function(theorem, f, q), iv, s,
-                           GATE_GRID_N if grid_n is None else grid_n).holds
+    _gate_function(theorem, f, q). With grid_n None it is decided exactly
+    by power_gate, which raises NumericError when its search spends the
+    budget; with a grid_n it is scanned on that grid."""
+    if grid_n is None:
+        return power_gate(*_gate_power(theorem, f.c, f.r, q), iv, s)
+    return check_convexity(*_gate_function(theorem, f, q), iv, s,
+                           grid_n).holds
 
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
@@ -257,13 +258,6 @@ LEMMA_FUNCTIONS = ("const:2", "id", "pow:2", "pow:0.5", "inv")
 LEMMA_INTERVALS = ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
 
 
-def _rhs_key(theorem: str, f: FunctionSpec, iv: Interval, s: float,
-             q: Optional[float], p: Optional[float]) -> tuple:
-    """The sweep-memo key of the theorem rhs of one matrix config at its
-    X_GRID_N x points, with f keyed by its power law (c, r)."""
-    return ("rhs", theorem, f.power, iv, s, q, p)
-
-
 def _matrix_configs():
     """Yield (theorem, fn_id, iv, s, q, p) across the sweep matrix, with
     the exponents as resolve_exponents gives them.
@@ -288,19 +282,11 @@ def run_ostrowski_matrix() -> list[dict]:
     order, with its defaults: X_GRID_N x points, and a gate that
     power_gate decides, as every matrix function is a power law, so no
     table is built. Lambda weights and weighted means are shared across
-    the sweep (lambda_memo), and the rhs column of each config is kept in
-    the block under _rhs_key for min_corollary_gap.
+    the sweep (lambda_memo).
     """
-    reports = []
     with lambda_memo():
-        memo = sweep_memo()
-        for theorem, fn_id, iv, s, q, p in _matrix_configs():
-            f = get_function(fn_id)
-            doc = verify_theorem(theorem, f, iv, s, q, p)
-            memo[_rhs_key(theorem, f, iv, s, q, p)] = [
-                row["rhs"] for row in doc["results"]]
-            reports.append(doc)
-    return reports
+        return [verify_theorem(theorem, get_function(fn_id), iv, s, q, p)
+                for theorem, fn_id, iv, s, q, p in _matrix_configs()]
 
 
 def matrix_summary(reports: list[dict]) -> dict:
@@ -321,8 +307,9 @@ def matrix_summary(reports: list[dict]) -> dict:
     }
 
 
-def min_corollary_gap() -> float:
-    """Worst value of corollary_rhs - theorem_rhs across the matrix.
+def min_corollary_gap(reports: list[dict]) -> float:
+    """Worst value of corollary_rhs - theorem_rhs across the matrix, given
+    its reports, those of run_ostrowski_matrix.
 
     For each configuration M is set to the maximum of |f'| over the x
     points of the matrix plus a margin of 0.1, so M dominates every
@@ -330,20 +317,18 @@ def min_corollary_gap() -> float:
     ever enlarge the bound. The returned minimum gap should therefore be
     nonnegative up to rounding. No hypothesis gate applies: the
     monotonicity is structural. Both rhs share their lambda weights, and
-    so do all configs (lambda_memo). Inside a block where
-    run_ostrowski_matrix ran, as in run_battery, the theorem rhs of every
-    gated config is the one the matrix kept, so only the M rhs and the rhs
-    of the ungated configs are assembled here; called alone, it assembles
-    both.
+    so do all configs (lambda_memo). The theorem rhs of a gated config
+    is read from its report, so only the M rhs and the theorem rhs of the
+    ungated configs are assembled here.
     """
     worst = math.inf
     with lambda_memo():
-        memo = sweep_memo()
-        for theorem, fn_id, iv, s, q, p in _matrix_configs():
+        for (theorem, fn_id, iv, s, q, p), doc in zip(_matrix_configs(),
+                                                      reports, strict=True):
             f = get_function(fn_id)
             xs = uniform_grid(iv.a, iv.b, X_GRID_N)
             m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
-            rhs = memo.get(_rhs_key(theorem, f, iv, s, q, p)) or [
+            rhs = [row["rhs"] for row in doc["results"]] or [
                 ostrowski_rhs(theorem, f, x, iv, s, q, p) for x in xs]
             for x, theorem_rhs in zip(xs, rhs):
                 gap = (ostrowski_rhs(theorem, f, x, iv, s, q, p, M=m_cap)
@@ -390,9 +375,9 @@ def run_battery() -> list[Check]:
     """Run every check of the package once: one Check per row, in a fixed
     order from closed-form fidelity to the special-function spot checks.
     The rows from the lemma identity to the corollary sweep run in one
-    lambda_memo block, so each distinct weighted mean is integrated once
-    and each rhs of the matrix serves the corollary sweep too; the block
-    ends with the run."""
+    lambda_memo block, so each distinct weighted mean is integrated once;
+    the block ends with the run. The corollary sweep reads the theorem rhs
+    of the matrix reports."""
     checks: list[Check] = []
     t0 = time.perf_counter()
 
@@ -408,7 +393,7 @@ def run_battery() -> list[Check]:
 
     # the lemma rows, the chain, its reference middle and the matrix share
     # their weighted means, the matrix and the corollary sweep their lambda
-    # weights and theorem rhs (lambda_memo)
+    # weights (lambda_memo)
     with lambda_memo():
         # the integral identity behind all the bounds
         residuals = [lemma_residual(f, x, Interval(a, b)) / (1.0 + abs(f(x)))
@@ -435,7 +420,8 @@ def run_battery() -> list[Check]:
              1e-10, 1))
 
         # gated slack sweep over the theorem matrix
-        summary = matrix_summary(run_ostrowski_matrix())
+        reports = run_ostrowski_matrix()
+        summary = matrix_summary(reports)
         min_slack = summary["min_slack"]
         add(("ostrowski_matrix_slack", "min_slack",
              -math.inf if min_slack is None else min_slack, SLACK_TOL,
@@ -446,8 +432,8 @@ def run_battery() -> list[Check]:
         # replacing derivative magnitudes with a dominating M can only
         # enlarge; min_corollary_gap sweeps the same configurations and
         # reads the matrix's theorem rhs
-        add(("corollary_monotonicity", "min_slack", min_corollary_gap(),
-             1e-12, summary["reports"]))
+        add(("corollary_monotonicity", "min_slack",
+             min_corollary_gap(reports), 1e-12, summary["reports"]))
 
     # classic bound for f(x)=x, M=1 on [1, 2]
     f_id = get_function("id")

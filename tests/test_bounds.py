@@ -384,15 +384,12 @@ class TestHHChains:
         with pytest.raises(DomainError):
             hh_s_convex_bounds(get_function("id"), -0.5, 1.0, 1.0)
 
-    def test_arithmetic_evaluates_zero_endpoint_once(self):
+    def test_arithmetic_evaluates_zero_endpoint_once(self, monkeypatch):
         points = []
-
-        def square(x):
-            points.append(x)
-            return x * x
-
-        f = FunctionSpec(fn_id="sq", eval_fn=square, deriv_fn=None, power=None)
-        right = hh_s_convex_bounds(f, 0.0, 1.0, 1.0)[2]
+        call = FunctionSpec.__call__
+        monkeypatch.setattr(FunctionSpec, "__call__",
+                            lambda spec, x: points.append(x) or call(spec, x))
+        right = hh_s_convex_bounds(get_function("pow:2"), 0.0, 1.0, 1.0)[2]
         assert right == 0.5
         assert points.count(0.0) == 1
 

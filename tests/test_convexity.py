@@ -16,10 +16,15 @@ from hsconvex.convexity import (GATE_GRID_N, T_GRID, VIOLATION_TOL,
                                 power_search, proposition_implications,
                                 uniform_grid)
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.numeric import FunctionSpec, Interval, get_function
+from hsconvex.numeric import Interval, derivative, get_function
 from hsconvex.verify import (MATRIX_FUNCTIONS, MATRIX_INTERVALS,
                              MATRIX_Q_VALUES, MATRIX_S_VALUES,
                              hypothesis_gate)
+
+
+def scan(fn_id, iv, s, *grid_n):
+    """check_convexity of the registry function fn_id."""
+    return check_convexity(fn_id, get_function(fn_id), iv, s, *grid_n)
 
 
 def reference_scan(viol, iv, grid_n):
@@ -63,7 +68,7 @@ def reference_report(rows, s):
 def second_sense(fn_id, iv, s):
     """The exact s-convexity (second sense) of the registry c*u^r on iv:
     harmonic s-convexity of c*w^-r on [1/b, 1/a]."""
-    c, r = get_function(fn_id).power
+    c, r = get_function(fn_id)[1:]
     num, den = r.as_integer_ratio()
     return power_gate((c > 0.0) - (c < 0.0), (-num, den),
                       Interval(1.0 / iv.b, 1.0 / iv.a), s)
@@ -81,7 +86,7 @@ def float_v(fn_id, notion, x, y, t, s):
 def exact_v(fn_id, notion, x, y, t, s):
     """float_v with the point and f at 50 digits, and the weighted sum at
     70, where its products and sum of 50-digit values are exact."""
-    c, r = get_function(fn_id).power
+    c, r = get_function(fn_id)[1:]
     with mpmath.workdps(50):
         x, y, t, s, c, r = map(mpmath.mpf, (x, y, t, s, c, r))
         if notion == "harmonic":
@@ -125,7 +130,7 @@ class TestHarmonicCombination:
                     h = harmonic_combination(x, y, t)
                     assert min(x, y) <= h <= max(x, y), (x, y, t)
         # x*y = 1e-380 underflows to 0; the scan used to evaluate inv there
-        check_convexity(get_function("inv"), Interval(1e-200, 1e-180), 1.0)
+        scan("inv", Interval(1e-200, 1e-180), 1.0)
 
     def test_normal_products_keep_the_product_form(self):
         rng = random.Random(8)
@@ -141,7 +146,7 @@ class TestCheckConvexity:
         # in both notions: the scan of the harmonic one, and the exact
         # answer of the second sense
         iv = Interval(0.5, 4.0)
-        rep = check_convexity(get_function("pow:0.5"), iv, 0.5)
+        rep = scan("pow:0.5", iv, 0.5)
         assert rep.holds
         assert rep.max_violation <= VIOLATION_TOL
         assert second_sense("pow:0.5", iv, 0.5) is True
@@ -149,13 +154,13 @@ class TestCheckConvexity:
     def test_constant_equality_at_corners(self):
         # a constant under s=1 gives equality, so max violation is ~0 and
         # the witness sits at a t endpoint
-        rep = check_convexity(get_function("const:2"), Interval(1.0, 2.0), 1.0)
+        rep = scan("const:2", Interval(1.0, 2.0), 1.0)
         assert rep.holds
         assert rep.max_violation == 0.0
         assert rep.witness[2] in (0.0, 1.0)
 
     def test_neg_violates_harmonic_convexity(self):
-        rep = check_convexity(get_function("neg"), Interval(1.0, 2.0), 1.0)
+        rep = scan("neg", Interval(1.0, 2.0), 1.0)
         assert not rep.holds
         # worst violation on the grid: (y - hc) at x=1, y=2, t=0.5 is 1/6
         assert rep.max_violation >= 1.0 / 6.0 - 1e-12
@@ -164,7 +169,7 @@ class TestCheckConvexity:
 
     def test_inv_is_harmonically_convex(self):
         # 1/x is harmonically affine: violation exactly 0 up to rounding
-        rep = check_convexity(get_function("inv"), Interval(0.5, 4.0), 1.0)
+        rep = scan("inv", Interval(0.5, 4.0), 1.0)
         assert rep.holds
 
     # const:2 ties everywhere at s = 1, so the witness rests on the
@@ -186,30 +191,22 @@ class TestCheckConvexity:
                     - (t ** s * f(y) + (1.0 - t) ** s * f(x)))
 
         if grid_n is None:
-            rep = check_convexity(f, iv, s)
+            rep = scan(fn_id, iv, s)
         else:
-            rep = check_convexity(f, iv, s, grid_n)
+            rep = scan(fn_id, iv, s, grid_n)
         assert ((rep.max_violation, rep.witness, rep.samples)
                 == reference_scan(harmonic, iv, grid_n or GATE_GRID_N))
 
-    def test_evaluates_each_node_once(self, monkeypatch):
+    def test_evaluates_each_node_once(self):
         points = []
-        f = FunctionSpec(fn_id="counted",
-                         eval_fn=lambda u: points.append(u) or u * u,
-                         deriv_fn=None, power=None)
-        calls = []
-        call = FunctionSpec.__call__
-        monkeypatch.setattr(FunctionSpec, "__call__",
-                            lambda spec, x: calls.append(x) or call(spec, x))
-        rep = check_convexity(f, Interval(1.0, 2.0), 0.5, 8)
+        rep = check_convexity("counted", lambda u: points.append(u) or u * u,
+                              Interval(1.0, 2.0), 0.5, 8)
         # one value per node, then one per triple of the canonical half at
         # the combined point: 28 pairs x < y over the 15 t in (0, 1), 8
         # pairs x == y over the 8 t in (0, 1/2]; at t = 0 and t = 1 that
-        # point is a node. samples still counts the full grid. Every point
-        # goes through FunctionSpec.values, none through a per-point call
+        # point is a node. samples still counts the full grid
         assert len(points) == 8 + 28 * 15 + 8 * 8 == 492
         assert rep.samples == 8 * 8 * 17
-        assert calls == []
 
     def test_scan_cap_refuses_before_evaluating(self):
         class Started(Exception):
@@ -221,28 +218,25 @@ class TestCheckConvexity:
             points.append(u)
             raise Started
 
-        f = FunctionSpec(fn_id="counted", eval_fn=first_eval, deriv_fn=None,
-                         power=None)
         iv = Interval(1.0, 2.0)
         # grid_n = 256 is admitted: the scan starts evaluating ...
         with pytest.raises(Started):
-            check_convexity(f, iv, 1.0, 256)
+            check_convexity("counted", first_eval, iv, 1.0, 256)
         assert len(points) == 1
         # ... a grid past the cap is refused before f is evaluated once
         for grid_n in (257, 100000):
             with pytest.raises(DomainError):
-                check_convexity(f, iv, 1.0, grid_n)
+                check_convexity("counted", first_eval, iv, 1.0, grid_n)
         assert len(points) == 1
 
     def test_rejects_bad_parameters(self):
-        f = get_function("id")
         iv = Interval(1.0, 2.0)
         with pytest.raises(DomainError):
-            check_convexity(f, iv, 0.0)
+            scan("id", iv, 0.0)
         with pytest.raises(DomainError):
-            check_convexity(f, iv, 1.5)
+            scan("id", iv, 1.5)
         with pytest.raises(DomainError):
-            check_convexity(f, iv, 1.0, 2)
+            scan("id", iv, 1.0, 2)
 
 
 class TestBulkTable:
@@ -254,23 +248,25 @@ class TestBulkTable:
     @pytest.mark.parametrize("fn_id", ["pow:0.5", "inv", "neg", "gate"])
     def test_bit_identical_to_the_point_by_point_scan(self, fn_id, iv):
         if fn_id == "gate":
-            # |f'|^3 for f = pow:1.5, built like the gate of a theorem
-            deriv_fn = get_function("pow:1.5").deriv_fn
+            # |f'|^3 for f = pow:1.5, the function of a theorem's gate
+            pow15 = get_function("pow:1.5")
 
             def base(u):
-                return abs(deriv_fn(u)) ** 3.0
+                return abs(derivative(pow15, u)) ** 3.0
         else:
-            base = get_function(fn_id).eval_fn
+            base = get_function(fn_id)
         points = []
-        f = FunctionSpec(fn_id=fn_id,
-                         eval_fn=lambda u: points.append(u) or base(u),
-                         deriv_fn=None, power=None)
+
+        def f(u):
+            points.append(u)
+            return base(u)
+
         rows = reference_rows(f, iv, 16)
         # the scan evaluates the nodes, then the combined points of the
         # canonical half with 0 < t < 1, each once and in scan order
         points.clear()
         for s in (0.25, 0.5, 1.0):
-            rep = check_convexity(f, iv, s, 16)
+            rep = check_convexity(fn_id, f, iv, s, 16)
             assert (rep.max_violation, rep.witness) == reference_report(rows, s)
         assert points == 3 * (uniform_grid(iv.a, iv.b, 16) + [
             harmonic_combination(x, y, t) for x, _, y, _, fcs in rows
@@ -402,12 +398,12 @@ def gate_table(theorem, f, iv, q, s_values):
     of s_values, held against the point-by-point reference, with the
     largest magnitude among its values."""
     if theorem != "T2_2":
-        deriv_fn = f.deriv_fn
-        f = FunctionSpec(fn_id="gate",
-                         eval_fn=lambda u: abs(deriv_fn(u)) ** q,
-                         deriv_fn=None, power=None)
+        spec = f
+
+        def f(u):
+            return abs(derivative(spec, u)) ** q
     rows = reference_rows(f, iv, GATE_GRID_N)
-    reports = [check_convexity(f, iv, s) for s in s_values]
+    reports = [check_convexity("gate", f, iv, s) for s in s_values]
     assert [(r.max_violation, r.witness) for r in reports] == [
         reference_report(rows, s) for s in s_values]
     scale = max(abs(v) for x, fx, y, fy, fcs in rows for v in (fx, fy, *fcs))
@@ -571,7 +567,7 @@ class TestSecondSense:
             for fn_id, iv, s in self.CASES:
                 holds = second_sense(fn_id, iv, s)
                 outcomes.append(holds)
-                c, r = map(mpmath.mpf, get_function(fn_id).power)
+                c, r = map(mpmath.mpf, get_function(fn_id)[1:])
                 a, b = mpmath.mpf(iv.a), mpmath.mpf(iv.b)
                 xs = [a * (b / a) ** (k / 6) for k in range(7)]
                 grid = list(ts)
@@ -607,12 +603,12 @@ class TestSecondSense:
         # exact v at the table's witness is 0
         iv = Interval(1e-3, 1e3)
         assert second_sense(fn_id, iv, 1.0) is True
-        c, r = get_function(fn_id).power
+        c, r = get_function(fn_id)[1:]
         assert power_gate(1, r.as_integer_ratio(), iv, 1.0) is True
         assert float_v(fn_id, notion, x, x, t, 1.0) == printed
         assert exact_v(fn_id, notion, x, x, t, 1.0) <= 0
         if notion == "harmonic":
-            rep = check_convexity(get_function(fn_id), iv, 1.0)
+            rep = scan(fn_id, iv, 1.0)
             assert (rep.max_violation, rep.witness) == (printed, (x, x, t))
 
     def test_table_false_positive(self):

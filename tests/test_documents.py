@@ -1,10 +1,12 @@
 """Byte pins of the documents the CLI writes.
 
-Two kinds of pin: the SHA-256 of each selftest document, rendered from the
-session battery through main, and one SHA-256 over a fixed corpus of
-ordinary-range requests to the four value commands, in json and csv: the
-argv, exit code, stdout and stderr of each. A change to the writer, the
-parser or any value in range moves one of them.
+Three kinds of pin: the SHA-256 of each selftest document, rendered from
+the session battery through main, one SHA-256 over a fixed corpus of
+ordinary-range requests to the four value commands, and one over requests
+whose hypothesis gate is scanned on a --grid-gate grid; each corpus in json
+and csv, hashing the argv, exit code, stdout and stderr of each request. A
+change to the writer, the parser, the gate scan or any value in range moves
+one of them.
 
 The hashes depend on the libm of the machine that computed them (x86-64
 Linux, glibc): pow, log and lgamma may round differently under another
@@ -43,8 +45,15 @@ def num(v: float) -> str:
     return format(v, ".6g")
 
 
+SHAPES = ("const", "id", "pow", "inv", "neg")
+
+
 def function_id(rng: random.Random) -> str:
-    shape = rng.choice(("const", "id", "pow", "inv", "neg"))
+    return shaped_id(rng, rng.choice(SHAPES))
+
+
+def shaped_id(rng: random.Random, shape: str) -> str:
+    """A registry id of the given shape, its constant or exponent drawn."""
     if shape == "const":
         return "const:" + num(rng.uniform(-3.0, 3.0))
     if shape == "pow":
@@ -146,3 +155,70 @@ def test_corpus_digest(capsys):
         digest.update(repr((argv, code, captured.out, captured.err)).encode())
     assert codes == {0, 1, 2}
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+GATE_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
+
+# sampled gates that fail: |f'|^q = (0.5 u^-0.5)^q is not harmonically
+# 1-convex, and -u is not 0.5-convex
+GATE_FAIL_REQUESTS = [
+    ["verify", "--theorem", "T2_3", "--fn", "pow:0.5", "--a", "1", "--b", "2",
+     "--s", "1", "--q", "1", "--grid-gate", "16"],
+    ["verify", "--theorem", "T2_2", "--fn", "neg", "--a", "0.5", "--b", "3",
+     "--s", "0.5", "--grid-gate", "5"],
+    ["ostrowski", "--theorem", "T2_4", "--fn", "pow:0.5", "--a", "1", "--b",
+     "4", "--x", "2", "--s", "1", "--q", "1.5", "--grid-gate", "3"],
+]
+
+# gate tables that overflow: u ** 2 past u = 1.3e154, and |3u^2|^2 at the
+# first node of [1e154, 1e155]
+GATE_EDGE_REQUESTS = [
+    ["verify", "--theorem", "T2_2", "--fn", "pow:2", "--a", "1e150", "--b",
+     "1e160", "--s", "1", "--grid-gate", "16"],
+    ["verify", "--theorem", "T2_3", "--fn", "pow:3", "--a", "1e154", "--b",
+     "1e155", "--s", "1", "--q", "2", "--grid-gate", "16"],
+    ["ostrowski", "--theorem", "T2_3", "--fn", "pow:3", "--a", "1e154",
+     "--b", "1e155", "--x", "5e154", "--q", "1.0000001", "--grid-gate", "3"],
+]
+
+GRID_GATE_SHA256 = ("35aea87fa9d46642f982dff976a174fe"
+                    "461ece64e6b7ebfbe6fcb8d53b86ca02")
+
+
+def grid_gate_request(rng: random.Random, command: str, shape: str) -> list[str]:
+    theorems = GATE_THEOREMS + (("T2_2",) if command == "verify" else ())
+    theorem = rng.choice(theorems)
+    a, b = interval(rng)
+    argv = [command, "--theorem", theorem, "--fn", shaped_id(rng, shape),
+            "--a", num(a), "--b", num(b)]
+    if command == "ostrowski":
+        argv += ["--x", num(rng.uniform(a, b))]
+    argv += ["--s", num(rng.choice((0.25, 0.5, 0.75, 1.0)))]
+    return argv + exponents(rng, theorem) + [
+        "--grid-gate", str(rng.randint(3, 16))]
+
+
+def grid_gate_corpus() -> list[list[str]]:
+    """Two verify requests and one ostrowski request of each registry
+    shape, each with a sampled gate of 3 to 16 nodes per axis, then
+    GATE_FAIL_REQUESTS and GATE_EDGE_REQUESTS; all in both formats."""
+    rng = random.Random(5201)
+    requests = [grid_gate_request(rng, command, shape) for shape in SHAPES
+                for command in ("verify", "verify", "ostrowski")]
+    return [argv + ["--format", fmt] for argv in
+            requests + GATE_FAIL_REQUESTS + GATE_EDGE_REQUESTS
+            for fmt in ("json", "csv")]
+
+
+def test_grid_gate_digest(capsys):
+    digest, codes, gates = hashlib.sha256(), set(), set()
+    for argv in grid_gate_corpus():
+        code = main(argv)
+        captured = capsys.readouterr()
+        codes.add(code)
+        if argv[-1] == "json" and code != 2:
+            gates.add('"hypothesis_ok": true' in captured.out)
+        digest.update(repr((argv, code, captured.out, captured.err)).encode())
+    assert codes == {0, 1, 2}
+    assert gates == {True, False}
+    assert digest.hexdigest() == GRID_GATE_SHA256

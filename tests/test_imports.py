@@ -89,6 +89,65 @@ def settable_values(path: Path) -> int:
     return count
 
 
+def named_tuple_fields(path: Path, name: str) -> tuple[str, ...]:
+    """The annotated fields of the NamedTuple class `name` of path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            assert is_named_tuple(node)
+            return tuple(stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign))
+    raise AssertionError(f"no class {name} in {path.name}")
+
+
+def spec_builders(path: Path) -> list[str]:
+    """`<file>:<function>` for each call in path that builds a FunctionSpec,
+    by its name or through one of its class methods."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and func.attr in (
+                        "_make", "__new__"):
+                    func = func.value
+                if ((isinstance(func, ast.Name) and func.id == "FunctionSpec")
+                        or (isinstance(func, ast.Attribute)
+                            and func.attr == "FunctionSpec")):
+                    found.append(f"{path.name}:{where}")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_function_type():
+    # a function is the power law (fn_id, c, r), and only the registry
+    # builds one, so f and f' follow the one rule of FunctionSpec and
+    # derivative
+    numeric = ROOT / "src" / "hsconvex" / "numeric.py"
+    assert named_tuple_fields(numeric, "FunctionSpec") == ("fn_id", "c", "r")
+    assert hsconvex.FunctionSpec._fields == ("fn_id", "c", "r")
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    builders = [hit for f in files for hit in spec_builders(f)]
+    assert set(builders) == {"numeric.py:get_function"}
+
+
+def test_spec_builder_detector_finds_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from hsconvex import numeric\n"
+                     "from hsconvex.numeric import FunctionSpec\n"
+                     "A = FunctionSpec('a', 1.0, 1.0)\n"
+                     "def f():\n    return numeric.FunctionSpec('b', 1.0, 2.0)\n"
+                     "def g():\n    return FunctionSpec._make(('c', 1.0, 3.0))\n",
+                     encoding="utf-8")
+    assert spec_builders(probe) == ["probe.py:<module>", "probe.py:f",
+                                    "probe.py:g"]
+
+
 def test_settable_values_pinned():
     # each default is a value a caller may set; a new one must be added on
     # purpose, by raising this count in the same change

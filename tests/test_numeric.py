@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsconvex.convexity import check_convexity
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (DEFAULT_TOL, MAX_EVALS, FunctionSpec, Interval,
                               QuadResult, arithmetic_mean, derivative,
-                              get_function, integrate, power_law,
-                              weighted_mean)
+                              get_function, integrate, weighted_mean)
 
 
 class TestInterval:
@@ -174,20 +174,31 @@ class TestDerivative:
         assert derivative(g, 2.0) == -0.25
 
     def test_failing_or_non_finite_derivative(self):
-        for deriv_fn in (lambda x: 1.0 / (x - 1.0), lambda x: math.inf,
-                         lambda x: math.sqrt(-x)):
-            with pytest.raises(DomainError):
-                derivative(FunctionSpec(fn_id="bad", eval_fn=lambda x: x,
-                                        deriv_fn=deriv_fn, power=None), 1.0)
+        # (c*r)/(x*x) and x^(r-1) divide by zero, c*r*x^(r-1) overflows
+        # or is inf
+        cases = [(FunctionSpec("k", 1.0, -1.0), 0.0, ZeroDivisionError),
+                 (FunctionSpec("k", 1.0, 0.5), 0.0, ZeroDivisionError),
+                 (FunctionSpec("k", 1.0, 3.0), 1e200, OverflowError),
+                 (FunctionSpec("k", 3.0, 3.0), 1e154, None)]
+        for f, x, cause in cases:
+            with pytest.raises(DomainError) as exc:
+                derivative(f, x)
+            assert type(exc.value.__cause__) is (cause or type(None))
 
 
 class TestValues:
+    """The table of a gate scan: check_convexity evaluates its function
+    once per point, nodes first, and guards the whole table at once; a
+    failure is reported as the per-point guard of f reports it, at the
+    first bad point."""
+
+    # the nodes of a 6-point grid on [1, 6], in scan order
     XS = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     @staticmethod
     def failing(kind, bad):
-        """An eval_fn that fails in the way `kind` names at x == bad."""
-        def eval_fn(x):
+        """A function that fails in the way `kind` names at x == bad."""
+        def fn(x):
             if x != bad:
                 return x
             if kind == "zero_division":
@@ -197,65 +208,74 @@ class TestValues:
             if kind == "value":
                 return math.sqrt(-x)
             return {"inf": math.inf, "nan": math.nan}[kind]
-        return eval_fn
+        return fn
 
     @staticmethod
-    def per_point_error(f, xs):
-        with pytest.raises(DomainError) as exc:
-            for x in xs:
-                f(x)
-        return exc.value
+    def per_point_error(name, fn, xs):
+        """The DomainError of the first bad point of xs, guarded as f is."""
+        for x in xs:
+            try:
+                v = fn(x)
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                return f"{name}: evaluation failed at {x}", type(exc)
+            if not math.isfinite(v):
+                return f"{name}: non-finite value at {x}", type(None)
+        raise AssertionError("no bad point")
 
-    def assert_same_error(self, f, xs):
-        expected = self.per_point_error(f, xs)
+    def scan_error(self, name, fn):
         with pytest.raises(DomainError) as exc:
-            f.values(xs)
-        assert str(exc.value) == str(expected)
-        assert type(exc.value.__cause__) is type(expected.__cause__)
+            check_convexity(name, fn, Interval(1.0, 6.0), 1.0, len(self.XS))
+        return str(exc.value), type(exc.value.__cause__)
 
     def test_values_equal_the_calls(self):
+        # the plain c*u^r and the guarded calls of f give one scan
+        iv = Interval(0.5, 5.25)
         for fn_id in ("pow:0.5", "inv", "neg", "const:2"):
             f = get_function(fn_id)
-            xs = [0.5 + 0.25 * i for i in range(20)]
-            assert f.values(xs) == [f(x) for x in xs]
-        assert get_function("id").values([]) == []
+            plain = (lambda u: f.c / u) if f.r == -1.0 else (
+                lambda u: f.c * u ** f.r)
+            assert (check_convexity(fn_id, plain, iv, 0.5, 20)
+                    == check_convexity(fn_id, f, iv, 0.5, 20))
 
     @pytest.mark.parametrize("kind", ["zero_division", "overflow", "value",
                                       "inf", "nan"])
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_failing_point_raises_as_the_calls_do(self, kind, k):
-        f = FunctionSpec(fn_id="bad", eval_fn=self.failing(kind, self.XS[k]),
-                         deriv_fn=None, power=None)
-        self.assert_same_error(f, self.XS)
+        fn = self.failing(kind, self.XS[k])
+        assert self.scan_error("bad", fn) == self.per_point_error("bad", fn,
+                                                                  self.XS)
 
     def test_first_bad_point_wins(self):
         # a nan at 2.0 comes before a division by zero at 4.0: the batch
         # stops at the division, the error still names 2.0
         nan_at_2 = self.failing("nan", 2.0)
 
-        def eval_fn(x):
+        def fn(x):
             return 1.0 / (x - 4.0) if x == 4.0 else nan_at_2(x)
 
-        f = FunctionSpec(fn_id="bad", eval_fn=eval_fn, deriv_fn=None, power=None)
-        self.assert_same_error(f, self.XS)
-        with pytest.raises(DomainError, match="non-finite value at 2.0"):
-            f.values(self.XS)
+        assert self.scan_error("bad", fn) == (
+            "bad: non-finite value at 2.0", type(None))
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, -math.inf])
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_points_outside_the_domain(self, bad, k):
+        # no scan point lies outside (0, inf]; f refuses one itself, at the
+        # first bad point of a run of calls
         xs = list(self.XS)
         xs[k] = bad
         for fn_id in ("id", "inv", "pow:0.5"):
-            self.assert_same_error(get_function(fn_id), xs)
+            f = get_function(fn_id)
+            with pytest.raises(DomainError) as exc:
+                [f(x) for x in xs]
+            assert str(exc.value) == f"{fn_id}: {bad} outside domain (0.0, inf]"
+            assert exc.value.__cause__ is None
 
     def test_other_exceptions_propagate(self):
-        def eval_fn(x):
+        def fn(x):
             raise KeyError(x)
 
         with pytest.raises(KeyError):
-            FunctionSpec(fn_id="bad", eval_fn=eval_fn, deriv_fn=None,
-                         power=None).values(self.XS)
+            check_convexity("bad", fn, Interval(1.0, 6.0), 1.0, 6)
 
 
 class TestRegistry:
@@ -279,7 +299,7 @@ class TestRegistry:
         cases = {"id": (1.0, 1.0), "inv": (1.0, -1.0), "neg": (-1.0, 1.0),
                  "const:-1.5": (-1.5, 0.0), "pow:2.30000001": (1.0, 2.30000001)}
         for fn_id, power in cases.items():
-            assert get_function(fn_id).power == power
+            assert get_function(fn_id)[1:] == power
 
     def test_unknown_ids(self):
         unknown = ("unknown function id {!r}; expected one of const:<c>, id, "
@@ -346,7 +366,7 @@ class TestRegistry:
             assert f.fn_id == name
             g = get_function(f.fn_id)
             assert g.fn_id == name
-            assert g.values(xs) == f.values(xs)
+            assert [g(x) for x in xs] == [f(x) for x in xs]
             assert [derivative(g, x) for x in xs] == [derivative(f, x)
                                                       for x in xs]
 
@@ -360,7 +380,7 @@ class TestRegistry:
             assert get_function("const:" + text).fn_id == "const:" + text
 
     def test_power_law(self):
-        f = power_law("k", 3.0, 2.5)
+        f = FunctionSpec("k", 3.0, 2.5)
         assert (f.fn_id, f(2.0), derivative(f, 2.0)) == (
             "k", 3.0 * 2.0 ** 2.5, 7.5 * 2.0 ** 1.5)
 
@@ -390,6 +410,22 @@ def outcome(call, x):
     return v, math.copysign(1.0, v)
 
 
+def reference_outcome(fn_id, form, x, what):
+    """outcome of the closed lambda `form` at x under the guard of f
+    (what = "value") or f' (what = "derivative"): a point below 0 or nan is
+    outside the domain of f, a failing call fails with its cause, and an
+    infinite or nan result is non-finite."""
+    if what == "value" and not x >= 0.0:
+        return f"{fn_id}: {x} outside domain (0.0, inf]", type(None)
+    try:
+        v = form(x)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        return f"{fn_id}: {what.replace('value', 'evaluation')} failed at {x}", type(exc)
+    if not math.isfinite(v):
+        return f"{fn_id}: non-finite {what} at {x}", type(None)
+    return v, math.copysign(1.0, v)
+
+
 def log_spread(n, seed):
     """n points spread in log scale over the positive floats, with the
     smallest and largest, the least normal, 0, 1, 1e200 and inf."""
@@ -410,12 +446,15 @@ class TestReferenceForms:
     def test_values_and_derivative_bit_identical(self, fn_id):
         f = get_function(fn_id)
         eval_fn, deriv_fn = reference_forms(fn_id)
-        ref = FunctionSpec(fn_id=f.fn_id, eval_fn=eval_fn, deriv_fn=deriv_fn,
-                           power=None)
         for x in self.XS:
-            assert outcome(f, x) == outcome(ref, x), x
+            assert outcome(f, x) == reference_outcome(f.fn_id, eval_fn, x,
+                                                      "value"), x
             assert (outcome(lambda u: derivative(f, u), x)
-                    == outcome(lambda u: derivative(ref, u), x)), x
+                    == reference_outcome(f.fn_id, deriv_fn, x,
+                                         "derivative")), x
+        for x in (-1e-300, -1.0, -math.inf, math.nan):
+            assert outcome(f, x) == reference_outcome(f.fn_id, eval_fn, x,
+                                                      "value"), x
 
     def test_failures_keep_their_errors(self):
         inv, pow3 = get_function("inv"), get_function("pow:3")
