@@ -30,9 +30,8 @@ from typing import Optional
 from .errors import DomainError, NumericError
 # integrate is not called here, but perfbench's tracer test reads the name
 # from this module
-from .numeric import (DEFAULT_TOL, MIN_NORMAL, FunctionSpec, Interval,
-                      arithmetic_mean, derivative, integrate, validate_s,
-                      weighted_mean)
+from .numeric import (MIN_NORMAL, FunctionSpec, Interval, arithmetic_mean,
+                      derivative, integrate, validate_s, weighted_mean)
 from .specfn import Z_CAP, Gauss2F1, beta
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
@@ -166,12 +165,10 @@ def _finite(fn):
     return finite_fn
 
 
-# the values of the sweep in progress: each lambda argument tuple
-# (kind, theta, x, s, vartheta, rho) maps to its weight, each
-# (kind, s, vartheta, rho) to the part of its weight that no theta or x
-# changes, its Beta factor and its Gauss2F1 with the ratio table, and each
-# ("mean", c, r, iv, tol) to a weighted mean (shared_mean). None outside a
-# lambda_memo block
+# the weights of the sweep in progress: each lambda argument tuple maps to
+# its weight, each (kind, s, vartheta, rho) to the Beta factor and the
+# Gauss2F1 with its ratio table, which no theta or x changes. None outside
+# a lambda_memo block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
@@ -179,14 +176,10 @@ _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
 @contextlib.contextmanager
 def lambda_memo():
     """Within the block, lambda_value computes each distinct argument tuple
-    once and returns the stored value after, and sums the 2F1 of every
-    weight that shares (kind, s, vartheta, rho) from one ratio table. A
-    weight does not depend on f, so a sweep over many functions repeats
-    the same few hundred, and the x points of one scan share their tables.
-    shared_mean keeps each weighted mean in the same block, so the sweeps
-    of one battery integrate a mean once. A block inside another shares
-    the outer block's memo; the memo ends with the outermost block, so no
-    value or table outlives the run that computed it."""
+    once, and sums the 2F1 of every weight that shares (kind, s, vartheta,
+    rho) from one ratio table: a weight does not depend on f, and the x
+    points of one scan share their tables. A nested block shares the outer
+    memo, which ends with the outermost block, so nothing outlives its run."""
     if _LAMBDA_MEMO.get() is not None:
         yield
         return
@@ -195,19 +188,6 @@ def lambda_memo():
         yield
     finally:
         _LAMBDA_MEMO.reset(token)
-
-
-def shared_mean(f: FunctionSpec, iv: Interval, tol: float) -> float:
-    """weighted_mean(f, iv, tol), integrated once per (c, r, a, b, tol)
-    within a lambda_memo block. The key is (c, r), not fn_id: id and pow:1
-    name one function."""
-    memo = _LAMBDA_MEMO.get()
-    if memo is None:
-        return weighted_mean(f, iv, tol)
-    key = ("mean", f.c, f.r, iv, tol)
-    if key not in memo:
-        memo[key] = weighted_mean(f, iv, tol)
-    return memo[key]
 
 
 @_finite
@@ -271,24 +251,31 @@ def lambda5(theta: float, x: float) -> float:
     return acc / (x * x)
 
 
-def hh_harmonic_bounds(f: FunctionSpec, iv: Interval, s: float,
-                       tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def harmonic_midpoint(iv: Interval) -> float:
+    """2ab/(a+b), correctly rounded as the integer quotient 2pm/(pn + mq) of
+    a = p/q and b = m/n: no product ab overflows or underflows on the way."""
+    (p, q), (m, n) = iv.a.as_integer_ratio(), iv.b.as_integer_ratio()
+    return 2 * p * m / (p * n + m * q)
+
+
+def hh_harmonic_bounds(f: FunctionSpec, iv: Interval,
+                       s: float) -> tuple[float, float, float]:
     """Return the harmonic Hermite-Hadamard chain (left, middle, right):
 
         2^(s-1) f(2ab/(a+b))  <=  (ab/(b-a)) int_a^b f(u)/u^2 du  <=  (f(a)+f(b))/(s+1)
 
     The chain holds whenever f is harmonically s-convex on [a, b]; this
-    function only evaluates the three members. The middle is shared_mean's.
+    function only evaluates the three members.
     """
     validate_s(s)
-    left = 2.0 ** (s - 1.0) * f(2.0 * iv.a * iv.b / (iv.a + iv.b))
-    middle = shared_mean(f, iv, tol)
+    left = 2.0 ** (s - 1.0) * f(harmonic_midpoint(iv))
+    middle = weighted_mean(f, iv)
     right = (f(iv.a) + f(iv.b)) / (s + 1.0)
     return left, middle, right
 
 
-def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float, s: float,
-                       tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float,
+                       s: float) -> tuple[float, float, float]:
     """Return the arithmetic-mean chain (left, middle, right):
 
         2^(s-1) f((a+b)/2)  <=  (1/(b-a)) int_a^b f  <=  (f(a)+f(b))/(s+1)
@@ -297,10 +284,8 @@ def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float, s: float,
     harmonic chain.
     """
     validate_s(s)
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 <= a < b):
-        raise DomainError(f"requires 0 <= a < b, got [{a}, {b}]")
     left = 2.0 ** (s - 1.0) * f((a + b) / 2.0)
-    middle = arithmetic_mean(f, a, b, tol)
+    middle = arithmetic_mean(f, a, b)
     right = (f(a) + f(b)) / (s + 1.0)
     return left, middle, right
 
@@ -320,12 +305,11 @@ def classic_ostrowski_rhs(x: float, iv: Interval, M: float) -> float:
     return M * w * (0.25 + ((x - mid) / w) ** 2)
 
 
-def ostrowski_lhs(f: FunctionSpec, x: float, iv: Interval,
-                  tol: float = DEFAULT_TOL) -> float:
+def ostrowski_lhs(f: FunctionSpec, x: float, iv: Interval) -> float:
     """Return |f(x) - (ab/(b-a)) int_a^b f(u)/u^2 du|."""
     if not iv.a <= x <= iv.b:
         raise DomainError(f"x={x} outside [{iv.a}, {iv.b}]")
-    return abs(f(x) - weighted_mean(f, iv, tol))
+    return abs(f(x) - weighted_mean(f, iv))
 
 
 @_finite

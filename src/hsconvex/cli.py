@@ -35,8 +35,8 @@ from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
                      OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
 from .convexity import VIOLATION_TOL
 from .errors import DomainError, NumericError
-from .numeric import (DEFAULT_TOL, MIN_NORMAL, Interval, arithmetic_mean,
-                      derivative, get_function, integrate)
+from .numeric import (MIN_NORMAL, Interval, arithmetic_mean, derivative,
+                      get_function, integrate)
 from .verify import (ROW_FIELDS, VERIFY_THEOREMS, X_GRID_N, bound_row,
                      hypothesis_gate, run_battery, verify_theorem)
 
@@ -148,11 +148,10 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
 
 def cmd_hh(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
-    if ns.variant == "harmonic":
-        left, middle, right = hh_harmonic_bounds(f, Interval(ns.a, ns.b),
-                                                 ns.s, ns.tol)
-    else:
-        left, middle, right = hh_s_convex_bounds(f, ns.a, ns.b, ns.s, ns.tol)
+    left, middle, right = (
+        hh_harmonic_bounds(f, Interval(ns.a, ns.b), ns.s)
+        if ns.variant == "harmonic"
+        else hh_s_convex_bounds(f, ns.a, ns.b, ns.s))
     payload = {
         "variant": ns.variant, "fn": f.fn_id, "a": ns.a, "b": ns.b, "s": ns.s,
         "left": left, "middle": middle, "right": right,
@@ -171,8 +170,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
     if ns.theorem == "classic":
         if ns.M is None:
             raise DomainError("classic needs --M (a bound on |f'|)")
-        mean = arithmetic_mean(f, iv.a, iv.b, ns.tol)
-        lhs = abs(f(ns.x) - mean)
+        lhs = abs(f(ns.x) - arithmetic_mean(f, iv.a, iv.b))
         rhs = classic_ostrowski_rhs(ns.x, iv, ns.M)
         # the hypothesis here is |f'| <= M on [a, b]; |c*r*u^(r-1)| is
         # monotone, so its maximum sits at an endpoint
@@ -180,7 +178,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
         hyp_ok = worst <= ns.M + VIOLATION_TOL
     else:
         hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q, ns.grid_gate)
-        lhs = ostrowski_lhs(f, ns.x, iv, ns.tol)
+        lhs = ostrowski_lhs(f, ns.x, iv)
         rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q, p, M=ns.M)
     row = bound_row(ns.theorem, ns.x, iv, ns.s, q, p, ns.M, lhs, rhs, hyp_ok)
     _write(ns, _document(ns, ROW_FIELDS, [row], row))
@@ -191,8 +189,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     f = get_function(ns.fn)
     iv = Interval(ns.a, ns.b)
     doc = verify_theorem(ns.theorem, f, iv, ns.s, ns.q, ns.p,
-                         x_grid=ns.grid, gate_grid_n=ns.grid_gate,
-                         tol=ns.tol)
+                         x_grid=ns.grid, gate_grid_n=ns.grid_gate)
     _write(ns, _document(ns, ROW_FIELDS, doc["results"], doc))
     return 0 if doc["pass"] else 1
 
@@ -260,7 +257,6 @@ COMMANDS = {
                            help="harmonic chain (weighted mean, default) or "
                                 "the arithmetic-mean chain for s-convex "
                                 "functions")),
-        ("--tol", dict(type=float, default=DEFAULT_TOL)),
         _OUT, _JSON_CSV)),
     "ostrowski": ("evaluate one bound instance at x", cmd_ostrowski, (
         ("--theorem", dict(required=True,
@@ -274,7 +270,6 @@ COMMANDS = {
         ("--p", dict(type=float, default=None)),
         ("--M", dict(type=float, default=None,
                      help="derivative bound; replaces every |f'| magnitude")),
-        ("--tol", dict(type=float, default=DEFAULT_TOL)),
         ("--grid-gate", dict(type=int, default=None,
                              help="grid size per axis for the hypothesis "
                                   "gate")),
@@ -290,7 +285,6 @@ COMMANDS = {
         ("--p", dict(type=float, default=None)),
         ("--grid", dict(type=int, default=X_GRID_N, help="number of x points")),
         ("--grid-gate", dict(type=int, default=None)),
-        ("--tol", dict(type=float, default=DEFAULT_TOL)),
         _OUT, _JSON_CSV)),
     "selftest": ("run the full verification battery", cmd_selftest, (
         ("--tol", dict(type=float, default=None,

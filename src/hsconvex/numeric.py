@@ -1,21 +1,22 @@
-"""Adaptive quadrature oracle and the function registry.
-
-The verifier in this package never trusts a closed form on its own: every
-formula is cross-checked against `integrate`, a globally adaptive
-Gauss-Kronrod 7/15 scheme. The embedded 7-point Gauss rule provides the
-error estimate |K15 - G7| per panel; the panel with the worst estimate is
-bisected until the summed estimate drops below the caller's tolerance.
+"""The function registry, its closed means and the quadrature oracle.
 
 `FunctionSpec` is the one function type: a registry function c*u^r, held as
 its exact name (const:<c>, id, pow:<r>, inv, neg) and (c, r). Calling it
-gives f(u) and `derivative` gives f'(u), each by one rule.
+gives f(u), `derivative` gives f'(u), and `weighted_mean` and
+`arithmetic_mean` give its two means, each by one closed form.
+
+`integrate`, a globally adaptive Gauss-Kronrod 7/15 scheme, is the oracle
+every closed form is held against, and is used for nothing else. The
+embedded 7-point Gauss rule provides the error estimate |K15 - G7| per
+panel; the panel with the worst estimate is bisected until the summed
+estimate drops below the caller's tolerance.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericError
 
@@ -210,33 +211,55 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     return QuadResult(value=value, err_est=total_err, evals=evals)
 
 
-def arithmetic_mean(f: FunctionSpec, a: float, b: float, tol: float) -> float:
-    """Return (1/(b-a)) * integral_a^b f(u) du, with the integral to
-    absolute tolerance tol. Where the integral is not a normal float (at
-    tiny a and b it underflows before the division), the mean is taken as
-    integral_0^1 f(a + t(b-a)) dt instead, to the same tolerance."""
-    total = integrate(f, a, b, tol).value
-    if abs(total) >= MIN_NORMAL:
-        return total / (b - a)
-    return integrate(lambda t: f(a + t * (b - a)), 0.0, 1.0, tol).value
+def _power_mean(f: FunctionSpec, base: float, k: float,
+                w: Optional[float]) -> float:
+    """A mean of f = c*u^r: c*base^r times expm1(k*L)/(k*w), L = log1p(w)
+    (L/w at k = 0, 1/k for w None), and c itself at r = 0. The quotient is
+    formed before the product, which could go subnormal on the way. Raises
+    NumericError where c*base^r or the mean leaves the normal floats."""
+    if f.r == 0.0:
+        return f.c
+    try:
+        scale = f.c * base ** f.r
+        ratio = (1.0 / k if w is None else math.log1p(w) / w if k == 0.0
+                 else math.expm1(k * math.log1p(w)) / (k * w))
+    except OverflowError as exc:
+        raise NumericError(f"{f.fn_id}: the mean overflows") from exc
+    v = scale * ratio
+    if not (abs(scale) >= MIN_NORMAL and MIN_NORMAL <= abs(v) < math.inf):
+        raise NumericError(f"{f.fn_id}: the mean leaves the normal floats")
+    return v
 
 
-def weighted_mean(f: FunctionSpec, iv: Interval, tol: float = DEFAULT_TOL) -> float:
-    """Return (ab/(b-a)) * integral_a^b f(u)/u^2 du.
+def arithmetic_mean(f: FunctionSpec, a: float, b: float) -> float:
+    """Return (1/(b-a)) * integral_a^b f(u) du for 0 <= a < b in closed
+    form: c*a^r * expm1((r+1)L)/((r+1)w) with w = (b-a)/a and L =
+    log1p(w), and c*b^r/(r+1) at a = 0, where r <= -1 diverges."""
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 <= a < b):
+        raise DomainError(f"requires 0 <= a < b, got [{a}, {b}]")
+    if a > 0.0:
+        return _power_mean(f, a, f.r + 1.0, (b - a) / a)
+    if f.r <= -1.0:
+        raise DomainError(f"{f.fn_id}: the integral diverges at 0")
+    return _power_mean(f, b, f.r + 1.0, None)
 
-    This is the integral average against the measure du/u^2 that every
-    harmonic-mean inequality in this package compares against.
-    """
-    q = integrate(lambda u: f(u) / (u * u), iv.a, iv.b, tol)
-    return iv.a * iv.b / (iv.b - iv.a) * q.value
+
+def weighted_mean(f: FunctionSpec, iv: Interval) -> float:
+    """Return (ab/(b-a)) * integral_a^b f(u)/u^2 du, the mean against du/u^2
+    of every harmonic inequality here, in closed form: the arithmetic mean
+    of c*v^(-r) over [1/b, 1/a], c*b^r * expm1((1-r)L)/((1-r)w) with the w
+    and L of arithmetic_mean."""
+    return _power_mean(f, iv.b, 1.0 - f.r, (iv.b - iv.a) / iv.a)
 
 
 def derivative(f: FunctionSpec, x: float) -> float:
     """Return f'(x) = (c*r)*x^(r-1): (c*r)/(x*x) at r = -1, as x**-2.0
     rounds differently, and +0.0 at r = 0, as c*0 is -0.0 for c < 0 and
-    x**-1.0 overflows at a subnormal x. Raises DomainError when that fails
-    or is not finite at x."""
+    x**-1.0 overflows at a subnormal x. Raises DomainError at x < 0, and
+    where that fails or is not finite."""
     c, r = f.c, f.r
+    if not x >= 0.0:
+        raise DomainError(f"{f.fn_id}: {x} outside domain (0.0, inf]")
     try:
         if r == 0.0:
             v = 0.0

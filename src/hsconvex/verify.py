@@ -9,8 +9,8 @@ law, decided exactly (convexity.power_gate), and a search that spends its
 budget is an error, not a sampled answer; a gate grid, when one is asked
 for, is scanned instead.
 
-lambda_consistency_rows is the package's oracle comparison: every lambda
-closed form against its defining integral by adaptive quadrature.
+lambda_consistency_rows and mean_fidelity hold every lambda closed form and
+both closed means against quadrature of their defining integrals.
 run_battery runs every check once, for the CLI's selftest and the
 acceptance tests alike; its comparison-proposition row counts the
 implications whose consequent fails, each decided exactly.
@@ -22,19 +22,20 @@ import math
 import time
 from typing import Callable, NamedTuple, Optional
 
-from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds, lambda5,
-                     lambda5_integrand, lambda_integrand, lambda_memo,
-                     lambda_value, ostrowski_rhs, resolve_exponents,
-                     shared_mean, OSTROWSKI_THEOREMS)
+from .bounds import (classic_ostrowski_rhs, harmonic_midpoint,
+                     hh_harmonic_bounds, lambda5, lambda5_integrand,
+                     lambda_integrand, lambda_memo, lambda_value,
+                     ostrowski_rhs, resolve_exponents, OSTROWSKI_THEOREMS)
 from .convexity import (VIOLATION_TOL, check_am_hm, check_convexity,
                         power_gate, proposition_implications, uniform_grid)
 from .errors import DomainError
-from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, arithmetic_mean,
-                      derivative, exact, get_function, integrate, validate_s)
+from .numeric import (FunctionSpec, Interval, arithmetic_mean, derivative,
+                      exact, get_function, integrate, validate_s,
+                      weighted_mean)
 from .specfn import beta, hyp2f1
 
-# combined quadrature + special-function error across an lhs/rhs pair stays
-# well under this; slacks below -SLACK_TOL are genuine violations
+# combined closed-form and special-function error across an lhs/rhs pair
+# stays well under this; slacks below -SLACK_TOL are genuine violations
 SLACK_TOL = 1e-9
 
 VERIFY_THEOREMS = ("T2_2",) + OSTROWSKI_THEOREMS
@@ -71,14 +72,13 @@ def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:
           = (ab/(b-a)) [ (x-a)^2 int_0^1 t/(ta+(1-t)x)^2 f'(ax/(ta+(1-t)x)) dt
                        - (b-x)^2 int_0^1 t/(tb+(1-t)x)^2 f'(bx/(tb+(1-t)x)) dt ]
 
-    Both sides are evaluated by quadrature (the mean by shared_mean) and
-    |lhs - rhs| returned; for a differentiable f the residual is pure
-    numerical noise.
+    The mean is closed, the right side is taken by quadrature, and |lhs -
+    rhs| is returned; for a differentiable f it is pure numerical noise.
     """
     a, b = iv.a, iv.b
     if not a <= x <= b:
         raise DomainError(f"x={x} outside [{a}, {b}]")
-    lhs = f(x) - shared_mean(f, iv, DEFAULT_TOL)
+    lhs = f(x) - weighted_mean(f, iv)
 
     def side_integral(theta: float) -> float:
         def integrand(t: float) -> float:
@@ -140,8 +140,8 @@ def hypothesis_gate(theorem: str, f: FunctionSpec, iv: Interval, s: float,
 
 def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                    q: Optional[float], p: Optional[float],
-                   x_grid: int = X_GRID_N, gate_grid_n: Optional[int] = None,
-                   tol: float = DEFAULT_TOL) -> dict:
+                   x_grid: int = X_GRID_N,
+                   gate_grid_n: Optional[int] = None) -> dict:
     """Gate a theorem's hypothesis, then scan its inequality over x.
 
     Returns the document `hsconvex verify` prints: theorem, grid, results
@@ -151,12 +151,9 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and yield one row per
     x-grid point. The exponents (q, p) are resolved once
     (resolve_exponents), and the gate is hypothesis_gate's, on the
-    gate_grid_n grid if one is given. The mean is shared_mean's, so an
-    enclosing lambda_memo block integrates it once for all its scans. A
-    failed gate short-circuits: results stay empty, min_slack is None and
-    pass is false, without any slack claim. An x grid of more than
-    MAX_X_GRID points, and a tol that is not finite and positive, are
-    refused before any evaluation.
+    gate_grid_n grid if one is given. A failed gate short-circuits: results
+    stay empty, min_slack is None and pass is false, without any slack
+    claim. An x grid of more than MAX_X_GRID points is refused first.
     """
     validate_s(s)
     if theorem not in VERIFY_THEOREMS:
@@ -165,28 +162,23 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     if not 1 <= x_grid <= MAX_X_GRID:
         raise DomainError(f"x_grid must have 1 to {MAX_X_GRID} points, "
                           f"got {x_grid}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
     q, p = resolve_exponents(theorem, q, p)
     holds = hypothesis_gate(theorem, f, iv, s, q, gate_grid_n)
     a, b = iv.a, iv.b
     rows: list[dict] = []
     if holds and theorem == "T2_2":
-        left, middle, right = hh_harmonic_bounds(f, iv, s, tol)
-        h_mid = 2.0 * a * b / (a + b)
-        rows.append(bound_row("T2_2_left", h_mid, iv, s, None, None, None,
-                              left, middle, True))
-        rows.append(bound_row("T2_2_right", h_mid, iv, s, None, None, None,
-                              middle, right, True))
+        left, middle, right = hh_harmonic_bounds(f, iv, s)
+        h_mid = harmonic_midpoint(iv)
+        rows = [bound_row(name, h_mid, iv, s, None, None, None, lhs, rhs, True)
+                for name, lhs, rhs in (("T2_2_left", left, middle),
+                                       ("T2_2_right", middle, right))]
     elif holds:
-        wm = shared_mean(f, iv, tol)  # one quadrature shared by all x
+        wm = weighted_mean(f, iv)
         # the x points share each weight's ratio table (lambda_memo)
         with lambda_memo():
-            for x in uniform_grid(a, b, x_grid):
-                lhs = abs(f(x) - wm)
-                rhs = ostrowski_rhs(theorem, f, x, iv, s, q, p)
-                rows.append(bound_row(theorem, x, iv, s, q, p, None,
-                                      lhs, rhs, True))
+            rows = [bound_row(theorem, x, iv, s, q, p, None, abs(f(x) - wm),
+                              ostrowski_rhs(theorem, f, x, iv, s, q, p), True)
+                    for x in uniform_grid(a, b, x_grid)]
     min_slack = min((r["slack"] for r in rows), default=None)
     return {
         "theorem": theorem,
@@ -258,6 +250,19 @@ LEMMA_FUNCTIONS = ("const:2", "id", "pow:2", "pow:0.5", "inv")
 LEMMA_INTERVALS = ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
 
 
+def mean_fidelity() -> list[float]:
+    """Both closed means of every lemma case (LEMMA_FUNCTIONS on
+    LEMMA_INTERVALS) against quadrature of the integral that defines each,
+    as relative discrepancies."""
+    return [abs(closed - oracle) / abs(closed)
+            for f in map(get_function, LEMMA_FUNCTIONS)
+            for a, b in LEMMA_INTERVALS for closed, oracle in (
+                (weighted_mean(f, Interval(a, b)), a * b / (b - a) * integrate(
+                    lambda u: f(u) / (u * u), a, b, 1e-13).value),
+                (arithmetic_mean(f, a, b),
+                 integrate(f, a, b, 1e-13).value / (b - a)))]
+
+
 def _matrix_configs():
     """Yield (theorem, fn_id, iv, s, q, p) across the sweep matrix, with
     the exponents as resolve_exponents gives them.
@@ -281,8 +286,8 @@ def run_ostrowski_matrix() -> list[dict]:
     """The verify_theorem documents of the whole sweep matrix, in a fixed
     order, with its defaults: X_GRID_N x points, and a gate that
     power_gate decides, as every matrix function is a power law, so no
-    table is built. Lambda weights and weighted means are shared across
-    the sweep (lambda_memo).
+    table is built. Lambda weights are shared across the sweep
+    (lambda_memo).
     """
     with lambda_memo():
         return [verify_theorem(theorem, get_function(fn_id), iv, s, q, p)
@@ -374,10 +379,9 @@ def lambda_checks(rows: list[dict]) -> list[tuple]:
 def run_battery() -> list[Check]:
     """Run every check of the package once: one Check per row, in a fixed
     order from closed-form fidelity to the special-function spot checks.
-    The rows from the lemma identity to the corollary sweep run in one
-    lambda_memo block, so each distinct weighted mean is integrated once;
-    the block ends with the run. The corollary sweep reads the theorem rhs
-    of the matrix reports."""
+    The matrix and the corollary sweep run in one lambda_memo block, which
+    ends with the run; the sweep reads the theorem rhs of the matrix
+    reports."""
     checks: list[Check] = []
     t0 = time.perf_counter()
 
@@ -390,35 +394,29 @@ def run_battery() -> list[Check]:
 
     # closed forms vs the quadrature oracle
     add(*lambda_checks(lambda_consistency_rows()))
+    errs = mean_fidelity()
+    add(("mean_fidelity", "max_err", max(errs), 1e-10, len(errs)))
 
-    # the lemma rows, the chain, its reference middle and the matrix share
-    # their weighted means, the matrix and the corollary sweep their lambda
-    # weights (lambda_memo)
+    # the integral identity behind all the bounds
+    residuals = [lemma_residual(f, x, Interval(a, b)) / (1.0 + abs(f(x)))
+                 for f in map(get_function, LEMMA_FUNCTIONS)
+                 for a, b in LEMMA_INTERVALS
+                 for x in uniform_grid(a, b, 9)]
+    add(("lemma_identity", "max_err", max(residuals), 1e-7, len(residuals)))
+
+    # two-sided chain for x^s on subintervals of (0, 1]; a failed gate
+    # reads as -inf
+    chains = [verify_theorem("T2_2", get_function(f"pow:{s:g}"),
+                             Interval(a, b), s, None, None)
+              for s in (0.25, 0.5, 0.75, 1.0)
+              for a, b in ((0.25, 1.0), (0.1, 0.9))]
+    add(("hh_chain_slack", "min_slack",
+         min(r["min_slack"] if r["hypothesis_ok"] else -math.inf
+             for r in chains), 1e-12, len(chains)))
+
+    # the matrix and the corollary sweep share their lambda weights
+    # (lambda_memo)
     with lambda_memo():
-        # the integral identity behind all the bounds
-        residuals = [lemma_residual(f, x, Interval(a, b)) / (1.0 + abs(f(x)))
-                     for f in map(get_function, LEMMA_FUNCTIONS)
-                     for a, b in LEMMA_INTERVALS
-                     for x in uniform_grid(a, b, 9)]
-        add(("lemma_identity", "max_err", max(residuals), 1e-7,
-             len(residuals)))
-
-        # two-sided chain for x^s on subintervals of (0, 1]
-        min_chain, cases = math.inf, 0
-        for s in (0.25, 0.5, 0.75, 1.0):
-            f = get_function(f"pow:{s:g}")
-            for a, b in ((0.25, 1.0), (0.1, 0.9)):
-                rep = verify_theorem("T2_2", f, Interval(a, b), s, None, None)
-                cases += 1
-                if not rep["hypothesis_ok"]:
-                    min_chain = -math.inf
-                    break
-                min_chain = min(min_chain, rep["min_slack"])
-        add(("hh_chain_slack", "min_slack", min_chain, 1e-12, cases))
-        mid = shared_mean(get_function("id"), Interval(1.0, 2.0), DEFAULT_TOL)
-        add(("hh_reference_middle", "max_err", abs(mid - 2.0 * math.log(2.0)),
-             1e-10, 1))
-
         # gated slack sweep over the theorem matrix
         reports = run_ostrowski_matrix()
         summary = matrix_summary(reports)
@@ -438,7 +436,7 @@ def run_battery() -> list[Check]:
     # classic bound for f(x)=x, M=1 on [1, 2]
     f_id = get_function("id")
     iv = Interval(1.0, 2.0)
-    mean = arithmetic_mean(f_id, 1.0, 2.0, DEFAULT_TOL)
+    mean = arithmetic_mean(f_id, 1.0, 2.0)
     xs = uniform_grid(1.0, 2.0, 33)
     add(("classic_slack", "min_slack",
          min(classic_ostrowski_rhs(x, iv, 1.0) - abs(f_id(x) - mean)

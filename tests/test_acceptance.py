@@ -61,14 +61,17 @@ def test_c2_lemma_identity(row):
 def test_c3_hermite_hadamard_chain(row):
     # x^s on [0.25,1] and [0.1,0.9] for s in {0.25,0.5,0.75,1}: every gate
     # passes and both chain slacks >= -1e-12 (a failed gate reads as -inf);
-    # and the s=1 chain for f(x)=x on [1,2] has middle term 2 ln 2 to 1e-10
-    chain, mid = row("hh_chain_slack"), row("hh_reference_middle")
-    ok = chain.value >= -1e-12 and mid.value <= 1e-10
+    # and both closed means (the chain's middle, and the arithmetic one)
+    # of the 5 lemma functions on the 3 lemma intervals match quadrature
+    # to 1e-10 relative
+    chain, mean = row("hh_chain_slack"), row("mean_fidelity")
+    ok = chain.value >= -1e-12 and mean.cases == 30 and mean.value <= 1e-10
     _announce(3, ok, f"harmonic chain: min slack {chain.value:.3g} (>=-1e-12) "
-                     f"over {chain.cases} configs, reference middle "
-                     f"error {mid.value:.3g} (<=1e-10)")
+                     f"over {chain.cases} configs, closed means max rel "
+                     f"{mean.value:.3g} (<=1e-10) over {mean.cases}")
     assert chain.value >= -1e-12
-    assert mid.value <= 1e-10
+    assert mean.cases == 30
+    assert mean.value <= 1e-10
 
 
 def test_c4_ostrowski_matrix(row):

@@ -17,7 +17,8 @@ from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
                              ostrowski_lhs, ostrowski_rhs, resolve_exponents)
 from hsconvex.cli import main
 from hsconvex.convexity import VIOLATION_TOL, uniform_grid
-from hsconvex.numeric import Interval, derivative, get_function, integrate
+from hsconvex.numeric import (Interval, arithmetic_mean, derivative,
+                              get_function)
 from hsconvex.verify import (VERIFY_THEOREMS, Check, bound_row,
                              hypothesis_gate, lambda_checks,
                              lambda_consistency_rows, verify_theorem)
@@ -135,9 +136,35 @@ class TestHHCommand:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("argv, members", [
+        # a quadrature to an absolute 1e-10 accepted its first panel and
+        # printed a middle 1.8e-6 off
+        (("--fn", "pow:2.7", "--a", "4.4649e-08", "--b", "4.4649e-05"),
+         {"middle": 1.057971160069836e-15}),
+        (("--variant", "arithmetic", "--fn", "pow:0.5", "--a", "0",
+          "--b", "1e-300"), {"middle": 6.666666666666667e-151}),
+        # the product ab is subnormal: its quadrature spent the budget
+        (("--fn", "id", "--a", "1e-160", "--b", "2e-160"),
+         {"left": 4e-160 / 3.0, "middle": 2e-160 * math.log(2.0),
+          "right": 1.5e-160}),
+        # ab = 1e310 overflowed: exit 2, `non-finite value at inf`
+        (("--fn", "pow:0.5", "--a", "1e150", "--b", "1e160"),
+         {"left": 1.4142135623023844e75, "middle": 1.999980000199998e75,
+          "right": 5.00005e79}),
+    ])
+    def test_closed_members_far_from_one(self, capsys, argv, members):
+        # each member against mpmath at 40 digits
+        code, out, _ = run(capsys, "hh", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        for name, value in members.items():
+            assert abs(doc[name] - value) <= 1e-14 * value, name
 
-# f(u)/u^2 is finite at every node, but K15 panel sums overflow
-NON_FINITE_PANEL = [
+
+# f = 1e308 on [1, 2]: its K15 panel sums overflowed, so both requests
+# exited 2; ostrowski now prints lhs 0 and rhs 0, hh still overflows in
+# f(a) + f(b)
+CONST_1E308 = [
     ("ostrowski", "--theorem", "T2_5", "--fn", "const:1e308", "--a", "1",
      "--b", "2", "--x", "1.5", "--q", "2"),
     ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2"),
@@ -145,8 +172,13 @@ NON_FINITE_PANEL = [
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("argv", NON_FINITE_PANEL)
-    def test_non_finite_panel_exits_two(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [
+        # the mean of u^200 on [1, 100] is about 5e395
+        ("ostrowski", "--theorem", "T2_5", "--fn", "pow:200", "--a", "1",
+         "--b", "100", "--x", "1.5", "--q", "2"),
+        ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2"),
+    ])
+    def test_out_of_range_value_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -154,15 +186,14 @@ class TestOverflow:
 
 
 class TestHostileInput:
-    @pytest.mark.parametrize("argv", NON_FINITE_PANEL + [
+    @pytest.mark.parametrize("argv", CONST_1E308 + [
         # q near 1e4: theta^(2q) overflows inside lambda_value
         ("verify", "--theorem", "T2_6", "--fn", "id", "--a", "1", "--b", "2",
          "--p", "1.0001"),
         ("ostrowski", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b",
          "2", "--x", "1.5", "--q", "2000", "--M", "1e10"),
-        # the running error sum of integrate cancels below zero
-        ("hh", "--fn", "pow:0.5", "--a", "0.01", "--b", "100",
-         "--tol", "1e-300"),
+        # b/a = 1e600 overflows: the mean is refused
+        ("hh", "--fn", "id", "--a", "1e-300", "--b", "1e300"),
         # 1.7e11 gate triples: refused before the scan starts
         ("verify", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
          "--q", "1", "--grid-gate", "100000"),
@@ -208,17 +239,18 @@ class TestHostileInput:
         # f(a) + f(b) = 2e308 overflows to inf, so right and slack_right
         # are inf; the document is refused, not written with null or inf
         code, out, err = run(capsys, "hh", "--fn", "const:1e308", "--a", "10",
-                             "--b", "20", "--tol", "1e300", "--format", fmt)
+                             "--b", "20", "--format", fmt)
         assert (code, out) == (2, "")
         assert err == "numeric error: non-finite value inf in the document\n"
 
     def test_infinite_tolerance_is_refused(self, capsys):
         # tol = inf let one panel stand for the integral: middle 80.36
-        # against the true 500.5, and a negative slack_left
+        # against the true 500.5. The mean has no tolerance now, and hh
+        # no --tol
         code, out, err = run(capsys, "hh", "--fn", "inv", "--a", "1e-3",
                              "--b", "1", "--tol", "inf")
         assert (code, out) == (2, "")
-        assert err == "domain error: tol must be finite and positive, got inf\n"
+        assert "unrecognized arguments: --tol inf" in err
 
     def test_gate_error_names_the_first_bad_point(self, capsys):
         # u ** 2 raises OverflowError past u = 1.3e154: the error names the
@@ -341,7 +373,7 @@ class TestLibraryParity:
                            "--fn", "pow:2", "--a", "0.5", "--b", "2",
                            "--x", "1.25", "--M", "4")
         f, iv = get_function("pow:2"), Interval(0.5, 2.0)
-        mean = integrate(f, 0.5, 2.0).value / 1.5
+        mean = arithmetic_mean(f, 0.5, 2.0)
         worst = max(abs(derivative(f, u)) for u in uniform_grid(0.5, 2.0, 33))
         row = bound_row("classic", 1.25, iv, 1.0, None, None, 4.0,
                         abs(f(1.25) - mean), classic_ostrowski_rhs(1.25, iv, 4.0),
@@ -373,6 +405,19 @@ class TestOstrowskiCommand:
         w = b - a
         expected = w * (0.25 + ((x - 0.5 * (a + b)) / w) ** 2)
         assert json.loads(out)["rhs"] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("fn", ["const:1e308", "const:-0.3", "const:0"])
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (1e150, 3e150),
+                                      (3e-5, 7e-5)])
+    def test_constant_lhs_is_exactly_zero(self, capsys, fn, a, b):
+        # the closed mean of c is c itself: 1e308 on [1, 2] used to
+        # overflow a quadrature panel and exit 2
+        code, out, _ = run(capsys, "ostrowski", "--theorem", "T2_5", "--fn",
+                           fn, "--a", str(a), "--b", str(b), "--x", str(b),
+                           "--q", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lhs"] == 0.0 and doc["slack"] >= 0.0
 
     def test_underflowed_power_mean_is_refused(self, capsys):
         # lambda * |f'|^q = 2.5e-266 * 1e-67 underflows to 0: the rhs was
@@ -488,12 +533,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fn", ["pow:0.5", "pow:2"])  # gate fails, holds
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_tol_is_refused_before_the_gate(self, capsys, fn, tol):
+        # verify has no --tol: the mean is closed
         code, out, err = run(capsys, "verify", "--theorem", "T2_3",
                              "--fn", fn, "--a", "0.5", "--b", "2",
                              "--q", "1", "--tol", tol)
         assert (code, out) == (2, "")
-        assert err == ("domain error: tol must be finite and positive, "
-                       f"got {float(tol)}\n")
+        assert f"unrecognized arguments: --tol {tol}" in err
 
     def test_registry_gates_build_no_table(self, capsys, monkeypatch):
         def no_table(*args):
@@ -708,12 +753,12 @@ def added_options(monkeypatch):
 class TestParserWork:
     HELP = ("-h", "--help")
 
-    def test_whole_parser_has_45_flags(self, added_options):
+    def test_whole_parser_has_42_flags(self, added_options):
         cli.build_parser()
         flags = [a for a in added_options if a != self.HELP]
         # one -h for hsconvex and one for each of the five commands
         assert len(added_options) - len(flags) == 6
-        assert len(flags) == 45
+        assert len(flags) == 42
 
     def test_a_well_formed_request_builds_no_parser(self, capsys,
                                                     added_options):
@@ -840,8 +885,7 @@ def requests(draw):
         argv = ["hh", "--fn", draw(st.sampled_from(FUZZ_FUNCTIONS)),
                 "--a", draw(number(0.25, 2.0)), "--b", draw(number(1.0, 4.0)),
                 "--variant", draw(st.sampled_from(("harmonic", "arithmetic")))]
-        optional = [("--s", number(0.0, 1.0)),
-                    ("--tol", st.sampled_from(("1e-6", "1e-12", "0", "-1")))]
+        optional = [("--s", number(0.0, 1.0))]
     else:
         theorems = ("T2_2",) if command == "verify" else ("classic",)
         argv = [command, "--theorem", draw(st.sampled_from(

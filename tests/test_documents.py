@@ -23,13 +23,13 @@ from hsconvex.cli import main
 
 SELFTEST_SHA256 = {
     ("--format", "json"):
-        "88fb72d6311df8a263453a8532378a41c1c334155c49e5a14435dfe9250d0c09",
+        "913835df15b4bcf82720007b6a5ebca6abedb2865d64b601322819b2083c440b",
     ("--format", "csv"):
-        "b44b4c3e45c5d3b86821900f4a69b41636b91906aa22f926dd3fef9c22375225",
+        "b9effbb3485f9661ffaea97cb7aa6736b616e41b43acf033e236c7699af17fc6",
     ():
-        "41a19e9c6254d9427b4ef10265adafdedf023c35023e6e2a7fea6b763fe7b559",
+        "5759c9836f65e006b1c3ca66b238fb77ea9f722f6c2288d854e1f3deafe9b42d",
     ("--tol", "1e-30"):
-        "91f7895a55452df8209bf27fa24abe027d3d1a2f5d31e5b8dafa5e4e0013f26b",
+        "9bff7d7299f3f0ff0789150ddec3fd783b4568caf2cc52d1b3ff87776af17242",
 }
 
 
@@ -131,8 +131,8 @@ EDGE_REQUESTS = [
      "2", "--x", "1.5"],
 ]
 
-CORPUS_SHA256 = ("9a18e0a88ed0092850261e8b8481d00b"
-                 "aba9d8ea69f8812036d6154326b31e68")
+CORPUS_SHA256 = ("bf1d2aced9977eed3e314c645fe19a1a"
+                 "f5a038f24c74449e2622cdcb853d95d6")
 
 
 def corpus() -> list[list[str]]:
@@ -181,8 +181,8 @@ GATE_EDGE_REQUESTS = [
      "--b", "1e155", "--x", "5e154", "--q", "1.0000001", "--grid-gate", "3"],
 ]
 
-GRID_GATE_SHA256 = ("35aea87fa9d46642f982dff976a174fe"
-                    "461ece64e6b7ebfbe6fcb8d53b86ca02")
+GRID_GATE_SHA256 = ("4f479c78b8f087b071c1832c02ed56fe"
+                    "2a2993c0a6c14c3b58ba639e763f5d03")
 
 
 def grid_gate_request(rng: random.Random, command: str, shape: str) -> list[str]:

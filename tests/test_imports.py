@@ -152,7 +152,7 @@ def test_settable_values_pinned():
     # each default is a value a caller may set; a new one must be added on
     # purpose, by raising this count in the same change
     files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
-    assert sum(settable_values(f) for f in files) == 13
+    assert sum(settable_values(f) for f in files) == 8
 
 
 def test_settable_values_count_named_tuple_defaults(tmp_path):
@@ -162,6 +162,48 @@ def test_settable_values_count_named_tuple_defaults(tmp_path):
                      "class B(typing.NamedTuple):\n    c: int = 2\n"
                      "class C:\n    d: int = 3\n", encoding="utf-8")
     assert settable_values(probe) == 2
+
+
+def integrate_callers(path: Path) -> set[str]:
+    """`<file>:<name>` for each top-level function or class of path that
+    calls integrate, by its name or as an attribute, itself or in a
+    function nested in it; a call outside them is `<file>:<module>`."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "integrate" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                found.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return found
+
+
+# the quadrature oracle and the checks that hold a closed form against it
+ORACLE_SITES = {"cli.py:cmd_lambda", "verify.py:lemma_residual",
+                "verify.py:lambda_consistency_rows", "verify.py:mean_fidelity"}
+
+
+def test_quadrature_only_at_the_oracle_sites():
+    # every value the package prints comes from a closed form: no value
+    # path falls back to quadrature
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    assert set().union(*map(integrate_callers, files)) == ORACLE_SITES
+
+
+def test_integrate_detector_finds_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from hsconvex import numeric\n"
+                     "from hsconvex.numeric import integrate\n"
+                     "A = integrate(abs, 0.0, 1.0)\n"
+                     "def f():\n    def g():\n"
+                     "        return numeric.integrate(abs, 0.0, 1.0)\n"
+                     "    return g\n"
+                     "class C:\n    def m(self):\n"
+                     "        return integrate(abs, 0.0, 1.0)\n"
+                     "def h():\n    return integrated(1)\n",
+                     encoding="utf-8")
+    assert integrate_callers(probe) == {"probe.py:<module>", "probe.py:f",
+                                        "probe.py:C"}
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -140,8 +140,8 @@ class TestWeightedMean:
 
 class TestArithmeticMean:
     def test_in_range_is_the_quotient(self):
-        # where the integral is a normal float the mean is integral/(b-a),
-        # bit for bit
+        # the mean is the quotient c (b^(r+1) - a^(r+1)) / ((r+1)(b-a)), or
+        # c ln(b/a)/(b-a) at r = -1, to 1e-14
         rng = random.Random(1307)
         for _ in range(300):
             f = get_function(rng.choice(("id", "inv", "neg", "pow:0.5",
@@ -150,8 +150,23 @@ class TestArithmeticMean:
             b = (a or 1.0) * rng.uniform(1.1, 50.0)
             if a == 0.0 and f.fn_id == "inv":
                 continue
-            old = integrate(f, a, b, DEFAULT_TOL).value / (b - a)
-            assert arithmetic_mean(f, a, b, DEFAULT_TOL).hex() == old.hex()
+            with mpmath.workdps(30):
+                lo, hi, c, k = map(mpmath.mpf, (a, b, f.c, f.r + 1.0))
+                integral = (mpmath.log(hi / lo) if k == 0
+                            else (hi ** k - lo ** k) / k)
+                mean = c * integral / (hi - lo)
+            assert abs(arithmetic_mean(f, a, b) - mean) <= 1e-14 * abs(mean)
+
+    def test_diverges_at_zero(self):
+        with pytest.raises(DomainError, match="diverges"):
+            arithmetic_mean(get_function("inv"), 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (2.0, 1.0), (1.0, 1.0),
+                                      (0.0, math.inf), (math.nan, 1.0)])
+    def test_interval_outside_the_domain(self, a, b):
+        # the closed form would answer for a < 0; f is not defined there
+        with pytest.raises(DomainError, match="requires 0 <= a < b"):
+            arithmetic_mean(get_function("id"), a, b)
 
     @pytest.mark.parametrize("fn_id, c, r", [("id", 1, 1), ("pow:0.5", 1, 0.5),
                                              ("const:3", 3, 0)])
@@ -159,7 +174,7 @@ class TestArithmeticMean:
     def test_tiny_scales(self, fn_id, c, r, a):
         # the integral of id over [1e-200, 2e-200] is 1.5e-400, which
         # underflows to 0 before the division by b - a
-        value = arithmetic_mean(get_function(fn_id), a, 2.0 * a, DEFAULT_TOL)
+        value = arithmetic_mean(get_function(fn_id), a, 2.0 * a)
         with mpmath.workdps(30):
             lo, hi = mpmath.mpf(a), mpmath.mpf(2.0 * a)
             mean = c * (hi ** (r + 1) - lo ** (r + 1)) / ((r + 1) * (hi - lo))
@@ -184,6 +199,13 @@ class TestDerivative:
             with pytest.raises(DomainError) as exc:
                 derivative(f, x)
             assert type(exc.value.__cause__) is (cause or type(None))
+
+    @pytest.mark.parametrize("fn_id", ["pow:0.5", "id", "inv", "const:2"])
+    def test_negative_x_is_outside_the_domain(self, fn_id):
+        # (-1.0) ** -0.5 is a complex number, which math.isfinite refuses
+        # with a TypeError; x < 0 is refused first, as f itself refuses it
+        with pytest.raises(DomainError, match="outside domain"):
+            derivative(get_function(fn_id), -1.0)
 
 
 class TestValues:

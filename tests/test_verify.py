@@ -12,12 +12,11 @@ from conftest import canary_lambda_value, record_tables
 from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (hh_harmonic_bounds, lambda5, lambda5_integrand,
                              lambda_integrand, lambda_memo, lambda_value,
-                             ostrowski_rhs, shared_mean)
+                             ostrowski_rhs)
 from hsconvex.convexity import GATE_GRID_N, check_convexity
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.numeric import (DEFAULT_TOL, FunctionSpec, Interval,
-                              derivative, get_function, integrate,
-                              weighted_mean)
+from hsconvex.numeric import (FunctionSpec, Interval, derivative,
+                              get_function, integrate, weighted_mean)
 from hsconvex.specfn import Gauss2F1
 from hsconvex.verify import (MAX_X_GRID, ROW_FIELDS, SLACK_TOL, bound_row,
                              hypothesis_gate,
@@ -160,14 +159,12 @@ class TestVerifyTheorem:
 
 
 class TestMeanFarFromOne:
-    @pytest.mark.xfail(strict=True, reason=(
-        "weighted_mean integrates f(u)/u^2, about 2e-75 here, to the "
-        "absolute tolerance 1e-10, so one panel stands for the integral"))
     def test_sqrt_on_1e150_to_1e155(self):
         # the mean of u^(1/2) against du/u^2 is (ab/(b-a)) 2 (a^-1/2 -
-        # b^-1/2) = 2.0235e75; the quadrature gives 1.6819e74, below the
-        # chain's left member 1.414e75, so a harmonically 1-convex f
-        # appears to break the chain and verify exits 1
+        # b^-1/2) = 1.9937e75. A quadrature of f(u)/u^2, about 2e-75 here,
+        # to the absolute tolerance 1e-10 gave 1.6819e74, below the chain's
+        # left member 1.414e75, so a harmonically 1-convex f appeared to
+        # break the chain and verify exited 1
         f, iv = get_function("pow:0.5"), Interval(1e150, 1e155)
         with mpmath.workdps(30):
             a, b = mpmath.mpf(iv.a), mpmath.mpf(iv.b)
@@ -289,8 +286,8 @@ class TestDerivativeRoute:
         # ostrowski_rhs takes |f'| at x, a and b for each of the 9 x points
         assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 1944
         assert c["derivative"] == 9 * 3
-        # f at the 9 x points, and in the weighted mean's quadrature
-        assert c["f_evals"] == 9 + 15
+        # f at the 9 x points alone: the weighted mean is closed
+        assert c["f_evals"] == 9
 
 
 class TestLambdaConsistency:
@@ -444,31 +441,33 @@ class TestReuse:
         # the lambda sweep's 240 rows plus the 544 weights the matrix and
         # the corollary sweep share
         assert totals[0]["hyp2f1"] == 240 + 544
-        # one quadrature per distinct (f, interval): the lemma's 5 x 3, the
-        # chain's 4 x 2, and neg on the 2 matrix intervals
-        assert totals[0]["weighted_mean"] == 15 + 8 + 2
+        # one closed mean per call, none stored: the lemma's 135 residuals,
+        # mean_fidelity's 5 x 3, the chain's 4 x 2 and the 186 gated matrix
+        # configs
+        assert totals[0]["weighted_mean"] == 135 + 15 + 8 + 186
         # the rhs of the 186 gated matrix configs at 9 x each, read from
         # their reports by the corollary sweep, which adds its M rhs for all
         # 192 and the rhs of the 6 ungated ones
         assert totals[0]["ostrowski_rhs"] == (186 + 192 + 6) * 9 == 3456
-        # no gate table, and 3,561 evaluations of f itself (18,861 with the
-        # AM-HM table when each config integrated its own mean): the
+        # no gate table, and 3,591 evaluations of f itself, 1,590 of them
+        # in mean_fidelity's 30 oracle quadratures and none in a mean: the
         # chain's T2_2 gates are power laws too, and tabulate f no more,
         # and the AM-HM scan tabulates u -> u, not the registry's id
         assert "gate_evals" not in totals[0]
-        assert totals[0]["f_evals"] == 3_561
+        assert totals[0]["f_evals"] == 3_591
 
     def test_means_are_keyed_on_the_power_law(self, counts):
         # two specs built by hand may share a fn_id and be different
-        # functions, and id and pow:1 name one function
+        # functions, and id and pow:1 name one function: the closed mean
+        # reads (c, r) alone, and evaluates no f
         twins = [FunctionSpec("f", 1.0, 2.0), FunctionSpec("f", 1.0, 3.0)]
         aliases = [get_function("id"), get_function("pow:1")]
-        with lambda_memo():
-            means = [shared_mean(f, IV12, DEFAULT_TOL)
-                     for f in twins + twins + aliases]
-        assert counts["weighted_mean"] == 2 + 1
-        expected = [weighted_mean(g, IV12) for g in twins + aliases[:1]]
-        assert means == expected[:2] * 2 + [expected[2]] * 2
+        means = [weighted_mean(f, IV12) for f in twins + aliases]
+        # ab (b^(r-1) - a^(r-1)) / ((r-1)(b-a)) on [1, 2] at r = 2, 3
+        assert means[:2] == [2.0, 3.0]
+        assert means[2] == means[3] == pytest.approx(2.0 * math.log(2.0),
+                                                     rel=1e-15)
+        assert counts["f_evals"] == 0
 
     def test_corollary_sweep_alone_matches_the_battery(self):
         # in the battery the matrix and the sweep share one lambda_memo
