@@ -25,7 +25,7 @@ import contextvars
 import functools
 import math
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError, NumericError
 # integrate is not called here, but perfbench's tracer test reads the name
@@ -106,28 +106,22 @@ def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
     if not (math.isfinite(rho) and rho >= 0.0):
         raise DomainError(f"rho must be nonnegative, got {rho}")
     if kind in (1, 2) and not theta <= x:
-        raise DomainError(
-            f"kinds 1, 2 are a-side weights and require theta <= x, "
-            f"got theta={theta}, x={x}")
+        raise DomainError(f"kinds 1, 2 are a-side weights and require "
+                          f"theta <= x, got theta={theta}, x={x}")
     if kind in (3, 4) and not x <= theta:
-        raise DomainError(
-            f"kinds 3, 4 are b-side weights and require x <= theta, "
-            f"got theta={theta}, x={x}")
+        raise DomainError(f"kinds 3, 4 are b-side weights and require "
+                          f"x <= theta, got theta={theta}, x={x}")
     z = 1.0 - theta / x if kind in (1, 2) else 1.0 - x / theta
     if z >= Z_CAP:
-        raise DomainError(
-            f"z={z} too close to 1 (theta/x ratio too extreme)")
+        raise DomainError(f"z={z} too close to 1 (theta/x ratio too extreme)")
     return z
 
 
 def lambda_integrand(kind: int, theta: float, x: float, s: float,
                      vartheta: float, rho: float):
     """Return the defining integrand of the lambda weight as a callable on
-    (0, 1), after the checks of lambda_z.
-
-    This is what the quadrature oracle integrates when cross-checking the
-    closed form.
-    """
+    (0, 1), after the checks of lambda_z: what the quadrature oracle
+    integrates to cross-check the closed form."""
     lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
     if kind in (1, 3):
@@ -150,7 +144,7 @@ def lambda5_integrand(theta: float, x: float):
 def _finite(fn):
     """Make fn raise NumericError where its float arithmetic leaves the
     float range: an OverflowError inside it, a division by a square or
-    power that underflowed to 0, or a non-finite value it would return."""
+    power that underflowed to 0, or a non-finite float it would return."""
     @functools.wraps(fn)
     def finite_fn(*args, **kwargs):
         try:
@@ -159,27 +153,24 @@ def _finite(fn):
             raise NumericError(f"{fn.__name__}: result overflows") from exc
         except ZeroDivisionError as exc:
             raise NumericError(f"{fn.__name__}: a divisor underflows to 0") from exc
-        if not math.isfinite(v):
+        if isinstance(v, float) and not math.isfinite(v):
             raise NumericError(f"{fn.__name__}: non-finite result {v}")
         return v
     return finite_fn
 
 
-# the weights of the sweep in progress: each lambda argument tuple maps to
-# its weight, each (kind, s, vartheta, rho) to the Beta factor and the
-# Gauss2F1 with its ratio table, which no theta or x changes. None outside
-# a lambda_memo block
+# the sweep in progress: (kind, end, s, vartheta, rho, *xs) -> lambda_column,
+# (kind, s, vartheta, rho) -> (Beta factor, Gauss2F1); None outside a block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
 
 @contextlib.contextmanager
 def lambda_memo():
-    """Within the block, lambda_value computes each distinct argument tuple
-    once, and sums the 2F1 of every weight that shares (kind, s, vartheta,
-    rho) from one ratio table: a weight does not depend on f, and the x
-    points of one scan share their tables. A nested block shares the outer
-    memo, which ends with the outermost block, so nothing outlives its run."""
+    """Within the block, lambda_column computes each weight column once,
+    and the weights that share (kind, s, vartheta, rho) share one 2F1 ratio
+    table: no weight depends on f. A nested block shares the outer memo,
+    which ends with the outermost block, so nothing outlives its run."""
     if _LAMBDA_MEMO.get() is not None:
         yield
         return
@@ -195,16 +186,11 @@ def lambda_value(kind: int, theta: float, x: float, s: float,
                  vartheta: float, rho: float) -> float:
     """Evaluate the closed form of the lambda weight of `kind`,
     beta(b, b2) / base^(2vt) * 2F1(2vt, b; rho+s+2; z), with the Beta
-    arguments (b, b2) and the base of each kind in the table below.
-    Inside a lambda_memo block each distinct argument tuple is checked
-    (lambda_z) and computed once; a stored tuple was checked before it
-    was stored. The Beta factor and the Gauss2F1 depend on (kind, s,
-    vartheta, rho) alone, and the block keeps them too."""
-    memo = _LAMBDA_MEMO.get()
-    key = (kind, theta, x, s, vartheta, rho)
-    if memo is not None and key in memo:
-        return memo[key]
+    arguments (b, b2) and the base of each kind in the table below, after
+    the checks of lambda_z. A lambda_memo block keeps the Beta factor and
+    the Gauss2F1, which depend on (kind, s, vartheta, rho) alone."""
     z = lambda_z(kind, theta, x, s, vartheta, rho)
+    memo = _LAMBDA_MEMO.get()
     shape = (kind, s, vartheta, rho)
     part = None if memo is None else memo.get(shape)
     if part is None:
@@ -217,10 +203,24 @@ def lambda_value(kind: int, theta: float, x: float, s: float,
             memo[shape] = part
     beta_factor, series = part
     base = x if kind in (1, 2) else theta
-    value = beta_factor / base ** (2.0 * vartheta) * series(z)
-    if memo is not None:
-        memo[key] = value
-    return value
+    return beta_factor / base ** (2.0 * vartheta) * series(z)
+
+
+def lambda_column(kind: int, end: float, xs: Sequence[float], s: float,
+                  vartheta: float, rho: float) -> list[Optional[float]]:
+    """lambda_value(kind, end, x, s, vartheta, rho) over xs, None at x = end,
+    whose side is zero, and None throughout if one fails, so that a caller
+    meets the error point by point. A lambda_memo block keeps each column."""
+    memo = _LAMBDA_MEMO.get()
+    memo = {} if memo is None else memo
+    key = (kind, end, s, vartheta, rho, *xs)
+    if key not in memo:
+        try:
+            memo[key] = [None if x == end else lambda_value(
+                kind, end, x, s, vartheta, rho) for x in xs]
+        except (DomainError, NumericError):
+            memo[key] = [None] * len(xs)
+    return memo[key]
 
 
 @_finite
@@ -258,6 +258,12 @@ def harmonic_midpoint(iv: Interval) -> float:
     return 2 * p * m / (p * n + m * q)
 
 
+def _chain_right(fa: float, fb: float, s: float) -> float:
+    """(f(a)+f(b))/(s+1), as f(a)/(s+1) + f(b)/(s+1) where f(a)+f(b) overflows."""
+    right = (fa + fb) / (s + 1.0)
+    return right if math.isfinite(right) else fa / (s + 1.0) + fb / (s + 1.0)
+
+
 def hh_harmonic_bounds(f: FunctionSpec, iv: Interval,
                        s: float) -> tuple[float, float, float]:
     """Return the harmonic Hermite-Hadamard chain (left, middle, right):
@@ -270,8 +276,7 @@ def hh_harmonic_bounds(f: FunctionSpec, iv: Interval,
     validate_s(s)
     left = 2.0 ** (s - 1.0) * f(harmonic_midpoint(iv))
     middle = weighted_mean(f, iv)
-    right = (f(iv.a) + f(iv.b)) / (s + 1.0)
-    return left, middle, right
+    return left, middle, _chain_right(f(iv.a), f(iv.b), s)
 
 
 def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float,
@@ -286,8 +291,7 @@ def hh_s_convex_bounds(f: FunctionSpec, a: float, b: float,
     validate_s(s)
     left = 2.0 ** (s - 1.0) * f((a + b) / 2.0)
     middle = arithmetic_mean(f, a, b)
-    right = (f(a) + f(b)) / (s + 1.0)
-    return left, middle, right
+    return left, middle, _chain_right(f(a), f(b), s)
 
 
 @_finite
@@ -313,79 +317,81 @@ def ostrowski_lhs(f: FunctionSpec, x: float, iv: Interval) -> float:
 
 
 @_finite
-def ostrowski_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
-                  s: float, q: Optional[float], p: Optional[float],
-                  M: Optional[float] = None) -> float:
-    """Assemble the right-hand side of one Ostrowski-type bound at x:
-    (ab/(b-a)) * prefactor * [side(a) + side(b)], where side(end) is
+def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
+                  iv: Interval, s: float, q: Optional[float],
+                  p: Optional[float], M: Optional[float] = None) -> list[float]:
+    """Assemble the right-hand side of one Ostrowski-type bound at each x of
+    xs: (ab/(b-a)) * prefactor * [side(a) + side(b)], where side(end) is
     (x-end)^2 times a lambda-weighted power mean of |f'(x)|^q and
     |f'(end)|^q (times lambda5^(1-1/q) for T2_5), or Hoelder's form of the
-    same for T2_7. Every end term of every theorem is built by side().
+    same for T2_7, each end term of each theorem built in one loop.
 
-    The exponents (q, p) are checked and completed by resolve_exponents: a
-    power-mean q >= 1 for T2_3/T2_4/T2_5, Hoelder conjugates for T2_6/T2_7.
-    Derivative magnitudes |f'(x)|, |f'(a)|, |f'(b)| come from
-    numeric.derivative, or are all replaced by M when M is given (the
-    corollary mode; the printed corollary prefactors are algebraically this
-    substitution). x = a or x = b zeroes that side structurally, skipping
-    the lambda evaluations whose z would sit at the domain edge.
+    The exponents (q, p) are completed by resolve_exponents. |f'| comes from
+    numeric.derivative, or is M when M is given (the corollary mode). x = a
+    or x = b zeroes that side, whose weights are not evaluated. The checks,
+    |f'(a)|, |f'(b)| and the prefactor are taken once per scan, each weight
+    column once (lambda_column); each x gets the float, or the error, of a
+    scan of [x] alone.
     """
     if theorem not in OSTROWSKI_THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of "
                           f"{', '.join(OSTROWSKI_THEOREMS)}")
     validate_s(s)
     a, b = iv.a, iv.b
-    if not a <= x <= b:
-        raise DomainError(f"x={x} outside [{a}, {b}]")
-
+    for x in xs:
+        if not a <= x <= b:
+            raise DomainError(f"x={x} outside [{a}, {b}]")
     q, p = resolve_exponents(theorem, q, p)
-
     if M is not None:
-        validate_m(M)
-        dx = da = db = M
+        dxs, da, db = [validate_m(M)] * len(xs), M, M
     else:
-        dx, da, db = (abs(derivative(f, u)) for u in (x, a, b))
+        # the order of a scan of [x]; |f'| is monotone: no later x fails alone
+        dxs = [abs(derivative(f, x)) for x in xs[:1]]
+        da, db = abs(derivative(f, a)), abs(derivative(f, b))
+        dxs += [abs(derivative(f, x)) for x in xs[1:]]
 
     inv_q = 1.0 / q
     # the theorems differ in the (vartheta, rho) of the lambda weights and
-    # an outer prefactor
-    if theorem == "T2_3":
-        vt, rho, prefactor = q, q, 1.0
-    elif theorem == "T2_4":
-        vt, rho, prefactor = q, 1.0, 0.5 ** (1.0 - inv_q)
-    elif theorem == "T2_5":
-        vt, rho, prefactor = 1.0, 1.0, 1.0
-    elif theorem == "T2_6":
-        vt, rho, prefactor = q, 0.0, (1.0 / (p + 1.0)) ** (1.0 / p)
-    else:  # T2_7
-        vt, rho, prefactor = p, p, 1.0
-
-    def side(end: float, d_end: float, kind: int) -> float:
-        # kinds 1, 2 weigh the a-side, kinds 3, 4 the b-side; (x - end)^2
-        # equals (end - x)^2 exactly. A power-mean bracket below the normal
-        # floats has lost its digits, to 0 at worst, unless dx and d_end
-        # are both 0
-        if theorem == "T2_7":
-            lam = lambda_value(kind, end, x, 0.0, vt, rho)
-            bracket = dx ** q + d_end ** q
-        else:
-            lam_x = lambda_value(kind, end, x, s, vt, rho)
-            lam_end = lambda_value(kind + 1, end, x, s, vt, rho)
-            bracket = lam_x * dx ** q + lam_end * d_end ** q
-        if bracket < MIN_NORMAL and (dx or d_end):
-            raise NumericError(f"{theorem}: the power mean at {end} "
-                               "underflows below the normal floats")
-        if theorem == "T2_7":
-            return lam ** (1.0 / vt) * (x - end) ** 2 \
-                * (bracket / (s + 1.0)) ** inv_q
-        term = (x - end) ** 2 * bracket ** inv_q
-        if theorem == "T2_5":
-            term *= lambda5(end, x) ** (1.0 - inv_q)
-        return term
-
-    total = 0.0
-    if x > a:
-        total += side(a, da, 1)
-    if x < b:
-        total += side(b, db, 3)
-    return a * b / (b - a) * prefactor * total
+    # an outer prefactor; T2_7 weighs each side by kind 1 or 3 at s = 0
+    vt, rho, prefactor = {
+        "T2_3": lambda: (q, q, 1.0),
+        "T2_4": lambda: (q, 1.0, 0.5 ** (1.0 - inv_q)),
+        "T2_5": lambda: (1.0, 1.0, 1.0),
+        "T2_6": lambda: (q, 0.0, (1.0 / (p + 1.0)) ** (1.0 / p)),
+        "T2_7": lambda: (p, p, 1.0)}[theorem]()
+    scale = a * b / (b - a) * prefactor
+    s_w, kinds = (0.0, (1, 3)) if theorem == "T2_7" else (s, (1, 2, 3, 4))
+    rhs = []
+    with lambda_memo():
+        col = {k: lambda_column(k, a if k < 3 else b, xs, s_w, vt, rho) for k in kinds}
+        for i, (x, dx) in enumerate(zip(xs, dxs)):
+            total = 0.0
+            for end, d_end, kind in ((a, da, 1), (b, db, 3)):
+                # kinds 1, 2 weigh the a-side, kinds 3, 4 the b-side, and a
+                # weight None in its column failed: lambda_value raises here
+                if x == end:
+                    continue
+                lam = col[kind][i] or lambda_value(kind, end, x, s_w, vt, rho)
+                if theorem == "T2_7":
+                    bracket = dx ** q + d_end ** q
+                else:
+                    lam_end = col[kind + 1][i] or lambda_value(
+                        kind + 1, end, x, s, vt, rho)
+                    bracket = lam * dx ** q + lam_end * d_end ** q
+                # a power-mean bracket below the normal floats has lost its
+                # digits, to 0 at worst, unless dx and d_end are both 0
+                if bracket < MIN_NORMAL and (dx or d_end):
+                    raise NumericError(f"{theorem}: the power mean at {end} "
+                                       "underflows below the normal floats")
+                if theorem == "T2_7":  # (x - end)^2 is (end - x)^2 exactly
+                    total += lam ** (1.0 / vt) * (x - end) ** 2 \
+                        * (bracket / (s + 1.0)) ** inv_q
+                elif theorem == "T2_5":
+                    total += (x - end) ** 2 * bracket ** inv_q \
+                        * lambda5(end, x) ** (1.0 - inv_q)
+                else:
+                    total += (x - end) ** 2 * bracket ** inv_q
+            rhs.append(scale * total)
+            if not math.isfinite(rhs[-1]):  # _finite's test, point by point
+                raise NumericError(f"ostrowski_rhs: non-finite result {rhs[-1]}")
+    return rhs

@@ -179,7 +179,7 @@ def cmd_ostrowski(ns: argparse.Namespace) -> int:
     else:
         hyp_ok = hypothesis_gate(ns.theorem, f, iv, ns.s, q, ns.grid_gate)
         lhs = ostrowski_lhs(f, ns.x, iv)
-        rhs = ostrowski_rhs(ns.theorem, f, ns.x, iv, ns.s, q, p, M=ns.M)
+        rhs, = ostrowski_rhs(ns.theorem, f, [ns.x], iv, ns.s, q, p, M=ns.M)
     row = bound_row(ns.theorem, ns.x, iv, ns.s, q, p, ns.M, lhs, rhs, hyp_ok)
     _write(ns, _document(ns, ROW_FIELDS, [row], row))
     return 0

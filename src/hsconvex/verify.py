@@ -43,8 +43,8 @@ VERIFY_THEOREMS = ("T2_2",) + OSTROWSKI_THEOREMS
 # x points of a verify_theorem scan by default, and of every matrix config
 X_GRID_N = 9
 
-# x points a verify_theorem scan may take: each costs one ostrowski_rhs and
-# one document row; larger grids are refused before any evaluation
+# x points a verify_theorem scan may take: each costs one point of the rhs
+# scan and one document row; larger grids are refused before any evaluation
 MAX_X_GRID = 1000
 
 
@@ -149,11 +149,11 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
     harmonic s-convexity of f and yields two chain rows (left-vs-middle and
     middle-vs-right; the two inequalities hold or fail independently).
     T2_3..T2_7 gate on harmonic s-convexity of |f'|^q and yield one row per
-    x-grid point. The exponents (q, p) are resolved once
-    (resolve_exponents), and the gate is hypothesis_gate's, on the
-    gate_grid_n grid if one is given. A failed gate short-circuits: results
-    stay empty, min_slack is None and pass is false, without any slack
-    claim. An x grid of more than MAX_X_GRID points is refused first.
+    x-grid point, from one ostrowski_rhs scan. The exponents (q, p) are
+    resolved once (resolve_exponents), and the gate is hypothesis_gate's,
+    on the gate_grid_n grid if one is given. A failed gate short-circuits:
+    results stay empty, min_slack is None and pass is false, without any
+    slack claim. An x grid of more than MAX_X_GRID points is refused first.
     """
     validate_s(s)
     if theorem not in VERIFY_THEOREMS:
@@ -174,11 +174,10 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
                                        ("T2_2_right", middle, right))]
     elif holds:
         wm = weighted_mean(f, iv)
-        # the x points share each weight's ratio table (lambda_memo)
-        with lambda_memo():
-            rows = [bound_row(theorem, x, iv, s, q, p, None, abs(f(x) - wm),
-                              ostrowski_rhs(theorem, f, x, iv, s, q, p), True)
-                    for x in uniform_grid(a, b, x_grid)]
+        xs = uniform_grid(a, b, x_grid)
+        rhs = ostrowski_rhs(theorem, f, xs, iv, s, q, p)
+        rows = [bound_row(theorem, x, iv, s, q, p, None, abs(f(x) - wm), r, True)
+                for x, r in zip(xs, rhs)]
     min_slack = min((r["slack"] for r in rows), default=None)
     return {
         "theorem": theorem,
@@ -285,10 +284,8 @@ def _matrix_configs():
 def run_ostrowski_matrix() -> list[dict]:
     """The verify_theorem documents of the whole sweep matrix, in a fixed
     order, with its defaults: X_GRID_N x points, and a gate that
-    power_gate decides, as every matrix function is a power law, so no
-    table is built. Lambda weights are shared across the sweep
-    (lambda_memo).
-    """
+    power_gate decides, as every matrix function is a power law. Lambda
+    weight columns are shared across the sweep (lambda_memo)."""
     with lambda_memo():
         return [verify_theorem(theorem, get_function(fn_id), iv, s, q, p)
                 for theorem, fn_id, iv, s, q, p in _matrix_configs()]
@@ -316,15 +313,13 @@ def min_corollary_gap(reports: list[dict]) -> float:
     """Worst value of corollary_rhs - theorem_rhs across the matrix, given
     its reports, those of run_ostrowski_matrix.
 
-    For each configuration M is set to the maximum of |f'| over the x
-    points of the matrix plus a margin of 0.1, so M dominates every
-    derivative magnitude the theorem rhs uses; substituting it must only
-    ever enlarge the bound. The returned minimum gap should therefore be
-    nonnegative up to rounding. No hypothesis gate applies: the
-    monotonicity is structural. Both rhs share their lambda weights, and
-    so do all configs (lambda_memo). The theorem rhs of a gated config
-    is read from its report, so only the M rhs and the theorem rhs of the
-    ungated configs are assembled here.
+    For each configuration M is the maximum of |f'| over the x points of
+    the matrix plus 0.1, so M dominates every derivative magnitude the
+    theorem rhs uses, and substituting it can only enlarge the bound: the
+    gap should be nonnegative up to rounding. No hypothesis gate applies.
+    Every scan shares its weight columns (lambda_memo). A gated config's
+    theorem rhs is read from its report; only the M scans and the theorem
+    scans of the ungated configs are assembled here.
     """
     worst = math.inf
     with lambda_memo():
@@ -333,13 +328,10 @@ def min_corollary_gap(reports: list[dict]) -> float:
             f = get_function(fn_id)
             xs = uniform_grid(iv.a, iv.b, X_GRID_N)
             m_cap = max(abs(derivative(f, u)) for u in xs) + 0.1
-            rhs = [row["rhs"] for row in doc["results"]] or [
-                ostrowski_rhs(theorem, f, x, iv, s, q, p) for x in xs]
-            for x, theorem_rhs in zip(xs, rhs):
-                gap = (ostrowski_rhs(theorem, f, x, iv, s, q, p, M=m_cap)
-                       - theorem_rhs)
-                if gap < worst:
-                    worst = gap
+            rhs = [row["rhs"] for row in doc["results"]] or ostrowski_rhs(
+                theorem, f, xs, iv, s, q, p)
+            m_rhs = ostrowski_rhs(theorem, f, xs, iv, s, q, p, M=m_cap)
+            worst = min(worst, *(m - t for m, t in zip(m_rhs, rhs)))
     return worst
 
 
@@ -414,8 +406,7 @@ def run_battery() -> list[Check]:
          min(r["min_slack"] if r["hypothesis_ok"] else -math.inf
              for r in chains), 1e-12, len(chains)))
 
-    # the matrix and the corollary sweep share their lambda weights
-    # (lambda_memo)
+    # the matrix and the corollary sweep share their weight columns
     with lambda_memo():
         # gated slack sweep over the theorem matrix
         reports = run_ostrowski_matrix()

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from hsconvex import bounds
-from hsconvex.bounds import lambda_value, lambda_z
+from hsconvex.bounds import lambda_value, lambda_z, ostrowski_rhs
 from hsconvex.specfn import Gauss2F1, beta, hyp2f1
 from hsconvex.verify import run_battery
 
@@ -48,6 +48,12 @@ def canary_lambda_value(kind: int, theta: float, x: float, s: float,
     two_vt = 2.0 * vartheta
     front = beta(rho + 1.0, 1.0) / x ** two_vt
     return front * hyp2f1(two_vt, rho + 1.0, rho + s + 2.0, z)
+
+
+def rhs_at(theorem: str, f, x: float, *args, **kwargs) -> float:
+    """The rhs of ostrowski_rhs at the one point x."""
+    rhs, = ostrowski_rhs(theorem, f, [x], *args, **kwargs)
+    return rhs
 
 
 class RecordedGauss2F1(Gauss2F1):

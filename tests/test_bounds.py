@@ -1,5 +1,6 @@
 """Closed-form bound evaluators: lambda family, chains, Ostrowski sides."""
 
+import itertools
 import json
 import math
 import random
@@ -7,20 +8,23 @@ import re
 
 import mpmath
 import pytest
-from conftest import canary_lambda_value, lambda_shapes, record_tables
+from conftest import (canary_lambda_value, lambda_shapes, record_tables,
+                      rhs_at)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex import bounds
 from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
                              hh_harmonic_bounds, hh_s_convex_bounds, lambda5,
-                             lambda5_integrand, lambda_integrand, lambda_memo,
-                             lambda_value, lambda_z, ostrowski_lhs,
-                             ostrowski_rhs, resolve_exponents, validate_q)
+                             lambda5_integrand, lambda_column,
+                             lambda_integrand, lambda_memo, lambda_value,
+                             lambda_z, ostrowski_lhs, ostrowski_rhs,
+                             resolve_exponents, validate_q)
 from hsconvex.cli import main
+from hsconvex.convexity import uniform_grid
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.numeric import (FunctionSpec, Interval, get_function, integrate,
-                              validate_s)
+from hsconvex.numeric import (MIN_NORMAL, FunctionSpec, Interval, derivative,
+                              get_function, integrate, validate_s)
 
 
 class TestValidators:
@@ -162,11 +166,14 @@ class TestLambdaArgs:
                 assert checks == [args] * n
 
     def test_memo_hit_skips_the_check_and_is_bit_identical(self, checks):
+        # the memo keeps weight columns: a column asked for again is not
+        # computed, nor checked, again
         args = (4, 1.9, 1.0, 0.75, 1.5, 1.5)
+        kind, theta, x, *shape = args
         fresh = lambda_value(*args)
         with lambda_memo():
-            first = lambda_value(*args)
-            hit = lambda_value(*args)
+            first, = lambda_column(kind, theta, [x], *shape)
+            hit, = lambda_column(kind, theta, [x], *shape)
         assert checks == [args, args]
         assert fresh.hex() == first.hex() == hit.hex()
 
@@ -257,14 +264,15 @@ class TestLambdaValue:
         def computed() -> int:
             return sum(len(t.asked) for t in tables)
         args = (1, 1.0, 1.5, 0.5, 1.0, 1.0)
+        kind, theta, x, *shape = args
         value = lambda_value(*args)
         with lambda_memo():
-            assert lambda_value(*args) == value
+            assert lambda_column(kind, theta, [x], *shape) == [value]
             with lambda_memo():  # shares the enclosing block's memo
-                assert lambda_value(*args) == value
-            assert lambda_value(*args) == value
+                assert lambda_column(kind, theta, [x], *shape) == [value]
+            assert lambda_column(kind, theta, [x], *shape) == [value]
         assert computed() == 2
-        lambda_value(*args)  # the memo ended with the block
+        lambda_column(kind, theta, [x], *shape)  # the memo ended with the block
         assert computed() == 3
 
     def test_table_lives_for_its_outermost_block(self, monkeypatch):
@@ -380,6 +388,29 @@ class TestHHChains:
         assert middle == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert right == pytest.approx(0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("c", [1e308, -1e308, 1.7976931348623157e308])
+    def test_right_member_where_the_sum_overflows(self, c):
+        # f(a) + f(b) overflows, (f(a)+f(b))/(s+1) does not: at s = 1 every
+        # member of the chains of a constant is c
+        f = get_function(f"const:{c!r}")
+        assert hh_harmonic_bounds(f, Interval(1.0, 2.0), 1.0) == (c, c, c)
+        assert hh_s_convex_bounds(f, 1.0, 2.0, 1.0) == (c, c, c)
+
+    def test_right_member_in_range_is_the_direct_sum(self):
+        # where f(a) + f(b) is finite, the right member is its quotient,
+        # bit for bit
+        rng = random.Random(11)
+        for _ in range(200):
+            f = get_function(f"pow:{rng.uniform(0.1, 300.0)!r}")
+            a = rng.uniform(0.5, 2.0)
+            b, s = a * rng.uniform(1.01, 8.0), rng.uniform(0.01, 1.0)
+            try:
+                right = (f(a) + f(b)) / (s + 1.0)
+            except DomainError:
+                continue
+            assert hh_harmonic_bounds(f, Interval(a, b), s)[2] == right
+            assert hh_s_convex_bounds(f, a, b, s)[2] == right
+
     def test_arithmetic_rejects_negative_a(self):
         with pytest.raises(DomainError):
             hh_s_convex_bounds(get_function("id"), -0.5, 1.0, 1.0)
@@ -460,16 +491,16 @@ class TestOstrowskiRhs:
     def test_t2_3_telescopes_to_lambda5(self):
         # f(x)=x, s=1, q=1: lambda1+lambda2 at (vt,rho)=(1,1) reduces to the
         # degenerate weight, so the rhs is elementary
-        rhs = ostrowski_rhs("T2_3", get_function("id"), 1.5, self.IV, 1.0, 1.0,
-                            None)
+        rhs = rhs_at("T2_3", get_function("id"), 1.5, self.IV, 1.0, 1.0,
+                     None)
         expected = 2.0 * (0.25 * lambda5(1.0, 1.5) + 0.25 * lambda5(2.0, 1.5))
         assert rhs == pytest.approx(expected, rel=1e-12)
         assert rhs == pytest.approx(0.2644339286872331, rel=1e-10)
 
     def test_structural_zero_at_endpoints(self):
         f = get_function("pow:2")
-        at_a = ostrowski_rhs("T2_3", f, 1.0, self.IV, 1.0, 2.0, None)
-        at_b = ostrowski_rhs("T2_3", f, 2.0, self.IV, 1.0, 2.0, None)
+        at_a = rhs_at("T2_3", f, 1.0, self.IV, 1.0, 2.0, None)
+        at_b = rhs_at("T2_3", f, 2.0, self.IV, 1.0, 2.0, None)
         assert math.isfinite(at_a) and at_a > 0.0
         assert math.isfinite(at_b) and at_b > 0.0
         # the a-side factor (x-a)^2 vanishes: only the b-side remains
@@ -481,47 +512,47 @@ class TestOstrowskiRhs:
 
     def test_corollary_zero_m(self):
         for theorem in ("T2_3", "T2_4", "T2_5"):
-            assert ostrowski_rhs(theorem, get_function("pow:2"), 1.5, self.IV,
-                                 1.0, 2.0, None, M=0.0) == 0.0
+            assert rhs_at(theorem, get_function("pow:2"), 1.5, self.IV,
+                          1.0, 2.0, None, M=0.0) == 0.0
         for theorem in ("T2_6", "T2_7"):
-            assert ostrowski_rhs(theorem, get_function("pow:2"), 1.5, self.IV,
-                                 1.0, 2.0, 2.0, M=0.0) == 0.0
+            assert rhs_at(theorem, get_function("pow:2"), 1.5, self.IV,
+                          1.0, 2.0, 2.0, M=0.0) == 0.0
 
     def test_corollary_linear_in_m(self):
         for theorem, q, p in (("T2_3", 2.0, None), ("T2_4", 1.0, None),
                               ("T2_5", 3.0, None), ("T2_6", 2.0, 2.0),
                               ("T2_7", 2.0, 2.0)):
-            r1 = ostrowski_rhs(theorem, get_function("inv"), 1.3, self.IV,
-                               0.5, q, p, M=0.7)
-            r2 = ostrowski_rhs(theorem, get_function("inv"), 1.3, self.IV,
-                               0.5, q, p, M=1.4)
+            r1 = rhs_at(theorem, get_function("inv"), 1.3, self.IV,
+                        0.5, q, p, M=0.7)
+            r2 = rhs_at(theorem, get_function("inv"), 1.3, self.IV,
+                        0.5, q, p, M=1.4)
             assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_t2_5_q1_drops_side_weights(self):
         # at q=1 the lambda5^(1-1/q) factors are exactly 1, so T2_5 and T2_3
         # coincide (both reduce to the same (vt,rho)=(1,1) bracket)
         f = get_function("pow:2")
-        r5 = ostrowski_rhs("T2_5", f, 1.4, self.IV, 0.5, 1.0, None)
-        r3 = ostrowski_rhs("T2_3", f, 1.4, self.IV, 0.5, 1.0, None)
+        r5 = rhs_at("T2_5", f, 1.4, self.IV, 0.5, 1.0, None)
+        r3 = rhs_at("T2_3", f, 1.4, self.IV, 0.5, 1.0, None)
         assert r5 == pytest.approx(r3, rel=1e-13)
 
     def test_requires_pair_for_holder(self):
         for theorem in ("T2_6", "T2_7"):
             with pytest.raises(DomainError, match="needs conjugate exponents"):
-                ostrowski_rhs(theorem, get_function("id"), 1.5, self.IV, 1.0,
-                              None, None)
+                rhs_at(theorem, get_function("id"), 1.5, self.IV, 1.0,
+                       None, None)
             # either exponent completes the pair
-            rhs = ostrowski_rhs(theorem, get_function("id"), 1.5, self.IV,
-                                1.0, 2.0, 2.0)
-            assert ostrowski_rhs(theorem, get_function("id"), 1.5, self.IV,
-                                 1.0, 2.0, None) == rhs
-            assert ostrowski_rhs(theorem, get_function("id"), 1.5, self.IV,
-                                 1.0, None, 2.0) == rhs
+            rhs = rhs_at(theorem, get_function("id"), 1.5, self.IV,
+                         1.0, 2.0, 2.0)
+            assert rhs_at(theorem, get_function("id"), 1.5, self.IV,
+                          1.0, 2.0, None) == rhs
+            assert rhs_at(theorem, get_function("id"), 1.5, self.IV,
+                          1.0, None, 2.0) == rhs
 
     def test_unknown_theorem(self):
         with pytest.raises(DomainError):
-            ostrowski_rhs("T2_2", get_function("id"), 1.5, self.IV, 1.0, None,
-                          None)
+            rhs_at("T2_2", get_function("id"), 1.5, self.IV, 1.0, None,
+                   None)
 
     # right answers of the scale probe below; every other point is refused
     SCALED_RIGHT = {"T2_3": 41, "T2_4": 41, "T2_5": 68, "T2_6": 41,
@@ -535,13 +566,13 @@ class TestOstrowskiRhs:
         # gave rhs 0 or a wrong sum at k = 210..250 (T2_5: 350..510)
         f, q = get_function("pow:0.5"), 2.0
         p = 2.0 if theorem in ("T2_6", "T2_7") else None
-        unit = ostrowski_rhs(theorem, f, 1.5, self.IV, 0.5, q, p)
+        unit = rhs_at(theorem, f, 1.5, self.IV, 0.5, q, p)
         right, wrong = 0, []
         for k in range(-1000, 1001, 10):
             iv = Interval(math.ldexp(1.0, k), math.ldexp(1.0, k + 1))
             try:
-                rhs = ostrowski_rhs(theorem, f, math.ldexp(1.5, k), iv, 0.5,
-                                    q, p)
+                rhs = rhs_at(theorem, f, math.ldexp(1.5, k), iv, 0.5,
+                             q, p)
             except NumericError:
                 continue
             expected = math.ldexp(unit, k // 2)
@@ -558,8 +589,8 @@ class TestOstrowskiRhs:
     @settings(max_examples=60, deadline=None)
     def test_nonnegative(self, x, s, q):
         for theorem in ("T2_3", "T2_4", "T2_5"):
-            assert ostrowski_rhs(theorem, get_function("pow:2"), x, self.IV,
-                                 s, q, None) >= 0.0
+            assert rhs_at(theorem, get_function("pow:2"), x, self.IV,
+                          s, q, None) >= 0.0
 
 
 
@@ -607,6 +638,131 @@ def paper_rhs(theorem: str, x: float, s: float, q: float, p, df) -> float:
                                           + (b - x) ** 2 * side_b)
 
 
+def point_rhs(theorem: str, f: FunctionSpec, x: float, iv: Interval,
+              s: float, q, p, M=None) -> float:
+    """The rhs at one x as a scan point by point assembles it: every check,
+    derivative and weight taken afresh at x, in the order it is needed,
+    with ostrowski_rhs's errors."""
+    try:
+        return _point_rhs(theorem, f, x, iv, s, q, p, M)
+    except OverflowError as exc:
+        raise NumericError("ostrowski_rhs: result overflows") from exc
+    except ZeroDivisionError as exc:
+        raise NumericError("ostrowski_rhs: a divisor underflows to 0") from exc
+
+
+def _point_rhs(theorem, f, x, iv, s, q, p, M):
+    validate_s(s)
+    a, b = iv.a, iv.b
+    if not a <= x <= b:
+        raise DomainError(f"x={x} outside [{a}, {b}]")
+    q, p = resolve_exponents(theorem, q, p)
+    if M is not None:
+        dx = da = db = bounds.validate_m(M)
+    else:
+        dx, da, db = (abs(derivative(f, u)) for u in (x, a, b))
+    inv_q = 1.0 / q
+    vt, rho, prefactor = {
+        "T2_3": lambda: (q, q, 1.0),
+        "T2_4": lambda: (q, 1.0, 0.5 ** (1.0 - inv_q)),
+        "T2_5": lambda: (1.0, 1.0, 1.0),
+        "T2_6": lambda: (q, 0.0, (1.0 / (p + 1.0)) ** (1.0 / p)),
+        "T2_7": lambda: (p, p, 1.0)}[theorem]()
+
+    def side(end, d_end, kind):
+        if theorem == "T2_7":
+            lam = lambda_value(kind, end, x, 0.0, vt, rho)
+            bracket = dx ** q + d_end ** q
+        else:
+            lam_x = lambda_value(kind, end, x, s, vt, rho)
+            lam_end = lambda_value(kind + 1, end, x, s, vt, rho)
+            bracket = lam_x * dx ** q + lam_end * d_end ** q
+        if bracket < MIN_NORMAL and (dx or d_end):
+            raise NumericError(f"{theorem}: the power mean at {end} "
+                               "underflows below the normal floats")
+        if theorem == "T2_7":
+            return (lam ** (1.0 / vt) * (x - end) ** 2
+                    * (bracket / (s + 1.0)) ** inv_q)
+        term = (x - end) ** 2 * bracket ** inv_q
+        if theorem == "T2_5":
+            term *= lambda5(end, x) ** (1.0 - inv_q)
+        return term
+
+    total = 0.0
+    if x > a:
+        total += side(a, da, 1)
+    if x < b:
+        total += side(b, db, 3)
+    v = a * b / (b - a) * prefactor * total
+    if not math.isfinite(v):
+        raise NumericError(f"ostrowski_rhs: non-finite result {v}")
+    return v
+
+
+def scan_outcome(scan):
+    """The values of scan() as hex floats, or its error's type and text."""
+    try:
+        return [v.hex() for v in scan()]
+    except (DomainError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRhsColumns:
+    """A scan assembles its points from weight columns and the derivatives
+    and exponents of one call: each value must be the float, and each
+    failure the error, that a point-by-point scan gives."""
+
+    @pytest.mark.parametrize("theorem", OSTROWSKI_THEOREMS)
+    def test_scan_is_the_point_by_point_assembly(self, theorem):
+        pairs = ([(2.0, 2.0), (1.5, 3.0)] if theorem in ("T2_6", "T2_7")
+                 else [(1.0, None), (2.5, None)])
+        for fn_id in ("pow:2.5", "inv", "neg", "const:2"):
+            f = get_function(fn_id)
+            for a, b in ((1.0, 2.0), (0.5, 3.0)):
+                iv = Interval(a, b)
+                # x = a, x = b and seven points inside
+                xs = uniform_grid(a, b, 9)
+                for s, (q, p), M in itertools.product((0.5, 1.0), pairs,
+                                                      (None, 3.0)):
+                    expected = [point_rhs(theorem, f, x, iv, s, q, p, M).hex()
+                                for x in xs]
+                    assert [rhs_at(theorem, f, x, iv, s, q, p, M=M).hex()
+                            for x in xs] == expected
+                    with lambda_memo():  # the second scan reads the memo
+                        for _ in range(2):
+                            assert scan_outcome(lambda: ostrowski_rhs(
+                                theorem, f, xs, iv, s, q, p, M=M)) == expected
+
+    def test_failing_points_raise_as_a_point_by_point_scan(self):
+        # intervals up to 300 decades wide and down to the subnormals: most
+        # scans fail somewhere, a weight's z at 1, a weight, a power or the
+        # sum out of range, some at several points and in several ways
+        rng = random.Random(7)
+        failed = 0
+        for _ in range(600):
+            theorem = rng.choice(OSTROWSKI_THEOREMS)
+            f = get_function(rng.choice(("id", "inv", "neg", "const:2",
+                                         "pow:0.5", "pow:40", "pow:1e-3")))
+            a = 10.0 ** rng.choice((rng.uniform(-320.0, 300.0),
+                                    rng.uniform(-3.0, 3.0)))
+            b = a * 10.0 ** rng.choice((rng.uniform(0.01, 1.0),
+                                        rng.uniform(1.0, 300.0)))
+            if not 0.0 < a < b < math.inf:
+                continue
+            iv, s = Interval(a, b), rng.choice((0.25, 0.5, 1.0))
+            q = rng.choice((1.5, 2.0, 3.5, 50.0))
+            p = q / (q - 1.0) if theorem in ("T2_6", "T2_7") else None
+            M = rng.choice((None, None, 3.0, 1e200))
+            xs = rng.choice(([rng.uniform(a, b)], uniform_grid(a, b, 9)))
+            expected = scan_outcome(
+                lambda: [point_rhs(theorem, f, x, iv, s, q, p, M) for x in xs])
+            assert scan_outcome(lambda: ostrowski_rhs(
+                theorem, f, xs, iv, s, q, p, M=M)) == expected, (
+                theorem, f.fn_id, a, b, s, q, M, len(xs))
+            failed += isinstance(expected, tuple)
+        assert 200 <= failed <= 500
+
+
 class TestOstrowskiRhsAgainstQuadrature:
     """Every theorem's rhs held against paper_rhs, at both ends and inside,
     for two s, two exponents and with and without M: a mix-up of kind, s or
@@ -623,8 +779,8 @@ class TestOstrowskiRhsAgainstQuadrature:
             for s in (0.5, 1.0):
                 for q, p in exponents:
                     for M in (None, 3.0):
-                        rhs = ostrowski_rhs(theorem, f, x, Interval(1.0, 2.0),
-                                            s, q, p, M=M)
+                        rhs = rhs_at(theorem, f, x, Interval(1.0, 2.0),
+                                     s, q, p, M=M)
                         df = ((lambda u: 2.5 * u ** 1.5) if M is None
                               else (lambda u: M))
                         expected = paper_rhs(theorem, x, s, q, p, df)
@@ -699,7 +855,7 @@ class TestSharpness:
                                     ("T2_5", t2_5_qs)):
                     for q in qs:
                         for x in (a, b):
-                            rhs = ostrowski_rhs(theorem, f, x, iv, s, q, None)
+                            rhs = rhs_at(theorem, f, x, iv, s, q, None)
                             slack = rhs - ostrowski_lhs(f, x, iv)
                             yield slack / rhs, (fn_id, a, b, theorem, q, x)
 

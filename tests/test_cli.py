@@ -8,13 +8,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import canary_lambda_value
+from conftest import canary_lambda_value, rhs_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex import cli, convexity, verify
 from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
-                             ostrowski_lhs, ostrowski_rhs, resolve_exponents)
+                             ostrowski_lhs, resolve_exponents)
 from hsconvex.cli import main
 from hsconvex.convexity import VIOLATION_TOL, uniform_grid
 from hsconvex.numeric import (Interval, arithmetic_mean, derivative,
@@ -162,8 +162,8 @@ class TestHHCommand:
 
 
 # f = 1e308 on [1, 2]: its K15 panel sums overflowed, so both requests
-# exited 2; ostrowski now prints lhs 0 and rhs 0, hh still overflows in
-# f(a) + f(b)
+# exited 2; ostrowski now prints lhs 0 and rhs 0, and hh 1e308 for every
+# member, though f(a) + f(b) overflows
 CONST_1E308 = [
     ("ostrowski", "--theorem", "T2_5", "--fn", "const:1e308", "--a", "1",
      "--b", "2", "--x", "1.5", "--q", "2"),
@@ -176,7 +176,9 @@ class TestOverflow:
         # the mean of u^200 on [1, 100] is about 5e395
         ("ostrowski", "--theorem", "T2_5", "--fn", "pow:200", "--a", "1",
          "--b", "100", "--x", "1.5", "--q", "2"),
-        ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2"),
+        # the right member 3.4e308/1.01 overflows, however it is summed
+        ("hh", "--fn", "const:1.7e308", "--a", "1", "--b", "2", "--s",
+         "0.01"),
     ])
     def test_out_of_range_value_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -236,12 +238,31 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_value_is_refused(self, capsys, fmt):
-        # f(a) + f(b) = 2e308 overflows to inf, so right and slack_right
-        # are inf; the document is refused, not written with null or inf
-        code, out, err = run(capsys, "hh", "--fn", "const:1e308", "--a", "10",
-                             "--b", "20", "--format", fmt)
+        # the right member 3.4e308/1.01 overflows to inf, and so does
+        # slack_right; the document is refused, not written with null or inf
+        code, out, err = run(capsys, "hh", "--fn", "const:1.7e308", "--a",
+                             "10", "--b", "20", "--s", "0.01", "--format",
+                             fmt)
         assert (code, out) == (2, "")
         assert err == "numeric error: non-finite value inf in the document\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("hh", "--fn", "const:1e308", "--a", "1", "--b", "2", "--s", "1"),
+        ("hh", "--variant", "arithmetic", "--fn", "const:1e308", "--a", "1",
+         "--b", "2", "--s", "1"),
+        ("verify", "--theorem", "T2_2", "--fn", "const:1e308", "--a", "1",
+         "--b", "2", "--s", "1"),
+    ])
+    def test_chain_right_member_where_the_sum_overflows(self, capsys, argv):
+        # f(a) + f(b) = 2e308 overflows, but (f(a)+f(b))/2 is 1e308, as is
+        # every member of the chain: the document is printed, all slack 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        for row in doc.get("results", [doc]):
+            members = [row[k] for k in ("left", "middle", "right", "lhs",
+                                        "rhs") if k in row]
+            assert members and set(members) == {1e308}
 
     def test_infinite_tolerance_is_refused(self, capsys):
         # tol = inf let one panel stand for the integral: middle 80.36
@@ -362,7 +383,7 @@ class TestLibraryParity:
         q, p = resolve_exponents(theorem, q, p)
         row = bound_row(theorem, 1.25, iv, s, q, p, None,
                         ostrowski_lhs(f, 1.25, iv),
-                        ostrowski_rhs(theorem, f, 1.25, iv, s, q, p),
+                        rhs_at(theorem, f, 1.25, iv, s, q, p),
                         hypothesis_gate(theorem, f, iv, s, q, None))
         assert code == 0
         assert json.loads(out) == row

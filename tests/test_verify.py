@@ -13,16 +13,17 @@ from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (hh_harmonic_bounds, lambda5, lambda5_integrand,
                              lambda_integrand, lambda_memo, lambda_value,
                              ostrowski_rhs)
-from hsconvex.convexity import GATE_GRID_N, check_convexity
+from hsconvex.convexity import GATE_GRID_N, check_convexity, uniform_grid
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
                               get_function, integrate, weighted_mean)
 from hsconvex.specfn import Gauss2F1
-from hsconvex.verify import (MAX_X_GRID, ROW_FIELDS, SLACK_TOL, bound_row,
-                             hypothesis_gate,
-                             lambda_consistency_rows, lemma_residual,
-                             min_corollary_gap, run_battery,
-                             run_ostrowski_matrix, verify_theorem)
+from hsconvex.verify import (LEMMA_FUNCTIONS, LEMMA_INTERVALS, MAX_X_GRID,
+                             ROW_FIELDS, SLACK_TOL, bound_row,
+                             hypothesis_gate, lambda_consistency_rows,
+                             lemma_residual, mean_fidelity, min_corollary_gap,
+                             run_battery, run_ostrowski_matrix,
+                             verify_theorem)
 
 IV12 = Interval(1.0, 2.0)
 
@@ -283,9 +284,10 @@ class TestDerivativeRoute:
         assert rep["hypothesis_ok"]
         # the 16 x 16 gate's 1,944 values of |f'|^2 are guarded per table by
         # check_convexity, with no spec call and no derivative call;
-        # ostrowski_rhs takes |f'| at x, a and b for each of the 9 x points
+        # ostrowski_rhs takes |f'| at each of the 9 x points, and at a and
+        # b once per scan
         assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 1944
-        assert c["derivative"] == 9 * 3
+        assert c["derivative"] == 9 + 2
         # f at the 9 x points alone: the weighted mean is closed
         assert c["f_evals"] == 9
 
@@ -362,7 +364,8 @@ def count_calls(monkeypatch, c, module, name):
 def counts(monkeypatch):
     """Count function evaluations (see count_evals), 2F1
     evaluations of the lambda weights, the distinct argument tuples asked
-    for, and the weighted means and rhs computed (see count_calls)."""
+    for, and the weighted means, rhs scans and weight columns asked for
+    (see count_calls)."""
     c = Counter()
     asked = set()
     lambda_value = bounds.lambda_value
@@ -380,6 +383,7 @@ def counts(monkeypatch):
     count_evals(monkeypatch, c)
     count_calls(monkeypatch, c, numeric, "weighted_mean")
     count_calls(monkeypatch, c, bounds, "ostrowski_rhs")
+    count_calls(monkeypatch, c, bounds, "lambda_column")
     monkeypatch.setattr(bounds, "Gauss2F1", CountedGauss2F1)
     monkeypatch.setattr(bounds, "lambda_value", recorded_lambda)
     c.asked = asked
@@ -408,16 +412,27 @@ class TestReuse:
         # a weight depends on the interval, x, s and (vartheta, rho), not on
         # f: 2 intervals x 2 s x 4 (vartheta, rho) x 32 plus 2 x 16 for T2_7
         assert counts["hyp2f1"] == len(counts.asked) == 544
-        assert counts["lambda_calls"] > 10 * 544
+        # each weight is asked for once, by the column that holds it: 68
+        # columns of 8 points x > a (or x < b). A scan asks for 4 columns,
+        # 2 for T2_7, so the 8 configs of one (f, interval, s) ask for 30;
+        # the matrix skips the 6 ungated configs, of 4 columns each, and
+        # the corollary sweep adds their theorem scans. Every column asked
+        # for after its first is a memo hit: 628 in the matrix, 676 in the
+        # corollary sweep
+        assert counts["lambda_calls"] == 544 == 68 * 8
+        asked = {run_ostrowski_matrix: 720 - 24, min_corollary_gap: 720 + 24}
+        assert counts["lambda_column"] == asked[sweep] == 68 + {
+            run_ostrowski_matrix: 628, min_corollary_gap: 676}[sweep]
 
     def test_scan_sums_from_one_table_per_kind(self, monkeypatch):
         tables = record_tables(monkeypatch)
         doc = verify_theorem("T2_3", get_function("pow:2"), IV12, 0.5, 2.0,
                              None)
         assert len(doc["results"]) == 9
-        # kinds 1, 2 weigh the 8 points x > a, kinds 3, 4 the 8 points x < b
+        # kinds 1, 2 weigh the 8 points x > a, kinds 3, 4 the 8 points x < b,
+        # one column after the other
         assert [(t.b, len(t.asked)) for t in tables] == [
-            (1.0, 8), (1.5, 8), (3.5, 8), (3.0, 8)]
+            (3.5, 8), (3.0, 8), (1.0, 8), (1.5, 8)]
         # each table is as long as its longest sum needs: every ratio is
         # computed once, where fresh tables compute one per term summed
         terms = []
@@ -445,10 +460,10 @@ class TestReuse:
         # mean_fidelity's 5 x 3, the chain's 4 x 2 and the 186 gated matrix
         # configs
         assert totals[0]["weighted_mean"] == 135 + 15 + 8 + 186
-        # the rhs of the 186 gated matrix configs at 9 x each, read from
-        # their reports by the corollary sweep, which adds its M rhs for all
-        # 192 and the rhs of the 6 ungated ones
-        assert totals[0]["ostrowski_rhs"] == (186 + 192 + 6) * 9 == 3456
+        # one scan of 9 x for each of the 186 gated matrix configs, whose
+        # rhs the corollary sweep reads from their reports, adding its M
+        # scan for all 192 and the scan of the 6 ungated ones
+        assert totals[0]["ostrowski_rhs"] == 186 + 192 + 6 == 384
         # no gate table, and 3,591 evaluations of f itself, 1,590 of them
         # in mean_fidelity's 30 oracle quadratures and none in a mean: the
         # chain's T2_2 gates are power laws too, and tabulate f no more,
@@ -468,6 +483,29 @@ class TestReuse:
         assert means[2] == means[3] == pytest.approx(2.0 * math.log(2.0),
                                                      rel=1e-15)
         assert counts["f_evals"] == 0
+
+    def test_oracle_evaluations_are_pinned(self, monkeypatch):
+        # the integrand evaluations of the battery's oracle rows, as the
+        # loop form of the GK15 kernel spent them: a kernel that walks
+        # another panel tree spends another count
+        spent = Counter()
+        integrate = verify.integrate
+
+        def counted(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            spent[row] += result.evals
+            return result
+        monkeypatch.setattr(verify, "integrate", counted)
+        row = "lambda"
+        lambda_consistency_rows()
+        row = "mean"
+        mean_fidelity()
+        row = "lemma"
+        for f in map(get_function, LEMMA_FUNCTIONS):
+            for a, b in LEMMA_INTERVALS:
+                for x in uniform_grid(a, b, 9):
+                    lemma_residual(f, x, Interval(a, b))
+        assert spent == {"lambda": 89_640, "mean": 1_590, "lemma": 5_850}
 
     def test_corollary_sweep_alone_matches_the_battery(self):
         # in the battery the matrix and the sweep share one lambda_memo
