@@ -7,8 +7,8 @@ an independent adaptive-quadrature oracle.
 """
 
 from .errors import DomainError, NumericError
-from .numeric import (DEFAULT_TOL, FunctionSpec, Interval, QuadResult,
-                      derivative, get_function, integrate, weighted_mean)
+from .numeric import (FunctionSpec, Interval, QuadResult, derivative,
+                      get_function, integrate, weighted_mean)
 from .specfn import beta, hyp2f1
 from .convexity import (ConvexityReport, check_am_hm, check_convexity,
                         harmonic_combination, proposition_implications)
@@ -22,7 +22,7 @@ from .verify import (bound_row, lambda_consistency_rows, lemma_residual,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexityReport", "DEFAULT_TOL", "DomainError", "FunctionSpec",
+    "ConvexityReport", "DomainError", "FunctionSpec",
     "Interval", "NumericError", "QuadResult", "beta", "bound_row",
     "check_am_hm", "check_convexity", "classic_ostrowski_rhs", "derivative",
     "get_function", "harmonic_combination", "hh_harmonic_bounds",

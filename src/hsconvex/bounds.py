@@ -14,8 +14,8 @@ forms are what this module evaluates, and the quadrature oracle in
 
 lambda5 is the q = 1 degenerate weight int_0^1 t/(t*theta + (1-t)*x)^2 dt
 with the elementary closed form (1/(x-theta)) (1/theta - ln(x/theta)/(x-theta)).
-That expression loses all precision as theta -> x, so the implementation
-switches to a Taylor expansion in z = 1 - theta/x below |z| = 1e-4.
+That expression cancels as theta -> x, so below |1 - theta/x| = 0.1 it is
+taken as the kind 1 or 3 weight at (s, vartheta, rho) = (0, 1, 1).
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ from .numeric import (MIN_NORMAL, FunctionSpec, Interval, arithmetic_mean,
 from .specfn import Z_CAP, Gauss2F1, beta
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
-
-# switch point between the elementary lambda5 closed form and its Taylor
-# expansion about theta = x; below this the closed form cancels catastrophically
-_LAMBDA5_TAYLOR_CUT = 1e-4
 
 
 def validate_q(q: float) -> float:
@@ -225,30 +221,24 @@ def lambda_column(kind: int, end: float, xs: Sequence[float], s: float,
 
 @_finite
 def lambda5(theta: float, x: float) -> float:
-    """Evaluate int_0^1 t/(t*theta + (1-t)*x)^2 dt.
-
-    Closed form ((x-theta)/theta - ln(x/theta)) / (x-theta)^2 away from
-    theta = x; Taylor expansion (1/x^2) sum_k ((k+1)/(k+2)) z^k with
-    z = 1 - theta/x when |z| < 1e-4. Continuous through theta = x, where
-    the value is 1/(2 x^2).
-    """
+    """Evaluate int_0^1 t/(t*theta + (1-t)*x)^2 dt: the closed form
+    ((x-theta)/theta - ln(x/theta)) / (x-theta)^2 where |1 - theta/x| >=
+    0.1, else, where it cancels, lambda_value of kind 1 (theta <= x) or 3
+    at (s, vartheta, rho) = (0, 1, 1); 1/(2 x^2) at theta = x exactly,
+    which the Beta factor's lgamma would round."""
     for name, v in (("theta", theta), ("x", x)):
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"lambda5 requires {name} > 0, got {v}")
-    z = 1.0 - theta / x
-    if abs(z) >= _LAMBDA5_TAYLOR_CUT:
-        d = x - theta
-        w = d / theta
-        # log1p keeps w - ln(1+w) accurate when w is small but above the
-        # cut; w rounds to -1 when x << theta, where log1p has no value
-        log_ratio = math.log(x) - math.log(theta) if w <= -1.0 else math.log1p(w)
-        return (w - log_ratio) / (d * d)
-    acc = 0.0
-    term = 1.0
-    for k in range(12):
-        acc += (k + 1.0) / (k + 2.0) * term
-        term *= z
-    return acc / (x * x)
+    if theta == x:
+        return 0.5 / (x * x)
+    if abs(1.0 - theta / x) < 0.1:
+        return lambda_value(1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0)
+    d = x - theta
+    w = d / theta
+    # log1p keeps w - ln(1+w) accurate when w is small but above the
+    # cut; w rounds to -1 when x << theta, where log1p has no value
+    log_ratio = math.log(x) - math.log(theta) if w <= -1.0 else math.log1p(w)
+    return (w - log_ratio) / (d * d)
 
 
 def harmonic_midpoint(iv: Interval) -> float:

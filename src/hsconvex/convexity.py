@@ -202,9 +202,12 @@ def _combined_points(x: float, y: float,
 
 
 def _guarded(name: str, fn: Callable[[float], float], x: float) -> float:
-    """fn(x), or DomainError named `name` when it fails or is not finite."""
+    """fn(x), or DomainError named `name` when it fails or is not finite;
+    a DomainError fn raises itself passes through unchanged."""
     try:
         v = fn(x)
+    except DomainError:
+        raise
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise DomainError(f"{name}: evaluation failed at {x}") from exc
     if not math.isfinite(v):

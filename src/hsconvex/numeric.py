@@ -9,8 +9,9 @@ gives f(u), `derivative` gives f'(u), and `weighted_mean` and
 every closed form is held against, and is used for nothing else. Each panel
 is one call of `gk15`, its 15 samples and two sums written out flat; the
 embedded 7-point Gauss rule gives the error estimate |K15 - G7|, and the
-panel with the worst estimate is bisected until the summed estimate drops
-below the caller's tolerance.
+panel with the worst estimate is bisected until the summed estimate is at
+most REL_TOL of the summed |value| of the panels. There is no tolerance to
+set: every oracle site asks for the same relative accuracy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericError
 
-DEFAULT_TOL = 1e-10
+# integrate stops at a summed |K15 - G7| of REL_TOL times the summed |value|
+# of the panels, and reports no less than ROUNDOFF of that sum, below which
+# the sums carry rounding (QUADPACK's epsrel and 50 * epmach * resabs)
+REL_TOL = 1e-12
+ROUNDOFF = 50.0 * 2.0 ** -52
 MAX_DEPTH = 50
 # integrand evaluations one integrate call may spend. MAX_DEPTH bounds how
 # deep one panel goes, not how many panels there are: near a sharp peak the
@@ -159,20 +164,18 @@ def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, floa
     return value, err
 
 
-def integrate(f: Callable[[float], float], lo: float, hi: float,
-              tol: float = DEFAULT_TOL) -> QuadResult:
-    """Integrate f over [lo, hi] to absolute tolerance tol, bisecting the
-    panel of largest estimate first, where the integrand is hardest. Node
-    ordering and the final fsum reduction are deterministic, making results
-    bit-reproducible run to run.
+def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadResult:
+    """Integrate f over [lo, hi] to the relative tolerance REL_TOL,
+    bisecting the panel of largest estimate first, where the integrand is
+    hardest. The error estimate is never below ROUNDOFF of the summed
+    |value| of the panels. Node ordering and the final fsum reduction are
+    deterministic, making results bit-reproducible run to run.
 
     Raises NumericError (carrying the best value and its error estimate)
     when a panel would need bisection beyond MAX_DEPTH or a bisection would
     take the evaluations past MAX_EVALS, and DomainError on any non-finite
-    sample or a tol that is not finite and positive.
+    sample.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
     if lo == hi:
         return QuadResult(value=0.0, err_est=0.0, evals=0)
     if not lo < hi:
@@ -183,13 +186,14 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     heap = [(-err, 0, 0, lo, hi, val, err)]
     counter = 1
     evals = 15
-    total_err = err
+    total_err, total_abs = err, abs(val)
     while True:
-        if total_err <= tol:
-            # the running sum cancels, down to below zero; stop only when
-            # the exact sum over the live panels also meets tol
+        if total_err <= REL_TOL * total_abs:
+            # the running sums cancel, the errors down to below zero; stop
+            # only when the exact sums over the live panels also meet it
             total_err = math.fsum(item[6] for item in heap)
-            if total_err <= tol:
+            total_abs = math.fsum(abs(item[5]) for item in heap)
+            if total_err <= REL_TOL * total_abs:
                 break
         _, _, depth, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -201,17 +205,18 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
                 f"bisection depth {depth} exhausted at panel [{a}, {b}]"
                 if too_deep else
                 f"evaluation budget spent: {evals} evaluations, error "
-                f"estimate {best_err:.3g} above tol {tol:g}",
+                f"estimate {best_err:.3g} above {REL_TOL:g} of the summed |value|",
                 value=best, err_est=best_err)
         v1, e1 = gk15(f, a, mid)
         v2, e2 = gk15(f, mid, b)
         evals += 30
         total_err += e1 + e2 - e
+        total_abs += abs(v1) + abs(v2) - abs(v)
         heapq.heappush(heap, (-e1, counter, depth + 1, a, mid, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, depth + 1, mid, b, v2, e2))
         counter += 2
     value = math.fsum(item[5] for item in heap)
-    return QuadResult(value=value, err_est=total_err, evals=evals)
+    return QuadResult(value, max(total_err, ROUNDOFF * total_abs), evals)
 
 
 def _power_mean(f: FunctionSpec, base: float, k: float,

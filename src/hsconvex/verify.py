@@ -10,7 +10,8 @@ budget is an error, not a sampled answer; a gate grid, when one is asked
 for, is scanned instead.
 
 lambda_consistency_rows and mean_fidelity hold every lambda closed form and
-both closed means against quadrature of their defining integrals.
+both closed means against quadrature of their defining integrals, each by
+integrate(f, lo, hi) at its one relative tolerance, as `lambda --check` is.
 run_battery runs every check once, for the CLI's selftest and the
 acceptance tests alike; its comparison-proposition row counts the
 implications whose consequent fails, each decided exactly.
@@ -201,8 +202,9 @@ def verify_theorem(theorem: str, f: FunctionSpec, iv: Interval, s: float,
 LAMBDA_PAIRS = ((1.0, 1.1), (1.0, 1.5), (1.0, 1.9))
 LAMBDA_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 LAMBDA_VARTHETA_RHO = ((1.0, 0.0), (1.0, 1.0), (2.0, 2.0), (1.5, 1.5))
-# (theta, x) pairs for lambda5, with the near-equal regime on both sides of
-# the Taylor handoff (z = 1 - theta/x at +-1e-6 .. +-1e-1)
+# (theta, x) pairs for lambda5, with the near-equal regime its 2F1 route
+# takes (z = 1 - theta/x at +-1e-6 .. +-1e-2) and one point on each side
+# of the cut |z| = 0.1
 LAMBDA5_POINTS = ((1.0, 2.0), (2.0, 1.5), (1.0, 1.5), (1.5, 1.5)) + tuple(
     (1.5 * (1.0 - sign * mag), 1.5)
     for mag in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1) for sign in (1.0, -1.0))
@@ -216,7 +218,7 @@ def lambda_consistency_rows() -> list[dict]:
     value, which is strictly positive on the sweep).
     """
     def row(kind, theta, x, s, vt, rho, closed, integrand) -> dict:
-        oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
+        oracle = integrate(integrand, 0.0, 1.0).value
         return {"family": f"lambda{kind}", "kind": kind, "theta": theta,
                 "x": x, "s": s, "vartheta": vt, "rho": rho, "closed": closed,
                 "oracle": oracle, "rel_err": abs(closed - oracle) / abs(closed)}
@@ -257,9 +259,9 @@ def mean_fidelity() -> list[float]:
             for f in map(get_function, LEMMA_FUNCTIONS)
             for a, b in LEMMA_INTERVALS for closed, oracle in (
                 (weighted_mean(f, Interval(a, b)), a * b / (b - a) * integrate(
-                    lambda u: f(u) / (u * u), a, b, 1e-13).value),
+                    lambda u: f(u) / (u * u), a, b).value),
                 (arithmetic_mean(f, a, b),
-                 integrate(f, a, b, 1e-13).value / (b - a)))]
+                 integrate(f, a, b).value / (b - a)))]
 
 
 def _matrix_configs():

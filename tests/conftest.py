@@ -11,6 +11,7 @@ the selftest rendering tests all read the rows of the `battery` fixture.
 import math
 import random
 
+import mpmath
 import pytest
 
 from hsconvex import bounds
@@ -105,3 +106,22 @@ def lambda_shapes(seed: int, n: int) -> list[tuple]:
         if 0.0 < vartheta <= 6.0:
             shapes.append((kind, s, vartheta, rho, b, b2, c))
     return shapes
+
+
+def mp_lambda(kind: int, theta: float, x: float, s, vartheta, rho):
+    """The lambda weight of kind 1..5 at these floats, in mpmath: Beta and
+    2F1 at 40 digits for kinds 1..4 (z formed in mpmath, not rounded), and
+    lambda5's elementary form at 100 digits, which its cancellation near
+    theta = x needs."""
+    with mpmath.workdps(100 if kind == 5 else 40):
+        t, u = mpmath.mpf(theta), mpmath.mpf(x)
+        if kind == 5:
+            d = u - t
+            if d == 0:
+                return 1 / (2 * u * u)
+            return (d / t - mpmath.log(u / t)) / (d * d)
+        b, b2 = {1: (rho + s + 1.0, 1.0), 2: (rho + 1.0, s + 1.0),
+                 3: (1.0, rho + s + 1.0), 4: (s + 1.0, rho + 1.0)}[kind]
+        base, z = (u, 1 - t / u) if kind in (1, 2) else (t, 1 - u / t)
+        return (mpmath.beta(b, b2) / base ** (2 * vartheta)
+                * mpmath.hyp2f1(2 * vartheta, b, rho + s + 2.0, z))

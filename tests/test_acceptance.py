@@ -32,7 +32,7 @@ def _announce(criterion: int, ok: bool, detail: str) -> None:
 
 def test_c1_lambda_closed_form_fidelity(row):
     # kinds 1-4 on the standard >= 240-point grid vs quadrature: rel <= 1e-8;
-    # lambda5 grid (with the Taylor-branch handoff points) rel <= 1e-10;
+    # lambda5 grid (with points on both sides of its 2F1 cut) rel <= 1e-10;
     # runtime < 10 s
     k14, k5 = row("lambda_fidelity_kinds_1_4"), row("lambda5_fidelity")
     ok = (k14.cases >= 240 and k14.value <= 1e-8 and k5.value <= 1e-10

@@ -8,8 +8,8 @@ import re
 
 import mpmath
 import pytest
-from conftest import (canary_lambda_value, lambda_shapes, record_tables,
-                      rhs_at)
+from conftest import (canary_lambda_value, lambda_shapes, mp_lambda,
+                      record_tables, rhs_at)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,12 +221,12 @@ class TestLambdaValue:
                     denom = (t * 1.0 + (1.0 - t) * 1.8) ** (2.0 * vt)
                     return t ** rho * (t ** s + (1.0 - t) ** s) / denom
 
-                ref = integrate(integrand, 0.0, 1.0, 1e-12).value
+                ref = integrate(integrand, 0.0, 1.0).value
                 assert total == pytest.approx(ref, rel=1e-9)
 
     def test_oracle_agreement_spot(self):
         args = (4, 1.9, 1.0, 0.75, 1.5, 1.5)
-        oracle = integrate(lambda_integrand(*args), 0.0, 1.0, 1e-12).value
+        oracle = integrate(lambda_integrand(*args), 0.0, 1.0).value
         assert lambda_value(*args) == pytest.approx(oracle, rel=1e-10)
 
     def test_against_mpmath_up_to_one(self):
@@ -319,14 +319,28 @@ class TestLambda5:
         assert lambda5(1.0, 2.0) != lambda5(2.0, 1.0)
 
     def test_branch_handoff(self):
-        # values just inside and outside the Taylor switch must agree
+        # values just inside (2F1) and outside (closed form) the cut agree
         x = 1.5
-        for mag in (0.99e-4, 1.01e-4):
+        for mag in (0.099, 0.101):
             for sign in (1.0, -1.0):
                 theta = x * (1.0 - sign * mag)
-                ref = integrate(lambda5_integrand(theta, x), 0.0, 1.0,
-                                1e-13).value
-                assert lambda5(theta, x) == pytest.approx(ref, rel=1e-9)
+                ref = integrate(lambda5_integrand(theta, x), 0.0, 1.0).value
+                assert lambda5(theta, x) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1.5, 2.2e-7, 3.1e5])
+    def test_against_mpmath_near_equal(self, x):
+        # |z| from 1 down to 1e-12 on both sides, four points a decade: 2F1
+        # below the cut |z| = 0.1, where the closed form cancels (it was
+        # 1.6e-12 off just above the Taylor cut |z| = 1e-4 that 2F1
+        # replaced), and the closed form above it
+        worst = 0.0
+        for k in range(49):
+            for sign in (1.0, -1.0):
+                theta = x * (1.0 - sign * 10.0 ** (-k / 4.0))
+                if theta > 0.0:
+                    ref = mp_lambda(5, theta, x, None, None, None)
+                    worst = max(worst, float(abs(lambda5(theta, x) - ref) / ref))
+        assert worst <= 2e-15
 
     @given(st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=0.1, max_value=10.0))
@@ -601,7 +615,7 @@ def paper_rhs(theorem: str, x: float, s: float, q: float, p, df) -> float:
     a, b = 1.0, 2.0
 
     def quad(integrand) -> float:
-        return integrate(integrand, 0.0, 1.0, 1e-13).value
+        return integrate(integrand, 0.0, 1.0).value
 
     def lam(kind, theta, s_w, vt, rho) -> float:
         return quad(lambda_integrand(kind, theta, x, s_w, vt, rho))

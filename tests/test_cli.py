@@ -48,6 +48,21 @@ class TestLambdaCommand:
                                              rel=1e-10)
         assert doc["rel_err"] <= 1e-8
 
+    def test_check_reproduces_the_battery_oracle(self, capsys):
+        # one oracle and one tolerance: at each point of the selftest's
+        # lambda sweep, --check prints that row's oracle and rel_err
+        for row in lambda_consistency_rows():
+            argv = ["lambda", "--kind", str(row["kind"]),
+                    "--theta", repr(row["theta"]), "--x", repr(row["x"])]
+            if row["kind"] != 5:
+                argv += ["--s", repr(row["s"]), "--vartheta",
+                         repr(row["vartheta"]), "--rho", repr(row["rho"])]
+            code, out, _ = run(capsys, *argv, "--check", "--format", "json")
+            doc = json.loads(out)
+            assert code == 0
+            assert [float(doc[k]).hex() for k in ("oracle", "rel_err")] == [
+                row[k].hex() for k in ("oracle", "rel_err")], argv
+
     def test_check_of_a_small_value_is_relative(self, capsys):
         # value 4.4e-6: an absolute 1e-12 oracle tolerance allowed a
         # rel_err of 3e-8 here
@@ -61,8 +76,7 @@ class TestLambdaCommand:
     @pytest.mark.parametrize("rho", ["100", "1e4"])
     def test_check_of_a_subnormal_value_is_refused(self, capsys, rho):
         # z = 0: the value is 1/((rho + 2) x^2), 9.8e-311 and 1.0e-312,
-        # which has too few digits for a relative error (at 1e-312 the
-        # scaled oracle tolerance would round to 0.0)
+        # which has too few digits for a relative error
         argv = ("lambda", "--kind", "1", "--theta", "1e154", "--x", "1e154",
                 "--s", "1", "--vartheta", "1", "--rho", rho)
         code, out, _ = run(capsys, *argv)
@@ -217,7 +231,7 @@ class TestHostileInput:
         # the gate's |f'|^q = (2u)^100 overflows at u = 1e10
         ("verify", "--theorem", "T2_3", "--fn", "pow:2", "--a", "1", "--b",
          "1e10", "--q", "100"),
-        # lambda5: x*x underflows to 0 in the Taylor branch
+        # lambda5 at theta = x: x*x underflows to 0
         ("lambda", "--kind", "5", "--theta", "1e-200", "--x", "1e-200"),
         # lambda5: d*d underflows to 0 in the closed form
         ("lambda", "--kind", "5", "--theta", "1e-170", "--x", "3e-170"),
@@ -273,6 +287,16 @@ class TestHostileInput:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --tol inf" in err
 
+    def test_gate_keeps_the_functions_own_error(self, capsys):
+        # 1/u is inf at the subnormal 1e-320: the registry function raises
+        # its DomainError there, which the gate scan passes on unchanged
+        # rather than rewording as "evaluation failed"
+        code, out, err = run(capsys, "verify", "--theorem", "T2_2", "--fn",
+                             "inv", "--a", "1e-320", "--b", "1", "--s", "1",
+                             "--grid-gate", "3")
+        assert (code, out) == (2, "")
+        assert err == "domain error: inv: non-finite value at 1e-320\n"
+
     def test_gate_error_names_the_first_bad_point(self, capsys):
         # u ** 2 raises OverflowError past u = 1.3e154: the error names the
         # second grid node, the first bad point of the scan, as a call per
@@ -306,7 +330,10 @@ class TestZNearOne:
 
 
     # the oracle of --check integrates a weight whose mass crowds into a
-    # sliver of t as z -> 1: the evaluation budget of integrate ends it
+    # sliver of t as z -> 1. Under its relative stop it answers at z =
+    # 1 - 1e-6 and on the b side at 1 - 1e-9, where its rel_err is the
+    # closed form's own error; on the a side at 1 - 1e-9 the evaluation
+    # budget or the bisection depth ends it with exit 2
     @pytest.mark.parametrize("kind, theta, x", [
         (1, "1e-6", "2"),
         *[(k, z, "1") for k in (1, 2) for z in ("1e-6", "1e-9")],

@@ -23,13 +23,13 @@ from hsconvex.cli import main
 
 SELFTEST_SHA256 = {
     ("--format", "json"):
-        "913835df15b4bcf82720007b6a5ebca6abedb2865d64b601322819b2083c440b",
+        "bc702728e1e4c8af6c7e2d388de9e8c83edd6f87bf3e19cee299b0481b765e7f",
     ("--format", "csv"):
-        "b9effbb3485f9661ffaea97cb7aa6736b616e41b43acf033e236c7699af17fc6",
+        "6d8e75f435fd0a68be13746bde5d1f80fd0fd487f2c8b0f7ac4424b52fb64cc1",
     ():
-        "5759c9836f65e006b1c3ca66b238fb77ea9f722f6c2288d854e1f3deafe9b42d",
+        "050d532737328c27bacbeeafd91e909502d4e3dd090c16554ca4a71ecee240e9",
     ("--tol", "1e-30"):
-        "9bff7d7299f3f0ff0789150ddec3fd783b4568caf2cc52d1b3ff87776af17242",
+        "e1f315996c2c304b3f54fc2fa9d36271758718db95f429315dfabd1faafc436f",
 }
 
 
@@ -131,8 +131,8 @@ EDGE_REQUESTS = [
      "2", "--x", "1.5"],
 ]
 
-CORPUS_SHA256 = ("bf1d2aced9977eed3e314c645fe19a1a"
-                 "f5a038f24c74449e2622cdcb853d95d6")
+CORPUS_SHA256 = ("8d71532d18f19492ed796559dff33c41"
+                 "d5cc01bcb71c56191af35b29776b092e")
 
 
 def corpus() -> list[list[str]]:

@@ -51,7 +51,7 @@ def test_public_api_pinned():
     # a public name is added or removed on purpose, by editing this list
     # in the same change
     assert sorted(hsconvex.__all__) == [
-        "ConvexityReport", "DEFAULT_TOL", "DomainError", "FunctionSpec",
+        "ConvexityReport", "DomainError", "FunctionSpec",
         "Interval", "NumericError", "QuadResult", "beta", "bound_row",
         "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
         "derivative", "get_function", "harmonic_combination",
@@ -152,7 +152,7 @@ def test_settable_values_pinned():
     # each default is a value a caller may set; a new one must be added on
     # purpose, by raising this count in the same change
     files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
-    assert sum(settable_values(f) for f in files) == 8
+    assert sum(settable_values(f) for f in files) == 7
 
 
 def test_settable_values_count_named_tuple_defaults(tmp_path):
@@ -167,14 +167,19 @@ def test_settable_values_count_named_tuple_defaults(tmp_path):
 def integrate_callers(path: Path) -> set[str]:
     """`<file>:<name>` for each top-level function or class of path that
     calls integrate, by its name or as an attribute, itself or in a
-    function nested in it; a call outside them is `<file>:<module>`."""
+    function nested in it; a call outside them is `<file>:<module>`. A call
+    that passes anything but the three plain arguments (f, lo, hi) adds
+    `<file>:<name>: <the call>` instead."""
     found = set()
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and "integrate" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
-                found.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+                site = f"{path.name}:{getattr(top, 'name', '<module>')}"
+                plain = len(node.args) == 3 and not node.keywords and not any(
+                    isinstance(arg, ast.Starred) for arg in node.args)
+                found.add(site if plain else f"{site}: {ast.unparse(node)}")
     return found
 
 
@@ -185,7 +190,8 @@ ORACLE_SITES = {"cli.py:cmd_lambda", "verify.py:lemma_residual",
 
 def test_quadrature_only_at_the_oracle_sites():
     # every value the package prints comes from a closed form: no value
-    # path falls back to quadrature
+    # path falls back to quadrature; and every site asks the oracle for
+    # its one relative tolerance, passing none of its own
     files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
     assert set().union(*map(integrate_callers, files)) == ORACLE_SITES
 
@@ -200,10 +206,16 @@ def test_integrate_detector_finds_every_spelling(tmp_path):
                      "    return g\n"
                      "class C:\n    def m(self):\n"
                      "        return integrate(abs, 0.0, 1.0)\n"
-                     "def h():\n    return integrated(1)\n",
+                     "def h():\n    return integrated(1)\n"
+                     "def t():\n    return integrate(abs, 0.0, 1.0, 1e-13)\n"
+                     "def k():\n    return integrate(abs, 0.0, 1.0, tol=1)\n"
+                     "def r():\n    return integrate(*(abs, 0.0, 1.0))\n",
                      encoding="utf-8")
-    assert integrate_callers(probe) == {"probe.py:<module>", "probe.py:f",
-                                        "probe.py:C"}
+    assert integrate_callers(probe) == {
+        "probe.py:<module>", "probe.py:f", "probe.py:C",
+        "probe.py:t: integrate(abs, 0.0, 1.0, 1e-13)",
+        "probe.py:k: integrate(abs, 0.0, 1.0, tol=1)",
+        "probe.py:r: integrate(*(abs, 0.0, 1.0))"}
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import mpmath
 import pytest
-from conftest import canary_lambda_value, record_tables
+from conftest import canary_lambda_value, mp_lambda, record_tables
 
 from hsconvex import bounds, convexity, numeric, verify
 from hsconvex.bounds import (hh_harmonic_bounds, lambda5, lambda5_integrand,
@@ -302,9 +302,19 @@ class TestLambdaConsistency:
 
     @staticmethod
     def rel_err(closed, integrand):
-        # the comparison of one sweep row, at the sweep's oracle tolerance
-        oracle = integrate(integrand, 0.0, 1.0, 1e-13).value
+        # the comparison of one sweep row
+        oracle = integrate(integrand, 0.0, 1.0).value
         return abs(closed - oracle) / abs(closed)
+
+    def test_oracle_against_mpmath(self):
+        # the oracle itself, held against each weight in mpmath: a relative
+        # stop at REL_TOL keeps every row within 1e-13 (7.8e-14 at worst;
+        # the absolute tolerance 1e-13 it replaced left 1.15e-13)
+        worst = max(
+            float(abs(r["oracle"] - ref) / ref) for r in lambda_consistency_rows()
+            for ref in [mp_lambda(r["kind"], r["theta"], r["x"], r["s"],
+                                  r["vartheta"], r["rho"])])
+        assert worst <= 1e-13
 
     def test_z_zero_tight(self):
         for kind in (1, 2, 3, 4):
@@ -315,6 +325,7 @@ class TestLambdaConsistency:
                             lambda5_integrand(1.0, 1.0)) <= 1e-13
 
     def test_taylor_subgrid(self):
+        # near theta = x, where lambda5 takes its 2F1 route
         for sign in (1.0, -1.0):
             theta = 1.5 * (1.0 - sign * 1e-5)
             assert self.rel_err(lambda5(theta, 1.5),
@@ -409,9 +420,15 @@ class TestReuse:
         counts.clear()
         counts.asked.clear()
         sweep(*args)
+        # lambda5(2, 1.875) is the sweep's one T2_5 weight with |z| < 0.1,
+        # taken as the kind 3 weight at (s, vartheta, rho) = (0, 1, 1) in
+        # each T2_5 scan on [1, 2]: the matrix's 23 gated ones, and the
+        # corollary sweep's 24 M scans and 1 ungated theorem scan
+        lambda5_sums = {run_ostrowski_matrix: 23, min_corollary_gap: 25}[sweep]
+        assert (3, 2.0, 1.875, 0.0, 1.0, 1.0) in counts.asked
         # a weight depends on the interval, x, s and (vartheta, rho), not on
         # f: 2 intervals x 2 s x 4 (vartheta, rho) x 32 plus 2 x 16 for T2_7
-        assert counts["hyp2f1"] == len(counts.asked) == 544
+        assert counts["hyp2f1"] - lambda5_sums == len(counts.asked) - 1 == 544
         # each weight is asked for once, by the column that holds it: 68
         # columns of 8 points x > a (or x < b). A scan asks for 4 columns,
         # 2 for T2_7, so the 8 configs of one (f, interval, s) ask for 30;
@@ -419,7 +436,7 @@ class TestReuse:
         # the corollary sweep adds their theorem scans. Every column asked
         # for after its first is a memo hit: 628 in the matrix, 676 in the
         # corollary sweep
-        assert counts["lambda_calls"] == 544 == 68 * 8
+        assert counts["lambda_calls"] - lambda5_sums == 544 == 68 * 8
         asked = {run_ostrowski_matrix: 720 - 24, min_corollary_gap: 720 + 24}
         assert counts["lambda_column"] == asked[sweep] == 68 + {
             run_ostrowski_matrix: 628, min_corollary_gap: 676}[sweep]
@@ -453,9 +470,10 @@ class TestReuse:
             totals.append(dict(counts))
         # a cache that outlived the first run would cut the second's counts
         assert totals[0] == totals[1]
-        # the lambda sweep's 240 rows plus the 544 weights the matrix and
-        # the corollary sweep share
-        assert totals[0]["hyp2f1"] == 240 + 544
+        # the lambda sweep's 240 rows and its 11 lambda5 points with
+        # 0 < |z| < 0.1, plus the 544 weights the matrix and the corollary
+        # sweep share and their 23 + 25 sums of lambda5(2, 1.875)
+        assert totals[0]["hyp2f1"] == 240 + 11 + 544 + 23 + 25
         # one closed mean per call, none stored: the lemma's 135 residuals,
         # mean_fidelity's 5 x 3, the chain's 4 x 2 and the 186 gated matrix
         # configs
@@ -464,12 +482,12 @@ class TestReuse:
         # rhs the corollary sweep reads from their reports, adding its M
         # scan for all 192 and the scan of the 6 ungated ones
         assert totals[0]["ostrowski_rhs"] == 186 + 192 + 6 == 384
-        # no gate table, and 3,591 evaluations of f itself, 1,590 of them
+        # no gate table, and 3,291 evaluations of f itself, 1,290 of them
         # in mean_fidelity's 30 oracle quadratures and none in a mean: the
         # chain's T2_2 gates are power laws too, and tabulate f no more,
         # and the AM-HM scan tabulates u -> u, not the registry's id
         assert "gate_evals" not in totals[0]
-        assert totals[0]["f_evals"] == 3_591
+        assert totals[0]["f_evals"] == 3_291
 
     def test_means_are_keyed_on_the_power_law(self, counts):
         # two specs built by hand may share a fn_id and be different
@@ -485,9 +503,9 @@ class TestReuse:
         assert counts["f_evals"] == 0
 
     def test_oracle_evaluations_are_pinned(self, monkeypatch):
-        # the integrand evaluations of the battery's oracle rows, as the
-        # loop form of the GK15 kernel spent them: a kernel that walks
-        # another panel tree spends another count
+        # the integrand evaluations of the battery's oracle rows under the
+        # relative stop: a kernel or a stopping rule that walks another
+        # panel tree spends another count
         spent = Counter()
         integrate = verify.integrate
 
@@ -505,7 +523,7 @@ class TestReuse:
             for a, b in LEMMA_INTERVALS:
                 for x in uniform_grid(a, b, 9):
                     lemma_residual(f, x, Interval(a, b))
-        assert spent == {"lambda": 89_640, "mean": 1_590, "lemma": 5_850}
+        assert spent == {"lambda": 85_410, "mean": 1_290, "lemma": 7_800}
 
     def test_corollary_sweep_alone_matches_the_battery(self):
         # in the battery the matrix and the sweep share one lambda_memo
