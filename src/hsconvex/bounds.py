@@ -10,7 +10,7 @@ where kinds 1, 2 sit on the a-side (theta <= x, z = 1 - theta/x) and kinds
 3, 4 on the b-side (x <= theta, z = 1 - x/theta). Each has a closed form in
 Beta and 2F1 obtained from the Euler integral representation; the closed
 forms are what this module evaluates, and the quadrature oracle in
-`verify` holds them against the defining integrals.
+`verify` holds them against the defining integrals, in a graded u.
 
 lambda5 is the q = 1 degenerate weight int_0^1 t/(t*theta + (1-t)*x)^2 dt
 with the elementary closed form (1/(x-theta)) (1/theta - ln(x/theta)/(x-theta)).
@@ -117,15 +117,21 @@ def lambda_integrand(kind: int, theta: float, x: float, s: float,
                      vartheta: float, rho: float):
     """Return the defining integrand of the lambda weight as a callable on
     (0, 1), after the checks of lambda_z: what the quadrature oracle
-    integrates to cross-check the closed form."""
+    integrates to cross-check the closed form, in u with t = u^2 (3 - 2u),
+    dt = 6u(1-u) du, which grades both ends (Sidi 1993); 1 - t is formed
+    from u as (1-u)^2 (1+2u), so it keeps its digits where t rounds to 1."""
     lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
     if kind in (1, 3):
-        def integrand(t: float) -> float:
-            return t ** (rho + s) / (t * theta + (1.0 - t) * x) ** two_vt
+        def integrand(u: float) -> float:
+            v = 1.0 - u
+            t, t1 = u * u * (3.0 - 2.0 * u), v * v * (1.0 + 2.0 * u)
+            return 6.0 * u * v * t ** (rho + s) / (t * theta + t1 * x) ** two_vt
     else:
-        def integrand(t: float) -> float:
-            return t ** rho * (1.0 - t) ** s / (t * theta + (1.0 - t) * x) ** two_vt
+        def integrand(u: float) -> float:
+            v = 1.0 - u
+            t, t1 = u * u * (3.0 - 2.0 * u), v * v * (1.0 + 2.0 * u)
+            return 6.0 * u * v * t ** rho * t1 ** s / (t * theta + t1 * x) ** two_vt
     return integrand
 
 

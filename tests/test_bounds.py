@@ -305,6 +305,44 @@ class TestLambdaValue:
                 assert [v.hex() for v in shared] == [v.hex() for v in fresh]
 
 
+class TestLambdaIntegrand:
+    # the integrand in u, t = u^2 (3 - 2u), that the oracle integrates
+    def test_polynomial_at_z_zero(self):
+        # theta = x with rho + s = n an integer: the integrand is the
+        # polynomial 6u(1-u) t^n / x^(2vt) of degree 3n + 2, which GK15
+        # integrates exactly, to 1/((n+1) x^(2vt)) up to rounding
+        worst = 0.0
+        for kind, x, n, s, vt in itertools.product(
+                (1, 3), (1.0, 2.0, 0.3), range(7), (0.0, 0.5, 1.0),
+                (0.5, 1.0, 3.0)):
+            if n >= s:
+                oracle = integrate(lambda_integrand(kind, x, x, s, vt, n - s),
+                                   0.0, 1.0).value
+                exact = 1.0 / (n + 1.0) / x ** (2.0 * vt)
+                worst = max(worst, abs(oracle - exact) / math.ulp(exact))
+        assert worst <= 4.0
+
+    @pytest.mark.parametrize("kind", [2, 4])
+    def test_one_minus_t_keeps_its_digits(self, kind):
+        # at u = 1 - 2^-30, t rounds to 1: a factor (1-t)^s formed from t
+        # would be 0. Formed from u, the integrand is the expression's
+        # value, taken in mpmath
+        worst = 0.0
+        for (theta_a, x_a), s, (vt, rho), e in itertools.product(
+                ((1.0, 1.0), (1.0, 1.1), (1.0, 1.9)), (0.25, 0.5, 1.0),
+                ((1.0, 0.0), (2.0, 2.0), (1.5, 1.5)), (30, 45)):
+            theta, x = (theta_a, x_a) if kind == 2 else (x_a, theta_a)
+            u = 1.0 - 2.0 ** -e
+            value = lambda_integrand(kind, theta, x, s, vt, rho)(u)
+            with mpmath.workdps(50):
+                uu = mpmath.mpf(u)
+                t = uu * uu * (3 - 2 * uu)
+                ref = (6 * uu * (1 - uu) * t ** rho * (1 - t) ** s
+                       / (t * theta + (1 - t) * x) ** (2 * vt))
+            worst = max(worst, float(abs(value - ref) / ref))
+        assert worst <= 1e-15
+
+
 class TestLambda5:
     def test_equal_arguments(self):
         assert lambda5(1.0, 1.0) == 0.5

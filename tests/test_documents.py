@@ -23,13 +23,13 @@ from hsconvex.cli import main
 
 SELFTEST_SHA256 = {
     ("--format", "json"):
-        "bc702728e1e4c8af6c7e2d388de9e8c83edd6f87bf3e19cee299b0481b765e7f",
+        "728659059c5422160488d1a10278eb941ec55932993d6ab9d672cb7f1bfe1be5",
     ("--format", "csv"):
-        "6d8e75f435fd0a68be13746bde5d1f80fd0fd487f2c8b0f7ac4424b52fb64cc1",
+        "a8c2ec8b799210624235746dea37dc23319d4b564bd98811fac46c592b2afb6f",
     ():
-        "050d532737328c27bacbeeafd91e909502d4e3dd090c16554ca4a71ecee240e9",
+        "41760ccf6f29ced49fb24d23fc0910f5e60b27a9b2b83b5df257782b93607317",
     ("--tol", "1e-30"):
-        "e1f315996c2c304b3f54fc2fa9d36271758718db95f429315dfabd1faafc436f",
+        "e70e68a6103e5ec25ec5d757978dc1af7c345870a818e20a7e47f1b093ae891e",
 }
 
 
@@ -131,8 +131,8 @@ EDGE_REQUESTS = [
      "2", "--x", "1.5"],
 ]
 
-CORPUS_SHA256 = ("8d71532d18f19492ed796559dff33c41"
-                 "d5cc01bcb71c56191af35b29776b092e")
+CORPUS_SHA256 = ("31135e357874ed72111e4992ee340fe2"
+                 "9f4c4edc418ab9a03b3d7e57f4257aa7")
 
 
 def corpus() -> list[list[str]]:
