@@ -8,9 +8,9 @@ integrals
 
 where kinds 1, 2 sit on the a-side (theta <= x, z = 1 - theta/x) and kinds
 3, 4 on the b-side (x <= theta, z = 1 - x/theta). Each has a closed form in
-Beta and 2F1 obtained from the Euler integral representation; the closed
-forms are what this module evaluates, and the quadrature oracle in
-`verify` holds them against the defining integrals, in a graded u.
+Beta and 2F1 obtained from the Euler integral representation; this module
+evaluates the closed forms, and the quadrature oracle in `verify` holds
+them against the defining integrals, in a u graded at the ends that need it.
 
 lambda5 is the q = 1 degenerate weight int_0^1 t/(t*theta + (1-t)*x)^2 dt
 with the elementary closed form (1/(x-theta)) (1/theta - ln(x/theta)/(x-theta)).
@@ -35,6 +35,8 @@ from .numeric import (MIN_NORMAL, FunctionSpec, Interval, arithmetic_mean,
 from .specfn import Z_CAP, Gauss2F1, beta
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
+# the z above which lambda_integrand grades the denominator's layer
+LAYER_Z = 0.5
 
 
 def validate_q(q: float) -> float:
@@ -115,23 +117,41 @@ def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
 
 def lambda_integrand(kind: int, theta: float, x: float, s: float,
                      vartheta: float, rho: float):
-    """Return the defining integrand of the lambda weight as a callable on
-    (0, 1), after the checks of lambda_z: what the quadrature oracle
-    integrates to cross-check the closed form, in u with t = u^2 (3 - 2u),
-    dt = 6u(1-u) du, which grades both ends (Sidi 1993); 1 - t is formed
-    from u as (1-u)^2 (1+2u), so it keeps its digits where t rounds to 1."""
-    lambda_z(kind, theta, x, s, vartheta, rho)
+    """Return the defining integrand t^a (1-t)^b / (t*theta + (1-t)*x)^(2vt)
+    of the lambda weight as a callable on (0, 1), after the checks of
+    lambda_z: what the quadrature oracle integrates to cross-check the
+    closed form. Its u grades to order 4 each end where a non-integer power
+    sits or, above z = LAYER_Z, the denominator's layer of width about 1 - z
+    (t = 1 on the a-side, t = 0 on the b-side): t = u^4 at the left alone,
+    its mirror at the right, u^4 (35 - 84u + 70u^2 - 20u^3) at both (Sidi
+    1993), u at neither. 1 - t is formed from 1 - u, so it keeps its digits."""
+    z = lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
-    if kind in (1, 3):
+    a, b = (rho + s, 0.0) if kind in (1, 3) else (rho, s)
+    left = a % 1.0 != 0.0 or (z > LAYER_Z and kind in (3, 4))
+    right = b % 1.0 != 0.0 or (z > LAYER_Z and kind in (1, 2))
+    if left and right:
         def integrand(u: float) -> float:
             v = 1.0 - u
-            t, t1 = u * u * (3.0 - 2.0 * u), v * v * (1.0 + 2.0 * u)
-            return 6.0 * u * v * t ** (rho + s) / (t * theta + t1 * x) ** two_vt
+            uv, u2, v2 = 140.0 * u * v, u * u, v * v
+            t = u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
+            t1 = v2 * v2 * (35.0 + v * (-84.0 + v * (70.0 - 20.0 * v)))
+            return uv * u2 * v2 * t ** a * t1 ** b / (t * theta + t1 * x) ** two_vt
+    elif left:
+        def integrand(u: float) -> float:
+            u2 = u * u
+            t, t1 = u2 * u2, (1.0 - u) * (1.0 + u) * (1.0 + u2)
+            return 4.0 * u2 * u * t ** a * t1 ** b / (t * theta + t1 * x) ** two_vt
+    elif right:
+        def integrand(u: float) -> float:
+            v = 1.0 - u
+            v2 = v * v
+            t, t1 = u * (1.0 + v) * (1.0 + v2), v2 * v2
+            return 4.0 * v2 * v * t ** a * t1 ** b / (t * theta + t1 * x) ** two_vt
     else:
         def integrand(u: float) -> float:
             v = 1.0 - u
-            t, t1 = u * u * (3.0 - 2.0 * u), v * v * (1.0 + 2.0 * u)
-            return 6.0 * u * v * t ** rho * t1 ** s / (t * theta + t1 * x) ** two_vt
+            return u ** a * v ** b / (u * theta + v * x) ** two_vt
     return integrand
 
 

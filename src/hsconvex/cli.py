@@ -120,13 +120,11 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
         if not (ns.s is None and ns.vartheta is None and ns.rho is None):
             raise DomainError("kind 5 takes no --s, --vartheta or --rho")
         value = lambda5(ns.theta, ns.x)
-        integrand = lambda5_integrand(ns.theta, ns.x)
     else:
         if ns.s is None or ns.vartheta is None or ns.rho is None:
             raise DomainError(f"kind {ns.kind} needs --s, --vartheta and --rho")
         args = (ns.kind, ns.theta, ns.x, ns.s, ns.vartheta, ns.rho)
         value = lambda_value(*args)
-        integrand = lambda_integrand(*args)
     payload = {"kind": ns.kind, "theta": ns.theta, "x": ns.x, "s": ns.s,
                "vartheta": ns.vartheta, "rho": ns.rho, "value": value}
     if ns.check:
@@ -134,6 +132,8 @@ def cmd_lambda(ns: argparse.Namespace) -> int:
             raise NumericError(f"the value {_fmt(value)} underflows below "
                                "the normal floats, so it has no relative "
                                "error to check")
+        integrand = (lambda5_integrand(ns.theta, ns.x) if ns.kind == 5
+                     else lambda_integrand(*args))
         oracle = integrate(integrand, 0.0, 1.0).value
         payload["oracle"] = oracle
         payload["rel_err"] = abs(value - oracle) / abs(value)

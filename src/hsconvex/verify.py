@@ -12,7 +12,7 @@ for, is scanned instead.
 lambda_consistency_rows and mean_fidelity hold every lambda closed form and
 both closed means against quadrature of their defining integrals, each by
 integrate(f, lo, hi) at its one relative tolerance, as `lambda --check` is
-(kinds 1..4 in the graded u of bounds.lambda_integrand).
+(kinds 1..4 in bounds.lambda_integrand's u, graded at the ends that need it).
 run_battery runs every check once, for the CLI's selftest and the
 acceptance tests alike; its comparison-proposition row counts the
 implications whose consequent fails, each decided exactly.

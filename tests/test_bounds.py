@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -306,39 +307,84 @@ class TestLambdaValue:
 
 
 class TestLambdaIntegrand:
-    # the integrand in u, t = u^2 (3 - 2u), that the oracle integrates
+    # the integrand in u that the oracle integrates: t = u^4 where only
+    # the left end is graded, its mirror 1 - t = (1-u)^4 where only the
+    # right one is, u^4 (35 - 84u + 70u^2 - 20u^3) at both, u at neither
     def test_polynomial_at_z_zero(self):
-        # theta = x with rho + s = n an integer: the integrand is the
-        # polynomial 6u(1-u) t^n / x^(2vt) of degree 3n + 2, which GK15
-        # integrates exactly, to 1/((n+1) x^(2vt)) up to rounding
+        # theta = x: the integrand is t^a (1-t)^b / x^(2vt) dt, in u a
+        # polynomial wherever an exponent that is not an integer is a
+        # multiple of 1/4 at an end graded alone: t^n in t = u (a = n,
+        # b = 0, no end graded); 4u^3 u^(4a) (1-u^4)^b at the left end
+        # alone (b an integer); 4v^3 (1-v^4)^a v^(4b), v = 1-u, at the
+        # right end alone (a an integer). Each has degree 23 at most, so
+        # GK15 integrates it exactly, to B(a+1, b+1) / x^(2vt) up to
+        # rounding
+        def exact(a, b, x, vt):
+            # B(a+1, m+1) = m! / ((a+1) (a+2) ... (a+m+1)) for an integer m
+            m, c = (int(b), a) if b % 1 == 0 else (int(a), b)
+            return float(math.factorial(m) / math.prod(
+                Fraction(c) + 1 + j for j in range(m + 1))) / x ** (2.0 * vt)
+
+        quarters = [k / 4 for k in range(20)]
+        cases = [(kind, n - s, s) for kind in (1, 3) for n in range(7)
+                 for s in (0.0, 0.5, 1.0) if n >= s]
+        # the left end alone: t^(rho+s) on kinds 1, 3, t^rho (1-t)^s on
+        # kinds 2, 4 with s an integer
+        cases += [(kind, rho, s) for kind in (1, 3) for rho in range(5)
+                  for s in (0.25, 0.5, 0.75)]
+        cases += [(kind, rho, s) for kind in (2, 4) for rho in quarters
+                  for s in (0.0, 1.0) if rho % 1 and 4 * (rho + s) <= 20]
+        # the right end alone: (1-t)^s on kinds 2, 4 with rho an integer
+        cases += [(kind, rho, s) for kind in (2, 4) for rho in range(5)
+                  for s in (0.25, 0.5, 0.75)]
         worst = 0.0
-        for kind, x, n, s, vt in itertools.product(
-                (1, 3), (1.0, 2.0, 0.3), range(7), (0.0, 0.5, 1.0),
-                (0.5, 1.0, 3.0)):
-            if n >= s:
-                oracle = integrate(lambda_integrand(kind, x, x, s, vt, n - s),
-                                   0.0, 1.0).value
-                exact = 1.0 / (n + 1.0) / x ** (2.0 * vt)
-                worst = max(worst, abs(oracle - exact) / math.ulp(exact))
+        for (kind, rho, s), x, vt in itertools.product(
+                cases, (1.0, 2.0, 0.3), (0.5, 1.0, 3.0)):
+            a, b = (rho + s, 0.0) if kind in (1, 3) else (rho, s)
+            oracle = integrate(lambda_integrand(kind, x, x, s, vt, rho),
+                               0.0, 1.0).value
+            ref = exact(a, b, x, vt)
+            worst = max(worst, abs(oracle - ref) / math.ulp(ref))
         assert worst <= 4.0
 
-    @pytest.mark.parametrize("kind", [2, 4])
+    # (theta, x, s, vartheta, rho) of weights of each kind whose right end
+    # is graded, and the map of each: kinds 2, 4 for (1-t)^s, s not an
+    # integer, alone or with t^rho at the left end or kind 4's layer at
+    # t = 0; kinds 1, 2 for the layer at t = 1 at z = 2/3
+    RIGHT_GRADED = {
+        1: [((1.0, 3.0, 0.5, 1.5, 1.5), "right"),
+            ((1.0, 3.0, 0.25, 1.0, 1.0), "both")],
+        2: [((1.0, 1.1, 0.25, 1.0, 0.0), "right"),
+            ((1.0, 1.9, 0.5, 2.0, 2.0), "right"),
+            ((1.0, 3.0, 1.0, 2.0, 2.0), "right"),
+            ((1.0, 1.1, 0.5, 1.5, 1.5), "both")],
+        4: [((1.9, 1.0, 0.75, 1.5, 1.0), "right"),
+            ((1.1, 1.0, 0.25, 1.0, 0.5), "both"),
+            ((3.0, 1.0, 0.5, 2.0, 2.0), "both")],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RIGHT_GRADED))
     def test_one_minus_t_keeps_its_digits(self, kind):
         # at u = 1 - 2^-30, t rounds to 1: a factor (1-t)^s formed from t
-        # would be 0. Formed from u, the integrand is the expression's
-        # value, taken in mpmath
+        # would be 0. Formed from 1 - u, the integrand is the value of the
+        # map's expression, taken in mpmath
         worst = 0.0
-        for (theta_a, x_a), s, (vt, rho), e in itertools.product(
-                ((1.0, 1.0), (1.0, 1.1), (1.0, 1.9)), (0.25, 0.5, 1.0),
-                ((1.0, 0.0), (2.0, 2.0), (1.5, 1.5)), (30, 45)):
-            theta, x = (theta_a, x_a) if kind == 2 else (x_a, theta_a)
+        for ((theta, x, s, vt, rho), graded), e in itertools.product(
+                self.RIGHT_GRADED[kind], (30, 45)):
+            a, b = (rho + s, 0.0) if kind in (1, 3) else (rho, s)
             u = 1.0 - 2.0 ** -e
             value = lambda_integrand(kind, theta, x, s, vt, rho)(u)
             with mpmath.workdps(50):
                 uu = mpmath.mpf(u)
-                t = uu * uu * (3 - 2 * uu)
-                ref = (6 * uu * (1 - uu) * t ** rho * (1 - t) ** s
-                       / (t * theta + (1 - t) * x) ** (2 * vt))
+                v = 1 - uu
+                if graded == "right":
+                    t, t1, dt = 1 - v ** 4, v ** 4, 4 * v ** 3
+                else:
+                    t = uu ** 4 * (35 - 84 * uu + 70 * uu ** 2 - 20 * uu ** 3)
+                    t1 = v ** 4 * (35 - 84 * v + 70 * v ** 2 - 20 * v ** 3)
+                    dt = 140 * uu ** 3 * v ** 3
+                ref = (dt * t ** a * t1 ** b
+                       / (t * theta + t1 * x) ** (2 * vt))
             worst = max(worst, float(abs(value - ref) / ref))
         assert worst <= 1e-15
 

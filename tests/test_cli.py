@@ -2,6 +2,7 @@
 
 import argparse
 import io
+import itertools
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
 from hsconvex.cli import main
 from hsconvex.convexity import VIOLATION_TOL, uniform_grid
 from hsconvex.numeric import (Interval, arithmetic_mean, derivative,
-                              get_function)
+                              get_function, integrate)
 from hsconvex.verify import (VERIFY_THEOREMS, Check, bound_row,
                              hypothesis_gate, lambda_checks,
                              lambda_consistency_rows, verify_theorem)
@@ -330,10 +331,10 @@ class TestZNearOne:
 
 
     # the oracle of --check integrates a weight whose mass crowds into a
-    # sliver of t as z -> 1. In the graded u of lambda_integrand it answers
-    # up to z = 1 - 1e-9 on both sides, in at most 765 evaluations and
-    # within 2.3e-13 of mpmath, so its rel_err is the closed form's own
-    # error (1.4e-7 at worst, on the a side at 1 - 1e-9)
+    # sliver of t as z -> 1. In the u of lambda_integrand, graded at that
+    # end, it answers up to z = 1 - 1e-9 on both sides, in at most 585
+    # evaluations and within 1.4e-15 of mpmath, so its rel_err is the
+    # closed form's own error (1.4e-7 at worst, on the a side at 1 - 1e-9)
     @pytest.mark.parametrize("kind, theta, x", [
         (1, "1e-6", "2"),
         *[(k, z, "1") for k in (1, 2) for z in ("1e-6", "1e-9")],
@@ -348,7 +349,39 @@ class TestZNearOne:
         assert (code, err) == (0, "")
         ref = mp_lambda(kind, float(theta), float(x), 0.5, 3.0, 2.5)
         oracle = json.loads(out, parse_constant=reject_constant)["oracle"]
-        assert float(abs(oracle - ref) / ref) <= 1e-12
+        assert float(abs(oracle - ref) / ref) <= 1e-13
+
+    def test_oracle_grades_the_layer(self, capsys, monkeypatch):
+        # every kind at z = 1 - 1e-3, 1 - 1e-6 and 1 - 1e-9, in shapes
+        # (s, vartheta, rho) whose exponents are integers, which grade no
+        # end of u, and in shapes where they are not: the layer of width
+        # about 1 - z is graded for its own sake, so the oracle stays
+        # within 1e-13 of mpmath (5.2e-15 at worst) in at most 585
+        # evaluations. Graded by its exponents alone, it runs out of depth
+        # or budget at 6 of these 48 weights, and errs by up to 7.6e-13
+        spent = []
+
+        def counted(*args):
+            result = integrate(*args)
+            spent.append(result.evals)
+            return result
+        monkeypatch.setattr(cli, "integrate", counted)
+        worst = 0.0
+        for kind, gap, (s, vt, rho) in itertools.product(
+                (1, 2, 3, 4), ("1e-3", "1e-6", "1e-9"),
+                (("0", "1", "1"), ("1", "2", "2"), ("0.5", "3", "2.5"),
+                 ("0.25", "1.5", "0.5"))):
+            theta, x = (gap, "1") if kind in (1, 2) else ("1", gap)
+            code, out, err = run(capsys, "lambda", "--kind", str(kind),
+                                 "--theta", theta, "--x", x, "--s", s,
+                                 "--vartheta", vt, "--rho", rho, "--check")
+            assert (code, err) == (0, ""), (kind, gap, s, vt, rho)
+            ref = mp_lambda(kind, float(theta), float(x), float(s),
+                            float(vt), float(rho))
+            oracle = json.loads(out, parse_constant=reject_constant)["oracle"]
+            worst = max(worst, float(abs(oracle - ref) / ref))
+        assert worst <= 1e-13
+        assert (len(spent), max(spent)) == (48, 585)
 
 
 class TestUnusedFlags:

@@ -23,13 +23,13 @@ from hsconvex.cli import main
 
 SELFTEST_SHA256 = {
     ("--format", "json"):
-        "728659059c5422160488d1a10278eb941ec55932993d6ab9d672cb7f1bfe1be5",
+        "e16856c18cf120f1ef57dda40918e4980abc3bfc2417693984262eaca4e198ed",
     ("--format", "csv"):
-        "a8c2ec8b799210624235746dea37dc23319d4b564bd98811fac46c592b2afb6f",
+        "e4699cfb487729ca57ac351ec6ee0076ae44dcb51faf69d00e3062a8ab0cc055",
     ():
-        "41760ccf6f29ced49fb24d23fc0910f5e60b27a9b2b83b5df257782b93607317",
+        "c9fa0bf8796113ea269141bdddb217f9dc9bcd822c8b9237c14b3d36e7c1043b",
     ("--tol", "1e-30"):
-        "e70e68a6103e5ec25ec5d757978dc1af7c345870a818e20a7e47f1b093ae891e",
+        "f30705fa77a8fd21721642a94c7375b65c3cf47550e0c604d7b45a06b044135d",
 }
 
 
@@ -131,8 +131,8 @@ EDGE_REQUESTS = [
      "2", "--x", "1.5"],
 ]
 
-CORPUS_SHA256 = ("31135e357874ed72111e4992ee340fe2"
-                 "9f4c4edc418ab9a03b3d7e57f4257aa7")
+CORPUS_SHA256 = ("93eeee20d5bd7286034cde85082debd3"
+                 "c27e9a6ed97cc4e19d5286beace8ce46")
 
 
 def corpus() -> list[list[str]]:
