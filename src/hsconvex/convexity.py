@@ -11,22 +11,21 @@ s-convexity of K*w^-rho on [1/b, 1/a] (Iscan, Hacettepe J. Math. Stat. 43,
   s-convex, second sense:   f(tx + (1-t)y)      <= t^s f(x) + (1-t)^s f(y),
 
 so proposition_implications decides the paper's comparison proposition
-exactly. check_convexity scans the harmonic notion on a tensor grid
-(x, y, t):
+exactly. check_convexity scans the harmonic notion at each (x, y, t) of a
+tensor grid:
 
   harmonically s-convex:    f(xy/(tx + (1-t)y)) <= t^s f(y) + (1-t)^s f(x)
 
 The AM-HM comparison xy/(tx+(1-t)y) <= ty + (1-t)x is harmonic convexity
-of u -> u. A report carries the signed maximum of lhs - rhs over the grid;
-anything at or below VIOLATION_TOL counts as "holds on the grid",
-absorbing endpoint rounding.
+of u -> u, which check_am_hm scans in a loop of its own. A report carries
+the signed maximum of lhs - rhs over the grid; anything at or below
+VIOLATION_TOL counts as "holds on the grid", absorbing endpoint rounding.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericError
@@ -41,9 +40,8 @@ T_GRID_N = 17
 # x grid size per axis of a hypothesis gate by default
 GATE_GRID_N = 16
 
-# grid_n x grid_n x T_GRID_N triples a scan may take: grid_n up to 256
-# (a 256 gate of |f'|^2 takes about 2 s on a 2-CPU Xeon host); larger
-# grids are refused before any evaluation
+# most grid_n x grid_n x T_GRID_N triples a scan takes (grid_n 256: a gate
+# of |f'|^2 takes 0.5 s on a 2-CPU Xeon host); more are refused unevaluated
 MAX_SCAN_TRIPLES = 256 * 256 * T_GRID_N
 
 # x grid size of the AM-HM scan
@@ -185,20 +183,9 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
 # the t grid k/16: dyadic, so 1 - t is exact and again on the grid
 T_GRID = tuple(uniform_grid(0.0, 1.0, T_GRID_N))
 
-# (t, 1 - t) for the t strictly inside (0, 1), and for those up to 1/2; at
-# t in {0, 1} the combined point is a grid node
+# (t, 1 - t) for the t strictly inside (0, 1); at t in {0, 1} the combined
+# point is a grid node
 T_INNER = tuple((t, 1.0 - t) for t in T_GRID[1:-1])
-T_HALF_INNER = T_INNER[:T_GRID_N // 2]
-
-
-def _combined_points(x: float, y: float,
-                     tus: tuple[tuple[float, float], ...]) -> list[float]:
-    """harmonic_combination(x, y, t) for each (t, 1 - t) of tus, with
-    x, y > 0 and 0 < t < 1, and x*y formed once."""
-    xy = x * y
-    if MIN_NORMAL <= xy < math.inf:
-        return [xy / (t * x + u * y) for t, u in tus]
-    return [harmonic_combination(x, y, t) for t, _ in tus]
 
 
 def _guarded(name: str, fn: Callable[[float], float], x: float) -> float:
@@ -215,40 +202,15 @@ def _guarded(name: str, fn: Callable[[float], float], x: float) -> float:
     return v
 
 
-def _table(name: str, fn: Callable[[float], float],
-           xs: list[float]) -> list[float]:
-    """[_guarded(name, fn, x) for x in xs], guarded once for the whole
-    list: fn mapped over xs, then one finiteness check. When either fails,
-    the points are rerun one by one, so the DomainError raised is the one
-    of the first bad point, with the same cause. A DomainError that fn
-    raises itself, as a FunctionSpec does, passes through from that
-    point."""
-    try:
-        vs = list(map(fn, xs))
-    except (ZeroDivisionError, OverflowError, ValueError):
-        pass
-    else:
-        if all(map(math.isfinite, vs)):
-            return vs
-    return [_guarded(name, fn, x) for x in xs]
-
-
 def check_convexity(name: str, fn: Callable[[float], float], iv: Interval,
                     s: float, grid_n: int = GATE_GRID_N) -> ConvexityReport:
     """Scan harmonic s-convexity of fn, a function named `name`, over x, y
-    in grid(iv) and t in grid([0, 1]), s in (0, 1].
+    in grid(iv) and t in grid([0, 1]), s in (0, 1], in ascending order.
 
-    v(x, y, t) equals v(y, x, 1-t) exactly in floats on the dyadic t grid,
-    so only the canonical half is evaluated: each pair of nodes i <= j, at
-    every t of T_GRID when i < j and at t <= 1/2 when i == j. fn is called
-    once per point, on the nodes and then at the combined point of every
-    such triple with 0 < t < 1 in scan order (at t = 0 and t = 1 that point
-    is a node), and the table is guarded as a whole (_table), so an error
-    names the first bad point of the scan. Each mirrored triple comes after
-    its twin in the full scan, so the ascending scan of the half still
-    meets the lexicographically smallest maximizer first. samples counts
-    the full grid. A grid of more than MAX_SCAN_TRIPLES triples is refused
-    before any evaluation.
+    fn is guarded once at each node, then at the combined point of each
+    triple with 0 < t < 1 in scan order (at t = 0 and t = 1 it is a node),
+    so an error names the first bad point of the scan. A grid of more than
+    MAX_SCAN_TRIPLES triples is refused before any evaluation.
     """
     validate_s(s)
     if grid_n < 3:
@@ -257,43 +219,45 @@ def check_convexity(name: str, fn: Callable[[float], float], iv: Interval,
         raise DomainError(f"grid_n={grid_n} asks for {grid_n * grid_n * T_GRID_N}"
                           f" triples, above the cap of {MAX_SCAN_TRIPLES}")
     xs = uniform_grid(iv.a, iv.b, grid_n)
-    points: list[float] = []
-    for i, x in enumerate(xs):
-        points += _combined_points(x, x, T_HALF_INNER)
-        for y in xs[i + 1:]:
-            points += _combined_points(x, y, T_INNER)
-    fps = iter(_table(name, fn, xs + points))
-    nodes = list(zip(xs, islice(fps, grid_n)))
+    nodes = [(x, _guarded(name, fn, x)) for x in xs]
     # (weight of f(x), weight of f(y)) per t
     weights = [((1.0 - t) ** s, t ** s) for t in T_GRID]
-    best = -math.inf
-    witness = (xs[0], xs[0], 0.0)
-    for i, (x, fx) in enumerate(nodes):
-        for j, (y, fy) in enumerate(nodes[i:]):
-            if j:
-                fcs = [fx, *islice(fps, len(T_INNER)), fy]
-            else:
-                fcs = [fx, *islice(fps, len(T_HALF_INNER))]
-            # zip stops at the 9 values of a diagonal row
+    best, witness = -math.inf, (xs[0], xs[0], 0.0)
+    for x, fx in nodes:
+        for y, fy in nodes:
+            fcs = [fx, *[_guarded(name, fn, harmonic_combination(x, y, t))
+                         for t, _ in T_INNER], fy]
             row = [fc - (wx * fx + wy * fy)
                    for (wx, wy), fc in zip(weights, fcs)]
             # max keeps the first of equal values, and index finds it
             v = max(row)
             if v > best:
-                best = v
-                witness = (x, y, T_GRID[row.index(v)])
-    return ConvexityReport(max_violation=best, witness=witness,
-                           samples=grid_n * grid_n * T_GRID_N)
+                best, witness = v, (x, y, T_GRID[row.index(v)])
+    return ConvexityReport(best, witness, grid_n * grid_n * T_GRID_N)
 
 
 def check_am_hm(iv: Interval) -> ConvexityReport:
-    """Scan xy/(tx + (1-t)y) <= ty + (1-t)x over the grid, as harmonic
-    convexity of u -> u.
-
-    This comparison holds for all positive x, y and t in [0, 1]; the report
-    should always satisfy max_violation <= VIOLATION_TOL.
+    """Scan xy/(tx + (1-t)y) <= ty + (1-t)x as check_convexity scans u -> u
+    at s = 1 on a COMPARISON_GRID_N grid. Both sides are equal at t = 0
+    and t = 1, so the scan starts from 0 at (x0, x0, 0) and reads only the
+    t inside (0, 1). The comparison holds for all positive x, y and t in
+    [0, 1]; the report should always satisfy max_violation <= VIOLATION_TOL.
     """
-    return check_convexity("id", lambda u: u, iv, 1.0, COMPARISON_GRID_N)
+    xs = uniform_grid(iv.a, iv.b, COMPARISON_GRID_N)
+    best, witness = 0.0, (xs[0], xs[0], 0.0)
+    for x in xs:
+        for y in xs:
+            xy = x * y
+            if MIN_NORMAL <= xy < math.inf:
+                row = [xy / (t * x + u * y) - (u * x + t * y)
+                       for t, u in T_INNER]
+            else:
+                row = [harmonic_combination(x, y, t) - (u * x + t * y)
+                       for t, u in T_INNER]
+            v = max(row)
+            if v > best:
+                best, witness = v, (x, y, T_INNER[row.index(v)][0])
+    return ConvexityReport(best, witness, COMPARISON_GRID_N ** 2 * T_GRID_N)
 
 
 def proposition_implications(fn_ids: tuple[str, ...], s_values: tuple[float, ...],

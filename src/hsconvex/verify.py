@@ -102,8 +102,8 @@ def _gate_function(theorem: str, f: FunctionSpec,
     """The function whose harmonic s-convexity `theorem` assumes, as the
     name and callable check_convexity scans: f itself for T2_2, else
     u -> |f'(u)|^q by the rule of derivative (f' is (c*r)/(u*u) at r = -1
-    and +0.0 at r = 0) but unguarded, as the scan guards its table as a
-    whole and names the error after |f'|^q."""
+    and +0.0 at r = 0) but unguarded, as the scan guards each value and
+    names the error after |f'|^q."""
     if theorem == "T2_2":
         return f.fn_id, f
     _, c, r = f

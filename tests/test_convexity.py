@@ -42,10 +42,13 @@ def reference_scan(viol, iv, grid_n):
 
 
 def reference_rows(f, iv, grid_n):
-    """The canonical half of the scan evaluated point by point, in scan
-    order: a row (x, f(x), y, f(y), fcs) per pair of nodes i <= j, fcs
-    holding f at harmonic_combination(x, y, t) for each t of T_GRID, or
-    of its first 9 entries (t <= 1/2) when i == j."""
+    """The canonical half of the grid evaluated point by point: a row
+    (x, f(x), y, f(y), fcs) per pair of nodes i <= j, fcs holding f at
+    harmonic_combination(x, y, t) for each t of T_GRID, or of its first 9
+    entries (t <= 1/2) when i == j. v(x, y, t) equals v(y, x, 1 - t)
+    exactly on the dyadic t grid, and each mirrored triple comes after its
+    twin in the ascending scan, so the half gives the full scan's first
+    maximum."""
     xs = uniform_grid(iv.a, iv.b, grid_n)
     pairs = [(xs[i], xs[j], T_GRID[:9] if j == i else T_GRID)
              for i in range(grid_n) for j in range(i, grid_n)]
@@ -201,11 +204,10 @@ class TestCheckConvexity:
         points = []
         rep = check_convexity("counted", lambda u: points.append(u) or u * u,
                               Interval(1.0, 2.0), 0.5, 8)
-        # one value per node, then one per triple of the canonical half at
-        # the combined point: 28 pairs x < y over the 15 t in (0, 1), 8
-        # pairs x == y over the 8 t in (0, 1/2]; at t = 0 and t = 1 that
-        # point is a node. samples still counts the full grid
-        assert len(points) == 8 + 28 * 15 + 8 * 8 == 492
+        # one value per node, then one per triple at the combined point:
+        # 64 pairs over the 15 t in (0, 1); at t = 0 and t = 1 that point
+        # is a node. samples counts the full grid
+        assert len(points) == 8 + 64 * 15 == 968
         assert rep.samples == 8 * 8 * 17
 
     def test_scan_cap_refuses_before_evaluating(self):
@@ -240,7 +242,8 @@ class TestCheckConvexity:
 
 
 class TestBulkTable:
-    """check_convexity against the scan evaluated point by point."""
+    """check_convexity against the canonical half of the grid evaluated
+    point by point, and the points it evaluates."""
 
     @pytest.mark.parametrize("iv", [Interval(1.0, 2.0), Interval(0.5, 3.0),
                                     Interval(1e-200, 1e-180),
@@ -262,15 +265,15 @@ class TestBulkTable:
             return base(u)
 
         rows = reference_rows(f, iv, 16)
-        # the scan evaluates the nodes, then the combined points of the
-        # canonical half with 0 < t < 1, each once and in scan order
+        # the scan evaluates the nodes, then the combined point of every
+        # triple with 0 < t < 1, each once and in scan order
         points.clear()
         for s in (0.25, 0.5, 1.0):
             rep = check_convexity(fn_id, f, iv, s, 16)
             assert (rep.max_violation, rep.witness) == reference_report(rows, s)
-        assert points == 3 * (uniform_grid(iv.a, iv.b, 16) + [
-            harmonic_combination(x, y, t) for x, _, y, _, fcs in rows
-            for t in T_GRID[1:len(fcs)] if t < 1.0])
+        xs = uniform_grid(iv.a, iv.b, 16)
+        assert points == 3 * (xs + [harmonic_combination(x, y, t) for x in xs
+                                    for y in xs for t in T_GRID[1:-1]])
 
 
 class TestAmHm:
@@ -280,14 +283,19 @@ class TestAmHm:
         assert rep.max_violation <= VIOLATION_TOL
 
     def test_matches_comparison(self):
-        iv = Interval(0.5, 4.0)
-        rep = check_am_hm(iv)
-        ref = reference_scan(
-            lambda x, y, t: harmonic_combination(x, y, t) - (t * y + (1.0 - t) * x),
-            iv, 32)
-        assert (rep.max_violation, rep.witness, rep.samples) == ref
-        # the selftest's am_hm_grid value, bit for bit
-        assert rep.max_violation == 8.881784197001252e-16
+        # x*y underflows on the second interval and overflows on the
+        # third, where the scan forms each point by harmonic_combination
+        for iv in (Interval(0.5, 4.0), Interval(1e-200, 1e-180),
+                   Interval(1e200, 1e201)):
+            rep = check_am_hm(iv)
+            ref = reference_scan(
+                lambda x, y, t: (harmonic_combination(x, y, t)
+                                 - (t * y + (1.0 - t) * x)),
+                iv, 32)
+            assert (rep.max_violation, rep.witness, rep.samples) == ref, iv
+        # the selftest's am_hm_grid value on [0.5, 4], bit for bit
+        assert check_am_hm(Interval(0.5, 4.0)).max_violation == \
+            8.881784197001252e-16
 
     def test_sample_count(self):
         rep = check_am_hm(Interval(1.0, 2.0))

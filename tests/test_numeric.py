@@ -233,10 +233,9 @@ class TestDerivative:
 
 
 class TestValues:
-    """The table of a gate scan: check_convexity evaluates its function
-    once per point, nodes first, and guards the whole table at once; a
-    failure is reported as the per-point guard of f reports it, at the
-    first bad point."""
+    """The values of a gate scan: check_convexity evaluates its function
+    once per point, nodes first, each through the guard; a failure is
+    reported at the first bad point."""
 
     # the nodes of a 6-point grid on [1, 6], in scan order
     XS = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -292,8 +291,8 @@ class TestValues:
                                                                   self.XS)
 
     def test_first_bad_point_wins(self):
-        # a nan at 2.0 comes before a division by zero at 4.0: the batch
-        # stops at the division, the error still names 2.0
+        # a nan at 2.0 comes before a division by zero at 4.0: the error
+        # names 2.0
         nan_at_2 = self.failing("nan", 2.0)
 
         def fn(x):

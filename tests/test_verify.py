@@ -282,11 +282,11 @@ class TestDerivativeRoute:
         rep = verify_theorem("T2_4", get_function("pow:2.3"), IV12, 0.5, 2.0,
                              None, gate_grid_n=GATE_GRID_N)
         assert rep["hypothesis_ok"]
-        # the 16 x 16 gate's 1,944 values of |f'|^2 are guarded per table by
-        # check_convexity, with no spec call and no derivative call;
+        # the 16 x 16 gate's 3,856 values of |f'|^2 are guarded one by one
+        # by check_convexity, with no spec call and no derivative call;
         # ostrowski_rhs takes |f'| at each of the 9 x points, and at a and
         # b once per scan
-        assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 1944
+        assert c["gate_evals"] == TestReuse.GATE_TABLE_EVALS == 3856
         assert c["derivative"] == 9 + 2
         # f at the 9 x points alone: the weighted mean is closed
         assert c["f_evals"] == 9
@@ -402,10 +402,9 @@ def counts(monkeypatch):
 
 
 class TestReuse:
-    # a 16 x 16 gate tabulates its nodes, 120 pairs x < y over the 15 t in
-    # (0, 1) and 16 pairs x == y over the 8 t in (0, 1/2]; at t = 0 and
-    # t = 1 the combined point is a node
-    GATE_TABLE_EVALS = 16 + 120 * 15 + 16 * 8
+    # a 16 x 16 gate evaluates its nodes, then 256 pairs over the 15 t in
+    # (0, 1); at t = 0 and t = 1 the combined point is a node
+    GATE_TABLE_EVALS = 16 + 256 * 15
 
     def test_matrix_builds_no_gate_table(self, counts):
         reports = run_ostrowski_matrix()
@@ -485,9 +484,19 @@ class TestReuse:
         # no gate table, and 3,291 evaluations of f itself, 1,290 of them
         # in mean_fidelity's 30 oracle quadratures and none in a mean: the
         # chain's T2_2 gates are power laws too, and tabulate f no more,
-        # and the AM-HM scan tabulates u -> u, not the registry's id
+        # and the AM-HM scan reads u -> u, not the registry's id
         assert "gate_evals" not in totals[0]
         assert totals[0]["f_evals"] == 3_291
+
+    def test_battery_scans_no_grid(self, monkeypatch):
+        # every gate of the battery is decided by power_gate, and the AM-HM
+        # row runs its own loop: no row reaches the sampled scan
+        def no_scan(*args):
+            raise AssertionError("the battery scanned a grid")
+
+        monkeypatch.setattr(convexity, "check_convexity", no_scan)
+        monkeypatch.setattr(verify, "check_convexity", no_scan)
+        assert all(c.passed for c in run_battery())
 
     def test_means_are_keyed_on_the_power_law(self, counts):
         # two specs built by hand may share a fn_id and be different
