@@ -90,8 +90,9 @@ def resolve_exponents(theorem: str, q: Optional[float],
 
 def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
              rho: float) -> float:
-    """Check the arguments of the lambda weight of `kind` and return its z:
-    1 - theta/x on the a-side (kinds 1, 2), 1 - x/theta on the b-side."""
+    """Check the arguments of the lambda weight of `kind` and return its
+    w = 1 - z: theta/x on the a-side (kinds 1, 2), x/theta on the b-side, a
+    correctly rounded quotient, as z itself would not be near z = 1."""
     if kind not in (1, 2, 3, 4):
         raise DomainError(f"kind must be 1..4, got {kind}")
     for name, v in (("theta", theta), ("x", x)):
@@ -109,10 +110,11 @@ def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
     if kind in (3, 4) and not x <= theta:
         raise DomainError(f"kinds 3, 4 are b-side weights and require "
                           f"x <= theta, got theta={theta}, x={x}")
-    z = 1.0 - theta / x if kind in (1, 2) else 1.0 - x / theta
-    if z >= Z_CAP:
-        raise DomainError(f"z={z} too close to 1 (theta/x ratio too extreme)")
-    return z
+    w = theta / x if kind in (1, 2) else x / theta
+    if 1.0 - w >= Z_CAP:
+        raise DomainError(f"z={1.0 - w} too close to 1 "
+                          "(theta/x ratio too extreme)")
+    return w
 
 
 def lambda_integrand(kind: int, theta: float, x: float, s: float,
@@ -125,7 +127,7 @@ def lambda_integrand(kind: int, theta: float, x: float, s: float,
     (t = 1 on the a-side, t = 0 on the b-side): t = u^4 at the left alone,
     its mirror at the right, u^4 (35 - 84u + 70u^2 - 20u^3) at both (Sidi
     1993), u at neither. 1 - t is formed from 1 - u, so it keeps its digits."""
-    z = lambda_z(kind, theta, x, s, vartheta, rho)
+    z = 1.0 - lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
     a, b = (rho + s, 0.0) if kind in (1, 3) else (rho, s)
     left = a % 1.0 != 0.0 or (z > LAYER_Z and kind in (3, 4))
@@ -152,14 +154,6 @@ def lambda_integrand(kind: int, theta: float, x: float, s: float,
         def integrand(u: float) -> float:
             v = 1.0 - u
             return u ** a * v ** b / (u * theta + v * x) ** two_vt
-    return integrand
-
-
-def lambda5_integrand(theta: float, x: float):
-    """Return the defining integrand t/(t*theta + (1-t)*x)^2 of lambda5."""
-    def integrand(t: float) -> float:
-        denom = t * theta + (1.0 - t) * x
-        return t / (denom * denom)
     return integrand
 
 
@@ -211,7 +205,7 @@ def lambda_value(kind: int, theta: float, x: float, s: float,
     arguments (b, b2) and the base of each kind in the table below, after
     the checks of lambda_z. A lambda_memo block keeps the Beta factor and
     the Gauss2F1, which depend on (kind, s, vartheta, rho) alone."""
-    z = lambda_z(kind, theta, x, s, vartheta, rho)
+    w = lambda_z(kind, theta, x, s, vartheta, rho)
     memo = _LAMBDA_MEMO.get()
     shape = (kind, s, vartheta, rho)
     part = None if memo is None else memo.get(shape)
@@ -225,7 +219,7 @@ def lambda_value(kind: int, theta: float, x: float, s: float,
             memo[shape] = part
     beta_factor, series = part
     base = x if kind in (1, 2) else theta
-    return beta_factor / base ** (2.0 * vartheta) * series(z)
+    return beta_factor / base ** (2.0 * vartheta) * series(w)
 
 
 def lambda_column(kind: int, end: float, xs: Sequence[float], s: float,
@@ -260,10 +254,12 @@ def lambda5(theta: float, x: float) -> float:
     if abs(1.0 - theta / x) < 0.1:
         return lambda_value(1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0)
     d = x - theta
-    w = d / theta
-    # log1p keeps w - ln(1+w) accurate when w is small but above the
-    # cut; w rounds to -1 when x << theta, where log1p has no value
-    log_ratio = math.log(x) - math.log(theta) if w <= -1.0 else math.log1p(w)
+    w, r = d / theta, x / theta
+    # log1p keeps w - ln(1+w) accurate when w is small but above the cut;
+    # below x/theta = 1/4, 1 + w has lost digits that log(x/theta) keeps,
+    # as log x - log theta does where x/theta is not a normal float
+    log_ratio = (math.log1p(w) if r >= 0.25 else math.log(r)
+                 if r >= MIN_NORMAL else math.log(x) - math.log(theta))
     return (w - log_ratio) / (d * d)
 
 

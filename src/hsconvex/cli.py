@@ -30,15 +30,17 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
-                     hh_s_convex_bounds, lambda5, lambda5_integrand,
-                     lambda_integrand, lambda_value, ostrowski_lhs,
-                     OSTROWSKI_THEOREMS, ostrowski_rhs, resolve_exponents)
+                     hh_s_convex_bounds, ostrowski_lhs, OSTROWSKI_THEOREMS,
+                     ostrowski_rhs, resolve_exponents)
 from .convexity import VIOLATION_TOL
 from .errors import DomainError, NumericError
-from .numeric import (MIN_NORMAL, Interval, arithmetic_mean, derivative,
-                      get_function, integrate)
+# integrate is not called here, but perfbench's tracer test reads the name
+# from this module
+from .numeric import (Interval, arithmetic_mean, derivative, get_function,
+                      integrate)
 from .verify import (ROW_FIELDS, VERIFY_THEOREMS, X_GRID_N, bound_row,
-                     hypothesis_gate, run_battery, verify_theorem)
+                     hypothesis_gate, lambda_document, run_battery,
+                     verify_theorem)
 
 
 def _fmt(v: float) -> str:
@@ -116,30 +118,11 @@ def _write(ns: argparse.Namespace, text: str) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_lambda(ns: argparse.Namespace) -> int:
-    if ns.kind == 5:
-        if not (ns.s is None and ns.vartheta is None and ns.rho is None):
-            raise DomainError("kind 5 takes no --s, --vartheta or --rho")
-        value = lambda5(ns.theta, ns.x)
-    else:
-        if ns.s is None or ns.vartheta is None or ns.rho is None:
-            raise DomainError(f"kind {ns.kind} needs --s, --vartheta and --rho")
-        args = (ns.kind, ns.theta, ns.x, ns.s, ns.vartheta, ns.rho)
-        value = lambda_value(*args)
-    payload = {"kind": ns.kind, "theta": ns.theta, "x": ns.x, "s": ns.s,
-               "vartheta": ns.vartheta, "rho": ns.rho, "value": value}
-    if ns.check:
-        if abs(value) < MIN_NORMAL:
-            raise NumericError(f"the value {_fmt(value)} underflows below "
-                               "the normal floats, so it has no relative "
-                               "error to check")
-        integrand = (lambda5_integrand(ns.theta, ns.x) if ns.kind == 5
-                     else lambda_integrand(*args))
-        oracle = integrate(integrand, 0.0, 1.0).value
-        payload["oracle"] = oracle
-        payload["rel_err"] = abs(value - oracle) / abs(value)
+    doc = lambda_document(ns.kind, ns.theta, ns.x, ns.s, ns.vartheta, ns.rho,
+                          ns.check)
     header = ("kind", "theta", "x", "s", "vartheta", "rho",
               "value", "oracle", "rel_err")
-    _write(ns, _document(ns, header, [payload], payload))
+    _write(ns, _document(ns, header, [doc], doc))
     return 0
 
 

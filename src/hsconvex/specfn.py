@@ -82,7 +82,7 @@ def _ratio_cap(u: float, v: float) -> float:
 
 class Gauss2F1:
     """2F1(a, b; c; z) for one parameter triple on the region c > b > 0,
-    a >= 0, as a function of z in [0, Z_CAP).
+    a >= 0, as a function of w = 1 - z, for z in [0, Z_CAP).
 
     ratios[n] = (a+n)(b+n) / ((c+n)(n+1)) is the ratio t_(n+1)/t_n of the
     Gauss series' terms t_n = (a)_n (b)_n / ((c)_n n!) z^n, bar the factor
@@ -107,19 +107,21 @@ class Gauss2F1:
         self.a, self.b, self.c = a, b, c
         self.ratios: list[float] = []
 
-    def __call__(self, z: float) -> float:
-        """Return 2F1(a, b; c; z).
+    def __call__(self, w: float) -> float:
+        """Return 2F1(a, b; c; z) at z = 1 - w, for w as a caller forms it,
+        a quotient (lambda_z), with no rounding of 1 - w.
 
         Up to z_series_cutoff the Gauss series. Above it F and F' at
         z0 = 1/2 come from the series and are carried to z by Taylor steps
-        of length min(z - z0, (1 - z0)/2), so each step's sum converges
-        like 2^-n and at most 39 steps reach Z_CAP. When the summed losses
-        of the steps put the estimated error above FIDELITY (large c), the
-        Gauss series at z is summed instead, and NumericError raised if it
-        does not converge. z within 1e-12 of 1 is rejected: the function
-        diverges there and the lambda coefficients built on it lose
-        meaning.
+        of length min(w0 - w, w0/2), w0 = 1 - z0, so each step's sum
+        converges like 2^-n and at most 39 steps reach Z_CAP. When the
+        summed losses of the steps put the estimated error above FIDELITY
+        (large c), the Gauss series at z is summed instead, and
+        NumericError raised if it does not converge. z within 1e-12 of 1 is
+        rejected: the function diverges there and the lambda coefficients
+        built on it lose meaning.
         """
+        z = 1.0 - w
         if not math.isfinite(z):
             raise DomainError(f"hyp2f1: z must be finite, got {z}")
         if not 0.0 <= z < Z_CAP:
@@ -127,13 +129,15 @@ class Gauss2F1:
         if z <= DEFAULT_CONFIG.z_series_cutoff:
             return self._series(z)
         a, b, c = self.a, self.b, self.c
-        z0 = 0.5
-        f, z_deriv = self._series_with_slope(z0)
-        deriv, loss = z_deriv / z0, 1.0
-        while z0 < z:
-            h = min(z - z0, (1.0 - z0) / 2.0)
-            f, h_deriv, step_loss = _taylor_step(a, b, c, z0, h, f, h * deriv)
-            deriv, loss, z0 = h_deriv / h, loss + step_loss, z0 + h
+        w0 = 0.5  # the start z0 = 1 - w0 = 1/2
+        f, z_deriv = self._series_with_slope(1.0 - w0)
+        deriv, loss = z_deriv / (1.0 - w0), 1.0
+        while w < w0:
+            # w0 is a power of 2 and 1 - w0 is exact, as is the last h
+            h = min(w0 - w, w0 / 2.0)
+            f, h_deriv, step_loss = _taylor_step(a, b, c, 1.0 - w0, h, f,
+                                                 h * deriv)
+            deriv, loss, w0 = h_deriv / h, loss + step_loss, w0 - h
             # the comparison is false for a nan loss, which counts as lost
             if not loss * 2.0 ** -52 <= FIDELITY:
                 return self._series(z)
@@ -258,4 +262,4 @@ def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Return 2F1(a, b; c; z) on the region c > b > 0, a >= 0, z in [0, 1),
     summed from a ratio table of its own (Gauss2F1)."""
-    return Gauss2F1(a, b, c)(z)
+    return Gauss2F1(a, b, c)(1.0 - z)

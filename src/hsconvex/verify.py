@@ -9,10 +9,10 @@ law, decided exactly (convexity.power_gate), and a search that spends its
 budget is an error, not a sampled answer; a gate grid, when one is asked
 for, is scanned instead.
 
-lambda_consistency_rows and mean_fidelity hold every lambda closed form and
-both closed means against quadrature of their defining integrals, each by
-integrate(f, lo, hi) at its one relative tolerance, as `lambda --check` is
-(kinds 1..4 in bounds.lambda_integrand's u, graded at the ends that need it).
+lambda_document (for `lambda --check` and the battery alike) and
+mean_fidelity hold every lambda closed form and both closed means against
+quadrature of their defining integrals, each by integrate(f, lo, hi) at its
+one relative tolerance (lambda in bounds.lambda_integrand's u).
 run_battery runs every check once, for the CLI's selftest and the
 acceptance tests alike; its comparison-proposition row counts the
 implications whose consequent fails, each decided exactly.
@@ -25,14 +25,14 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from .bounds import (classic_ostrowski_rhs, harmonic_midpoint,
-                     hh_harmonic_bounds, lambda5, lambda5_integrand,
-                     lambda_integrand, lambda_memo, lambda_value,
-                     ostrowski_rhs, resolve_exponents, OSTROWSKI_THEOREMS)
+                     hh_harmonic_bounds, lambda5, lambda_integrand,
+                     lambda_memo, lambda_value, ostrowski_rhs,
+                     resolve_exponents, OSTROWSKI_THEOREMS)
 from .convexity import (VIOLATION_TOL, check_am_hm, check_convexity,
                         power_gate, proposition_implications, uniform_grid)
-from .errors import DomainError
-from .numeric import (FunctionSpec, Interval, arithmetic_mean, derivative,
-                      exact, get_function, integrate, validate_s,
+from .errors import DomainError, NumericError
+from .numeric import (MIN_NORMAL, FunctionSpec, Interval, arithmetic_mean,
+                      derivative, exact, get_function, integrate, validate_s,
                       weighted_mean)
 from .specfn import beta, hyp2f1
 
@@ -211,33 +211,45 @@ LAMBDA5_POINTS = ((1.0, 2.0), (2.0, 1.5), (1.0, 1.5), (1.5, 1.5)) + tuple(
     for mag in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1) for sign in (1.0, -1.0))
 
 
+def lambda_document(kind: int, theta: float, x: float, s: Optional[float],
+                    vartheta: Optional[float], rho: Optional[float],
+                    check: bool) -> dict:
+    """The document `hsconvex lambda` prints: the arguments and the closed
+    value, lambda5 for kind 5 (no s, vartheta or rho) or lambda_value. With
+    check, also the oracle, by lambda_integrand of the weight (kind 1 or 3
+    at (s, vartheta, rho) = (0, 1, 1) for lambda5), and rel_err; a value
+    below the normal floats has too few digits for one and is refused."""
+    if kind == 5:
+        if (s, vartheta, rho) != (None, None, None):
+            raise DomainError("kind 5 takes no --s, --vartheta or --rho")
+        weight = (1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0)
+        value = lambda5(theta, x)
+    else:
+        if None in (s, vartheta, rho):
+            raise DomainError(f"kind {kind} needs --s, --vartheta and --rho")
+        weight = (kind, theta, x, s, vartheta, rho)
+        value = lambda_value(*weight)
+    doc = {"kind": kind, "theta": theta, "x": x, "s": s,
+           "vartheta": vartheta, "rho": rho, "value": value}
+    if check:
+        if abs(value) < MIN_NORMAL:
+            raise NumericError(f"the value {value:.17g} underflows below the "
+                               "normal floats, so it has no relative error "
+                               "to check")
+        doc["oracle"] = integrate(lambda_integrand(*weight), 0.0, 1.0).value
+        doc["rel_err"] = abs(value - doc["oracle"]) / abs(value)
+    return doc
+
+
 def lambda_consistency_rows() -> list[dict]:
-    """Closed form vs defining integral for every point of the lambda sweep.
-
-    Returns one row per comparison with the closed value, the quadrature
-    value, and their relative discrepancy (measured against the closed
-    value, which is strictly positive on the sweep).
-    """
-    def row(kind, theta, x, s, vt, rho, closed, integrand) -> dict:
-        oracle = integrate(integrand, 0.0, 1.0).value
-        return {"family": f"lambda{kind}", "kind": kind, "theta": theta,
-                "x": x, "s": s, "vartheta": vt, "rho": rho, "closed": closed,
-                "oracle": oracle, "rel_err": abs(closed - oracle) / abs(closed)}
-
-    rows: list[dict] = []
-    for kind in (1, 2, 3, 4):
-        for theta_a, x_a in LAMBDA_PAIRS:
-            # kinds 3, 4 live on the b-side: swap so x <= theta
-            theta, x = (theta_a, x_a) if kind in (1, 2) else (x_a, theta_a)
-            for s in LAMBDA_S_VALUES:
-                for vt, rho in LAMBDA_VARTHETA_RHO:
-                    args = (kind, theta, x, s, vt, rho)
-                    rows.append(row(*args, lambda_value(*args),
-                                    lambda_integrand(*args)))
-    for theta, x in LAMBDA5_POINTS:
-        rows.append(row(5, theta, x, None, None, None, lambda5(theta, x),
-                        lambda5_integrand(theta, x)))
-    return rows
+    """Closed form vs defining integral at every point of the lambda
+    sweep: the lambda_document of each, checked."""
+    # kinds 3, 4 live on the b-side: swap each pair so x <= theta
+    points = [(kind, *(pair if kind < 3 else pair[::-1]), s, vt, rho)
+              for kind in (1, 2, 3, 4) for pair in LAMBDA_PAIRS
+              for s in LAMBDA_S_VALUES for vt, rho in LAMBDA_VARTHETA_RHO]
+    points += [(5, theta, x, None, None, None) for theta, x in LAMBDA5_POINTS]
+    return [lambda_document(*point, True) for point in points]
 
 
 # the standard sweep configuration: every registry shape crossed with the

@@ -16,8 +16,8 @@ import pytest
 
 from hsconvex import bounds
 from hsconvex.bounds import lambda_value, lambda_z, ostrowski_rhs
-from hsconvex.specfn import Gauss2F1, beta, hyp2f1
-from hsconvex.verify import run_battery
+from hsconvex.specfn import Gauss2F1, beta
+from hsconvex.verify import lambda_document, run_battery
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -45,10 +45,16 @@ def canary_lambda_value(kind: int, theta: float, x: float, s: float,
     s > 0. The oracle comparison must catch it."""
     if kind != 2:
         return lambda_value(kind, theta, x, s, vartheta, rho)
-    z = lambda_z(kind, theta, x, s, vartheta, rho)
+    w = lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
     front = beta(rho + 1.0, 1.0) / x ** two_vt
-    return front * hyp2f1(two_vt, rho + 1.0, rho + s + 2.0, z)
+    return front * Gauss2F1(two_vt, rho + 1.0, rho + s + 2.0)(w)
+
+
+def lambda5_oracle(theta: float, x: float) -> float:
+    """lambda5's defining integral as the oracle takes it: the kind 1
+    (theta <= x) or kind 3 weight at (s, vartheta, rho) = (0, 1, 1)."""
+    return lambda_document(5, theta, x, None, None, None, True)["oracle"]
 
 
 def rhs_at(theorem: str, f, x: float, *args, **kwargs) -> float:
@@ -58,15 +64,15 @@ def rhs_at(theorem: str, f, x: float, *args, **kwargs) -> float:
 
 
 class RecordedGauss2F1(Gauss2F1):
-    """A Gauss2F1 that keeps the z of each evaluation in `asked`."""
+    """A Gauss2F1 that keeps the w = 1 - z of each evaluation in `asked`."""
 
     def __init__(self, a: float, b: float, c: float):
         super().__init__(a, b, c)
         self.asked: list[float] = []
 
-    def __call__(self, z: float) -> float:
-        self.asked.append(z)
-        return super().__call__(z)
+    def __call__(self, w: float) -> float:
+        self.asked.append(w)
+        return super().__call__(w)
 
 
 def record_tables(monkeypatch) -> list[RecordedGauss2F1]:

@@ -9,16 +9,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from conftest import (canary_lambda_value, lambda_shapes, mp_lambda,
-                      record_tables, rhs_at)
+from conftest import (canary_lambda_value, lambda5_oracle, lambda_shapes,
+                      mp_lambda, record_tables, rhs_at)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex import bounds
 from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
                              hh_harmonic_bounds, hh_s_convex_bounds, lambda5,
-                             lambda5_integrand, lambda_column,
-                             lambda_integrand, lambda_memo, lambda_value,
+                             lambda_column, lambda_integrand, lambda_memo,
+                             lambda_value,
                              lambda_z, ostrowski_lhs, ostrowski_rhs,
                              resolve_exponents, validate_q)
 from hsconvex.cli import main
@@ -233,8 +233,8 @@ class TestLambdaValue:
     def test_against_mpmath_up_to_one(self):
         # kinds 1..4 over z in [0, 1 - 1e-10], vartheta <= 6, rho <= 6 and
         # s in [0, 1]; every other weight has m = c - a - b an integer or
-        # within 1e-14..1e-3 of one. The reference takes the float z of
-        # args, so it measures the evaluation, not the rounding of z.
+        # within 1e-14..1e-3 of one. The reference takes 1 - w for the
+        # float w of args, the quotient lambda_value hands to 2F1.
         rng = random.Random(5)
         worst = 0.0
         for kind, s, vartheta, rho, b, b2, c in lambda_shapes(5, 400):
@@ -244,7 +244,8 @@ class TestLambdaValue:
             with mpmath.workdps(40):
                 base = x if kind in (1, 2) else theta
                 ref = (mpmath.beta(b, b2) / mpmath.mpf(base) ** (2 * vartheta)
-                       * mpmath.hyp2f1(2 * vartheta, b, c, lambda_z(*args)))
+                       * mpmath.hyp2f1(2 * vartheta, b, c,
+                                       1 - mpmath.mpf(lambda_z(*args))))
                 worst = max(worst, float(abs((lambda_value(*args) - ref) / ref)))
         assert worst <= 1e-10
 
@@ -408,7 +409,7 @@ class TestLambda5:
         for mag in (0.099, 0.101):
             for sign in (1.0, -1.0):
                 theta = x * (1.0 - sign * mag)
-                ref = integrate(lambda5_integrand(theta, x), 0.0, 1.0).value
+                ref = lambda5_oracle(theta, x)
                 assert lambda5(theta, x) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("x", [1.5, 2.2e-7, 3.1e5])
@@ -723,9 +724,9 @@ def paper_rhs(theorem: str, x: float, s: float, q: float, p, df) -> float:
         prefactor = 0.5 ** (1.0 - 1.0 / q)
     elif theorem == "T2_5":
         side_a = (power_mean((1, 2), a, 1.0, 1.0)
-                  * quad(lambda5_integrand(a, x)) ** (1.0 - 1.0 / q))
+                  * lambda5_oracle(a, x) ** (1.0 - 1.0 / q))
         side_b = (power_mean((3, 4), b, 1.0, 1.0)
-                  * quad(lambda5_integrand(b, x)) ** (1.0 - 1.0 / q))
+                  * lambda5_oracle(b, x) ** (1.0 - 1.0 / q))
     elif theorem == "T2_6":
         side_a = power_mean((1, 2), a, q, 0.0)
         side_b = power_mean((3, 4), b, q, 0.0)

@@ -217,7 +217,7 @@ class TestHostileInput:
         # 1e9 x points: refused before the gate is scanned
         ("verify", "--theorem", "T2_3", "--fn", "id", "--a", "1", "--b", "2",
          "--q", "1", "--grid", "1000000000"),
-        # the lambda5 integrand's denominator squared underflows to 0
+        # lambda5's check at theta/x = 1.2e-300, beyond the cap z < 1 - 1e-12
         ("lambda", "--kind", "5", "--theta", "1e-300", "--x", "0.82",
          "--check"),
         # lambda5 underflows to 0.0: no relative error exists
@@ -334,7 +334,7 @@ class TestZNearOne:
     # sliver of t as z -> 1. In the u of lambda_integrand, graded at that
     # end, it answers up to z = 1 - 1e-9 on both sides, in at most 585
     # evaluations and within 1.4e-15 of mpmath, so its rel_err is the
-    # closed form's own error (1.4e-7 at worst, on the a side at 1 - 1e-9)
+    # closed form's own error (1.6e-14 at worst, since 2F1 takes w = 1 - z)
     @pytest.mark.parametrize("kind, theta, x", [
         (1, "1e-6", "2"),
         *[(k, z, "1") for k in (1, 2) for z in ("1e-6", "1e-9")],
@@ -365,7 +365,7 @@ class TestZNearOne:
             result = integrate(*args)
             spent.append(result.evals)
             return result
-        monkeypatch.setattr(cli, "integrate", counted)
+        monkeypatch.setattr(verify, "integrate", counted)
         worst = 0.0
         for kind, gap, (s, vt, rho) in itertools.product(
                 (1, 2, 3, 4), ("1e-3", "1e-6", "1e-9"),
@@ -382,6 +382,45 @@ class TestZNearOne:
             worst = max(worst, float(abs(oracle - ref) / ref))
         assert worst <= 1e-13
         assert (len(spent), max(spent)) == (48, 585)
+
+
+class TestKind5Check:
+    """lambda5's check is the oracle of the kind 1 (theta <= x) or kind 3
+    weight at (s, vartheta, rho) = (0, 1, 1), graded at its layer as those
+    are: it answers, or refuses where they do, at z = 1 - 1e-12."""
+
+    def check(self, capsys, monkeypatch, theta, x):
+        spent = []
+
+        def counted(*args):
+            result = integrate(*args)
+            spent.append(result.evals)
+            return result
+        monkeypatch.setattr(verify, "integrate", counted)
+        code, out, err = run(capsys, "lambda", "--kind", "5", "--theta",
+                             theta, "--x", x, "--check")
+        return code, out, err, spent
+
+    def test_theta_far_below_x(self, capsys, monkeypatch):
+        # the ungraded integrand spent the 99,975-evaluation budget here
+        code, out, err, spent = self.check(capsys, monkeypatch, "1e-9", "1")
+        assert (code, err) == (0, "")
+        assert spent == [495]
+        assert json.loads(out)["rel_err"] <= 1e-14
+
+    def test_x_far_below_theta(self, capsys, monkeypatch):
+        # the closed value, not the oracle, was 3.4e-9 off here
+        code, out, err, _ = self.check(capsys, monkeypatch, "1", "1e-11")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rel_err"] <= 1e-14
+
+    def test_refused_beyond_the_cap(self, capsys, monkeypatch):
+        # the value 689.78 is printed without --check (TestLambda5); its
+        # check stopped at bisection depth 50, and is now refused before
+        # any evaluation
+        code, out, err, spent = self.check(capsys, monkeypatch, "1", "1e-300")
+        assert (code, out, spent) == (2, "", [])
+        assert err.startswith("domain error: z=") and "too close to 1" in err
 
 
 class TestUnusedFlags:

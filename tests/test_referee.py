@@ -1,4 +1,4 @@
-"""The closed means refereed over the whole domain against mpmath.
+"""The closed means and lambda weights refereed against mpmath.
 
 Both means of c*u^r, weighted_mean and arithmetic_mean, on [a, b] with
 a = 2^k for k from -1000 to 1000 and b/a from 1 + 2^-20 to 2^20, and the
@@ -7,14 +7,21 @@ closed form, evaluated by mpmath at 30 digits on [1, b/a] and scaled by
 2^(k*r): a mean of u^r over [2^k a, 2^k b] is 2^(k*r) times the mean over
 [a, b], and 2^k * (b/a) is the float b exactly. Each call gives an answer
 within 1e-14 relative of the reference, or a NumericError.
+
+The closed lambda weights are held against conftest.mp_lambda where the
+ratio w = 1 - z of theta and x is small: kinds 1..4 down to w = 1e-11,
+within 1e-13, and lambda5 down to 1e-300 on both sides, within 1e-14.
 """
 
+import itertools
 import math
 import sys
 
 import mpmath
 import pytest
+from conftest import mp_lambda
 
+from hsconvex.bounds import lambda5, lambda_value
 from hsconvex.errors import NumericError
 from hsconvex.numeric import (Interval, arithmetic_mean, get_function,
                               weighted_mean)
@@ -104,3 +111,32 @@ def test_constant_means_are_exact(fn_id, a, b):
     f = get_function(fn_id)
     assert weighted_mean(f, Interval(a, b)) == f.c
     assert arithmetic_mean(f, a, b) == arithmetic_mean(f, 0.0, b) == f.c
+
+
+def test_closed_lambda_near_z_one():
+    # every kind at 1 - z = 1e-3 .. 1e-11, s in {0, 0.5, 1}, vartheta up
+    # to 10: 2F1 is handed w = theta/x or x/theta, not z, so the rounding
+    # of z, which cost up to |c-a-b| 2^-53 / (1 - z) (1.6e-6), costs
+    # nothing; w itself, a correctly rounded quotient, costs a few ulps
+    worst = 0.0
+    for kind, s, vartheta, gap in itertools.product(
+            (1, 2, 3, 4), (0.0, 0.5, 1.0), (1.0, 2.0, 5.0, 10.0),
+            (1e-3, 1e-6, 1e-9, 1e-11)):
+        theta, x = (3.0 * gap, 3.0) if kind < 3 else (3.0, 3.0 * gap)
+        args = (kind, theta, x, s, vartheta, 1.5)
+        ref = mp_lambda(*args)
+        worst = max(worst, float(abs(lambda_value(*args) - ref) / ref))
+    assert worst <= 1e-13
+
+
+def test_lambda5_far_from_the_diagonal():
+    # x/theta and theta/x from 1 down to 1e-300, four points a decade:
+    # where x << theta, log(x/theta) keeps the digits that log1p of
+    # (x - theta)/theta, near -1, lost (1.3e-2 off at x/theta = 1.8e-16)
+    worst = 0.0
+    for k in range(1201):
+        r = 10.0 ** (-k / 4.0)
+        for theta, x in ((1.7 * r, 1.7), (1.7, 1.7 * r)):
+            ref = mp_lambda(5, theta, x, None, None, None)
+            worst = max(worst, float(abs(lambda5(theta, x) - ref) / ref))
+    assert worst <= 1e-14

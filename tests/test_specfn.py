@@ -195,7 +195,7 @@ class TestRatioTable:
         fresh = {z: outcome(lambda: hyp2f1(a, b, c, z)) for z in zs}
         for order in self.orders(zs):
             table = Gauss2F1(a, b, c)
-            assert [outcome(lambda: table(z)) for z in order] == [
+            assert [outcome(lambda: table(1.0 - z)) for z in order] == [
                 fresh[z] for z in order], (a, b, c, order)
 
     def test_tabled_sum_equals_a_fresh_one(self):
@@ -213,8 +213,8 @@ class TestRatioTable:
         longest = 0
         for z in self.orders(self.FALLBACK_Z)[2]:
             fresh = Gauss2F1(*self.FALLBACK)
-            outcome(lambda: fresh(z))
-            outcome(lambda: table(z))
+            outcome(lambda: fresh(1.0 - z))
+            outcome(lambda: table(1.0 - z))
             longest = max(longest, len(fresh.ratios))
             assert len(table.ratios) == longest
         # the refused sums at 0.999 and 1 - 1e-6 fill it to the budget
@@ -229,7 +229,7 @@ class TestRatioTable:
         table = Gauss2F1(1.0, 1.0, 2.0)
         for z in (-0.1, 1.0, math.nan):
             with pytest.raises(DomainError):
-                table(z)
+                table(1.0 - z)  # a table takes w = 1 - z
         assert table.ratios == []
 
 

@@ -10,9 +10,7 @@ import pytest
 from conftest import canary_lambda_value, mp_lambda, record_tables
 
 from hsconvex import bounds, convexity, numeric, verify
-from hsconvex.bounds import (hh_harmonic_bounds, lambda5, lambda5_integrand,
-                             lambda_integrand, lambda_memo, lambda_value,
-                             ostrowski_rhs)
+from hsconvex.bounds import hh_harmonic_bounds, lambda_value
 from hsconvex.convexity import GATE_GRID_N, check_convexity, uniform_grid
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (FunctionSpec, Interval, derivative,
@@ -21,6 +19,7 @@ from hsconvex.specfn import Gauss2F1
 from hsconvex.verify import (LEMMA_FUNCTIONS, LEMMA_INTERVALS, MAX_X_GRID,
                              ROW_FIELDS, SLACK_TOL, bound_row,
                              hypothesis_gate, lambda_consistency_rows,
+                             lambda_document,
                              lemma_residual, mean_fidelity, min_corollary_gap,
                              run_battery, run_ostrowski_matrix,
                              verify_theorem)
@@ -301,10 +300,9 @@ class TestLambdaConsistency:
         assert n_kind14 >= 240
 
     @staticmethod
-    def rel_err(closed, integrand):
+    def rel_err(*weight):
         # the comparison of one sweep row
-        oracle = integrate(integrand, 0.0, 1.0).value
-        return abs(closed - oracle) / abs(closed)
+        return lambda_document(*weight, True)["rel_err"]
 
     def test_oracle_against_mpmath(self):
         # the oracle itself, held against each weight in mpmath: the
@@ -318,18 +316,14 @@ class TestLambdaConsistency:
 
     def test_z_zero_tight(self):
         for kind in (1, 2, 3, 4):
-            args = (kind, 1.0, 1.0, 0.5, 1.0, 1.0)
-            assert self.rel_err(lambda_value(*args),
-                                lambda_integrand(*args)) <= 1e-13, kind
-        assert self.rel_err(lambda5(1.0, 1.0),
-                            lambda5_integrand(1.0, 1.0)) <= 1e-13
+            assert self.rel_err(kind, 1.0, 1.0, 0.5, 1.0, 1.0) <= 1e-13, kind
+        assert self.rel_err(5, 1.0, 1.0, None, None, None) <= 1e-13
 
     def test_taylor_subgrid(self):
         # near theta = x, where lambda5 takes its 2F1 route
         for sign in (1.0, -1.0):
             theta = 1.5 * (1.0 - sign * 1e-5)
-            assert self.rel_err(lambda5(theta, 1.5),
-                                lambda5_integrand(theta, 1.5)) <= 1e-9
+            assert self.rel_err(5, theta, 1.5, None, None, None) <= 1e-9
 
     def test_variant_breaks_consistency(self, monkeypatch):
         monkeypatch.setattr(verify, "lambda_value", canary_lambda_value)
@@ -382,9 +376,9 @@ def counts(monkeypatch):
     lambda_value = bounds.lambda_value
 
     class CountedGauss2F1(Gauss2F1):
-        def __call__(self, z):
+        def __call__(self, w):
             c["hyp2f1"] += 1
-            return super().__call__(z)
+            return super().__call__(w)
 
     def recorded_lambda(*args):
         c["lambda_calls"] += 1
@@ -454,8 +448,8 @@ class TestReuse:
         terms = []
         for t in tables:
             fresh = [Gauss2F1(t.a, t.b, t.c) for _ in t.asked]
-            for g, z in zip(fresh, t.asked):
-                g(z)
+            for g, w in zip(fresh, t.asked):
+                g(w)
             assert len(t.ratios) == max(len(g.ratios) for g in fresh)
             terms += [len(g.ratios) for g in fresh]
         assert sum(len(t.ratios) for t in tables) == 216
