@@ -13,7 +13,7 @@ from .specfn import beta, hyp2f1
 from .convexity import (ConvexityReport, check_am_hm, check_convexity,
                         harmonic_combination, proposition_implications)
 from .bounds import (classic_ostrowski_rhs, hh_harmonic_bounds,
-                     hh_s_convex_bounds, lambda5, lambda_value, ostrowski_lhs,
+                     hh_s_convex_bounds, lambda_value, ostrowski_lhs,
                      ostrowski_rhs)
 from .verify import (bound_row, lambda_consistency_rows, lemma_residual,
                      matrix_summary, min_corollary_gap, run_ostrowski_matrix,
@@ -26,7 +26,7 @@ __all__ = [
     "Interval", "NumericError", "QuadResult", "beta", "bound_row",
     "check_am_hm", "check_convexity", "classic_ostrowski_rhs", "derivative",
     "get_function", "harmonic_combination", "hh_harmonic_bounds",
-    "hh_s_convex_bounds", "hyp2f1", "integrate", "lambda5",
+    "hh_s_convex_bounds", "hyp2f1", "integrate",
     "lambda_consistency_rows", "lambda_value", "lemma_residual",
     "matrix_summary", "min_corollary_gap", "ostrowski_lhs", "ostrowski_rhs",
     "proposition_implications", "run_ostrowski_matrix", "verify_theorem",

@@ -12,10 +12,10 @@ Beta and 2F1 obtained from the Euler integral representation; this module
 evaluates the closed forms, and the quadrature oracle in `verify` holds
 them against the defining integrals, in a u graded at the ends that need it.
 
-lambda5 is the q = 1 degenerate weight int_0^1 t/(t*theta + (1-t)*x)^2 dt
-with the elementary closed form (1/(x-theta)) (1/theta - ln(x/theta)/(x-theta)).
-That expression cancels as theta -> x, so below |1 - theta/x| = 0.1 it is
-taken as the kind 1 or 3 weight at (s, vartheta, rho) = (0, 1, 1).
+Kind 5, T2_5's lambda5 = int_0^1 t/(t*theta + (1-t)*x)^2 dt, takes no s,
+vartheta or rho. It is the kind 1 (theta <= x) or 3 weight at (s, vartheta,
+rho) = (0, 1, 1); its value, with no cap on w = 1 - z, is the elementary
+form ((x-theta)/theta - ln(x/theta)) / (x-theta)^2 away from theta = x.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import DomainError, NumericError
 # from this module
 from .numeric import (MIN_NORMAL, FunctionSpec, Interval, arithmetic_mean,
                       derivative, integrate, validate_s, weighted_mean)
-from .specfn import Z_CAP, Gauss2F1, beta
+from .specfn import W_CAP, Gauss2F1, beta
 
 OSTROWSKI_THEOREMS = ("T2_3", "T2_4", "T2_5", "T2_6", "T2_7")
 # the z above which lambda_integrand grades the denominator's layer
@@ -88,13 +88,20 @@ def resolve_exponents(theorem: str, q: Optional[float],
     return q, p
 
 
+def _kind5(theta: float, x: float) -> tuple:
+    """Kind 5 as kind 1 (theta <= x) or 3 at (s, vartheta, rho) = (0, 1, 1)."""
+    return 1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0
+
+
 def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
              rho: float) -> float:
-    """Check the arguments of the lambda weight of `kind` and return its
-    w = 1 - z: theta/x on the a-side (kinds 1, 2), x/theta on the b-side, a
-    correctly rounded quotient, as z itself would not be near z = 1."""
-    if kind not in (1, 2, 3, 4):
-        raise DomainError(f"kind must be 1..4, got {kind}")
+    """Check the arguments of the lambda weight of `kind` (5 as _kind5's)
+    and return its w = 1 - z > W_CAP: theta/x on the a-side (kinds 1, 2),
+    x/theta on the b-side, a correctly rounded quotient, as z is not."""
+    if kind not in (1, 2, 3, 4, 5):
+        raise DomainError(f"kind must be 1..5, got {kind}")
+    if kind == 5:
+        kind, theta, x, s, vartheta, rho = _kind5(theta, x)
     for name, v in (("theta", theta), ("x", x)):
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"{name} must be positive, got {v}")
@@ -110,10 +117,10 @@ def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
     if kind in (3, 4) and not x <= theta:
         raise DomainError(f"kinds 3, 4 are b-side weights and require "
                           f"x <= theta, got theta={theta}, x={x}")
-    w = theta / x if kind in (1, 2) else x / theta
-    if 1.0 - w >= Z_CAP:
-        raise DomainError(f"z={1.0 - w} too close to 1 "
-                          "(theta/x ratio too extreme)")
+    name, w = ("theta/x", theta / x) if kind < 3 else ("x/theta", x / theta)
+    if not w > W_CAP:
+        raise DomainError(f"{name}={w} too extreme: w = 1 - z must exceed "
+                          f"the cap {W_CAP}")
     return w
 
 
@@ -126,7 +133,10 @@ def lambda_integrand(kind: int, theta: float, x: float, s: float,
     sits or, above z = LAYER_Z, the denominator's layer of width about 1 - z
     (t = 1 on the a-side, t = 0 on the b-side): t = u^4 at the left alone,
     its mirror at the right, u^4 (35 - 84u + 70u^2 - 20u^3) at both (Sidi
-    1993), u at neither. 1 - t is formed from 1 - u, so it keeps its digits."""
+    1993), u at neither. 1 - t is formed from 1 - u and keeps its digits.
+    Kind 5 takes _kind5's."""
+    if kind == 5:
+        return lambda_integrand(*_kind5(theta, x))
     z = 1.0 - lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
     a, b = (rho + s, 0.0) if kind in (1, 3) else (rho, s)
@@ -204,7 +214,21 @@ def lambda_value(kind: int, theta: float, x: float, s: float,
     beta(b, b2) / base^(2vt) * 2F1(2vt, b; rho+s+2; z), with the Beta
     arguments (b, b2) and the base of each kind in the table below, after
     the checks of lambda_z. A lambda_memo block keeps the Beta factor and
-    the Gauss2F1, which depend on (kind, s, vartheta, rho) alone."""
+    the Gauss2F1, which depend on (kind, s, vartheta, rho) alone. Kind 5
+    (s, vartheta, rho None) is its elementary form where |1 - theta/x| >=
+    0.1, 1/(2 x^2) at theta = x (lgamma would round it), else _kind5's."""
+    if kind == 5 and 0.0 < theta < math.inf and 0.0 < x < math.inf:
+        if theta == x:
+            return 0.5 / (x * x)
+        if abs(1.0 - theta / x) >= 0.1:
+            d, e, r = x - theta, (x - theta) / theta, x / theta
+            # log1p keeps e - ln(1+e) accurate; below x/theta = 1/4, log(x/theta)
+            # keeps the digits 1 + e lost, and log x - log theta below MIN_NORMAL
+            log_ratio = (math.log1p(e) if r >= 0.25 else math.log(r)
+                         if r >= MIN_NORMAL else math.log(x) - math.log(theta))
+            return (e - log_ratio) / (d * d)
+    if kind == 5:
+        kind, theta, x, s, vartheta, rho = _kind5(theta, x)
     w = lambda_z(kind, theta, x, s, vartheta, rho)
     memo = _LAMBDA_MEMO.get()
     shape = (kind, s, vartheta, rho)
@@ -237,30 +261,6 @@ def lambda_column(kind: int, end: float, xs: Sequence[float], s: float,
         except (DomainError, NumericError):
             memo[key] = [None] * len(xs)
     return memo[key]
-
-
-@_finite
-def lambda5(theta: float, x: float) -> float:
-    """Evaluate int_0^1 t/(t*theta + (1-t)*x)^2 dt: the closed form
-    ((x-theta)/theta - ln(x/theta)) / (x-theta)^2 where |1 - theta/x| >=
-    0.1, else, where it cancels, lambda_value of kind 1 (theta <= x) or 3
-    at (s, vartheta, rho) = (0, 1, 1); 1/(2 x^2) at theta = x exactly,
-    which the Beta factor's lgamma would round."""
-    for name, v in (("theta", theta), ("x", x)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"lambda5 requires {name} > 0, got {v}")
-    if theta == x:
-        return 0.5 / (x * x)
-    if abs(1.0 - theta / x) < 0.1:
-        return lambda_value(1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0)
-    d = x - theta
-    w, r = d / theta, x / theta
-    # log1p keeps w - ln(1+w) accurate when w is small but above the cut;
-    # below x/theta = 1/4, 1 + w has lost digits that log(x/theta) keeps,
-    # as log x - log theta does where x/theta is not a normal float
-    log_ratio = (math.log1p(w) if r >= 0.25 else math.log(r)
-                 if r >= MIN_NORMAL else math.log(x) - math.log(theta))
-    return (w - log_ratio) / (d * d)
 
 
 def harmonic_midpoint(iv: Interval) -> float:
@@ -376,11 +376,13 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
     rhs = []
     with lambda_memo():
         col = {k: lambda_column(k, a if k < 3 else b, xs, s_w, vt, rho) for k in kinds}
+        col5 = {end: lambda_column(5, end, xs, None, None, None)
+                for end in (a, b) if theorem == "T2_5"}
         for i, (x, dx) in enumerate(zip(xs, dxs)):
             total = 0.0
             for end, d_end, kind in ((a, da, 1), (b, db, 3)):
-                # kinds 1, 2 weigh the a-side, kinds 3, 4 the b-side, and a
-                # weight None in its column failed: lambda_value raises here
+                # kinds 1, 2 weigh the a-side, 3, 4 the b-side, 5 (lambda5) both;
+                # a weight None in its column failed: lambda_value raises here
                 if x == end:
                     continue
                 lam = col[kind][i] or lambda_value(kind, end, x, s_w, vt, rho)
@@ -399,8 +401,9 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
                     total += lam ** (1.0 / vt) * (x - end) ** 2 \
                         * (bracket / (s + 1.0)) ** inv_q
                 elif theorem == "T2_5":
+                    lam5 = col5[end][i] or lambda_value(5, end, x, None, None, None)
                     total += (x - end) ** 2 * bracket ** inv_q \
-                        * lambda5(end, x) ** (1.0 - inv_q)
+                        * lam5 ** (1.0 - inv_q)
                 else:
                     total += (x - end) ** 2 * bracket ** inv_q
             rhs.append(scale * total)

@@ -2,10 +2,10 @@
 
 Everything here is restricted to the parameter region the bound formulas
 actually visit: positive Beta arguments and 2F1(a, b; c; z) with
-c > b > 0, a >= 0, z in [0, 1). Up to z_series_cutoff 2F1 is the Gauss
-power series; above it the series value at z = 1/2 is continued along the
-hypergeometric differential equation. Neither route uses quadrature, so
-the quadrature oracle in `verify` is independent of both.
+c > b > 0, a >= 0 and w = 1 - z in (W_CAP, 1]. Up to z_series_cutoff 2F1
+is the Gauss power series; above it the series value at z = 1/2 is
+continued along the hypergeometric differential equation. Neither route
+uses quadrature, so the quadrature oracle in `verify` is independent of both.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericError
 
-# z at or above this is treated as outside the domain: 2F1 is singular at
-# z = 1 and every lambda diverges there
-Z_CAP = 1.0 - 1e-12
+# w = 1 - z at or below this is treated as outside the domain: 2F1 is
+# singular at z = 1 and every lambda diverges there
+W_CAP = 1e-12
 
 # a sum ends after two consecutive terms below SERIES_REL_TOL relative to
 # the partial sum; SERIES_MAX_TERMS terms without that raise NumericError
@@ -82,7 +82,7 @@ def _ratio_cap(u: float, v: float) -> float:
 
 class Gauss2F1:
     """2F1(a, b; c; z) for one parameter triple on the region c > b > 0,
-    a >= 0, as a function of w = 1 - z, for z in [0, Z_CAP).
+    a >= 0, as a function of w = 1 - z, for w in (W_CAP, 1].
 
     ratios[n] = (a+n)(b+n) / ((c+n)(n+1)) is the ratio t_(n+1)/t_n of the
     Gauss series' terms t_n = (a)_n (b)_n / ((c)_n n!) z^n, bar the factor
@@ -114,18 +114,17 @@ class Gauss2F1:
         Up to z_series_cutoff the Gauss series. Above it F and F' at
         z0 = 1/2 come from the series and are carried to z by Taylor steps
         of length min(w0 - w, w0/2), w0 = 1 - z0, so each step's sum
-        converges like 2^-n and at most 39 steps reach Z_CAP. When the
+        converges like 2^-n and at most 39 steps reach W_CAP. When the
         summed losses of the steps put the estimated error above FIDELITY
         (large c), the Gauss series at z is summed instead, and
-        NumericError raised if it does not converge. z within 1e-12 of 1 is
-        rejected: the function diverges there and the lambda coefficients
-        built on it lose meaning.
+        NumericError raised if it does not converge. w at or below W_CAP is
+        rejected: the function diverges at w = 0 and the lambda
+        coefficients built on it lose meaning.
         """
+        if not W_CAP < w <= 1.0:  # false for a nan w too
+            raise DomainError(f"hyp2f1 requires {W_CAP} < w = 1 - z <= 1, "
+                              f"got w={w}")
         z = 1.0 - w
-        if not math.isfinite(z):
-            raise DomainError(f"hyp2f1: z must be finite, got {z}")
-        if not 0.0 <= z < Z_CAP:
-            raise DomainError(f"hyp2f1 requires 0 <= z < {Z_CAP}, got {z}")
         if z <= DEFAULT_CONFIG.z_series_cutoff:
             return self._series(z)
         a, b, c = self.a, self.b, self.c
@@ -260,6 +259,8 @@ def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Return 2F1(a, b; c; z) on the region c > b > 0, a >= 0, z in [0, 1),
-    summed from a ratio table of its own (Gauss2F1)."""
-    return Gauss2F1(a, b, c)(1.0 - z)
+    """Return 2F1(a, b; c; z) on c > b > 0, a >= 0, z in [0, 1) from a fresh
+    Gauss2F1, summed at z itself up to the cutoff, where 1 - z rounds it."""
+    series = Gauss2F1(a, b, c)
+    return (series._series(z) if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
+            else series(1.0 - z))

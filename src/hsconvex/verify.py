@@ -25,7 +25,7 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from .bounds import (classic_ostrowski_rhs, harmonic_midpoint,
-                     hh_harmonic_bounds, lambda5, lambda_integrand,
+                     hh_harmonic_bounds, lambda_integrand,
                      lambda_memo, lambda_value, ostrowski_rhs,
                      resolve_exponents, OSTROWSKI_THEOREMS)
 from .convexity import (VIOLATION_TOL, check_am_hm, check_convexity,
@@ -215,20 +215,15 @@ def lambda_document(kind: int, theta: float, x: float, s: Optional[float],
                     vartheta: Optional[float], rho: Optional[float],
                     check: bool) -> dict:
     """The document `hsconvex lambda` prints: the arguments and the closed
-    value, lambda5 for kind 5 (no s, vartheta or rho) or lambda_value. With
-    check, also the oracle, by lambda_integrand of the weight (kind 1 or 3
-    at (s, vartheta, rho) = (0, 1, 1) for lambda5), and rel_err; a value
-    below the normal floats has too few digits for one and is refused."""
-    if kind == 5:
-        if (s, vartheta, rho) != (None, None, None):
-            raise DomainError("kind 5 takes no --s, --vartheta or --rho")
-        weight = (1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0)
-        value = lambda5(theta, x)
-    else:
-        if None in (s, vartheta, rho):
-            raise DomainError(f"kind {kind} needs --s, --vartheta and --rho")
-        weight = (kind, theta, x, s, vartheta, rho)
-        value = lambda_value(*weight)
+    value, lambda_value (kind 5 takes no s, vartheta or rho). With check,
+    also the oracle, by lambda_integrand, and rel_err; a value below the
+    normal floats has too few digits for one and is refused."""
+    if kind == 5 and (s, vartheta, rho) != (None, None, None):
+        raise DomainError("kind 5 takes no --s, --vartheta or --rho")
+    if kind != 5 and None in (s, vartheta, rho):
+        raise DomainError(f"kind {kind} needs --s, --vartheta and --rho")
+    weight = (kind, theta, x, s, vartheta, rho)
+    value = lambda_value(*weight)
     doc = {"kind": kind, "theta": theta, "x": x, "s": s,
            "vartheta": vartheta, "rho": rho, "value": value}
     if check:

@@ -51,6 +51,11 @@ def canary_lambda_value(kind: int, theta: float, x: float, s: float,
     return front * Gauss2F1(two_vt, rho + 1.0, rho + s + 2.0)(w)
 
 
+def lambda5(theta: float, x: float) -> float:
+    """T2_5's weight lambda5: kind 5 of lambda_value."""
+    return lambda_value(5, theta, x, None, None, None)
+
+
 def lambda5_oracle(theta: float, x: float) -> float:
     """lambda5's defining integral as the oracle takes it: the kind 1
     (theta <= x) or kind 3 weight at (s, vartheta, rho) = (0, 1, 1)."""

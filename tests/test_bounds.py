@@ -9,17 +9,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from conftest import (canary_lambda_value, lambda5_oracle, lambda_shapes,
-                      mp_lambda, record_tables, rhs_at)
+from conftest import (canary_lambda_value, lambda5, lambda5_oracle,
+                      lambda_shapes, mp_lambda, record_tables, rhs_at)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsconvex import bounds
 from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
-                             hh_harmonic_bounds, hh_s_convex_bounds, lambda5,
+                             hh_harmonic_bounds, hh_s_convex_bounds,
                              lambda_column, lambda_integrand, lambda_memo,
-                             lambda_value,
-                             lambda_z, ostrowski_lhs, ostrowski_rhs,
+                             lambda_value, lambda_z, ostrowski_lhs, ostrowski_rhs,
                              resolve_exponents, validate_q)
 from hsconvex.cli import main
 from hsconvex.convexity import uniform_grid
@@ -112,7 +111,7 @@ class TestLambdaArgs:
 
     def test_parameter_ranges(self):
         with pytest.raises(DomainError):
-            lambda_z(5, 1.0, 2.0, 1.0, 1.0, 1.0)
+            lambda_z(6, 1.0, 2.0, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             lambda_z(1, 0.0, 2.0, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -128,11 +127,14 @@ class TestLambdaArgs:
     def test_z_property(self):
         assert lambda_z(1, 1.0, 2.0, 1.0, 1.0, 1.0) == 0.5
         assert lambda_z(3, 2.0, 1.0, 1.0, 1.0, 1.0) == 0.5
+        # kind 5 is the kind 1 (theta <= x) or kind 3 weight
+        assert lambda_z(5, 1.0, 2.0, None, None, None) == 0.5
+        assert lambda_z(5, 2.0, 1.0, None, None, None) == 0.5
 
     # each message, raised by the first check a tuple fails, in the order
     # the checks run
     MESSAGES = [
-        ((0, 1.0, 2.0, 1.0, 1.0, 1.0), "kind must be 1..4, got 0"),
+        ((0, 1.0, 2.0, 1.0, 1.0, 1.0), "kind must be 1..5, got 0"),
         ((1, math.nan, 2.0, -1.0, 1.0, 1.0), "theta must be positive, got nan"),
         ((1, 1.0, 0.0, -1.0, 1.0, 1.0), "x must be positive, got 0.0"),
         ((1, 2.0, 1.0, -0.5, 0.0, 1.0), "s must be nonnegative, got -0.5"),
@@ -146,7 +148,7 @@ class TestLambdaArgs:
          "kinds 3, 4 are b-side weights and require x <= theta, "
          "got theta=1.0, x=2.0"),
         ((3, 1.0, 1e-13, 1.0, 1.0, 1.0),
-         "z=0.9999999999999 too close to 1 (theta/x ratio too extreme)"),
+         "x/theta=1e-13 too extreme: w = 1 - z must exceed the cap 1e-12"),
     ]
 
     @pytest.mark.parametrize("args, message", MESSAGES)

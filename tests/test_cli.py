@@ -417,10 +417,11 @@ class TestKind5Check:
     def test_refused_beyond_the_cap(self, capsys, monkeypatch):
         # the value 689.78 is printed without --check (TestLambda5); its
         # check stopped at bisection depth 50, and is now refused before
-        # any evaluation
+        # any evaluation, naming the ratio and the cap on w = 1 - z
         code, out, err, spent = self.check(capsys, monkeypatch, "1", "1e-300")
         assert (code, out, spent) == (2, "", [])
-        assert err.startswith("domain error: z=") and "too close to 1" in err
+        assert err == ("domain error: x/theta=1e-300 too extreme: "
+                       "w = 1 - z must exceed the cap 1e-12\n")
 
 
 class TestUnusedFlags:

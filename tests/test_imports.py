@@ -3,9 +3,12 @@ module's private names, no option is added by accident, and the CLI loads
 no heavy module."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hsconvex
 
@@ -56,7 +59,7 @@ def test_public_api_pinned():
         "check_am_hm", "check_convexity", "classic_ostrowski_rhs",
         "derivative", "get_function", "harmonic_combination",
         "hh_harmonic_bounds", "hh_s_convex_bounds", "hyp2f1", "integrate",
-        "lambda5", "lambda_consistency_rows", "lambda_value",
+        "lambda_consistency_rows", "lambda_value",
         "lemma_residual", "matrix_summary", "min_corollary_gap",
         "ostrowski_lhs", "ostrowski_rhs", "proposition_implications",
         "run_ostrowski_matrix", "verify_theorem", "weighted_mean"]
@@ -227,6 +230,22 @@ def imported_modules(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             found.add("." * node.level + (node.module or ""))
     return found
+
+
+def test_test_extra_installs_what_the_tests_import():
+    # `pip install .[test]` must leave the suite able to collect: each
+    # module that tests/ and perfbench/ import is the standard library's,
+    # the package's, one of those directories' own, or in the test extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    extra = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+             for req in project["optional-dependencies"]["test"]}
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    own = {f.stem for f in files} | {"hsconvex"}
+    imported = {name.split(".")[0] for f in files
+                for name in imported_modules(f) if not name.startswith(".")}
+    assert sorted(imported - own - sys.stdlib_module_names - extra) == []
 
 
 def test_special_functions_share_no_code_with_the_oracle():

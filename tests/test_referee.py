@@ -11,18 +11,25 @@ within 1e-14 relative of the reference, or a NumericError.
 The closed lambda weights are held against conftest.mp_lambda where the
 ratio w = 1 - z of theta and x is small: kinds 1..4 down to w = 1e-11,
 within 1e-13, and lambda5 down to 1e-300 on both sides, within 1e-14.
+
+ostrowski_rhs of T2_3..T2_7 is held against the same theorems assembled in
+mpmath at 30 digits, from mp_lambda's weights, on [2^k, 2^k q] at x = a, b
+and between: each value is within 1e-10 relative, or its scan is refused
+with a DomainError or NumericError.
 """
 
+import functools
 import itertools
 import math
 import sys
 
 import mpmath
 import pytest
-from conftest import mp_lambda
+from conftest import lambda5, mp_lambda
 
-from hsconvex.bounds import lambda5, lambda_value
-from hsconvex.errors import NumericError
+from hsconvex.bounds import lambda_memo, lambda_value, ostrowski_rhs
+from hsconvex.convexity import uniform_grid
+from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (Interval, arithmetic_mean, get_function,
                               weighted_mean)
 
@@ -140,3 +147,93 @@ def test_lambda5_far_from_the_diagonal():
             ref = mp_lambda(5, theta, x, None, None, None)
             worst = max(worst, float(abs(lambda5(theta, x) - ref) / ref))
     assert worst <= 1e-14
+
+
+# the rhs slice: every registry shape on [2^k, 2^k q] for the exponents
+# and ratios below, at x = a, b and three points between
+RHS_SHAPES = ("const:2", "id", "neg", "inv", "pow:0.5", "pow:2.7")
+RHS_SCALES = (-40, 0, 40)
+RHS_RATIOS = (1.0 + 2.0 ** -20, 1.5, 2.0 ** 10)
+RHS_S = (0.25, 1.0)
+# (theorem, q, p) as resolve_exponents completes them
+RHS_EXPONENTS = (("T2_3", 1.0, None), ("T2_3", 2.0, None),
+                 ("T2_4", 1.0, None), ("T2_4", 2.0, None),
+                 ("T2_5", 1.0, None), ("T2_5", 2.0, None),
+                 ("T2_6", 2.0, 2.0), ("T2_6", 1.5, 3.0),
+                 ("T2_7", 2.0, 2.0), ("T2_7", 1.5, 3.0))
+
+
+@functools.cache
+def mp_unit_weight(kind, theta, x, s, vartheta, rho):
+    """mp_lambda, computed once for each weight the slice asks for."""
+    return mp_lambda(kind, theta, x, s, vartheta, rho)
+
+
+def mp_weight(kind, theta, x, s, vartheta, rho, k):
+    """The weight at (theta, x) = 2^k (theta', x'), from the one at
+    (theta', x'): the base of every weight scales out as 2^(-2 k vartheta)
+    (vartheta = 1 for lambda5), and z does not move."""
+    unit = mp_unit_weight(kind, math.ldexp(theta, -k), math.ldexp(x, -k),
+                          s, vartheta, rho)
+    return unit * mpmath.mpf(2) ** (-2 * k * (vartheta or 1.0))
+
+
+def mp_rhs(theorem, f, x, a, b, s, q, p, k):
+    """The rhs of Theorems 2.3-2.7 at x on [a, b] = 2^k [a', b'] in mpmath,
+    with |f'(u)| = |c r u^(r-1)| and every weight from mp_weight."""
+    c, r, mq = mpmath.mpf(f.c), mpmath.mpf(f.r), mpmath.mpf(q)
+    vt, rho = {"T2_3": (q, q), "T2_4": (q, 1.0), "T2_5": (1.0, 1.0),
+               "T2_6": (q, 0.0), "T2_7": (p, p)}[theorem]
+    prefactor = 1
+    if theorem == "T2_4":
+        prefactor = mpmath.mpf(0.5) ** (1 - 1 / mq)
+    elif theorem == "T2_6":
+        prefactor = (1 / (mpmath.mpf(p) + 1)) ** (1 / mpmath.mpf(p))
+
+    def df(u):
+        return abs(c * r * mpmath.mpf(u) ** (r - 1))
+    total = 0
+    for end, kind in ((a, 1), (b, 3)):
+        if x == end:
+            continue
+        if theorem == "T2_7":
+            side = (mp_weight(kind, end, x, 0.0, vt, rho, k)
+                    ** (1 / mpmath.mpf(vt))
+                    * ((df(x) ** mq + df(end) ** mq) / (s + 1)) ** (1 / mq))
+        else:
+            side = (mp_weight(kind, end, x, s, vt, rho, k) * df(x) ** mq
+                    + mp_weight(kind + 1, end, x, s, vt, rho, k)
+                    * df(end) ** mq) ** (1 / mq)
+        if theorem == "T2_5":
+            side *= mp_weight(5, end, x, None, None, None, k) ** (1 - 1 / mq)
+        total += (mpmath.mpf(x) - end) ** 2 * side
+    return mpmath.mpf(a) * b / (mpmath.mpf(b) - a) * prefactor * total
+
+
+def test_ostrowski_rhs_against_mpmath():
+    # each value is right (within 1e-10 of mp_rhs), or its scan is refused
+    # by a DomainError or NumericError; none is wrong
+    tally = dict.fromkeys(("right", "refused", "wrong"), 0)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for k, ratio, s, (theorem, q, p) in itertools.product(
+                RHS_SCALES, RHS_RATIOS, RHS_S, RHS_EXPONENTS):
+            a = 2.0 ** k
+            iv = Interval(a, a * ratio)
+            xs = uniform_grid(iv.a, iv.b, 5)
+            with lambda_memo():  # the shapes share their weights
+                for f in map(get_function, RHS_SHAPES):
+                    try:
+                        rhs = ostrowski_rhs(theorem, f, xs, iv, s, q, p)
+                    except (DomainError, NumericError):
+                        tally["refused"] += len(xs)
+                        continue
+                    for x, v in zip(xs, rhs):
+                        ref = mp_rhs(theorem, f, x, iv.a, iv.b, s, q, p, k)
+                        err = abs(mpmath.mpf(v) - ref)
+                        tally["right" if err <= 1e-10 * ref else "wrong"] += 1
+                        if ref:
+                            worst = max(worst, float(err / ref))
+    # every value answered, 1.5e-14 off at worst
+    assert tally == {"right": 5400, "refused": 0, "wrong": 0}
+    assert worst <= 1e-13

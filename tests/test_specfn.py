@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hsconvex import specfn
 from hsconvex.errors import DomainError, NumericError
-from hsconvex.specfn import Z_CAP, Gauss2F1, beta, hyp2f1
+from hsconvex.specfn import W_CAP, Gauss2F1, beta, hyp2f1
 
 CUTOFF = specfn.DEFAULT_CONFIG.z_series_cutoff
 # z on both sides of the cutoff, up to 1 - 1e-10
@@ -149,6 +149,16 @@ class TestAgainstMpmath:
                 worst = max(worst, rel_err(hyp2f1(a, b, c, z), a, b, c, z))
         assert worst <= 1e-10
 
+    def test_series_sums_at_the_z_given(self):
+        # below the cutoff hyp2f1 sums the series at z itself; handed to
+        # Gauss2F1 as w = 1 - z, it summed at 1 - w (z = 0.1 at
+        # 0.09999999999999998), and its worst error here was 3.1e-15
+        worst = max(rel_err(hyp2f1(a, b, c, z), a, b, c, z)
+                    for a, b, c in ((1.0, 1.0, 2.0), (20.0, 10.5, 11.5),
+                                    (2.0, 1.5, 3.0))
+                    for z in (k / 100.0 for k in range(1, 50)))
+        assert worst <= 2e-15
+
     def test_large_c_is_accurate_or_refused(self):
         # a large c makes the continuation cancel; no value may come back
         # that the loss estimate should have refused
@@ -192,7 +202,7 @@ class TestRatioTable:
                 ascending[1::2] + ascending[::2])
 
     def check_orders(self, a, b, c, zs):
-        fresh = {z: outcome(lambda: hyp2f1(a, b, c, z)) for z in zs}
+        fresh = {z: outcome(lambda: Gauss2F1(a, b, c)(1.0 - z)) for z in zs}
         for order in self.orders(zs):
             table = Gauss2F1(a, b, c)
             assert [outcome(lambda: table(1.0 - z)) for z in order] == [
@@ -313,9 +323,10 @@ def sums_in(call) -> int:
 
 class TestWorkBound:
     def test_at_most_41_sums(self):
-        # one series at z = 1/2, at most 39 steps to Z_CAP, and at most one
-        # fallback series; each sum stops at SERIES_MAX_TERMS terms
-        z_top = math.nextafter(Z_CAP, 0.0)
+        # one series at z = 1/2, at most 39 steps to w = W_CAP, and at most
+        # one fallback series; each sum stops at SERIES_MAX_TERMS terms
+        z_top = math.nextafter(1.0 - W_CAP, 0.0)
+        assert 1.0 - z_top > W_CAP >= 1.0 - math.nextafter(z_top, 1.0)
         counts = [sums_in(lambda: hyp2f1(a, b, c, z))
                   for a, b, c in ((1.0, 1.0, 2.0), (12.0, 7.0, 8.0),
                                   (4.0, 199.0, 200.0), (2.0, 60.0, 62.0))

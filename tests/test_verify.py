@@ -413,26 +413,27 @@ class TestReuse:
         counts.clear()
         counts.asked.clear()
         sweep(*args)
-        # lambda5(2, 1.875) is the sweep's one T2_5 weight with |z| < 0.1,
-        # taken as the kind 3 weight at (s, vartheta, rho) = (0, 1, 1) in
-        # each T2_5 scan on [1, 2]: the matrix's 23 gated ones, and the
-        # corollary sweep's 24 M scans and 1 ungated theorem scan
-        lambda5_sums = {run_ostrowski_matrix: 23, min_corollary_gap: 25}[sweep]
-        assert (3, 2.0, 1.875, 0.0, 1.0, 1.0) in counts.asked
+        # T2_5's lambda5 is kind 5, read from a column at each end of each
+        # interval: 32 weights, of which lambda5(2, 1.875), the one with
+        # |z| < 0.1, is summed once as the kind 3 weight at (s, vartheta,
+        # rho) = (0, 1, 1); the others take the elementary form
+        lambda5_weights = [w for w in counts.asked if w[0] == 5]
+        assert (5, 2.0, 1.875, None, None, None) in lambda5_weights
         # a weight depends on the interval, x, s and (vartheta, rho), not on
         # f: 2 intervals x 2 s x 4 (vartheta, rho) x 32 plus 2 x 16 for T2_7
-        assert counts["hyp2f1"] - lambda5_sums == len(counts.asked) - 1 == 544
-        # each weight is asked for once, by the column that holds it: 68
+        assert counts["hyp2f1"] - 1 == len(counts.asked) - 32 == 544
+        assert len(lambda5_weights) == 32
+        # each weight is asked for once, by the column that holds it: 72
         # columns of 8 points x > a (or x < b). A scan asks for 4 columns,
-        # 2 for T2_7, so the 8 configs of one (f, interval, s) ask for 30;
-        # the matrix skips the 6 ungated configs, of 4 columns each, and
-        # the corollary sweep adds their theorem scans. Every column asked
-        # for after its first is a memo hit: 628 in the matrix, 676 in the
-        # corollary sweep
-        assert counts["lambda_calls"] - lambda5_sums == 544 == 68 * 8
-        asked = {run_ostrowski_matrix: 720 - 24, min_corollary_gap: 720 + 24}
-        assert counts["lambda_column"] == asked[sweep] == 68 + {
-            run_ostrowski_matrix: 628, min_corollary_gap: 676}[sweep]
+        # 2 for T2_7 and 6 for T2_5, so the 8 configs of one (f, interval,
+        # s) ask for 34; the matrix skips the 6 ungated configs, 4 of 4
+        # columns and 2 (T2_5) of 6, and the corollary sweep adds their
+        # theorem scans. Every column asked for after its first is a memo
+        # hit: 716 in the matrix, 772 in the corollary sweep
+        assert counts["lambda_calls"] == 544 + 32 == 72 * 8
+        asked = {run_ostrowski_matrix: 816 - 28, min_corollary_gap: 816 + 28}
+        assert counts["lambda_column"] == asked[sweep] == 72 + {
+            run_ostrowski_matrix: 716, min_corollary_gap: 772}[sweep]
 
     def test_scan_sums_from_one_table_per_kind(self, monkeypatch):
         tables = record_tables(monkeypatch)
@@ -465,8 +466,8 @@ class TestReuse:
         assert totals[0] == totals[1]
         # the lambda sweep's 240 rows and its 11 lambda5 points with
         # 0 < |z| < 0.1, plus the 544 weights the matrix and the corollary
-        # sweep share and their 23 + 25 sums of lambda5(2, 1.875)
-        assert totals[0]["hyp2f1"] == 240 + 11 + 544 + 23 + 25
+        # sweep share and their one sum of lambda5(2, 1.875)
+        assert totals[0]["hyp2f1"] == 240 + 11 + 544 + 1
         # one closed mean per call, none stored: the lemma's 135 residuals,
         # mean_fidelity's 5 x 3, the chain's 4 x 2 and the 186 gated matrix
         # configs
