@@ -88,8 +88,10 @@ def resolve_exponents(theorem: str, q: Optional[float],
     return q, p
 
 
-def _kind5(theta: float, x: float) -> tuple:
+def _kind5(theta: float, x: float, *shape: Optional[float]) -> tuple:
     """Kind 5 as kind 1 (theta <= x) or 3 at (s, vartheta, rho) = (0, 1, 1)."""
+    if shape != (None, None, None):
+        raise DomainError("kind 5 takes no --s, --vartheta or --rho")
     return 1 if theta <= x else 3, theta, x, 0.0, 1.0, 1.0
 
 
@@ -101,7 +103,7 @@ def lambda_z(kind: int, theta: float, x: float, s: float, vartheta: float,
     if kind not in (1, 2, 3, 4, 5):
         raise DomainError(f"kind must be 1..5, got {kind}")
     if kind == 5:
-        kind, theta, x, s, vartheta, rho = _kind5(theta, x)
+        kind, theta, x, s, vartheta, rho = _kind5(theta, x, s, vartheta, rho)
     for name, v in (("theta", theta), ("x", x)):
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"{name} must be positive, got {v}")
@@ -136,7 +138,7 @@ def lambda_integrand(kind: int, theta: float, x: float, s: float,
     1993), u at neither. 1 - t is formed from 1 - u and keeps its digits.
     Kind 5 takes _kind5's."""
     if kind == 5:
-        return lambda_integrand(*_kind5(theta, x))
+        return lambda_integrand(*_kind5(theta, x, s, vartheta, rho))
     z = 1.0 - lambda_z(kind, theta, x, s, vartheta, rho)
     two_vt = 2.0 * vartheta
     a, b = (rho + s, 0.0) if kind in (1, 3) else (rho, s)
@@ -210,55 +212,71 @@ def lambda_memo():
 @_finite
 def lambda_value(kind: int, theta: float, x: float, s: float,
                  vartheta: float, rho: float) -> float:
-    """Evaluate the closed form of the lambda weight of `kind`,
-    beta(b, b2) / base^(2vt) * 2F1(2vt, b; rho+s+2; z), with the Beta
-    arguments (b, b2) and the base of each kind in the table below, after
-    the checks of lambda_z. A lambda_memo block keeps the Beta factor and
-    the Gauss2F1, which depend on (kind, s, vartheta, rho) alone. Kind 5
-    (s, vartheta, rho None) is its elementary form where |1 - theta/x| >=
-    0.1, 1/(2 x^2) at theta = x (lgamma would round it), else _kind5's."""
-    if kind == 5 and 0.0 < theta < math.inf and 0.0 < x < math.inf:
-        if theta == x:
-            return 0.5 / (x * x)
-        if abs(1.0 - theta / x) >= 0.1:
-            d, e, r = x - theta, (x - theta) / theta, x / theta
-            # log1p keeps e - ln(1+e) accurate; below x/theta = 1/4, log(x/theta)
-            # keeps the digits 1 + e lost, and log x - log theta below MIN_NORMAL
-            log_ratio = (math.log1p(e) if r >= 0.25 else math.log(r)
-                         if r >= MIN_NORMAL else math.log(x) - math.log(theta))
-            return (e - log_ratio) / (d * d)
+    """Evaluate the closed form of the lambda weight of `kind`, the column
+    of the one point x (_closed_forms). Kind 5 (s, vartheta, rho None) is
+    its elementary form where |1 - theta/x| >= 0.1, 1/(2 x^2) at theta = x
+    (lgamma would round it), else _kind5's."""
     if kind == 5:
-        kind, theta, x, s, vartheta, rho = _kind5(theta, x)
-    w = lambda_z(kind, theta, x, s, vartheta, rho)
+        kind, theta, x, s, vartheta, rho = _kind5(theta, x, s, vartheta, rho)
+        if 0.0 < theta < math.inf and 0.0 < x < math.inf:
+            if theta == x:
+                return 0.5 / (x * x)
+            if abs(1.0 - theta / x) >= 0.1:
+                d, e, r = x - theta, (x - theta) / theta, x / theta
+                # log1p keeps e - ln(1+e) accurate; log(x/theta) the digits 1 + e
+                # loses below 1/4, and log x - log theta below MIN_NORMAL
+                log_ratio = (math.log1p(e) if r >= 0.25 else math.log(r)
+                             if r >= MIN_NORMAL else math.log(x) - math.log(theta))
+                return (e - log_ratio) / (d * d)
+    return _closed_forms(kind, theta, [x], s, vartheta, rho)[0]
+
+
+def _closed_forms(kind: int, theta: float, xs: Sequence[float], s: float,
+                  vartheta: float, rho: float) -> list[float]:
+    """beta(b, b2) / hi^(2vt) * 2F1(2vt, b; rho+s+2; 1 - lo/hi) of kind 1..4
+    at each x of xs: (lo, hi) = (theta, x) on the a-side (kinds 1, 2), else
+    (x, theta). lambda_z checks the first x; a later one, its side and w >
+    W_CAP. A lambda_memo block keeps the Beta factor and Gauss2F1 per shape."""
+    if not xs:
+        return []
+    lambda_z(kind, theta, xs[0], s, vartheta, rho)
     memo = _LAMBDA_MEMO.get()
+    memo = {} if memo is None else memo
     shape = (kind, s, vartheta, rho)
-    part = None if memo is None else memo.get(shape)
-    if part is None:
-        b, b2 = {1: (rho + s + 1.0, 1.0),
-                 2: (rho + 1.0, s + 1.0),
-                 3: (1.0, rho + s + 1.0),
-                 4: (s + 1.0, rho + 1.0)}[kind]
-        part = beta(b, b2), Gauss2F1(2.0 * vartheta, b, rho + s + 2.0)
-        if memo is not None:
-            memo[shape] = part
-    beta_factor, series = part
-    base = x if kind in (1, 2) else theta
-    return beta_factor / base ** (2.0 * vartheta) * series(w)
+    if shape not in memo:
+        b, b2 = {1: (rho + s + 1.0, 1.0), 2: (rho + 1.0, s + 1.0),
+                 3: (1.0, rho + s + 1.0), 4: (s + 1.0, rho + 1.0)}[kind]
+        memo[shape] = beta(b, b2), Gauss2F1(2.0 * vartheta, b, rho + s + 2.0)
+    beta_factor, series = memo[shape]
+    two_vt, values = 2.0 * vartheta, []
+    for x in xs:
+        lo, hi = (theta, x) if kind < 3 else (x, theta)
+        w = lo / hi if lo <= hi else 0.0
+        if not w > W_CAP:
+            lambda_z(kind, theta, x, s, vartheta, rho)  # raises, naming the failure
+        values.append(beta_factor / hi ** two_vt * series(w))
+        if not math.isfinite(values[-1]):  # _finite's test and message
+            raise NumericError(f"lambda_value: non-finite result {values[-1]}")
+    return values
 
 
 def lambda_column(kind: int, end: float, xs: Sequence[float], s: float,
                   vartheta: float, rho: float) -> list[Optional[float]]:
     """lambda_value(kind, end, x, s, vartheta, rho) over xs, None at x = end,
     whose side is zero, and None throughout if one fails, so that a caller
-    meets the error point by point. A lambda_memo block keeps each column."""
+    meets the error point by point; kinds 1..4 in one pass (_closed_forms).
+    A lambda_memo block keeps each column."""
     memo = _LAMBDA_MEMO.get()
     memo = {} if memo is None else memo
     key = (kind, end, s, vartheta, rho, *xs)
     if key not in memo:
+        inner = [x for x in xs if x != end]
         try:
-            memo[key] = [None if x == end else lambda_value(
-                kind, end, x, s, vartheta, rho) for x in xs]
-        except (DomainError, NumericError):
+            values = iter(
+                [lambda_value(5, end, x, s, vartheta, rho) for x in inner]
+                if kind == 5 else _closed_forms(kind, end, inner, s, vartheta, rho))
+            memo[key] = [None if x == end else next(values) for x in xs]
+        except (DomainError, ArithmeticError):  # NumericError or _finite's
             memo[key] = [None] * len(xs)
     return memo[key]
 
@@ -340,10 +358,11 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
 
     The exponents (q, p) are completed by resolve_exponents. |f'| comes from
     numeric.derivative, or is M when M is given (the corollary mode). x = a
-    or x = b zeroes that side, whose weights are not evaluated. The checks,
-    |f'(a)|, |f'(b)| and the prefactor are taken once per scan, each weight
-    column once (lambda_column); each x gets the float, or the error, of a
-    scan of [x] alone.
+    or x = b zeroes that side, and f' = 0 (c or r = 0) or M = 0 every side:
+    no weight of a zero side is read. The checks, |f'(a)|^q, |f'(b)|^q and
+    the prefactor are taken once per scan, each weight column in one pass
+    (lambda_column); each x gets the float, or the error, of a scan of [x]
+    alone, but for f' = 0 or M = 0, which fails on no weight.
     """
     if theorem not in OSTROWSKI_THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of "
@@ -361,49 +380,51 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
         dxs = [abs(derivative(f, x)) for x in xs[:1]]
         da, db = abs(derivative(f, a)), abs(derivative(f, b))
         dxs += [abs(derivative(f, x)) for x in xs[1:]]
+    if (f.c == 0.0 or f.r == 0.0) if M is None else M == 0.0:
+        return [0.0] * len(xs)  # f' = 0 or M = 0: each bracket is 0, no weight read
 
-    inv_q = 1.0 / q
     # the theorems differ in the (vartheta, rho) of the lambda weights and
     # an outer prefactor; T2_7 weighs each side by kind 1 or 3 at s = 0
-    vt, rho, prefactor = {
-        "T2_3": lambda: (q, q, 1.0),
-        "T2_4": lambda: (q, 1.0, 0.5 ** (1.0 - inv_q)),
-        "T2_5": lambda: (1.0, 1.0, 1.0),
-        "T2_6": lambda: (q, 0.0, (1.0 / (p + 1.0)) ** (1.0 / p)),
-        "T2_7": lambda: (p, p, 1.0)}[theorem]()
+    inv_q = 1.0 / q
+    vt, rho, prefactor = ((q, q, 1.0) if theorem == "T2_3" else
+                          (q, 1.0, 0.5 ** (1.0 - inv_q)) if theorem == "T2_4" else
+                          (1.0, 1.0, 1.0) if theorem == "T2_5" else
+                          (q, 0.0, (1.0 / (p + 1.0)) ** (1.0 / p)) if theorem == "T2_6"
+                          else (p, p, 1.0))
     scale = a * b / (b - a) * prefactor
     s_w, kinds = (0.0, (1, 3)) if theorem == "T2_7" else (s, (1, 2, 3, 4))
+    inv_vt, s1, lam5_power = 1.0 / vt, s + 1.0, 1.0 - inv_q
+    end_q = {}  # |f'(end)|^q, and |f'(x)|^q below, at first use, as a scan of [x]
     rhs = []
     with lambda_memo():
         col = {k: lambda_column(k, a if k < 3 else b, xs, s_w, vt, rho) for k in kinds}
         col5 = {end: lambda_column(5, end, xs, None, None, None)
                 for end in (a, b) if theorem == "T2_5"}
         for i, (x, dx) in enumerate(zip(xs, dxs)):
-            total = 0.0
+            total, dx_q = 0.0, None
             for end, d_end, kind in ((a, da, 1), (b, db, 3)):
                 # kinds 1, 2 weigh the a-side, 3, 4 the b-side, 5 (lambda5) both;
                 # a weight None in its column failed: lambda_value raises here
                 if x == end:
                     continue
                 lam = col[kind][i] or lambda_value(kind, end, x, s_w, vt, rho)
-                if theorem == "T2_7":
-                    bracket = dx ** q + d_end ** q
-                else:
-                    lam_end = col[kind + 1][i] or lambda_value(
-                        kind + 1, end, x, s, vt, rho)
-                    bracket = lam * dx ** q + lam_end * d_end ** q
+                # T2_7's bracket is unweighted, and 1.0 * v is v exactly
+                lam_x, lam_end = (1.0, 1.0) if theorem == "T2_7" else (
+                    lam, col[kind + 1][i] or lambda_value(kind + 1, end, x, s, vt, rho))
+                dx_q = dx_q or dx ** q
+                end_q[end] = end_q.get(end) or d_end ** q
+                bracket = lam_x * dx_q + lam_end * end_q[end]
                 # a power-mean bracket below the normal floats has lost its
                 # digits, to 0 at worst, unless dx and d_end are both 0
                 if bracket < MIN_NORMAL and (dx or d_end):
                     raise NumericError(f"{theorem}: the power mean at {end} "
                                        "underflows below the normal floats")
                 if theorem == "T2_7":  # (x - end)^2 is (end - x)^2 exactly
-                    total += lam ** (1.0 / vt) * (x - end) ** 2 \
-                        * (bracket / (s + 1.0)) ** inv_q
+                    total += lam ** inv_vt * (x - end) ** 2 \
+                        * (bracket / s1) ** inv_q
                 elif theorem == "T2_5":
                     lam5 = col5[end][i] or lambda_value(5, end, x, None, None, None)
-                    total += (x - end) ** 2 * bracket ** inv_q \
-                        * lam5 ** (1.0 - inv_q)
+                    total += (x - end) ** 2 * bracket ** inv_q * lam5 ** lam5_power
                 else:
                     total += (x - end) ** 2 * bracket ** inv_q
             rhs.append(scale * total)

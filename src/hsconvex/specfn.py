@@ -163,7 +163,8 @@ class Gauss2F1:
             else:
                 small_run = 0
         a, b, c = self.a, self.b, self.c
-        for n in range(len(ratios), SERIES_MAX_TERMS):
+        # a float n: int + float is not specialized; n < 2^53 sums exactly
+        for n in map(float, range(len(ratios), SERIES_MAX_TERMS)):
             ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n))
             ratios.append(ratio)
             term *= ratio * z
@@ -184,10 +185,10 @@ class Gauss2F1:
         term = total = 1.0
         z_deriv = 0.0
         small_run = 0
-        for n in range(SERIES_MAX_TERMS):
-            if n == len(ratios):
+        for i, n in enumerate(map(float, range(SERIES_MAX_TERMS))):
+            if i == len(ratios):
                 ratios.append((a + n) * (b + n) / ((c + n) * (1.0 + n)))
-            term *= ratios[n] * z
+            term *= ratios[i] * z
             total += term
             z_deriv += (n + 1.0) * term
             if term <= SERIES_REL_TOL * total:
@@ -226,7 +227,7 @@ def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
     v0, v1 = f, h_deriv
     total, h_total, size = v0 + v1, v1, abs(v0) + abs(v1)
     small_run = 0
-    for n in range(SERIES_MAX_TERMS):
+    for n in map(float, range(SERIES_MAX_TERMS)):
         v0, v1 = v1, ((h * h * (n + a) * (n + b) * v0
                        - h * (n + 1.0) * (p1 * n + q0) * v1)
                       / (p0 * (n + 1.0) * (n + 2.0)))

@@ -218,8 +218,6 @@ def lambda_document(kind: int, theta: float, x: float, s: Optional[float],
     value, lambda_value (kind 5 takes no s, vartheta or rho). With check,
     also the oracle, by lambda_integrand, and rel_err; a value below the
     normal floats has too few digits for one and is refused."""
-    if kind == 5 and (s, vartheta, rho) != (None, None, None):
-        raise DomainError("kind 5 takes no --s, --vartheta or --rho")
     if kind != 5 and None in (s, vartheta, rho):
         raise DomainError(f"kind {kind} needs --s, --vartheta and --rho")
     weight = (kind, theta, x, s, vartheta, rho)

@@ -1,10 +1,12 @@
 """Closed-form bound evaluators: lambda family, chains, Ostrowski sides."""
 
+import contextlib
 import itertools
 import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +27,7 @@ from hsconvex.convexity import uniform_grid
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.numeric import (MIN_NORMAL, FunctionSpec, Interval, derivative,
                               get_function, integrate, validate_s)
+from hsconvex.specfn import W_CAP
 
 
 class TestValidators:
@@ -168,6 +171,15 @@ class TestLambdaArgs:
                 # a stored tuple would come back without its check
                 assert checks == [args] * n
 
+    def test_kind5_refuses_a_shape(self):
+        # kind 5 fixes (s, vartheta, rho) = (0, 1, 1): one given is refused,
+        # not dropped, with the message the CLI prints
+        for shape in ((0.5, 3.0, 2.0), (None, None, 0.0), (0.0, 1.0, 1.0)):
+            for check in (lambda_z, lambda_value, lambda_integrand):
+                with pytest.raises(DomainError) as exc:
+                    check(5, 1.0, 2.0, *shape)
+                assert str(exc.value) == "kind 5 takes no --s, --vartheta or --rho"
+
     def test_memo_hit_skips_the_check_and_is_bit_identical(self, checks):
         # the memo keeps weight columns: a column asked for again is not
         # computed, nor checked, again
@@ -307,6 +319,68 @@ class TestLambdaValue:
                 with lambda_memo():
                     shared = [lambda_value(*a) for a in args]
                 assert [v.hex() for v in shared] == [v.hex() for v in fresh]
+
+
+def value_outcome(kind, theta, x, *shape):
+    """lambda_value's float as hex, or its error's type and text."""
+    try:
+        return lambda_value(kind, theta, x, *shape).hex()
+    except (DomainError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnPass:
+    """lambda_column checks a column's arguments once and sums its weights
+    in one pass: each weight must be the float lambda_value gives at its x,
+    and the column None exactly where some x of it other than the end
+    fails."""
+
+    @staticmethod
+    def columns(n: int):
+        # ends over 80 binades; x from the end itself (w = 1) down to the
+        # cap on w and past it, on either side for kind 5 and now and then
+        # on the wrong side; vartheta up to 200, where base^(2 vartheta)
+        # leaves the floats; now and then an s out of range
+        rng = random.Random(17)
+        for _ in range(n):
+            kind = rng.randint(1, 5)
+            end = 2.0 ** rng.uniform(-40.0, 40.0)
+            if kind == 5:
+                shape = (None, None, None)
+            else:
+                s = -0.5 if rng.random() < 0.025 else rng.choice((0.0, rng.random()))
+                shape = (s, 200.0 if rng.random() < 0.15 else rng.uniform(0.01, 6.0),
+                         rng.choice((0.0, rng.uniform(0.0, 6.0))))
+            xs = []
+            for _ in range(rng.randint(1, 9)):
+                u = rng.random()
+                w = (1.0 if u < 0.15 else
+                     rng.choice((W_CAP, W_CAP * (1.0 + 2.0 ** -52))) if u < 0.2
+                     else 10.0 ** rng.uniform(-12.5, 0.0))
+                a_side = kind in (1, 2) or (kind == 5 and rng.random() < 0.5)
+                if rng.random() < 0.02:
+                    a_side = not a_side
+                xs.append(end / w if a_side else end * w)
+            yield kind, end, xs, shape
+
+    def test_column_is_lambda_value_point_by_point(self):
+        seen = Counter()
+        for memo in (contextlib.nullcontext, lambda_memo):
+            with memo():
+                for kind, end, xs, shape in self.columns(300):
+                    column = lambda_column(kind, end, xs, *shape)
+                    expected = [None if x == end else
+                                value_outcome(kind, end, x, *shape) for x in xs]
+                    failed = [e for e in expected if isinstance(e, tuple)]
+                    if failed:
+                        assert column == [None] * len(xs), (kind, end, xs, shape)
+                        seen[failed[0][0].__name__] += 1
+                    else:
+                        assert [None if v is None else v.hex()
+                                for v in column] == expected
+                        seen["whole"] += 1
+        assert seen["whole"] >= 350
+        assert seen["DomainError"] >= 100 and seen["NumericError"] >= 40
 
 
 class TestLambdaIntegrand:
@@ -762,6 +836,9 @@ def _point_rhs(theorem, f, x, iv, s, q, p, M):
         dx = da = db = bounds.validate_m(M)
     else:
         dx, da, db = (abs(derivative(f, u)) for u in (x, a, b))
+    # f' = 0 everywhere, or M = 0: every bracket is 0, whatever its weights
+    if (f.c == 0.0 or f.r == 0.0) if M is None else M == 0.0:
+        return 0.0
     inv_q = 1.0 / q
     vt, rho, prefactor = {
         "T2_3": lambda: (q, q, 1.0),
@@ -798,6 +875,17 @@ def _point_rhs(theorem, f, x, iv, s, q, p, M):
     if not math.isfinite(v):
         raise NumericError(f"ostrowski_rhs: non-finite result {v}")
     return v
+
+
+def record_columns(monkeypatch) -> list[tuple]:
+    """Record the arguments of each lambda_column call, in order."""
+    columns, lambda_column = [], bounds.lambda_column
+
+    def recorded(*args):
+        columns.append(args)
+        return lambda_column(*args)
+    monkeypatch.setattr(bounds, "lambda_column", recorded)
+    return columns
 
 
 def scan_outcome(scan):
@@ -862,6 +950,53 @@ class TestRhsColumns:
                 theorem, f.fn_id, a, b, s, q, M, len(xs))
             failed += isinstance(expected, tuple)
         assert 200 <= failed <= 500
+
+    @pytest.mark.parametrize("theorem", OSTROWSKI_THEOREMS)
+    def test_zero_derivative_reads_no_weight(self, monkeypatch, theorem):
+        # f' = 0 (c or r = 0) or M = 0 zeroes every bracket: the rhs is 0 at
+        # each x once the arguments pass, and no weight is read, not even
+        # where each would be refused (on [1, 1e13], w reaches 1e-13)
+        tables, columns = record_tables(monkeypatch), record_columns(monkeypatch)
+        q, p = (2.0, 2.0) if theorem in ("T2_6", "T2_7") else (2.0, None)
+        for (a, b), f, M in itertools.product(
+                ((1.0, 2.0), (1.0, 1e13)),
+                (get_function("const:2"), FunctionSpec("zero", 0.0, 3.0)),
+                (None, 0.0)):
+            xs = uniform_grid(a, b, 9)
+            assert ostrowski_rhs(theorem, f, xs, Interval(a, b), 1.0, q, p,
+                                 M=M) == [0.0] * 9
+            assert ostrowski_rhs(theorem, get_function("id"), xs,
+                                 Interval(a, b), 1.0, q, p, M=0.0) == [0.0] * 9
+            # the arguments are still checked
+            for bad in (dict(xs=[0.5]), dict(q=0.5, p=None), dict(M=-1.0)):
+                args = {**dict(xs=xs, q=q, p=p, M=M), **bad}
+                with pytest.raises(DomainError):
+                    ostrowski_rhs(theorem, f, args["xs"], Interval(a, b), 1.0,
+                                  args["q"], args["p"], M=args["M"])
+        assert tables == columns == []
+
+    # |f'| = 40 x^39 and 1/x^2 underflow to 0 over these intervals, yet f'
+    # is not 0: each weight is read, so a refused one is raised
+    UNDERFLOWS = [
+        ("pow:40", 1e-30, 1e-16, (DomainError, "x/theta=1.0000000000000002e-14 "
+                                  "too extreme: w = 1 - z must exceed the cap 1e-12")),
+        ("inv", 1e160, 1e175, (DomainError, "x/theta=1e-15 too extreme: "
+                               "w = 1 - z must exceed the cap 1e-12")),
+        ("inv", 1e160, 3e160, (NumericError, "lambda_value: result overflows")),
+        ("pow:40", 1e-12, 2e-12, [(0.0).hex()] * 9),
+    ]
+
+    @pytest.mark.parametrize("fn_id, a, b, outcome", UNDERFLOWS)
+    def test_derivative_underflowing_to_zero_reads_the_weights(
+            self, monkeypatch, fn_id, a, b, outcome):
+        columns = record_columns(monkeypatch)
+        f, xs = get_function(fn_id), uniform_grid(a, b, 9)
+        assert all(derivative(f, x) == 0.0 for x in xs)
+        for theorem, p in (("T2_3", None), ("T2_5", None), ("T2_7", 2.0)):
+            assert scan_outcome(lambda: ostrowski_rhs(
+                theorem, f, xs, Interval(a, b), 1.0, 2.0, p)) == outcome
+        # 4 columns for T2_3, 6 for T2_5, 2 for T2_7
+        assert len(columns) == 12
 
 
 class TestOstrowskiRhsAgainstQuadrature:

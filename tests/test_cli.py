@@ -447,6 +447,26 @@ class TestUnusedFlags:
         assert run(capsys, *argv) == (2, "", f"domain error: {message}\n")
 
 
+class TestZeroDerivative:
+    """f' = 0 zeroes every Ostrowski bound, whatever its weights: a const
+    scan answers 0 on [1, 1e13], where each weight is refused (w = 1e-13
+    falls below the cap)."""
+
+    @pytest.mark.parametrize("argv, rows", [
+        (("verify", "--theorem", "T2_3", "--fn", "const:2", "--a", "1",
+          "--b", "1e13", "--s", "1", "--q", "2"), 9),
+        (("ostrowski", "--theorem", "T2_5", "--fn", "const:1", "--a", "1",
+          "--b", "1e13", "--x", "1e13", "--q", "2"), 1),
+    ])
+    def test_const_answers_zero(self, capsys, argv, rows):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        results = doc.get("results", [doc])
+        assert len(results) == rows
+        assert all(r["rhs"] == r["lhs"] == 0 for r in results)
+
+
 class TestLibraryParity:
     """verify and ostrowski print what the library returns for the same
     inputs: verify_theorem's document, and one bound_row."""

@@ -368,12 +368,13 @@ def count_calls(monkeypatch, c, module, name):
 @pytest.fixture
 def counts(monkeypatch):
     """Count function evaluations (see count_evals), 2F1
-    evaluations of the lambda weights, the distinct argument tuples asked
-    for, and the weighted means, rhs scans and weight columns asked for
-    (see count_calls)."""
+    evaluations of the lambda weights, lambda_value calls, the weight
+    columns asked for and the distinct weights (argument tuples) they and
+    lambda_value are asked for, and the weighted means and rhs scans (see
+    count_calls)."""
     c = Counter()
     asked = set()
-    lambda_value = bounds.lambda_value
+    lambda_value, lambda_column = bounds.lambda_value, bounds.lambda_column
 
     class CountedGauss2F1(Gauss2F1):
         def __call__(self, w):
@@ -385,12 +386,17 @@ def counts(monkeypatch):
         asked.add(args)
         return lambda_value(*args)
 
+    def recorded_column(kind, end, xs, *shape):
+        c["lambda_column"] += 1
+        asked.update((kind, end, x, *shape) for x in xs if x != end)
+        return lambda_column(kind, end, xs, *shape)
+
     count_evals(monkeypatch, c)
     count_calls(monkeypatch, c, numeric, "weighted_mean")
     count_calls(monkeypatch, c, bounds, "ostrowski_rhs")
-    count_calls(monkeypatch, c, bounds, "lambda_column")
     monkeypatch.setattr(bounds, "Gauss2F1", CountedGauss2F1)
     monkeypatch.setattr(bounds, "lambda_value", recorded_lambda)
+    monkeypatch.setattr(bounds, "lambda_column", recorded_column)
     c.asked = asked
     return c
 
@@ -423,17 +429,22 @@ class TestReuse:
         # f: 2 intervals x 2 s x 4 (vartheta, rho) x 32 plus 2 x 16 for T2_7
         assert counts["hyp2f1"] - 1 == len(counts.asked) - 32 == 544
         assert len(lambda5_weights) == 32
-        # each weight is asked for once, by the column that holds it: 72
-        # columns of 8 points x > a (or x < b). A scan asks for 4 columns,
-        # 2 for T2_7 and 6 for T2_5, so the 8 configs of one (f, interval,
-        # s) ask for 34; the matrix skips the 6 ungated configs, 4 of 4
-        # columns and 2 (T2_5) of 6, and the corollary sweep adds their
-        # theorem scans. Every column asked for after its first is a memo
-        # hit: 716 in the matrix, 772 in the corollary sweep
-        assert counts["lambda_calls"] == 544 + 32 == 72 * 8
-        asked = {run_ostrowski_matrix: 816 - 28, min_corollary_gap: 816 + 28}
+        # each weight is computed once, in one of 72 columns of 8 points
+        # x > a (or x < b), 544 + 32 in all: a kind 1..4 weight is one 2F1
+        # sum in its column's pass, which calls no lambda_value, and a
+        # kind 5 weight one lambda_value call
+        assert counts["lambda_calls"] == 32
+        # A scan asks for 4 columns, 2 for T2_7 and 6 for T2_5, so the 8
+        # configs of one (f, interval, s) ask for 34. The matrix skips the 6
+        # ungated configs, 4 of 4 columns and 2 (T2_5) of 6, and the 4 x 34
+        # of const:2, whose f' = 0 reads no weight; the corollary sweep adds
+        # the theorem scans of the 6, and its M scans (M = 0.1 for const:2)
+        # read every column. Every column asked for after its first is a
+        # memo hit: 580 in the matrix, 772 in the corollary sweep
+        asked = {run_ostrowski_matrix: 816 - 28 - 4 * 34,
+                 min_corollary_gap: 816 + 28}
         assert counts["lambda_column"] == asked[sweep] == 72 + {
-            run_ostrowski_matrix: 716, min_corollary_gap: 772}[sweep]
+            run_ostrowski_matrix: 580, min_corollary_gap: 772}[sweep]
 
     def test_scan_sums_from_one_table_per_kind(self, monkeypatch):
         tables = record_tables(monkeypatch)
