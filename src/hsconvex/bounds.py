@@ -187,18 +187,17 @@ def _finite(fn):
     return finite_fn
 
 
-# the sweep in progress: (kind, end, s, vartheta, rho, *xs) -> lambda_column,
-# (kind, s, vartheta, rho) -> (Beta factor, Gauss2F1); None outside a block
+# the sweep in progress: (kind, end, s, vartheta, rho, *xs) -> lambda_column;
+# None outside a block
 _LAMBDA_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
     "lambda_memo", default=None)
 
 
 @contextlib.contextmanager
 def lambda_memo():
-    """Within the block, lambda_column computes each weight column once,
-    and the weights that share (kind, s, vartheta, rho) share one 2F1 ratio
-    table: no weight depends on f. A nested block shares the outer memo,
-    which ends with the outermost block, so nothing outlives its run."""
+    """Within the block, lambda_column computes each weight column once:
+    no weight depends on f. A nested block shares the outer memo, which
+    ends with the outermost block, so nothing outlives its run."""
     if _LAMBDA_MEMO.get() is not None:
         yield
         return
@@ -236,18 +235,14 @@ def _closed_forms(kind: int, theta: float, xs: Sequence[float], s: float,
     """beta(b, b2) / hi^(2vt) * 2F1(2vt, b; rho+s+2; 1 - lo/hi) of kind 1..4
     at each x of xs: (lo, hi) = (theta, x) on the a-side (kinds 1, 2), else
     (x, theta). lambda_z checks the first x; a later one, its side and w >
-    W_CAP. A lambda_memo block keeps the Beta factor and Gauss2F1 per shape."""
+    W_CAP. The Beta factor and the Gauss2F1, with its ratio table, are
+    built once per pass."""
     if not xs:
         return []
     lambda_z(kind, theta, xs[0], s, vartheta, rho)
-    memo = _LAMBDA_MEMO.get()
-    memo = {} if memo is None else memo
-    shape = (kind, s, vartheta, rho)
-    if shape not in memo:
-        b, b2 = {1: (rho + s + 1.0, 1.0), 2: (rho + 1.0, s + 1.0),
-                 3: (1.0, rho + s + 1.0), 4: (s + 1.0, rho + 1.0)}[kind]
-        memo[shape] = beta(b, b2), Gauss2F1(2.0 * vartheta, b, rho + s + 2.0)
-    beta_factor, series = memo[shape]
+    b, b2 = {1: (rho + s + 1.0, 1.0), 2: (rho + 1.0, s + 1.0),
+             3: (1.0, rho + s + 1.0), 4: (s + 1.0, rho + 1.0)}[kind]
+    beta_factor, series = beta(b, b2), Gauss2F1(2.0 * vartheta, b, rho + s + 2.0)
     two_vt, values = 2.0 * vartheta, []
     for x in xs:
         lo, hi = (theta, x) if kind < 3 else (x, theta)
@@ -359,8 +354,8 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
     The exponents (q, p) are completed by resolve_exponents. |f'| comes from
     numeric.derivative, or is M when M is given (the corollary mode). x = a
     or x = b zeroes that side, and f' = 0 (c or r = 0) or M = 0 every side:
-    no weight of a zero side is read. The checks, |f'(a)|^q, |f'(b)|^q and
-    the prefactor are taken once per scan, each weight column in one pass
+    no weight of a zero side is read. The checks, |f'(a)|, |f'(b)| and the
+    prefactor are taken once per scan, each weight column in one pass
     (lambda_column); each x gets the float, or the error, of a scan of [x]
     alone, but for f' = 0 or M = 0, which fails on no weight.
     """
@@ -394,40 +389,36 @@ def ostrowski_rhs(theorem: str, f: FunctionSpec, xs: Sequence[float],
     scale = a * b / (b - a) * prefactor
     s_w, kinds = (0.0, (1, 3)) if theorem == "T2_7" else (s, (1, 2, 3, 4))
     inv_vt, s1, lam5_power = 1.0 / vt, s + 1.0, 1.0 - inv_q
-    end_q = {}  # |f'(end)|^q, and |f'(x)|^q below, at first use, as a scan of [x]
+    col = {k: lambda_column(k, a if k < 3 else b, xs, s_w, vt, rho) for k in kinds}
+    col5 = {end: lambda_column(5, end, xs, None, None, None)
+            for end in (a, b) if theorem == "T2_5"}
     rhs = []
-    with lambda_memo():
-        col = {k: lambda_column(k, a if k < 3 else b, xs, s_w, vt, rho) for k in kinds}
-        col5 = {end: lambda_column(5, end, xs, None, None, None)
-                for end in (a, b) if theorem == "T2_5"}
-        for i, (x, dx) in enumerate(zip(xs, dxs)):
-            total, dx_q = 0.0, None
-            for end, d_end, kind in ((a, da, 1), (b, db, 3)):
-                # kinds 1, 2 weigh the a-side, 3, 4 the b-side, 5 (lambda5) both;
-                # a weight None in its column failed: lambda_value raises here
-                if x == end:
-                    continue
-                lam = col[kind][i] or lambda_value(kind, end, x, s_w, vt, rho)
-                # T2_7's bracket is unweighted, and 1.0 * v is v exactly
-                lam_x, lam_end = (1.0, 1.0) if theorem == "T2_7" else (
-                    lam, col[kind + 1][i] or lambda_value(kind + 1, end, x, s, vt, rho))
-                dx_q = dx_q or dx ** q
-                end_q[end] = end_q.get(end) or d_end ** q
-                bracket = lam_x * dx_q + lam_end * end_q[end]
-                # a power-mean bracket below the normal floats has lost its
-                # digits, to 0 at worst, unless dx and d_end are both 0
-                if bracket < MIN_NORMAL and (dx or d_end):
-                    raise NumericError(f"{theorem}: the power mean at {end} "
-                                       "underflows below the normal floats")
-                if theorem == "T2_7":  # (x - end)^2 is (end - x)^2 exactly
-                    total += lam ** inv_vt * (x - end) ** 2 \
-                        * (bracket / s1) ** inv_q
-                elif theorem == "T2_5":
-                    lam5 = col5[end][i] or lambda_value(5, end, x, None, None, None)
-                    total += (x - end) ** 2 * bracket ** inv_q * lam5 ** lam5_power
-                else:
-                    total += (x - end) ** 2 * bracket ** inv_q
-            rhs.append(scale * total)
-            if not math.isfinite(rhs[-1]):  # _finite's test, point by point
-                raise NumericError(f"ostrowski_rhs: non-finite result {rhs[-1]}")
+    for i, (x, dx) in enumerate(zip(xs, dxs)):
+        total = 0.0
+        for end, d_end, kind in ((a, da, 1), (b, db, 3)):
+            # kinds 1, 2 weigh the a-side, 3, 4 the b-side, 5 (lambda5) both;
+            # a weight None in its column failed: lambda_value raises here
+            if x == end:
+                continue
+            lam = col[kind][i] or lambda_value(kind, end, x, s_w, vt, rho)
+            # T2_7's bracket is unweighted, and 1.0 * v is v exactly
+            lam_x, lam_end = (1.0, 1.0) if theorem == "T2_7" else (
+                lam, col[kind + 1][i] or lambda_value(kind + 1, end, x, s, vt, rho))
+            bracket = lam_x * dx ** q + lam_end * d_end ** q
+            # a power-mean bracket below the normal floats has lost its
+            # digits, to 0 at worst, unless dx and d_end are both 0
+            if bracket < MIN_NORMAL and (dx or d_end):
+                raise NumericError(f"{theorem}: the power mean at {end} "
+                                   "underflows below the normal floats")
+            if theorem == "T2_7":  # (x - end)^2 is (end - x)^2 exactly
+                total += lam ** inv_vt * (x - end) ** 2 \
+                    * (bracket / s1) ** inv_q
+            elif theorem == "T2_5":
+                lam5 = col5[end][i] or lambda_value(5, end, x, None, None, None)
+                total += (x - end) ** 2 * bracket ** inv_q * lam5 ** lam5_power
+            else:
+                total += (x - end) ** 2 * bracket ** inv_q
+        rhs.append(scale * total)
+        if not math.isfinite(rhs[-1]):  # _finite's test, point by point
+            raise NumericError(f"ostrowski_rhs: non-finite result {rhs[-1]}")
     return rhs

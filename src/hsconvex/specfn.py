@@ -46,14 +46,18 @@ def beta(x: float, y: float) -> float:
     sum of their magnitudes, could put the relative error above FIDELITY
     (B(x, 1) for x above about 24700), NumericError is raised instead. It
     is raised too below the least normal float, 2^-1022, where rounding
-    cannot hold FIDELITY (B(800, 800) is 2.8e-483)."""
+    cannot hold FIDELITY (B(800, 800) is 2.8e-483), and above the largest
+    float (B(1e-310, 1e-310) is 2e310)."""
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
     lx, ly, lxy = math.lgamma(x), math.lgamma(y), math.lgamma(x + y)
     if (abs(lx) + abs(ly) + abs(lxy)) * 2.0 ** -52 > FIDELITY:
         raise NumericError(f"beta({x}, {y}) loses its digits to the "
                            f"cancellation of lgamma values")
-    value = math.exp(lx + ly - lxy)
+    try:
+        value = math.exp(lx + ly - lxy)
+    except OverflowError as exc:
+        raise NumericError(f"beta({x}, {y}) overflows the float range") from exc
     if value < 2.0 ** -1022:
         raise NumericError(f"beta({x}, {y}) falls below the normal float range")
     return value
@@ -261,7 +265,11 @@ def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Return 2F1(a, b; c; z) on c > b > 0, a >= 0, z in [0, 1) from a fresh
-    Gauss2F1, summed at z itself up to the cutoff, where 1 - z rounds it."""
+    Gauss2F1, summed at z itself up to the cutoff, where 1 - z rounds it.
+    A value beyond the floats (2F1(1e6, 1; 2; 1/2)) raises NumericError."""
     series = Gauss2F1(a, b, c)
-    return (series._series(z) if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
-            else series(1.0 - z))
+    value = (series._series(z) if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
+             else series(1.0 - z))
+    if not math.isfinite(value):
+        raise NumericError(f"hyp2f1: non-finite result {value}")
+    return value

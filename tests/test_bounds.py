@@ -291,34 +291,22 @@ class TestLambdaValue:
         lambda_column(kind, theta, [x], *shape)  # the memo ended with the block
         assert computed() == 3
 
-    def test_table_lives_for_its_outermost_block(self, monkeypatch):
+    def test_a_pass_builds_one_table_and_a_block_shares_columns(
+            self, monkeypatch):
         tables = record_tables(monkeypatch)
-        # one shape (kind, s, vartheta, rho) at three x
-        shape = dict(kind=1, theta=1.0, s=0.5, vartheta=1.5, rho=1.5)
+        # one shape (kind, s, vartheta, rho) at end 1.0: a column of three x
+        # sums its 2F1 from one table, at w = 1/x
+        kind, end, shape, xs = 1, 1.0, (0.5, 1.5, 1.5), [1.2, 1.7, 1.4]
         with lambda_memo():
-            lambda_value(x=1.2, **shape)
-            with lambda_memo():  # shares the enclosing block's tables
-                lambda_value(x=1.7, **shape)
-            lambda_value(x=1.4, **shape)
-            # another kind, or another s, is another table
-            lambda_value(**dict(shape, kind=2), x=1.2)
-            lambda_value(**dict(shape, s=0.25), x=1.2)
-        assert [len(t.asked) for t in tables] == [3, 1, 1]
-        lambda_value(x=1.9, **shape)  # the tables ended with the block
-        lambda_value(x=1.9, **shape)  # and outside one none is kept
-        assert [len(t.asked) for t in tables] == [3, 1, 1, 1, 1]
-
-    def test_shared_table_is_bit_identical(self):
-        # x ascending, descending and interleaved in one block, each value
-        # against its computation outside any block
-        xs = [1.0 + 0.1 * i for i in range(1, 10)]
-        for order in (xs, xs[::-1], xs[::2] + xs[1::2]):
-            for kind, theta in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 2.0)):
-                args = [(kind, theta, x, 0.75, 1.5, 1.5) for x in order]
-                fresh = [lambda_value(*a) for a in args]
-                with lambda_memo():
-                    shared = [lambda_value(*a) for a in args]
-                assert [v.hex() for v in shared] == [v.hex() for v in fresh]
+            column = lambda_column(kind, end, xs, *shape)
+            with lambda_memo():  # shares the enclosing block's columns
+                assert lambda_column(kind, end, xs, *shape) == column
+            # the same shape at other x is another pass, with its own table,
+            # and so is a point alone
+            lambda_column(kind, end, xs[:2], *shape)
+            lambda_value(kind, end, xs[0], *shape)
+        assert [t.asked for t in tables] == [
+            [end / x for x in xs], [end / x for x in xs[:2]], [end / xs[0]]]
 
 
 def value_outcome(kind, theta, x, *shape):

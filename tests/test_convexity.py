@@ -135,6 +135,14 @@ class TestHarmonicCombination:
         # x*y = 1e-380 underflows to 0; the scan used to evaluate inv there
         scan("inv", Interval(1e-200, 1e-180), 1.0)
 
+    def test_refusals(self):
+        for x, y in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="requires x, y > 0"):
+                harmonic_combination(x, y, 0.5)
+        for t in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError, match="requires t in"):
+                harmonic_combination(1.0, 2.0, t)
+
     def test_normal_products_keep_the_product_form(self):
         rng = random.Random(8)
         for _ in range(200):

@@ -221,6 +221,42 @@ def test_integrate_detector_finds_every_spelling(tmp_path):
         "probe.py:r: integrate(*(abs, 0.0, 1.0))"}
 
 
+def memo_readers(path: Path) -> set[str]:
+    """`<file>:<name>` for each top-level function or class of path that
+    reads the lambda memo: calls `_LAMBDA_MEMO.get()` other than to compare
+    the result, as `lambda_memo` does to find an enclosing block."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        compared = {id(side) for node in ast.walk(top)
+                    if isinstance(node, ast.Compare)
+                    for side in (node.left, *node.comparators)}
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and id(node) not in compared
+                    and getattr(node.func, "attr", None) == "get"
+                    and getattr(getattr(node.func, "value", None), "id",
+                                None) == "_LAMBDA_MEMO"):
+                found.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_lambda_memo_has_one_reader():
+    # the memo holds weight columns only: the one function that reads it
+    # is the one that computes a column
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    assert set().union(*map(memo_readers, files)) == {"bounds.py:lambda_column"}
+
+
+def test_memo_reader_detector_skips_the_block_test(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f():\n    return _LAMBDA_MEMO.get()\n"
+                     "def g():\n    if _LAMBDA_MEMO.get() is not None:\n"
+                     "        return 1\n"
+                     "class C:\n    def m(self):\n"
+                     "        return _LAMBDA_MEMO.get() or {}\n"
+                     "def h():\n    return memo.get()\n", encoding="utf-8")
+    assert memo_readers(probe) == {"probe.py:f", "probe.py:C"}
+
+
 def imported_modules(path: Path) -> set[str]:
     """Modules that path imports, relative ones with their leading dots."""
     found = set()

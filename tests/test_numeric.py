@@ -51,6 +51,12 @@ class TestIntegrate:
             r = integrate(lambda u, d=deg: u ** d, 1.0, 2.0)
             assert abs(r.value - exact) <= 1e-13 * max(1.0, abs(exact)), deg
 
+    def test_reversed_limits_refused(self):
+        # lo == hi is the empty integral; lo > hi is refused
+        assert integrate(math.exp, 2.0, 2.0) == QuadResult(0.0, 0.0, 0)
+        with pytest.raises(DomainError, match="requires lo <= hi"):
+            integrate(math.exp, 2.0, 1.0)
+
     def test_split_additivity(self):
         f = lambda u: math.sin(u) + u * u
         whole = integrate(f, 0.5, 3.0).value

@@ -70,6 +70,18 @@ class TestBeta:
             with pytest.raises(NumericError):
                 beta(x, y)
 
+    def test_refusals(self):
+        for x, y in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="requires positive arguments"):
+                beta(x, y)
+        # B(x, y) is about 1/x + 1/y near 0: past the largest float it is
+        # refused, where math.exp raised a bare OverflowError
+        with pytest.raises(NumericError, match="overflows the float range"):
+            beta(1e-310, 1e-310)
+        with mpmath.workdps(40):
+            ref = mpmath.beta(1.2e-308, 1.2e-308)
+        assert float(abs(beta(1.2e-308, 1.2e-308) / ref - 1)) <= specfn.FIDELITY
+
 
 class TestHyp2F1:
     def test_z_zero_is_one(self):
@@ -121,6 +133,14 @@ class TestHyp2F1:
             hyp2f1(-1.0, 1.0, 2.0, 0.5)   # a < 0
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, math.nan)
+
+    def test_value_beyond_the_floats_refused(self):
+        # 2F1(1e6, 1; 2; 1/2) = (2^999999 - 1) / 499999.5, by the series,
+        # and 2F1(400, 399; 400.5; 0.99), about 1e797 by Euler's transform,
+        # by the continuation: each was returned as inf
+        for args in ((1e6, 1.0, 2.0, 0.5), (400.0, 399.0, 400.5, 0.99)):
+            with pytest.raises(NumericError, match="non-finite result inf"):
+                hyp2f1(*args)
 
     def test_near_one_large_value(self):
         # close to the z=1 singularity but inside the allowed domain the
@@ -262,6 +282,18 @@ class TestRefusedSumError:
             err = float(abs(mpmath.hyp2f1(*args) - exc.value))
         assert err > 1.0
         assert err <= exc.err_est < math.inf
+
+    def test_start_series_spends_its_budget(self, monkeypatch):
+        # above the cutoff the continuation starts from the series and its
+        # slope at z = 1/2. Its terms are at most those of 2F1(a, c; c; 1/2)
+        # = 2^a, so at 5,000 terms a triple leaves the floats before it
+        # spends them; 24 terms of 2F1(1, 1; 2; 1/2) = 2 ln 2 fall short
+        monkeypatch.setattr(specfn, "SERIES_MAX_TERMS", 24)
+        with pytest.raises(NumericError, match="series did not converge "
+                           "within 24 terms at z=0.5") as exc_info:
+            Gauss2F1(1.0, 1.0, 2.0)(0.05)
+        exc = exc_info.value
+        assert abs(exc.value - 2.0 * math.log(2.0)) <= exc.err_est < 1e-8
 
     def test_short_budget_bounds_hold_the_values(self, monkeypatch):
         # with 24 terms most sums run out; each refusal's err_est must cover
