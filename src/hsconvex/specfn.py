@@ -3,9 +3,10 @@
 Everything here is restricted to the parameter region the bound formulas
 actually visit: positive Beta arguments and 2F1(a, b; c; z) with
 c > b > 0, a >= 0 and w = 1 - z in (W_CAP, 1]. Up to z_series_cutoff 2F1
-is the Gauss power series; above it the series value at z = 1/2 is
-continued along the hypergeometric differential equation. Neither route
-uses quadrature, so the quadrature oracle in `verify` is independent of both.
+is the Gauss power series; above it the series values of F and F' at
+z = 1/2 are continued along the hypergeometric differential equation.
+Neither route uses quadrature, so the quadrature oracle in `verify` is
+independent of both.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def beta(x: float, y: float) -> float:
     return value
 
 
+def _finite(value: float) -> float:
+    """value, or NumericError where a Gauss sum left the floats."""
+    if not math.isfinite(value):
+        raise NumericError(f"hyp2f1: non-finite result {value}")
+    return value
+
+
 def _series_error(what: str, z: float, value: float, tail: float,
                   size: float) -> NumericError:
     """NumericError for a sum that spent its SERIES_MAX_TERMS terms: value
@@ -90,12 +98,12 @@ class Gauss2F1:
 
     ratios[n] = (a+n)(b+n) / ((c+n)(n+1)) is the ratio t_(n+1)/t_n of the
     Gauss series' terms t_n = (a)_n (b)_n / ((c)_n n!) z^n, bar the factor
-    z. The table starts empty and grows as far as a sum needs; every sum
-    reads it, so each ratio of a triple is computed once, whichever z
-    come and in whatever order. A term is advanced as term *= ratios[n] * z,
-    which rounds as the ratio recurrence written out does, so a value does
-    not depend on the table's history. Only the owner of an instance keeps
-    its table: hyp2f1 starts an empty one per call.
+    z. The table starts empty, and _series, its one reader, extends it as
+    far as a sum needs, so each ratio is computed once whatever the order
+    of the z. A term advances as term *= ratios[n] * z, which rounds as the
+    recurrence written out does, so no value depends on the table's
+    history. Only the owner of an instance keeps its table: hyp2f1 starts
+    an empty one per call, and each continuation start one for F'.
     """
 
     __slots__ = ("a", "b", "c", "ratios")
@@ -115,15 +123,15 @@ class Gauss2F1:
         """Return 2F1(a, b; c; z) at z = 1 - w, for w as a caller forms it,
         a quotient (lambda_z), with no rounding of 1 - w.
 
-        Up to z_series_cutoff the Gauss series. Above it F and F' at
-        z0 = 1/2 come from the series and are carried to z by Taylor steps
-        of length min(w0 - w, w0/2), w0 = 1 - z0, so each step's sum
-        converges like 2^-n and at most 39 steps reach W_CAP. When the
-        summed losses of the steps put the estimated error above FIDELITY
-        (large c), the Gauss series at z is summed instead, and
-        NumericError raised if it does not converge. w at or below W_CAP is
-        rejected: the function diverges at w = 0 and the lambda
-        coefficients built on it lose meaning.
+        Up to z_series_cutoff the Gauss series. Above it two Gauss sums at
+        z0 = 1/2, F and F' (DLMF 15.5.1, from a table of its own), are
+        carried to z by Taylor steps of length min(w0 - w, w0/2),
+        w0 = 1 - z0, so each step's sum converges like 2^-n and at most 39
+        steps reach W_CAP. When the summed losses of the steps put the
+        estimated error above FIDELITY (large c), the Gauss series at z is
+        summed instead. NumericError is raised for a sum that does not
+        converge or a value beyond the floats; DomainError for w at or
+        below W_CAP, where 2F1 and the lambda built on it diverge.
         """
         if not W_CAP < w <= 1.0:  # false for a nan w too
             raise DomainError(f"hyp2f1 requires {W_CAP} < w = 1 - z <= 1, "
@@ -132,16 +140,19 @@ class Gauss2F1:
         if z <= DEFAULT_CONFIG.z_series_cutoff:
             return self._series(z)
         a, b, c = self.a, self.b, self.c
-        w0 = 0.5  # the start z0 = 1 - w0 = 1/2
-        f, z_deriv = self._series_with_slope(1.0 - w0)
-        deriv, loss = z_deriv / (1.0 - w0), 1.0
+        w0 = 0.5  # the start z0 = 1 - w0 = 1/2, equal to w0
+        # F' = (ab/c) 2F1(a+1, b+1; c+1; z), made past __init__, whose c > b
+        # fails where c - b is below the rounding of b + 1
+        slope = Gauss2F1.__new__(Gauss2F1)
+        slope.a, slope.b, slope.c, slope.ratios = a + 1.0, b + 1.0, c + 1.0, []
+        f, deriv, loss = self._series(w0), a * b / c * slope._series(w0), 1.0
         while w < w0:
             # w0 is a power of 2 and 1 - w0 is exact, as is the last h
             h = min(w0 - w, w0 / 2.0)
             f, h_deriv, step_loss = _taylor_step(a, b, c, 1.0 - w0, h, f,
                                                  h * deriv)
             deriv, loss, w0 = h_deriv / h, loss + step_loss, w0 - h
-            # the comparison is false for a nan loss, which counts as lost
+            # false for a nan loss, so a non-finite step is never returned
             if not loss * 2.0 ** -52 <= FIDELITY:
                 return self._series(z)
         return f
@@ -152,7 +163,7 @@ class Gauss2F1:
         The terms are positive, so a sum ends after two consecutive terms
         below SERIES_REL_TOL of the partial sum, which guards against an
         accidental zero term. The ratios come from the table while it
-        lasts and extend it after.
+        lasts and extend it after. A sum beyond the floats is refused.
         """
         ratios = self.ratios
         term = total = 1.0
@@ -163,7 +174,7 @@ class Gauss2F1:
             if term <= SERIES_REL_TOL * total:
                 small_run += 1
                 if small_run >= 2:
-                    return total
+                    return _finite(total)
             else:
                 small_run = 0
         a, b, c = self.a, self.b, self.c
@@ -176,29 +187,7 @@ class Gauss2F1:
             if term <= SERIES_REL_TOL * total:
                 small_run += 1
                 if small_run >= 2:
-                    return total
-            else:
-                small_run = 0
-        raise self._unconverged(z, term, total)
-
-    def _series_with_slope(self, z: float) -> tuple[float, float]:
-        """The continuation's start: (F, z F') at z, the sums of t_n and of
-        n t_n, ended as _series ends."""
-        a, b, c = self.a, self.b, self.c
-        ratios = self.ratios
-        term = total = 1.0
-        z_deriv = 0.0
-        small_run = 0
-        for i, n in enumerate(map(float, range(SERIES_MAX_TERMS))):
-            if i == len(ratios):
-                ratios.append((a + n) * (b + n) / ((c + n) * (1.0 + n)))
-            term *= ratios[i] * z
-            total += term
-            z_deriv += (n + 1.0) * term
-            if term <= SERIES_REL_TOL * total:
-                small_run += 1
-                if small_run >= 2:
-                    return total, z_deriv
+                    return _finite(total)
             else:
                 small_run = 0
         raise self._unconverged(z, term, total)
@@ -268,8 +257,5 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     Gauss2F1, summed at z itself up to the cutoff, where 1 - z rounds it.
     A value beyond the floats (2F1(1e6, 1; 2; 1/2)) raises NumericError."""
     series = Gauss2F1(a, b, c)
-    value = (series._series(z) if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
-             else series(1.0 - z))
-    if not math.isfinite(value):
-        raise NumericError(f"hyp2f1: non-finite result {value}")
-    return value
+    return (series._series(z) if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
+            else series(1.0 - z))

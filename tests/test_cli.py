@@ -105,6 +105,14 @@ class TestLambdaCommand:
         assert (code, out) == (2, "")
         assert err.startswith("numeric error: beta(")
 
+    def test_2f1_beyond_the_floats_refused(self, capsys):
+        # 2F1(1200, 1; 2; 1/2) is about 1e358: the series refuses it
+        code, out, err = run(capsys, "lambda", "--kind", "1", "--theta",
+                             "0.5", "--x", "1", "--s", "0", "--vartheta",
+                             "600", "--rho", "0")
+        assert (code, out) == (2, "")
+        assert err == "numeric error: hyp2f1: non-finite result inf\n"
+
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "lambda", "--kind", "1",
                            "--theta", "1", "--x", "2")

@@ -23,13 +23,13 @@ from hsconvex.cli import main
 
 SELFTEST_SHA256 = {
     ("--format", "json"):
-        "e16856c18cf120f1ef57dda40918e4980abc3bfc2417693984262eaca4e198ed",
+        "2825abcea7fded410c584cb21d6d5a18fd18d8fdd297872ca2e750dc66e2509d",
     ("--format", "csv"):
-        "e4699cfb487729ca57ac351ec6ee0076ae44dcb51faf69d00e3062a8ab0cc055",
+        "def3c4eca068bdf9c5afc0acbd470615fd5bca4a18dea20c3513d94747885f19",
     ():
-        "c9fa0bf8796113ea269141bdddb217f9dc9bcd822c8b9237c14b3d36e7c1043b",
+        "f780bedf9a217226095cb5a638a8df90aef54ebd41ea5ce0ad6e6ed6fa6f21d3",
     ("--tol", "1e-30"):
-        "f30705fa77a8fd21721642a94c7375b65c3cf47550e0c604d7b45a06b044135d",
+        "90549b07c04377a38347b3f0b003893a61c357d2c28b0c3913b66af9a392ce2b",
 }
 
 

@@ -257,6 +257,51 @@ def test_memo_reader_detector_skips_the_block_test(tmp_path):
     assert memo_readers(probe) == {"probe.py:f", "probe.py:C"}
 
 
+def ratio_readers(path: Path) -> set[str]:
+    """`<file>:<qualified name>` of each function or class of path that
+    reads or extends a `ratios` table: loads an attribute `.ratios` or
+    augments one in place. Assigning a fresh table reads none."""
+    found = set()
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, names + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "ratios"
+                    and (isinstance(child.ctx, ast.Load)
+                         or isinstance(node, ast.AugAssign))):
+                found.add(f"{path.name}:{'.'.join(names) or '<module>'}")
+            visit(child, names)
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_ratio_table_has_one_reader():
+    # every Gauss sum, F' at the continuation's start too, goes through
+    # the one loop that reads and extends a triple's ratio table
+    files = sorted((ROOT / "src" / "hsconvex").glob("*.py"))
+    assert set().union(*map(ratio_readers, files)) == {
+        "specfn.py:Gauss2F1._series"}
+
+
+def test_ratio_reader_detector_skips_fresh_tables(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class G:\n    def __init__(self):\n"
+                     "        self.ratios = []\n"
+                     "        self.ratios: list = []\n"
+                     "    def s(self):\n        ratios = self.ratios\n"
+                     "    def e(self):\n        self.ratios.append(1.0)\n"
+                     "    def x(self):\n        self.ratios += [2.0]\n"
+                     "    def n(self, other):\n        other.ratios = []\n"
+                     "def f(g):\n    def inner():\n"
+                     "        return g.ratios[0]\n    return inner\n"
+                     "def h():\n    return ratios\n", encoding="utf-8")
+    assert ratio_readers(probe) == {"probe.py:G.s", "probe.py:G.e",
+                                    "probe.py:G.x", "probe.py:f.inner"}
+
+
 def imported_modules(path: Path) -> set[str]:
     """Modules that path imports, relative ones with their leading dots."""
     found = set()

@@ -10,8 +10,9 @@ within 1e-14 relative of the reference, or a NumericError.
 
 The closed lambda weights are held against conftest.mp_lambda: kinds 1..4
 within 1e-13 where the ratio w = 1 - z of theta and x is small, down to
-w = 1e-11, and away from it, across the series cutoff; lambda5 down to
-w = 1e-300 on both sides, within 1e-14.
+w = 1e-11, away from it, across the series cutoff, and over the whole
+continuation route, from w = 0.09 to 1e-11; lambda5 down to w = 1e-300 on
+both sides, within 1e-14.
 
 ostrowski_rhs of T2_3..T2_7 is held against the same theorems assembled in
 mpmath at 30 digits, from mp_lambda's weights, on [2^k, 2^k q] at x = a, b
@@ -137,21 +138,34 @@ def test_closed_lambda_near_z_one():
     assert worst <= 1e-13
 
 
-def test_closed_lambda_away_from_z_one():
-    # every kind at 1 - z from 0.99 to 0.01, across the 0.9 cutoff between
-    # the Gauss series and the continuation, rho from T2_6's 0 to 10 and
-    # vartheta from 0.5 to 10: each (kind, 1 - z, rho, vartheta) once, at
-    # the s its indices pick in turn (320 weights; 1.4e-14 off at worst)
+def worst_closed_lambda_error(gaps) -> float:
+    """Worst relative error of the closed lambda1..lambda4 against mpmath
+    at 1 - z in gaps, rho from T2_6's 0 to 10 and vartheta from 0.5 to 10:
+    each (kind, 1 - z, rho, vartheta) once, at the s its indices pick in
+    turn."""
     worst = 0.0
     for (i, kind), (j, gap), (k, rho), (m, vartheta) in itertools.product(
-            *map(enumerate, ((1, 2, 3, 4), (0.99, 0.5, 0.11, 0.09, 0.01),
-                             (0.0, 1.0, 3.0, 10.0), (0.5, 1.0, 3.0, 10.0)))):
+            *map(enumerate, ((1, 2, 3, 4), gaps, (0.0, 1.0, 3.0, 10.0),
+                             (0.5, 1.0, 3.0, 10.0)))):
         s = (0.0, 0.5, 1.0)[(i + j + k + m) % 3]
         theta, x = (3.0 * gap, 3.0) if kind < 3 else (3.0, 3.0 * gap)
         args = (kind, theta, x, s, vartheta, rho)
         ref = mp_lambda(*args)
         worst = max(worst, float(abs(lambda_value(*args) - ref) / ref))
-    assert worst <= 1e-13
+    return worst
+
+
+def test_closed_lambda_away_from_z_one():
+    # 1 - z from 0.99 to 0.01, across the 0.9 cutoff between the Gauss
+    # series and the continuation (320 weights; 1.1e-14 off at worst)
+    assert worst_closed_lambda_error((0.99, 0.5, 0.11, 0.09, 0.01)) <= 1e-13
+
+
+def test_closed_lambda_on_the_continuation():
+    # 1 - z from 0.09 to 1e-11, the whole continuation route, whose start
+    # at z = 1/2 every weight here takes (384 weights; 3.1e-14 at worst)
+    assert worst_closed_lambda_error(
+        (0.09, 1e-2, 1e-3, 1e-6, 1e-9, 1e-11)) <= 1e-13
 
 
 def test_lambda5_far_from_the_diagonal():

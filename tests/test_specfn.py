@@ -142,6 +142,29 @@ class TestHyp2F1:
             with pytest.raises(NumericError, match="non-finite result inf"):
                 hyp2f1(*args)
 
+    def test_gauss2f1_refuses_a_value_beyond_the_floats(self):
+        # the series at z = 1/2 and the continuation's start at z = 0.95
+        # leave the floats: the class refuses them as hyp2f1 does
+        for args, w in (((1e6, 1.0, 2.0), 0.05), ((1200.0, 1.0, 2.0), 0.5)):
+            with pytest.raises(NumericError, match="non-finite result inf"):
+                Gauss2F1(*args)(w)
+
+    def test_continuation_points_of_the_battery(self):
+        # the hyp2f1_log_identity row's points above the cutoff: F' at
+        # z = 1/2 by DLMF 15.5.1 is a sum of its own, which ends on its
+        # own terms, not on F's (a slope cut that way was 1.2e-14 to
+        # 2.2e-14 off)
+        for z in (0.95, 0.99, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9):
+            assert rel_err(hyp2f1(1.0, 1.0, 2.0, z), 1.0, 1.0, 2.0, z) <= 1e-14
+
+    def test_slope_triple_bypasses_the_c_above_b_check(self):
+        # c - b below the rounding of b + 1 makes b + 1 and c + 1 one float;
+        # the slope's series needs only b + 1, c + 1 > 0
+        for args in ((1.0, 1e-17, 2e-17, 0.95), (3.0, 0.5, 0.5000000000000001,
+                                                 0.97)):
+            assert args[2] + 1.0 == args[1] + 1.0
+            assert rel_err(hyp2f1(*args), *args) <= 1e-13
+
     def test_near_one_large_value(self):
         # close to the z=1 singularity but inside the allowed domain the
         # continuation must still deliver a finite, accurate value
@@ -284,10 +307,11 @@ class TestRefusedSumError:
         assert err <= exc.err_est < math.inf
 
     def test_start_series_spends_its_budget(self, monkeypatch):
-        # above the cutoff the continuation starts from the series and its
-        # slope at z = 1/2. Its terms are at most those of 2F1(a, c; c; 1/2)
-        # = 2^a, so at 5,000 terms a triple leaves the floats before it
-        # spends them; 24 terms of 2F1(1, 1; 2; 1/2) = 2 ln 2 fall short
+        # above the cutoff the continuation starts from the series of F
+        # and of F' at z = 1/2. Their terms are at most those of
+        # 2F1(a, c; c; 1/2) = 2^a and 2F1(a+1, c+1; c+1; 1/2) = 2^(a+1), so
+        # at 5,000 terms a triple leaves the floats before it spends them;
+        # 24 terms of 2F1(1, 1; 2; 1/2) = 2 ln 2 fall short
         monkeypatch.setattr(specfn, "SERIES_MAX_TERMS", 24)
         with pytest.raises(NumericError, match="series did not converge "
                            "within 24 terms at z=0.5") as exc_info:
@@ -330,7 +354,7 @@ class TestRefusedSumError:
 
 
 # the functions of specfn that each sum one series
-SUMS = ("_series", "_series_with_slope", "_taylor_step")
+SUMS = ("_series", "_taylor_step")
 
 
 def sums_in(call) -> int:
@@ -355,8 +379,9 @@ def sums_in(call) -> int:
 
 class TestWorkBound:
     def test_at_most_41_sums(self):
-        # one series at z = 1/2, at most 39 steps to w = W_CAP, and at most
-        # one fallback series; each sum stops at SERIES_MAX_TERMS terms
+        # two series at z = 1/2 (F and F'), at most 39 steps to w = W_CAP,
+        # and a fallback series that ends the steps; each sum stops at
+        # SERIES_MAX_TERMS terms, and no run here takes more than 41
         z_top = math.nextafter(1.0 - W_CAP, 0.0)
         assert 1.0 - z_top > W_CAP >= 1.0 - math.nextafter(z_top, 1.0)
         counts = [sums_in(lambda: hyp2f1(a, b, c, z))
@@ -364,4 +389,4 @@ class TestWorkBound:
                                   (4.0, 199.0, 200.0), (2.0, 60.0, 62.0))
                   for z in (0.5, CUTOFF, 0.95, 1.0 - 1e-9, z_top)]
         assert max(counts) <= 41
-        assert sums_in(lambda: hyp2f1(1.0, 1.0, 2.0, z_top)) == 40
+        assert sums_in(lambda: hyp2f1(1.0, 1.0, 2.0, z_top)) == 41
