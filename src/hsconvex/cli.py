@@ -7,9 +7,10 @@ failure, 2 usage or domain error; nothing else.
 
 All floating-point output uses 17 significant digits so downstream tools
 can diff and round-trip values exactly; identical invocations produce
-byte-identical documents. A json or csv document is written in one walk
-(_json, or _scalar per csv cell) that formats each float and refuses a
-non-finite one with NumericError, so exit 2 leaves stdout empty.
+byte-identical documents. A json document is written in one walk (_json,
+with a list of records through one % template, _records), a csv one cell
+by cell (_scalar); a non-finite float is refused with NumericError, the
+first that a row-by-row walk meets, so exit 2 leaves stdout empty.
 
 COMMANDS holds each command's help line, its function and its flags, each
 flag as the option and keywords of one `add_argument` call. A request in
@@ -18,7 +19,8 @@ full and given once, no value starting with '-') is read from that table
 by _read, and builds no parser. Anything else goes to build_parser(),
 which assembles all five as argparse subparsers from the same table and
 is the only code that words help and usage errors. No parser, namespace
-or value is kept between calls.
+or value is kept between calls; _read's option table (_OPTIONS) is a
+constant built from COMMANDS at import.
 """
 
 from __future__ import annotations
@@ -43,18 +45,14 @@ from .verify import (ROW_FIELDS, VERIFY_THEOREMS, X_GRID_N, bound_row,
                      verify_theorem)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _scalar(v) -> str:
     """The text of a float, int, bool or csv string, the one rule of json
-    and csv: a float in 17 significant digits (_fmt), and a non-finite one
+    and csv: a float in 17 significant digits (%.17g), a non-finite one
     refused, as the arithmetic behind it overflowed and neither format
     holds it."""
     if v.__class__ is float:
         if math.isfinite(v):
-            return _fmt(v)
+            return "%.17g" % v
         raise NumericError(f"non-finite value {v} in the document")
     if v is True:
         return "true"
@@ -63,32 +61,52 @@ def _scalar(v) -> str:
     return str(v)
 
 
-# the keys of a bound row in document order (verify.bound_row), and the
-# JSON object of a row, with one %s per value
-_ROW_KEYS = ROW_FIELDS + ("fd_fallback",)
-_ROW_JSON = "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s"
-                            for k in _ROW_KEYS) + "}"
+def _records(rows: list) -> Optional[str]:
+    """rows as JSON through one template if they are dicts with one key
+    order, else None: a value that is the same object in every row is
+    written once, a column of finite floats fills a %.17g slot, any other
+    a %s slot with its values' _json. A refused value gives None, and the
+    row-major walk meets it first."""
+    keys = list(rows[0]) if rows and rows[0].__class__ is dict else []
+    if not all(row.__class__ is dict and list(row) == keys for row in rows):
+        return None
+    parts, columns = [], []
+    try:
+        for key, column in zip(keys, zip(*map(dict.values, rows))):
+            head, first = encode_basestring_ascii(key) + ": ", column[0]
+            if all(v is first for v in column):
+                parts.append((head + _json(first)).replace("%", "%%"))
+            elif (all(v.__class__ is float for v in column)
+                  and math.isfinite(sum(column))):  # so no inf or nan
+                parts.append(head.replace("%", "%%") + "%.17g")
+                columns.append(column)
+            else:
+                parts.append(head.replace("%", "%%") + "%s")
+                columns.append([_json(v) for v in column])
+    except NumericError:
+        return None
+    template = "{" + ", ".join(parts) + "}"
+    return "[" + ", ".join([template % values for values in
+                            list(zip(*columns)) or [()] * len(rows)]) + "]"
 
 
 def _json(obj) -> str:
     """obj, nested dicts and lists of scalars, as JSON with dict keys in
     insertion order: the stdlib encoder does not let floats be formatted,
     and the output contract fixes that format. None is null, a string is
-    escaped as json.dumps does, any other scalar is written by _scalar. A
-    dict whose keys are a bound row's, in order, fills _ROW_JSON with its
-    values by the same rule, in one pass."""
-    if obj.__class__ is dict:
-        if tuple(obj) == _ROW_KEYS:
-            return _ROW_JSON % tuple([
-                "null" if v is None else encode_basestring_ascii(v)
-                if v.__class__ is str else _scalar(v) for v in obj.values()])
-        return "{" + ", ".join(f"{encode_basestring_ascii(k)}: {_json(v)}"
-                               for k, v in obj.items()) + "}"
-    if obj.__class__ in (list, tuple):
-        return "[" + ", ".join(map(_json, obj)) + "]"
+    escaped as json.dumps does, any other scalar is written by _scalar,
+    and a list of records is written through one template (_records)."""
+    cls = obj.__class__
+    if cls is float:
+        return _scalar(obj)
+    if cls is dict:
+        return "{" + ", ".join([f"{encode_basestring_ascii(k)}: {_json(v)}"
+                                for k, v in obj.items()]) + "}"
+    if cls is list or cls is tuple:
+        return _records(obj) or "[" + ", ".join([_json(v) for v in obj]) + "]"
     if obj is None:
         return "null"
-    if obj.__class__ is str:
+    if cls is str:
         return encode_basestring_ascii(obj)
     return _scalar(obj)
 
@@ -191,8 +209,8 @@ def cmd_selftest(ns: argparse.Namespace) -> int:
     if ns.format == "table":
         width = max(len(c.name) for c in checks)
         text = "\n".join([f"{'PASS' if c.passed else 'FAIL'}  "
-                          f"{c.name:<{width}}  value={_fmt(c.value)}  "
-                          f"limit={_fmt(c.limit)}" for c in checks]
+                          f"{c.name:<{width}}  value={c.value:.17g}  "
+                          f"limit={c.limit:.17g}" for c in checks]
                          + [f"selftest: {n_pass}/{len(checks)} checks passed"])
     else:
         rows = [{"check": c.name, "kind": c.kind,
@@ -274,6 +292,8 @@ COMMANDS = {
         ("--format", dict(choices=("table", "json", "csv"), default="table",
                           help=_FORMAT_HELP)))),
 }
+# command -> {option: add_argument keywords}, _read's view of COMMANDS
+_OPTIONS = {name: dict(flags) for name, (_, _, flags) in COMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +321,7 @@ def _read(argv: list[str]) -> Optional[argparse.Namespace]:
     if not argv or argv[0] not in COMMANDS:
         return None
     _, func, flags = COMMANDS[argv[0]]
-    known, given = dict(flags), {}
+    known, given = _OPTIONS[argv[0]], {}
     tokens = iter(argv[1:])
     for option in tokens:
         keywords = known.get(option)

@@ -103,10 +103,11 @@ class Gauss2F1:
     of the z. A term advances as term *= ratios[n] * z, which rounds as the
     recurrence written out does, so no value depends on the table's
     history. Only the owner of an instance keeps its table: hyp2f1 starts
-    an empty one per call, and each continuation start one for F'.
+    an empty one per call. `start` keeps F and F' at z = 1/2 from the first
+    call above z_series_cutoff; F' is summed from a table of its own.
     """
 
-    __slots__ = ("a", "b", "c", "ratios")
+    __slots__ = ("a", "b", "c", "ratios", "start")
 
     def __init__(self, a: float, b: float, c: float):
         for name, v in (("a", a), ("b", b), ("c", c)):
@@ -116,7 +117,7 @@ class Gauss2F1:
             raise DomainError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
         if a < 0.0:
             raise DomainError(f"hyp2f1 requires a >= 0, got {a}")
-        self.a, self.b, self.c = a, b, c
+        self.a, self.b, self.c, self.start = a, b, c, None
         self.ratios: list[float] = []
 
     def __call__(self, w: float) -> float:
@@ -143,9 +144,11 @@ class Gauss2F1:
         w0 = 0.5  # the start z0 = 1 - w0 = 1/2, equal to w0
         # F' = (ab/c) 2F1(a+1, b+1; c+1; z), made past __init__, whose c > b
         # fails where c - b is below the rounding of b + 1
-        slope = Gauss2F1.__new__(Gauss2F1)
-        slope.a, slope.b, slope.c, slope.ratios = a + 1.0, b + 1.0, c + 1.0, []
-        f, deriv, loss = self._series(w0), a * b / c * slope._series(w0), 1.0
+        if self.start is None:
+            slope = Gauss2F1.__new__(Gauss2F1)
+            slope.a, slope.b, slope.c, slope.ratios = a + 1, b + 1, c + 1, []
+            self.start = self._series(w0), a * b / c * slope._series(w0)
+        (f, deriv), loss = self.start, 1.0
         while w < w0:
             # w0 is a power of 2 and 1 - w0 is exact, as is the last h
             h = min(w0 - w, w0 / 2.0)
@@ -161,9 +164,10 @@ class Gauss2F1:
         """Gauss power series: return F at z, the sum of the t_n.
 
         The terms are positive, so a sum ends after two consecutive terms
-        below SERIES_REL_TOL of the partial sum, which guards against an
-        accidental zero term. The ratios come from the table while it
-        lasts and extend it after. A sum beyond the floats is refused.
+        below SERIES_REL_TOL of the partial sum (one may be an accidental
+        zero), each counted while the terms shrink (ratio * z < 1) or once
+        the sum is inf. The ratios come from the table while it lasts and
+        extend it after. A sum beyond the floats is refused.
         """
         ratios = self.ratios
         term = total = 1.0
@@ -171,7 +175,8 @@ class Gauss2F1:
         for ratio in ratios:
             term *= ratio * z
             total += term
-            if term <= SERIES_REL_TOL * total:
+            if term <= SERIES_REL_TOL * total and (ratio * z < 1.0
+                                                   or total == math.inf):
                 small_run += 1
                 if small_run >= 2:
                     return _finite(total)
@@ -184,7 +189,8 @@ class Gauss2F1:
             ratios.append(ratio)
             term *= ratio * z
             total += term
-            if term <= SERIES_REL_TOL * total:
+            if term <= SERIES_REL_TOL * total and (ratio * z < 1.0
+                                                   or total == math.inf):
                 small_run += 1
                 if small_run >= 2:
                     return _finite(total)

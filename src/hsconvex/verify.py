@@ -61,10 +61,9 @@ def bound_row(theorem: str, x: float, iv: Interval, s: float,
     """One inequality instance as the documents print it: the ROW_FIELDS,
     with slack = rhs - lhs, then fd_fallback. Every derivative magnitude is
     analytic, so fd_fallback is always false."""
-    row = dict(zip(ROW_FIELDS, (theorem, x, iv.a, iv.b, s, q, p, M,
-                                lhs, rhs, rhs - lhs, hypothesis_ok)))
-    row["fd_fallback"] = False
-    return row
+    return {"theorem": theorem, "x": x, "a": iv.a, "b": iv.b, "s": s, "q": q,
+            "p": p, "M": M, "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+            "hypothesis_ok": hypothesis_ok, "fd_fallback": False}
 
 
 def lemma_residual(f: FunctionSpec, x: float, iv: Interval) -> float:

@@ -18,6 +18,7 @@ from hsconvex.bounds import (OSTROWSKI_THEOREMS, classic_ostrowski_rhs,
                              ostrowski_lhs, resolve_exponents)
 from hsconvex.cli import main
 from hsconvex.convexity import VIOLATION_TOL, uniform_grid
+from hsconvex.errors import NumericError
 from hsconvex.numeric import (Interval, arithmetic_mean, derivative,
                               get_function, integrate)
 from hsconvex.verify import (VERIFY_THEOREMS, Check, bound_row,
@@ -1161,3 +1162,137 @@ class TestWellFormed:
         check()
         assert len(codes) == 400
         assert sum(code in (0, 1) for code in codes) >= 300
+
+
+def reference_json(obj) -> str:
+    """The per-value walk that the writer must match: each value is
+    written where it is met, rows one after another, and the first
+    non-finite float met is refused."""
+    if obj.__class__ is dict:
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_json(v)}"
+                               for k, v in obj.items()) + "}"
+    if obj.__class__ in (list, tuple):
+        return "[" + ", ".join(map(reference_json, obj)) + "]"
+    if obj is None:
+        return "null"
+    if obj.__class__ is str:
+        return json.dumps(obj)
+    if obj.__class__ is float:
+        if math.isfinite(obj):
+            return format(obj, ".17g")
+        raise NumericError(f"non-finite value {obj} in the document")
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return str(obj)
+
+
+def written(write, doc) -> str:
+    """write(doc), or the text of the NumericError it raises."""
+    try:
+        return write(doc)
+    except NumericError as exc:
+        return f"refused: {exc}"
+
+
+def fresh(v):
+    """v, or a new float object of its value where v is a float, so that
+    `is` tells two rows apart where == does not."""
+    return v * 1.0 if v.__class__ is float else v
+
+
+# the traps of a records list: 0.0 and -0.0, and 1, 1.0 and True, which
+# are equal but not written alike; strings with % or non-ASCII characters
+TRAPS = st.sampled_from((0.0, -0.0, 1, 1.0, True, False, None, "%", "%s",
+                         "100%%d", "é", "☃ %.17g", ""))
+FINITE = st.one_of(TRAPS, st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(), st.text(max_size=4))
+NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+KEYS = st.one_of(st.sampled_from(("x", "%", "%s", "ké", "")),
+                 st.text(max_size=3))
+
+
+@st.composite
+def record_lists(draw, values):
+    """One to five dicts with one key order, each key shared (one object
+    in every row) or drawn per row; now and then the last row takes its
+    keys in the reverse order."""
+    keys = draw(st.lists(KEYS, unique=True, max_size=5))
+    shared = {k: draw(values) for k in keys if draw(st.booleans())}
+    rows = [{k: shared[k] if k in shared else fresh(draw(values))
+             for k in keys} for _ in range(draw(st.integers(1, 5)))]
+    if len(keys) > 1 and draw(st.integers(0, 4)) == 0:
+        rows[-1] = dict(reversed(list(rows[-1].items())))
+    return rows
+
+
+def documents(scalars):
+    return st.recursive(scalars, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(KEYS, children, max_size=4),
+        record_lists(children)), max_leaves=40)
+
+
+class TestWriter:
+    """_json writes a list of records through one template (_records):
+    its text, and its refusal, are those of the per-value walk."""
+
+    @given(documents(FINITE))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_text_as_the_per_value_walk(self, doc):
+        assert cli._json(doc) == reference_json(doc)
+
+    @given(documents(st.one_of(FINITE, NON_FINITE)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_refusal_as_the_per_value_walk(self, doc):
+        assert written(cli._json, doc) == written(reference_json, doc)
+
+    @staticmethod
+    def rows():
+        """Two rows of one scan: a, b and s shared, x, lhs and rhs per
+        row."""
+        a, b, s = 1.0, 2.0, 0.5
+        return [{"x": x, "a": a, "b": b, "s": s, "lhs": lhs, "rhs": rhs}
+                for x, lhs, rhs in ((1.0, 0.25, 0.5), (1.5, 0.125, 0.75))]
+
+    @pytest.mark.parametrize("rhs_rows, bad", [((0,), math.inf),
+                                               ((0, 1), -math.inf)])
+    def test_refusal_is_the_first_value_met_row_by_row(self, rhs_rows, bad):
+        # row 0's rhs, its own or one object shared by both rows, is met
+        # before row 1's lhs, though the rhs column comes later
+        rows = self.rows()
+        rows[1]["lhs"] = math.nan
+        for i in rhs_rows:
+            rows[i]["rhs"] = bad
+        message = f"non-finite value {bad} in the document"
+        assert written(reference_json, rows) == f"refused: {message}"
+        with pytest.raises(NumericError) as exc:
+            cli._json({"results": rows})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("place", ["per row", "shared"])
+    def test_refused_verify_document_leaves_stdout_empty(self, capsys,
+                                                          monkeypatch, place):
+        scan = verify_theorem
+
+        def poisoned(*args, **kwargs):
+            doc = scan(*args, **kwargs)
+            rows = doc["results"]
+            if place == "per row":
+                rows[4]["rhs"] = math.inf
+            else:
+                for row in rows:
+                    row["s"] = math.inf
+            return doc
+        monkeypatch.setattr(cli, "verify_theorem", poisoned)
+        code, out, err = run(capsys, "verify", "--theorem", "T2_4", "--fn",
+                             "pow:2", "--a", "0.5", "--b", "2", "--q", "2")
+        assert (code, out) == (2, "")
+        assert err == "numeric error: non-finite value inf in the document\n"
+
+    def test_one_row_and_all_shared_lists(self):
+        row = {"a": 1.0, "%s": "%", "n": None}
+        assert cli._json([row]) == '[{"a": 1, "%s": "%", "n": null}]'
+        assert cli._json([row, row]) == reference_json([row, row])
+        assert cli._json([{}, {}]) == "[{}, {}]"
