@@ -19,8 +19,7 @@ full and given once, no value starting with '-') is read from that table
 by _read, and builds no parser. Anything else goes to build_parser(),
 which assembles all five as argparse subparsers from the same table and
 is the only code that words help and usage errors. No parser, namespace
-or value is kept between calls; _read's option table (_OPTIONS) is a
-constant built from COMMANDS at import.
+or value is kept between calls; _OPTIONS, _read's table, is a constant.
 """
 
 from __future__ import annotations
@@ -62,11 +61,10 @@ def _scalar(v) -> str:
 
 
 def _records(rows: list) -> Optional[str]:
-    """rows as JSON through one template if they are dicts with one key
-    order, else None: a value that is the same object in every row is
-    written once, a column of finite floats fills a %.17g slot, any other
-    a %s slot with its values' _json. A refused value gives None, and the
-    row-major walk meets it first."""
+    """rows as JSON through one template if all are dicts with one key
+    order, else None: a value that is one object in every row is written
+    once, finite float columns fill %.17g slots, others %s slots of _json
+    text. A refused value gives None, for the row-major walk to meet."""
     keys = list(rows[0]) if rows and rows[0].__class__ is dict else []
     if not all(row.__class__ is dict and list(row) == keys for row in rows):
         return None

@@ -84,11 +84,9 @@ def _series_error(what: str, z: float, value: float, tail: float,
         err_est=tail + SERIES_MAX_TERMS * 2.0 ** -50 * size)
 
 
-def _ratio_cap(u: float, v: float) -> float:
-    """Bound on (u+m)/(v+m) over m >= SERIES_MAX_TERMS for u, v >= 0: the
-    ratio is monotone in m and tends to 1, so it stays below the larger of
-    1 and its first value, here rounded up."""
-    n = SERIES_MAX_TERMS
+def _ratio_cap(u: float, v: float, n: float) -> float:
+    """Bound on (u+m)/(v+m) over m >= n for u, v >= 0: monotone in m and
+    tending to 1, it stays below max(1, its first value), rounded up."""
     return max(1.0, (u + n) / (v + n) * (1.0 + 2.0 ** -50))
 
 
@@ -103,11 +101,10 @@ class Gauss2F1:
     of the z. A term advances as term *= ratios[n] * z, which rounds as the
     recurrence written out does, so no value depends on the table's
     history. Only the owner of an instance keeps its table: hyp2f1 starts
-    an empty one per call. `start` keeps F and F' at z = 1/2 from the first
-    call above z_series_cutoff; F' is summed from a table of its own.
+    an empty one per call, and each continuation start one for F'.
     """
 
-    __slots__ = ("a", "b", "c", "ratios", "start")
+    __slots__ = ("a", "b", "c", "ratios")
 
     def __init__(self, a: float, b: float, c: float):
         for name, v in (("a", a), ("b", b), ("c", c)):
@@ -117,7 +114,7 @@ class Gauss2F1:
             raise DomainError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
         if a < 0.0:
             raise DomainError(f"hyp2f1 requires a >= 0, got {a}")
-        self.a, self.b, self.c, self.start = a, b, c, None
+        self.a, self.b, self.c = a, b, c
         self.ratios: list[float] = []
 
     def __call__(self, w: float) -> float:
@@ -144,11 +141,9 @@ class Gauss2F1:
         w0 = 0.5  # the start z0 = 1 - w0 = 1/2, equal to w0
         # F' = (ab/c) 2F1(a+1, b+1; c+1; z), made past __init__, whose c > b
         # fails where c - b is below the rounding of b + 1
-        if self.start is None:
-            slope = Gauss2F1.__new__(Gauss2F1)
-            slope.a, slope.b, slope.c, slope.ratios = a + 1, b + 1, c + 1, []
-            self.start = self._series(w0), a * b / c * slope._series(w0)
-        (f, deriv), loss = self.start, 1.0
+        slope = Gauss2F1.__new__(Gauss2F1)
+        slope.a, slope.b, slope.c, slope.ratios = a + 1.0, b + 1.0, c + 1.0, []
+        f, deriv, loss = self._series(w0), a * b / c * slope._series(w0), 1.0
         while w < w0:
             # w0 is a power of 2 and 1 - w0 is exact, as is the last h
             h = min(w0 - w, w0 / 2.0)
@@ -163,22 +158,22 @@ class Gauss2F1:
     def _series(self, z: float) -> float:
         """Gauss power series: return F at z, the sum of the t_n.
 
-        The terms are positive, so a sum ends after two consecutive terms
-        below SERIES_REL_TOL of the partial sum (one may be an accidental
-        zero), each counted while the terms shrink (ratio * z < 1) or once
-        the sum is inf. The ratios come from the table while it lasts and
-        extend it after. A sum beyond the floats is refused.
+        The terms are positive, so a sum ends at the second of two terms
+        in a row below SERIES_REL_TOL of the partial sum (one may be an
+        accidental zero) once _settled. The ratios come from the table
+        while it lasts and extend it after. A sum beyond the floats is
+        refused.
         """
         ratios = self.ratios
         term = total = 1.0
         small_run = 0
-        for ratio in ratios:
+        for ratio in (left := iter(ratios)):  # its length hint: ratios left
             term *= ratio * z
             total += term
-            if term <= SERIES_REL_TOL * total and (ratio * z < 1.0
-                                                   or total == math.inf):
+            if term <= SERIES_REL_TOL * total:
                 small_run += 1
-                if small_run >= 2:
+                if small_run >= 2 and self._settled(
+                        z, len(ratios) - 1 - left.__length_hint__(), total):
                     return _finite(total)
             else:
                 small_run = 0
@@ -189,24 +184,30 @@ class Gauss2F1:
             ratios.append(ratio)
             term *= ratio * z
             total += term
-            if term <= SERIES_REL_TOL * total and (ratio * z < 1.0
-                                                   or total == math.inf):
+            if term <= SERIES_REL_TOL * total:
                 small_run += 1
-                if small_run >= 2:
+                if small_run >= 2 and self._settled(z, n, total):
                     return _finite(total)
             else:
                 small_run = 0
         raise self._unconverged(z, term, total)
 
+    def _settled(self, z: float, n: float, total: float) -> bool:
+        """Whether a sum may end at ratios[n]: it is inf, or no later term
+        grows (z ratios[m] < 1, m >= n), though a tiny b made it small."""
+        return (total == math.inf or z * (self.a + n) < 1.0 + n
+                or self._shrink(z, n) < 1.0)
+
+    def _shrink(self, z: float, n: float) -> float:
+        """Bound on z * ratios[m] over m >= n, as b <= c (_ratio_cap)."""
+        return z * min(_ratio_cap(self.a, 1.0, n), _ratio_cap(
+            self.a, self.c, n) * _ratio_cap(self.b, 1.0, n))
+
     def _unconverged(self, z: float, term: float,
                      total: float) -> NumericError:
-        """The error of a Gauss sum that spent its terms at z. Each later
-        ratio times z is at most r = z * cap(a, 1) * cap(b, c), or the
-        other pairing of the four factors (_ratio_cap), so while r < 1 the
-        unsummed terms add at most term * r / (1 - r)."""
-        a, b, c = self.a, self.b, self.c
-        r = z * min(_ratio_cap(a, 1.0) * _ratio_cap(b, c),
-                    _ratio_cap(a, c) * _ratio_cap(b, 1.0))
+        """The error of a sum that spent its terms at z: the rest adds at
+        most term * r / (1 - r) while r = _shrink(z, SERIES_MAX_TERMS) < 1."""
+        r = self._shrink(z, SERIES_MAX_TERMS)
         tail = term * r / (1.0 - r) if r < 1.0 else math.inf
         return _series_error("series", z, total, tail, total)
 
@@ -246,8 +247,8 @@ def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
     # r^2 = B r + A, so while r < 1 the unsummed terms add at most
     # K r^2 / (1 - r)
     n = SERIES_MAX_TERMS
-    cap_a = h * h / p0 * min(_ratio_cap(a, 1.0) * _ratio_cap(b, 2.0),
-                             _ratio_cap(a, 2.0) * _ratio_cap(b, 1.0))
+    cap_a = h * h / p0 * min(_ratio_cap(a, 1.0, n) * _ratio_cap(b, 2.0, n),
+                             _ratio_cap(a, 2.0, n) * _ratio_cap(b, 1.0, n))
     cap_b = h / p0 * max(abs(p1), abs(p1 * n + q0) / (n + 2.0))
     r = (cap_b + math.sqrt(cap_b * cap_b + 4.0 * cap_a)) / 2.0 \
         * (1.0 + 2.0 ** -50)

@@ -11,7 +11,7 @@ from conftest import lambda_shapes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex import bounds, specfn
+from hsconvex import specfn
 from hsconvex.errors import DomainError, NumericError
 from hsconvex.specfn import W_CAP, Gauss2F1, beta, hyp2f1
 
@@ -150,11 +150,19 @@ class TestHyp2F1:
                 Gauss2F1(*args)(w)
 
     def test_sum_runs_on_while_its_terms_grow(self):
-        # a tiny b makes the first terms tiny, though (a+n)/(n+1) z > 1
-        # makes them grow: two of them below 1e-15 of the sum ended it at
-        # about 1.0, where the values are 6.2e52 and 4.2e257
-        for args in ((500.0, 1e-20, 2.0, 0.3), (1000.0, 1e-19, 10.0, 0.5)):
+        # a tiny b makes the first terms tiny, though later ratios times z
+        # pass 1 and the terms grow: two of them below 1e-15 of the sum
+        # ended it at about 1.0, where the values are 6.2e52, 4.2e257,
+        # 1.7e76 and 1.11. In the last two the first ratio, about
+        # (a+1)/(2(c+1)), times z is below 1 but (a+n)/(c+n) z is not
+        for args in ((500.0, 1e-20, 2.0, 0.3), (1000.0, 1e-19, 10.0, 0.5),
+                     (1000.0, 1e-20, 500.0, 0.8), (200.0, 1e-20, 100.0, 0.8)):
             assert rel_err(hyp2f1(*args), *args) <= 1e-11
+        # a kept instance sums from its table, whose loop finds n from its
+        # iterator, and ends where a fresh table ends, at a smaller z too
+        kept = Gauss2F1(1000.0, 1e-20, 500.0)
+        for w in (0.2, 0.2, 0.5, 0.3):
+            assert kept(w) == hyp2f1(1000.0, 1e-20, 500.0, 1.0 - w)
 
     def test_continuation_points_of_the_battery(self):
         # the hyp2f1_log_identity row's points above the cutoff: F' at
@@ -385,23 +393,6 @@ def sums_in(call) -> int:
 
 
 class TestWorkBound:
-    def test_continuation_start_is_summed_once(self, monkeypatch):
-        # a kind 1 column whose four points lie above the cutoff (z = 0.95
-        # to 0.99375) shares one Gauss2F1: F and F' at z = 1/2 are summed
-        # for its first point and kept, where each point summed both
-        series, zs = Gauss2F1._series, []
-
-        def counted(self, z):
-            zs.append(z)
-            return series(self, z)
-        monkeypatch.setattr(Gauss2F1, "_series", counted)
-        column = bounds.lambda_column(1, 1.0, [20.0, 40.0, 80.0, 160.0],
-                                      0.5, 2.0, 1.0)
-        assert zs.count(0.5) == 2
-        # the values of the start summed at every point, bit for bit
-        assert column == [0.01687058650173076, 0.008384829240855086,
-                          0.0041796110332140155, 0.0020865787376657076]
-
     def test_at_most_41_sums(self):
         # two series at z = 1/2 (F and F'), at most 39 steps to w = W_CAP,
         # and a fallback series that ends the steps; each sum stops at
