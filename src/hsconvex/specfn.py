@@ -3,10 +3,12 @@
 Everything here is restricted to the parameter region the bound formulas
 actually visit: positive Beta arguments and 2F1(a, b; c; z) with
 c > b > 0, a >= 0 and w = 1 - z in (W_CAP, 1]. Up to z_series_cutoff 2F1
-is the Gauss power series; above it the series values of F and F' at
-z = 1/2 are continued along the hypergeometric differential equation.
-Neither route uses quadrature, so the quadrature oracle in `verify` is
-independent of both.
+is the Gauss power series. Above it, two Gauss series in w (the 1 - z
+connection formula) where their error estimate allows; else, for integer
+or near-integer c - a - b and large parameters, the series values of F
+and F' at z = 1/2 continued along the hypergeometric differential
+equation. No route uses quadrature, so the quadrature oracle in `verify`
+is independent of all of them.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ SERIES_MAX_TERMS = 5000
 # continuation's sums, that a returned value may carry
 FIDELITY = 1e-10
 
+# largest error estimate, in units of 2^-52, of a value the connection
+# route returns (Gauss2F1._connection). On 12,598 triples its true error
+# reached 1.22 times the estimate against mpmath: 300 keeps it below 1e-13
+CONNECTION_ULPS = 300.0
+
 
 class RouteSplit(NamedTuple):
     """z_series_cutoff: largest z that hyp2f1 sums by the Gauss series;
-    above it the series is continued from z = 1/2 along the ODE."""
+    above it the connection sums in 1 - z or the continuation."""
 
     z_series_cutoff: float
 
@@ -85,8 +92,9 @@ def _series_error(what: str, z: float, value: float, tail: float,
 
 
 def _ratio_cap(u: float, v: float, n: float) -> float:
-    """Bound on (u+m)/(v+m) over m >= n for u, v >= 0: monotone in m and
-    tending to 1, it stays below max(1, its first value), rounded up."""
+    """Bound on (u+m)/(v+m) over m >= n for u + n >= 0 < v + n: monotone
+    in m and tending to 1, it stays below max(1, its first value), rounded
+    up."""
     return max(1.0, (u + n) / (v + n) * (1.0 + 2.0 ** -50))
 
 
@@ -101,10 +109,11 @@ class Gauss2F1:
     of the z. A term advances as term *= ratios[n] * z, which rounds as the
     recurrence written out does, so no value depends on the table's
     history. Only the owner of an instance keeps its table: hyp2f1 starts
-    an empty one per call, and each continuation start one for F'.
+    an empty one per call, and each call above the cutoff one per sum of
+    another triple (_part).
     """
 
-    __slots__ = ("a", "b", "c", "ratios")
+    __slots__ = ("a", "b", "c", "head", "ratios")
 
     def __init__(self, a: float, b: float, c: float):
         for name, v in (("a", a), ("b", b), ("c", c)):
@@ -114,36 +123,39 @@ class Gauss2F1:
             raise DomainError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
         if a < 0.0:
             raise DomainError(f"hyp2f1 requires a >= 0, got {a}")
-        self.a, self.b, self.c = a, b, c
+        self.a, self.b, self.c, self.head = a, b, c, 0
         self.ratios: list[float] = []
 
     def __call__(self, w: float) -> float:
         """Return 2F1(a, b; c; z) at z = 1 - w, for w as a caller forms it,
         a quotient (lambda_z), with no rounding of 1 - w.
 
-        Up to z_series_cutoff the Gauss series. Above it two Gauss sums at
-        z0 = 1/2, F and F' (DLMF 15.5.1, from a table of its own), are
-        carried to z by Taylor steps of length min(w0 - w, w0/2),
-        w0 = 1 - z0, so each step's sum converges like 2^-n and at most 39
-        steps reach W_CAP. When the summed losses of the steps put the
-        estimated error above FIDELITY (large c), the Gauss series at z is
-        summed instead. NumericError is raised for a sum that does not
-        converge or a value beyond the floats; DomainError for w at or
-        below W_CAP, where 2F1 and the lambda built on it diverge.
+        Up to z_series_cutoff the Gauss series. Above it the two Gauss sums
+        in w of _connection, where its error estimate allows; else (integer
+        or near-integer c - a - b, large parameters) two Gauss sums at
+        z0 = 1/2, F and F' (DLMF 15.5.1), carried to z by Taylor steps of
+        length min(w0 - w, w0/2), w0 = 1 - z0, so each step's sum converges
+        like 2^-n and at most 39 steps reach W_CAP. When the summed losses
+        of the steps put the estimated error above FIDELITY (large c), the
+        Gauss series at z is summed instead. NumericError is raised for a
+        sum that does not converge or a value beyond the floats;
+        DomainError for w at or below W_CAP, where 2F1 and the lambda built
+        on it diverge.
         """
         if not W_CAP < w <= 1.0:  # false for a nan w too
             raise DomainError(f"hyp2f1 requires {W_CAP} < w = 1 - z <= 1, "
                               f"got w={w}")
         z = 1.0 - w
         if z <= DEFAULT_CONFIG.z_series_cutoff:
-            return self._series(z)
+            return self._series(z)[0]
+        value = self._connection(w)
+        if value is not None:
+            return value
         a, b, c = self.a, self.b, self.c
         w0 = 0.5  # the start z0 = 1 - w0 = 1/2, equal to w0
-        # F' = (ab/c) 2F1(a+1, b+1; c+1; z), made past __init__, whose c > b
-        # fails where c - b is below the rounding of b + 1
-        slope = Gauss2F1.__new__(Gauss2F1)
-        slope.a, slope.b, slope.c, slope.ratios = a + 1.0, b + 1.0, c + 1.0, []
-        f, deriv, loss = self._series(w0), a * b / c * slope._series(w0), 1.0
+        # F' = (ab/c) 2F1(a+1, b+1; c+1; z)
+        f, deriv, loss = (self._series(w0)[0], a * b / c * _part(
+            a + 1.0, b + 1.0, c + 1.0)._series(w0)[0], 1.0)
         while w < w0:
             # w0 is a power of 2 and 1 - w0 is exact, as is the last h
             h = min(w0 - w, w0 / 2.0)
@@ -152,64 +164,162 @@ class Gauss2F1:
             deriv, loss, w0 = h_deriv / h, loss + step_loss, w0 - h
             # false for a nan loss, so a non-finite step is never returned
             if not loss * 2.0 ** -52 <= FIDELITY:
-                return self._series(z)
+                return self._series(z)[0]
         return f
 
-    def _series(self, z: float) -> float:
-        """Gauss power series: return F at z, the sum of the t_n.
+    def _connection(self, w: float) -> float | None:
+        """F at z = 1 - w from two Gauss sums in w (DLMF 15.8.4), with
+        m = c - a - b and the Gamma ratios as signed lgamma sums:
 
-        The terms are positive, so a sum ends at the second of two terms
-        in a row below SERIES_REL_TOL of the partial sum (one may be an
+            F = G(c)G(m)/(G(c-a)G(c-b)) F(a, b; 1-m; w)
+                + w^m G(c)G(-m)/(G(a)G(b)) F(c-a, c-b; 1+m; w)
+              = T1 S1 + T2 S2.
+
+        Each T is off by about 2^-52 L relative: L sums the |lgamma|,
+        |m log w| and the shift that m's rounding makes in c, c - a and
+        c - b (the identity holds for c = a + b + m) times how near a pole
+        of Gamma each lies. The cancellation C = (|T1| sum |t1| + |T2| sum
+        |t2|) / |F| scales it. None where (L + 1) C passes CONNECTION_ULPS
+        (m near an integer, large parameters), at a pole (integer m) or
+        where a factor or sum leaves the floats.
+        """
+        a, b, c = self.a, self.b, self.c
+        m = c - a - b
+        try:
+            logs = tuple(map(math.lgamma, (c, m, c - a, c - b, -m, a, b)))
+        except ValueError:  # a pole
+            return None
+        log_w = m * math.log(w)
+        ulps = (sum(map(abs, logs)) + abs(logs[0]) + abs(log_w) + 1.0
+                + (abs(c - a) + abs(m)) * (1.0 / c + 1.0 / (c - b)
+                                           + 1.0 / _pole_gap(c - a)))
+        if ulps > CONNECTION_ULPS:
+            return None
+        # the smaller numerator second, where _settled's first test wants
+        # it (a sum is symmetric in the two)
+        low, high = (a, b) if a < b else (b, a)
+        try:
+            t1 = _gamma_sign(m) * _gamma_sign(c - a) * math.exp(
+                logs[0] + logs[1] - logs[2] - logs[3])
+            t2 = _gamma_sign(-m) * math.exp(
+                logs[0] + logs[4] - logs[5] - logs[6] + log_w)
+            s1, size1 = _part(high, low, 1.0 - m)._series(w)
+            s2, size2 = _part(c - low, c - high, 1.0 + m)._series(w)
+        except (OverflowError, NumericError):
+            return None
+        value = t1 * s1 + t2 * s2
+        # false for an inf or nan value too
+        if ((abs(t1) * size1 + abs(t2) * size2) * ulps
+                <= CONNECTION_ULPS * abs(value) < math.inf):
+            return value
+        return None
+
+    def _series(self, z: float) -> tuple[float, float]:
+        """Gauss power series: return (F, the sum of the |t_n|) at z.
+
+        Past the first `head` ratios, which may be negative, every ratio
+        is positive, so the terms keep one sign: the sum is taken as -F
+        where they are negative, and it ends at the second of two terms in
+        a row below SERIES_REL_TOL of the |partial sum| (one may be an
         accidental zero) once _settled. The ratios come from the table
         while it lasts and extend it after. A sum beyond the floats is
         refused.
         """
         ratios = self.ratios
+        left = iter(ratios)  # its length hint: ratios left
         term = total = 1.0
-        small_run = 0
-        for ratio in (left := iter(ratios)):  # its length hint: ratios left
+        sign, tol, size, small_run = 1.0, SERIES_REL_TOL, 0.0, 0
+        if self.head:
+            a, b, c, size, n = self.a, self.b, self.c, 1.0, 0
+            # the head, then on while a term of the later terms' one sign
+            # can still turn the sum's
+            while n < self.head or (
+                    term * total < 0.0 and n < SERIES_MAX_TERMS
+                    and abs(term) > SERIES_REL_TOL * abs(total)):
+                ratio = next(left, None)
+                if ratio is None:
+                    ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n))
+                    ratios.append(ratio)
+                term *= ratio * z
+                total += term
+                size += abs(term)
+                n += 1
+            if term < 0.0:
+                sign, term, total = -1.0, -term, -total
+            # a small term is one below tol * total, of either sign
+            tol = math.copysign(SERIES_REL_TOL, total)
+            size -= total  # the later terms add total's growth to it
+        for ratio in left:
             term *= ratio * z
             total += term
-            if term <= SERIES_REL_TOL * total:
+            if term <= tol * total:
                 small_run += 1
                 if small_run >= 2 and self._settled(
                         z, len(ratios) - 1 - left.__length_hint__(), total):
-                    return _finite(total)
+                    break
             else:
                 small_run = 0
-        a, b, c = self.a, self.b, self.c
-        # a float n: int + float is not specialized; n < 2^53 sums exactly
-        for n in map(float, range(len(ratios), SERIES_MAX_TERMS)):
-            ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n))
-            ratios.append(ratio)
-            term *= ratio * z
-            total += term
-            if term <= SERIES_REL_TOL * total:
-                small_run += 1
-                if small_run >= 2 and self._settled(z, n, total):
-                    return _finite(total)
+        else:
+            a, b, c = self.a, self.b, self.c
+            # a float n: int + float is not specialized; n < 2^53 sums
+            # exactly
+            for n in map(float, range(len(ratios), SERIES_MAX_TERMS)):
+                ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n))
+                ratios.append(ratio)
+                term *= ratio * z
+                total += term
+                if term <= tol * total:
+                    small_run += 1
+                    if small_run >= 2 and self._settled(z, n, total):
+                        break
+                else:
+                    small_run = 0
             else:
-                small_run = 0
-        raise self._unconverged(z, term, total)
+                raise self._unconverged(z, term, sign * total, size + total)
+        return _finite(sign * total), size + total
 
     def _settled(self, z: float, n: float, total: float) -> bool:
         """Whether a sum may end at ratios[n]: it is inf, or no later term
         grows (z ratios[m] < 1, m >= n), though a tiny b made it small."""
-        return (total == math.inf or z * (self.a + n) < 1.0 + n
+        return (total == math.inf
+                or z * (self.a + n) < 1.0 + n and self.b <= self.c
                 or self._shrink(z, n) < 1.0)
 
     def _shrink(self, z: float, n: float) -> float:
-        """Bound on z * ratios[m] over m >= n, as b <= c (_ratio_cap)."""
-        return z * min(_ratio_cap(self.a, 1.0, n), _ratio_cap(
-            self.a, self.c, n) * _ratio_cap(self.b, 1.0, n))
+        """Bound on z * ratios[m] over m >= n past the head (_ratio_cap)."""
+        a, b, c = self.a, self.b, self.c
+        return z * min(_ratio_cap(a, 1.0, n) * _ratio_cap(b, c, n),
+                       _ratio_cap(a, c, n) * _ratio_cap(b, 1.0, n))
 
-    def _unconverged(self, z: float, term: float,
-                     total: float) -> NumericError:
+    def _unconverged(self, z: float, term: float, total: float,
+                     size: float) -> NumericError:
         """The error of a sum that spent its terms at z: the rest adds at
-        most term * r / (1 - r) while r = _shrink(z, SERIES_MAX_TERMS) < 1."""
+        most |term| r / (1 - r) while r = _shrink(z, SERIES_MAX_TERMS) < 1."""
         r = self._shrink(z, SERIES_MAX_TERMS)
         tail = term * r / (1.0 - r) if r < 1.0 else math.inf
-        return _series_error("series", z, total, tail, total)
+        return _series_error("series", z, total, tail, size)
+
+
+def _gamma_sign(x: float) -> float:
+    """The sign of Gamma(x) off its poles."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
+def _pole_gap(x: float) -> float:
+    """The distance of x from the nearest pole of Gamma, 0, -1, -2, ..."""
+    return abs(x - min(0, round(x)))
+
+
+def _part(a: float, b: float, c: float) -> Gauss2F1:
+    """A fresh Gauss2F1 of (a, b; c) made past __init__, whose checks fail
+    on F' where c - b is below the rounding of b + 1 and on the signed
+    parameters of the connection sums; its head counts the ratios that may
+    be negative, those of n <= max(-a, -b, -c)."""
+    part = Gauss2F1.__new__(Gauss2F1)
+    low = min(a, b, c)
+    part.a, part.b, part.c, part.ratios = a, b, c, []
+    part.head = math.floor(-low) + 1 if low < 0.0 else 0
+    return part
 
 
 def _taylor_step(a: float, b: float, c: float, z0: float, h: float,
@@ -264,5 +374,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     Gauss2F1, summed at z itself up to the cutoff, where 1 - z rounds it.
     A value beyond the floats (2F1(1e6, 1; 2; 1/2)) raises NumericError."""
     series = Gauss2F1(a, b, c)
-    return (series._series(z) if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
+    return (series._series(z)[0]
+            if 0.0 <= z <= DEFAULT_CONFIG.z_series_cutoff
             else series(1.0 - z))

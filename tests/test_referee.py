@@ -10,9 +10,10 @@ within 1e-14 relative of the reference, or a NumericError.
 
 The closed lambda weights are held against conftest.mp_lambda: kinds 1..4
 within 1e-13 where the ratio w = 1 - z of theta and x is small, down to
-w = 1e-11, away from it, across the series cutoff, and over the whole
-continuation route, from w = 0.09 to 1e-11; lambda5 down to w = 1e-300 on
-both sides, within 1e-14.
+w = 1e-11, away from it, across the series cutoff, and above it, from
+w = 0.09 to 1e-11, on both routes: the continuation and the connection
+sums, with m at and near an integer; lambda5 down to w = 1e-300 on both
+sides, within 1e-14.
 
 ostrowski_rhs of T2_3..T2_7 is held against the same theorems assembled in
 mpmath at 30 digits, from mp_lambda's weights, on [2^k, 2^k q] at x = a, b
@@ -23,6 +24,7 @@ with a DomainError or NumericError.
 import functools
 import itertools
 import math
+import random
 import sys
 
 import mpmath
@@ -162,10 +164,51 @@ def test_closed_lambda_away_from_z_one():
 
 
 def test_closed_lambda_on_the_continuation():
-    # 1 - z from 0.09 to 1e-11, the whole continuation route, whose start
-    # at z = 1/2 every weight here takes (384 weights; 3.1e-14 at worst)
+    # 1 - z from 0.09 to 1e-11, above the cutoff: 49 of these 384 weights
+    # take the connection sums, and the rest, with an integer m or an
+    # estimate over the route's limit, the continuation (3.1e-14 at worst)
     assert worst_closed_lambda_error(
         (0.09, 1e-2, 1e-3, 1e-6, 1e-9, 1e-11)) <= 1e-13
+
+
+# distances of m = c - 2 vartheta - b from an integer: the connection
+# route's two terms cancel as m nears one, and at 0 its Gammas have a pole
+CONNECTION_M_OFFSETS = (1e-2, -1e-2, 1e-4, -1e-4, 1e-8, -1e-8, 0.0)
+
+
+def connection_shapes(seed: int, n: int) -> list[tuple]:
+    """n derandomized (kind, s, vartheta, rho, 1 - z) of lambda1..lambda4:
+    s in [0, 1], vartheta in [0.5, 10], rho in [0, 10] and 1 - z from 0.09
+    down to 1e-11. Every other one puts m an offset of
+    CONNECTION_M_OFFSETS from an integer."""
+    rng = random.Random(seed)
+    shapes = []
+    while len(shapes) < n:
+        kind, s, rho = rng.randint(1, 4), rng.random(), rng.uniform(0.0, 10.0)
+        vartheta = rng.uniform(0.5, 10.0)
+        if len(shapes) % 2:
+            b = {1: rho + s + 1.0, 2: rho + 1.0, 3: 1.0, 4: s + 1.0}[kind]
+            c = rho + s + 2.0
+            m = rng.randint(math.ceil(c - b - 20.0), math.floor(c - b - 1.0))
+            vartheta = (c - b - m - rng.choice(CONNECTION_M_OFFSETS)) / 2.0
+        if 0.5 <= vartheta <= 10.0:
+            shapes.append((kind, s, vartheta, rho,
+                           10.0 ** rng.uniform(-11.0, math.log10(0.09))))
+    return shapes
+
+
+def test_closed_lambda_on_the_connection_route():
+    # above the cutoff a non-integer m takes two Gauss sums in w = 1 - z,
+    # and an m at or near an integer, where they cancel, the continuation;
+    # every weight is answered, within 1e-13 (400 weights; 221 on the
+    # connection route, 3.5e-14 at worst; 7.4e-14 on the continuation)
+    worst = 0.0
+    for kind, s, vartheta, rho, gap in connection_shapes(42, 400):
+        theta, x = (3.0 * gap, 3.0) if kind < 3 else (3.0, 3.0 * gap)
+        args = (kind, theta, x, s, vartheta, rho)
+        ref = mp_lambda(*args)
+        worst = max(worst, float(abs(lambda_value(*args) - ref) / ref))
+    assert worst <= 1e-13
 
 
 def test_lambda5_far_from_the_diagonal():

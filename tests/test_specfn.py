@@ -164,6 +164,26 @@ class TestHyp2F1:
         for w in (0.2, 0.2, 0.5, 0.3):
             assert kept(w) == hyp2f1(1000.0, 1e-20, 500.0, 1.0 - w)
 
+    def test_signed_terms(self):
+        # the connection route's sums: a, b or c below 0 makes the first
+        # ratios signed, and past them a sum whose terms are negative is
+        # summed as -F; it returns F and the sum of the |t_n|, here held
+        # against mpmath's, where F is negative too. In (6, 5; -2.9) at
+        # w = 0.05 the later terms turn the sum's sign, which a sum
+        # compared with a fixed sign of it never stopped at
+        for args in ((-2.5, 1.5, 0.7), (2.0, 3.0, -3.3), (-4.3, 2.2, -1.8),
+                     (1.2, 1.7, -0.3), (6.0, 5.0, -2.9), (-3.5, 4.0, -0.9)):
+            for w in (0.09, 0.05, 1e-3):
+                value, size = specfn._part(*args)._series(w)
+                with mpmath.workdps(40):
+                    ref, term, mag = mpmath.hyp2f1(*args, w), 1, 0
+                    for n in range(60):
+                        mag += abs(term)
+                        term *= ((args[0] + n) * (args[1] + n)
+                                 / ((args[2] + n) * (n + 1)) * w)
+                    assert abs(value - ref) <= 1e-15 * mag, (args, w)
+                    assert abs(size - mag) <= 1e-15 * mag, (args, w)
+
     def test_continuation_points_of_the_battery(self):
         # the hyp2f1_log_identity row's points above the cutoff: F' at
         # z = 1/2 by DLMF 15.5.1 is a sum of its own, which ends on its
@@ -218,8 +238,10 @@ class TestAgainstMpmath:
         assert worst <= 2e-15
 
     def test_large_c_is_accurate_or_refused(self):
-        # a large c makes the continuation cancel; no value may come back
-        # that the loss estimate should have refused
+        # a large c makes the continuation cancel, and its lgamma values
+        # keep the connection route off; no value may come back that the
+        # loss estimate should have refused (53 returned, 9.1e-14 at worst,
+        # and 67 refused)
         rng = random.Random(7)
         returned = refused = 0
         for _ in range(120):
@@ -234,7 +256,7 @@ class TestAgainstMpmath:
                 refused += 1
                 continue
             returned += 1
-            assert rel_err(value, a, b, c, z) <= 1e-8
+            assert rel_err(value, a, b, c, z) <= specfn.FIDELITY
         assert returned > 0 and refused > 0
 
 
@@ -372,15 +394,16 @@ class TestRefusedSumError:
 SUMS = ("_series", "_taylor_step")
 
 
-def sums_in(call) -> int:
-    """Number of sums (calls of the SUMS) that call() makes."""
+def sums_in(call, names=SUMS) -> int:
+    """Number of calls of the names, by default the SUMS, that call()
+    makes."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
         code = frame.f_code
         if (event == "call" and code.co_filename == specfn.__file__
-                and code.co_name in SUMS):
+                and code.co_name in names):
             count += 1
     sys.setprofile(profile)
     try:
@@ -405,3 +428,16 @@ class TestWorkBound:
                   for z in (0.5, CUTOFF, 0.95, 1.0 - 1e-9, z_top)]
         assert max(counts) <= 41
         assert sums_in(lambda: hyp2f1(1.0, 1.0, 2.0, z_top)) == 41
+
+    def test_two_sums_on_the_connection_route(self):
+        # a non-integer m above the cutoff: two Gauss sums in w = 1 - z and
+        # no Taylor step, down to the top z (the continuation made two
+        # start sums, F and F' at z = 1/2, and up to 39 steps); c - a < 0
+        # in the second triple makes its second sum's first terms signed
+        z_top = math.nextafter(1.0 - W_CAP, 0.0)
+        for args in ((3.0, 2.5, 4.2), (8.0, 1.5, 3.7)):
+            for z in (0.95, 1.0 - 1e-6, z_top):
+                assert sums_in(lambda: hyp2f1(*args, z)) == 2, (args, z)
+                assert sums_in(lambda: hyp2f1(*args, z),
+                               ("_taylor_step",)) == 0, (args, z)
+                assert rel_err(hyp2f1(*args, z), *args, z) <= 1e-13
